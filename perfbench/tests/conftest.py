@@ -1,0 +1,7 @@
+"""Import the benchmark's modules and omegatt from this checkout."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
