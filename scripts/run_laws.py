@@ -12,18 +12,7 @@ import argparse
 import sys
 import time
 
-from omegatt.laws import (
-    law_cell_action,
-    law_counit_squares,
-    law_eh_identities,
-    law_hom_roundtrip,
-    law_hom_transport,
-    law_pushout_counts,
-    law_suspension,
-    law_tree_action,
-    law_tree_boundary,
-    law_typecheck,
-)
+from omegatt.laws import FAMILIES
 
 
 def main() -> int:
@@ -32,24 +21,11 @@ def main() -> int:
     parser.add_argument("--dims-upto", type=int, default=3, help="reversal dimension bound")
     args = parser.parse_args()
 
-    families = [
-        lambda: law_tree_boundary(args.max_nodes, args.dims_upto),
-        lambda: law_tree_action(args.max_nodes, args.dims_upto),
-        law_suspension,
-        law_pushout_counts,
-        lambda: law_typecheck(args.dims_upto),
-        lambda: law_cell_action(args.dims_upto),
-        law_hom_roundtrip,
-        lambda: law_hom_transport(args.dims_upto),
-        lambda: law_eh_identities(args.dims_upto),
-        law_counit_squares,
-    ]
-
     total = 0
     bad = 0
-    for family in families:
+    for family in FAMILIES.values():
         start = time.monotonic()
-        report = family()
+        report = family(args.max_nodes, args.dims_upto)
         elapsed = time.monotonic() - start
         status = "ok" if not report.failures else f"{len(report.failures)} FAILED"
         print(f"{report.name:<18} {report.checks:>6} checks  {elapsed:6.2f}s  {status}")

@@ -13,18 +13,32 @@ Substitutions and computad morphisms share one representation, a flat
 name-keyed tuple of (name, cell) pairs in canonical order; this relies on
 generator names being unique across dimensions, which ``Computad.make``
 enforces.
+
+Terms are hash-consed (:mod:`omegatt.hashcons`): ``Var``, ``Sphere`` and
+``Coh``, like ``BataninTree``, are interned in weak tables, so
+structurally equal terms are one object, ``==`` is ``is`` and the hash is
+O(1).  A term is therefore a DAG: a subterm that recurs is stored once.
+Pure traversals are memoised on the node they start from, and each memo
+lives as long as its node: the boundary of a coherence
+(:func:`cell_boundary`), :func:`cell_key`, and in :mod:`omegatt.metaops`
+the opposite per dimension set.  Traversals whose result depends on more
+than the node (:func:`apply_morphism` and :func:`map_vars`,
+:func:`counit_eval`, :func:`support`, :func:`typecheck_cell`) keep a memo
+for one call, so they visit each node of the DAG once.  Maps that keep the
+keys of a substitution (:func:`map_values`) keep its canonical order and
+do not re-sort it; :func:`substitution` sorts, for callers that rename keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, Mapping, Union
 
 from .globular import FiniteGlobularSet, nat_key
+from .hashcons import HashConsed, remember
 from .trees import (
     BataninTree,
-    boundary_tree,
     dim_tree,
     pos_dim,
     positions,
@@ -38,37 +52,42 @@ from .trees import (
 # terms
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(HashConsed):
     """A generator used as a cell."""
 
+    __slots__ = ("name", "dim")
+    __match_args__ = ("name", "dim")
     name: str
     dim: int
 
-    def __post_init__(self) -> None:
-        if self.dim < 0:
-            raise ValueError(f"cell dimension must be >= 0, got {self.dim}")
+    def __new__(cls, name: str, dim: int) -> "Var":
+        if dim < 0:
+            raise ValueError(f"cell dimension must be >= 0, got {dim}")
+        key = (name, dim)
+        return cls._cons(key, key)[0]
 
     def __repr__(self) -> str:
         return f"Var({self.name!r}, {self.dim})"
 
 
-@dataclass(frozen=True)
-class Sphere:
+class Sphere(HashConsed):
     """A parallel pair of cells; the boundary data for one dimension up."""
 
+    __slots__ = ("src", "tgt", "dim")
+    __match_args__ = ("src", "tgt")
     src: "CellTerm"
     tgt: "CellTerm"
+    dim: int
 
-    def __post_init__(self) -> None:
-        if self.src.dim != self.tgt.dim:
+    def __new__(cls, src: "CellTerm", tgt: "CellTerm") -> "Sphere":
+        if src.dim != tgt.dim:
             raise ValueError(
-                f"sphere cells must share a dimension: {self.src.dim} != {self.tgt.dim}"
+                f"sphere cells must share a dimension: {src.dim} != {tgt.dim}"
             )
+        return cls._cons((src, tgt), (src, tgt, src.dim))[0]
 
-    @property
-    def dim(self) -> int:
-        return self.src.dim
+    def __repr__(self) -> str:
+        return f"Sphere(src={self.src!r}, tgt={self.tgt!r})"
 
 
 Substitution = tuple[tuple[str, "CellTerm"], ...]
@@ -84,6 +103,20 @@ def substitution(mapping: Mapping[str, "CellTerm"] | Iterable[tuple[str, "CellTe
     return out
 
 
+def map_values(sub: Substitution, fn: Callable[["CellTerm"], "CellTerm"]) -> Substitution:
+    """Apply ``fn`` to every cell of a substitution.  The keys do not
+    change, so the canonical order and their distinctness carry over and
+    nothing is re-sorted."""
+    return tuple([keep_pair(pair, pair[0], fn(pair[1])) for pair in sub])
+
+
+def keep_pair(pair: tuple[str, "CellTerm"], key: str, value: "CellTerm") -> tuple[str, "CellTerm"]:
+    """``(key, value)``, reusing ``pair`` when it already is that binding:
+    the substitutions of memoised images then share their unchanged
+    bindings with the source term."""
+    return pair if pair[1] is value and pair[0] == key else (key, value)
+
+
 def sub_get(sub: Substitution, name: str) -> "CellTerm":
     for k, v in sub:
         if k == name:
@@ -95,17 +128,31 @@ def sub_map(sub: Substitution) -> dict[str, "CellTerm"]:
     return dict(sub)
 
 
-@dataclass(frozen=True)
-class Coh:
-    """A coherence cell: scheme, full sphere over the scheme, substitution."""
+class Coh(HashConsed):
+    """A coherence cell: scheme, full sphere over the scheme, substitution.
 
+    Interned like every term node.  Memo slots: ``_op`` (:func:`op_cell`
+    per dimension set), ``_boundary`` (:func:`cell_boundary`, which for a
+    coherence does not depend on the ambient computad) and ``_key``
+    (:func:`cell_key`).
+    """
+
+    __slots__ = ("tree", "sphere", "sub", "dim", "_op", "_boundary", "_key")
+    __match_args__ = ("tree", "sphere", "sub")
     tree: BataninTree
     sphere: Sphere
     sub: Substitution
+    dim: int
 
-    @property
-    def dim(self) -> int:
-        return self.sphere.dim + 1
+    def __new__(cls, tree: BataninTree, sphere: Sphere, sub: Substitution) -> "Coh":
+        return cls.build(tree, sphere, sub)[0]
+
+    @classmethod
+    def build(cls, tree: BataninTree, sphere: Sphere, sub: Substitution) -> tuple["Coh", bool]:
+        """``(cell, created)``: the interned coherence, and whether this
+        call built it (see :func:`omegatt.hashcons.memoise`)."""
+        sub = tuple(sub)
+        return cls._cons((tree, sphere, sub), (tree, sphere, sub, sphere.dim + 1, None, None, None))
 
     def __repr__(self) -> str:
         return f"Coh({self.tree!r}, {self.sphere!r}, <{len(self.sub)} positions>)"
@@ -125,6 +172,7 @@ class Computad:
     ``generators[d]`` is the tuple of d-generator names in canonical order;
     ``attach`` binds each generator of positive dimension to its sphere.
     Use :meth:`make`, which validates the attaching spheres bottom-up.
+    Lookups by name go through dicts built once per computad.
     """
 
     generators: tuple[tuple[str, ...], ...]
@@ -173,20 +221,22 @@ class Computad:
     def generators_at(self, d: int) -> tuple[str, ...]:
         return self.generators[d] if 0 <= d <= self.bound else ()
 
+    @cached_property
+    def _dims(self) -> dict[str, int]:
+        return {v: d for d, level in enumerate(self.generators) for v in level}
+
+    @cached_property
+    def _spheres(self) -> dict[str, Sphere]:
+        return dict(self.attach)
+
     def has_generator(self, name: str) -> bool:
-        return any(name in level for level in self.generators)
+        return name in self._dims
 
     def dim_of(self, name: str) -> int:
-        for d, level in enumerate(self.generators):
-            if name in level:
-                return d
-        raise KeyError(name)
+        return self._dims[name]
 
     def sphere_of(self, name: str) -> Sphere:
-        for k, s in self.attach:
-            if k == name:
-                return s
-        raise KeyError(name)
+        return self._spheres[name]
 
     def var(self, name: str) -> Var:
         return Var(name, self.dim_of(name))
@@ -222,37 +272,55 @@ def identity_sub(c: Computad) -> Substitution:
 # boundary, support, fullness
 
 
-def apply_morphism(sigma: Substitution, cell: CellTerm) -> CellTerm:
-    """Push a cell along a morphism given by its action on generators.
+def map_vars(leaf: Callable[[Var], CellTerm], cell: CellTerm, memo: dict | None = None) -> CellTerm:
+    """The action on cells of a map given on variables: each Var ``v``
+    becomes ``leaf(v)``; a coherence keeps its scheme and sphere (those
+    live over the pasting computad, not the ambient one) and only its
+    outer substitution moves.  ``memo`` (fresh by default; pass one dict
+    to share it between calls with the same ``leaf``) holds each node
+    already mapped, so a subterm shared in the DAG is mapped once."""
+    if memo is None:
+        memo = {}
+    out = memo.get(cell)
+    if out is None:
+        if isinstance(cell, Var):
+            out = leaf(cell)
+        else:
+            out = Coh(cell.tree, cell.sphere, map_values(cell.sub, lambda v: map_vars(leaf, v, memo)))
+        memo[cell] = out
+    return out
 
-    A coherence keeps its scheme and sphere (those live over the pasting
-    computad, not the ambient one); only the outer substitution moves.
-    """
-    if isinstance(cell, Var):
-        return sub_get(sigma, cell.name)
-    return Coh(
-        cell.tree,
-        cell.sphere,
-        substitution([(p, apply_morphism(sigma, v)) for p, v in cell.sub]),
-    )
+
+def _morphism(sigma: Substitution) -> Callable[[Var], CellTerm]:
+    """The leaf map of a morphism: each generator goes to its image."""
+    images = dict(sigma)
+    return lambda v: images[v.name]
+
+
+def apply_morphism(sigma: Substitution, cell: CellTerm) -> CellTerm:
+    """Push a cell along a morphism given by its action on generators."""
+    return map_vars(_morphism(sigma), cell)
 
 
 def compose_morphisms(sigma: Substitution, tau: Substitution) -> Substitution:
     """sigma after tau, as an action on tau's keys."""
-    return substitution([(k, apply_morphism(sigma, v)) for k, v in tau])
+    leaf, memo = _morphism(sigma), {}
+    return map_values(tau, lambda v: map_vars(leaf, v, memo))
 
 
 def cell_boundary(c: Computad, cell: CellTerm) -> Sphere:
     """The sphere one dimension down: attachment for a Var, the coherence
-    sphere pushed along the substitution for a Coh."""
+    sphere pushed along the substitution for a Coh (memoised on the Coh)."""
     if cell.dim == 0:
         raise ValueError("0-cells have no boundary")
     if isinstance(cell, Var):
         return c.sphere_of(cell.name)
-    return Sphere(
-        apply_morphism(cell.sub, cell.sphere.src),
-        apply_morphism(cell.sub, cell.sphere.tgt),
-    )
+    sphere = cell._boundary
+    if sphere is None:
+        leaf, memo = _morphism(cell.sub), {}
+        sphere = Sphere(map_vars(leaf, cell.sphere.src, memo), map_vars(leaf, cell.sphere.tgt, memo))
+        remember(cell, "_boundary", sphere)
+    return sphere
 
 
 def boundary_at(c: Computad, cell: CellTerm, k: int) -> Sphere:
@@ -274,16 +342,22 @@ def parallel(c: Computad, a: CellTerm, b: CellTerm) -> bool:
 
 
 def support(c: Computad, cell: CellTerm) -> frozenset[str]:
-    """Generators a cell depends on, including those of its boundary."""
-    if isinstance(cell, Var):
-        out = frozenset({cell.name})
-        if cell.dim > 0:
-            sphere = c.sphere_of(cell.name)
-            out |= support(c, sphere.src) | support(c, sphere.tgt)
-        return out
-    out = frozenset()
-    for _, v in cell.sub:
-        out |= support(c, v)
+    """Generators a cell depends on, including those of its boundary.
+    Each node of the DAG is visited once per call."""
+    return _support(c, cell, {})
+
+
+def _support(c: Computad, cell: CellTerm, memo: dict) -> frozenset[str]:
+    out = memo.get(cell)
+    if out is None:
+        if isinstance(cell, Var):
+            out = frozenset({cell.name})
+            if cell.dim > 0:
+                sphere = c.sphere_of(cell.name)
+                out |= _support(c, sphere.src, memo) | _support(c, sphere.tgt, memo)
+        else:
+            out = frozenset().union(*(_support(c, v, memo) for _, v in cell.sub))
+        memo[cell] = out
     return out
 
 
@@ -320,7 +394,14 @@ class TypecheckError(Exception):
 
 
 def typecheck_cell(c: Computad, cell: CellTerm, path: tuple[str, ...] = ()) -> None:
-    """Validate a cell against a computad; raises TypecheckError on failure."""
+    """Validate a cell against a computad; raises TypecheckError on failure.
+
+    Within one call each coherence node is checked once per computad: a
+    check that passed passes again wherever the node recurs in the DAG."""
+    _typecheck(c, cell, path, set())
+
+
+def _typecheck(c: Computad, cell: CellTerm, path: tuple[str, ...], passed: set) -> None:
     if isinstance(cell, Var):
         if not c.has_generator(cell.name):
             raise TypecheckError("UnknownGenerator", path, f"no generator named {cell.name!r}")
@@ -332,6 +413,9 @@ def typecheck_cell(c: Computad, cell: CellTerm, path: tuple[str, ...] = ()) -> N
                 f"generator {cell.name!r} has dimension {d}, used at {cell.dim}",
             )
         return
+    done = (id(c), cell)
+    if done in passed:
+        return
     if dim_tree(cell.tree) > cell.dim:
         raise TypecheckError(
             "DimensionMismatch",
@@ -339,8 +423,8 @@ def typecheck_cell(c: Computad, cell: CellTerm, path: tuple[str, ...] = ()) -> N
             f"scheme of dimension {dim_tree(cell.tree)} in a {cell.dim}-cell",
         )
     pc = pasting_computad(cell.tree)
-    typecheck_cell(pc, cell.sphere.src, path + ("sphere", "src"))
-    typecheck_cell(pc, cell.sphere.tgt, path + ("sphere", "tgt"))
+    _typecheck(pc, cell.sphere.src, path + ("sphere", "src"), passed)
+    _typecheck(pc, cell.sphere.tgt, path + ("sphere", "tgt"), passed)
     if not parallel(pc, cell.sphere.src, cell.sphere.tgt):
         raise TypecheckError(
             "NotParallel", path + ("sphere",), "coherence sphere cells are not parallel"
@@ -366,16 +450,18 @@ def typecheck_cell(c: Computad, cell: CellTerm, path: tuple[str, ...] = ()) -> N
                 path + ("sub", p),
                 f"position {p} has dimension {pos_dim(p)}, assigned a {v.dim}-cell",
             )
-        typecheck_cell(c, v, path + ("sub", p))
+        _typecheck(c, v, path + ("sub", p), passed)
+    bound = dict(cell.sub)
     for d in range(1, pos.ndim + 1):
         for p in pos.cells_at(d):
-            want_sphere = Sphere(sub_get(cell.sub, pos.src_of(d, p)), sub_get(cell.sub, pos.tgt_of(d, p)))
-            if cell_boundary(c, sub_get(cell.sub, p)) != want_sphere:
+            want_sphere = Sphere(bound[pos.src_of(d, p)], bound[pos.tgt_of(d, p)])
+            if cell_boundary(c, bound[p]) != want_sphere:
                 raise TypecheckError(
                     "BadSubstitution",
                     path + ("sub", p),
                     f"assignment at {p} does not match the boundaries of its sector",
                 )
+    passed.add(done)
 
 
 def is_well_typed(c: Computad, cell: CellTerm) -> bool:
@@ -418,15 +504,20 @@ def cell_key(cell: CellTerm) -> str:
 
     Used to name the generators of double computads (whose generators *are*
     cells), keeping those names deterministic and self-describing.
+    Memoised on each coherence node.
     """
     if isinstance(cell, Var):
         return cell.name
-    inner = ";".join(f"{p}:={cell_key(v)}" for p, v in cell.sub)
-    return (
-        f"coh{tree_to_list(cell.tree)}"
-        f"{{{cell_key(cell.sphere.src)}->{cell_key(cell.sphere.tgt)}}}"
-        f"({inner})"
-    )
+    key = cell._key
+    if key is None:
+        inner = ";".join(f"{p}:={cell_key(v)}" for p, v in cell.sub)
+        key = (
+            f"coh{tree_to_list(cell.tree)}"
+            f"{{{cell_key(cell.sphere.src)}->{cell_key(cell.sphere.tgt)}}}"
+            f"({inner})"
+        )
+        remember(cell, "_key", key)
+    return key
 
 
 def double_computad(c: Computad, cells: Iterable[CellTerm]) -> tuple[Computad, dict[str, CellTerm]]:
@@ -469,15 +560,8 @@ def counit_eval(
     ``c``: each Var becomes the cell it names, coherences evaluate their
     substitutions.  ``denote`` defaults to the generators of ``c`` itself,
     which makes this the counit on free_computad(underlying globular set)."""
-    if isinstance(cell, Var):
-        if denote is None:
-            return c.var(cell.name)
-        return denote[cell.name]
-    return Coh(
-        cell.tree,
-        cell.sphere,
-        substitution([(p, counit_eval(c, v, denote)) for p, v in cell.sub]),
-    )
+    leaf = (lambda v: c.var(v.name)) if denote is None else (lambda v: denote[v.name])
+    return map_vars(leaf, cell)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,19 @@ def _sorted_names(names: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(names, key=nat_key))
 
 
-@dataclass(frozen=True)
+def _boundary_of(pairs: tuple[tuple[str, str], ...], level: tuple[str, ...], x: str) -> str:
+    """The boundary of ``x`` in ``pairs``, which lists ``level`` in order.
+
+    A scan of the level in C rather than a dict: the sets of positions of
+    every pasting scheme stay cached, and an index per set would cost more
+    memory than the scan costs time at these sizes."""
+    try:
+        return pairs[level.index(x)][1]
+    except (ValueError, IndexError):
+        raise KeyError(x) from None
+
+
+@dataclass(frozen=True, slots=True)
 class FiniteGlobularSet:
     """Cells per dimension plus source/target maps (immutable, canonical order).
 
@@ -98,10 +110,10 @@ class FiniteGlobularSet:
                 yield d, x
 
     def src_of(self, d: int, x: str) -> str:
-        return dict(self.srcs[d])[x]
+        return _boundary_of(self.srcs[d], self.cells[d], x)
 
     def tgt_of(self, d: int, x: str) -> str:
-        return dict(self.tgts[d])[x]
+        return _boundary_of(self.tgts[d], self.cells[d], x)
 
     def src_map(self, d: int) -> dict[str, str]:
         return dict(self.srcs[d]) if 1 <= d <= self.ndim else {}
@@ -128,7 +140,7 @@ class FiniteGlobularSet:
         return FiniteGlobularSet.make(obj["dims"], obj.get("src", {}), obj.get("tgt", {}))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BipointedGlobularSet:
     """A finite globular set with two chosen 0-cells (x_minus, x_plus)."""
 
@@ -312,16 +324,26 @@ def wedge(parts: Sequence[BipointedGlobularSet]) -> BipointedGlobularSet:
 DimSet = frozenset
 
 
+_DIMSETS: dict[frozenset[int], frozenset[int]] = {}
+
+
+def canonical_dimset(w: frozenset[int]) -> frozenset[int]:
+    """The one shared object equal to ``w``.  Dimension sets are memo and
+    cache keys all over the kernel; sharing them keeps a handful alive
+    instead of one per key."""
+    return _DIMSETS.setdefault(w, w)
+
+
 def dimset(dims: Iterable[int]) -> frozenset[int]:
     w = frozenset(int(d) for d in dims)
     if any(d < 1 for d in w):
         raise ValueError("dimension sets contain positive integers only")
-    return w
+    return canonical_dimset(w)
 
 
 def dimset_down(w: frozenset[int]) -> frozenset[int]:
     """w - 1 = {n >= 1 | n + 1 in w}: the set acting one dimension down."""
-    return frozenset(n - 1 for n in w if n >= 2)
+    return canonical_dimset(frozenset(n - 1 for n in w if n >= 2))
 
 
 def op_glob(w: frozenset[int], x: FiniteGlobularSet) -> FiniteGlobularSet:

@@ -27,11 +27,11 @@ from .computads import (
     cell_from_json,
     cell_to_json,
     is_full,
-    sub_get,
     sub_map,
     substitution,
 )
 from .globular import DimSet, dimset_down
+from .hashcons import HashConsed
 from .metaops import (
     BASE_MINUS,
     BASE_PLUS,
@@ -48,21 +48,23 @@ from .trees import (
     op_positions_iso,
     op_tree,
     pos_dim,
+    sorted_positions,
     suspend_tree,
     tree_from_list,
     tree_to_list,
 )
 
 
-@dataclass(frozen=True)
-class HomGenerator:
+class HomGenerator(HashConsed):
     """An indecomposable loop cell, seen as a generator one dimension down."""
 
+    __slots__ = ("underlying", "dim")
+    __match_args__ = ("underlying",)
     underlying: CellTerm
+    dim: int
 
-    @property
-    def dim(self) -> int:
-        return self.underlying.dim - 1
+    def __new__(cls, underlying: CellTerm) -> "HomGenerator":
+        return cls._cons(underlying, (underlying, underlying.dim - 1))[0]
 
     def __repr__(self) -> str:
         return f"HomGenerator({self.underlying!r})"
@@ -118,7 +120,19 @@ def is_indecomposable(c: BipointedComputad, cell: CellTerm) -> bool:
 
 def hom_factor(c: BipointedComputad, cell: CellTerm) -> HomCell:
     """Rewrite a loop cell as a cell over the hom computad (the inverse of
-    the structure bijection)."""
+    the structure bijection).  Each node of the DAG is factored once per
+    call."""
+    return _hom_factor(c, cell, {})
+
+
+def _hom_factor(c: BipointedComputad, cell: CellTerm, memo: dict) -> HomCell:
+    out = memo.get(cell)
+    if out is None:
+        out = memo[cell] = _hom_factor_node(c, cell, memo)
+    return out
+
+
+def _hom_factor_node(c: BipointedComputad, cell: CellTerm, memo: dict) -> HomCell:
     if not is_loop_cell(c, cell):
         raise ValueError("only loop cells factor through the hom computad")
     if not _decomposition_shape(c, cell):
@@ -134,18 +148,28 @@ def hom_factor(c: BipointedComputad, cell: CellTerm) -> HomCell:
     for p, v in cell.sub:
         if p in (BASE_MINUS, BASE_PLUS):
             continue
-        sub[p[2:]] = hom_factor(c, v)
+        sub[p[2:]] = _hom_factor(c, v, memo)
     return Coh(tree, sphere, substitution(sub))
 
 
 def hom_realize(c: BipointedComputad, h: HomCell) -> CellTerm:
-    """Play a hom cell back as a loop cell of the ambient computad."""
-    if isinstance(h, HomGenerator):
-        return h.underlying
-    sub: dict[str, CellTerm] = {BASE_MINUS: c.base_minus, BASE_PLUS: c.base_plus}
-    for p, v in h.sub:
-        sub[f"1.{p}"] = hom_realize(c, v)
-    return Coh(suspend_tree(h.tree), suspend_sphere(h.sphere), substitution(sub))
+    """Play a hom cell back as a loop cell of the ambient computad.  Each
+    node of the DAG is played back once per call."""
+    return _hom_realize(c, h, {})
+
+
+def _hom_realize(c: BipointedComputad, h: HomCell, memo: dict) -> CellTerm:
+    out = memo.get(h)
+    if out is None:
+        if isinstance(h, HomGenerator):
+            out = h.underlying
+        else:
+            sub: dict[str, CellTerm] = {BASE_MINUS: c.base_minus, BASE_PLUS: c.base_plus}
+            for p, v in h.sub:
+                sub[f"1.{p}"] = _hom_realize(c, v, memo)
+            out = Coh(suspend_tree(h.tree), suspend_sphere(h.sphere), substitution(sub))
+        memo[h] = out
+    return out
 
 
 def op_homcell(w: DimSet, h: HomCell) -> HomCell:
@@ -158,8 +182,10 @@ def op_homcell(w: DimSet, h: HomCell) -> HomCell:
     inv = {q: p for p, q in iso.items()}
     sphere = op_sphere(down, h.sphere)
     sphere = Sphere(rename_cell(inv, sphere.src), rename_cell(inv, sphere.tgt))
-    sub = substitution([(p, op_homcell(w, sub_get(h.sub, q))) for p, q in iso.items()])
-    return Coh(op_tree(down, h.tree), sphere, sub)
+    bound = dict(h.sub)
+    tree = op_tree(down, h.tree)
+    sub = tuple([(p, op_homcell(w, bound[iso[p]])) for p in sorted_positions(tree)])
+    return Coh(tree, sphere, sub)
 
 
 def op_hom_transport(w: DimSet, c: BipointedComputad, cell: CellTerm) -> tuple[bool, str]:

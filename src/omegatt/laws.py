@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .computads import (
     CellTerm,
@@ -66,10 +67,12 @@ class LawReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def check(self, passed: bool, describe: str) -> None:
+    def check(self, passed: bool, describe: str | Callable[[], str]) -> None:
+        """Count one check.  ``describe`` is the failure message, or a
+        zero-argument callable that builds it, called only on failure."""
         self.checks += 1
         if not passed:
-            self.failures.append(describe)
+            self.failures.append(describe() if callable(describe) else describe)
 
 
 def all_dimsets(dims_upto: int) -> list[DimSet]:
@@ -161,7 +164,7 @@ def law_tree_boundary(max_nodes: int, dims_upto: int) -> LawReport:
                 bt = boundary_tree(k, t)
                 report.check(
                     op_tree(w, bt) == boundary_tree(k, opt),
-                    f"{t} w={sorted(w)} k={k}: boundary of opposite differs",
+                    lambda: f"{t} w={sorted(w)} k={k}: boundary of opposite differs",
                 )
                 iso_b = op_positions_iso(w, bt)
                 s_t, t_t = src_inclusion(k, t), tgt_inclusion(k, t)
@@ -174,7 +177,7 @@ def law_tree_boundary(max_nodes: int, dims_upto: int) -> LawReport:
                     second = all(t_t[iso_b[q]] == iso_t[t_o[q]] for q in iso_b)
                 report.check(
                     first and second,
-                    f"{t} w={sorted(w)} k={k}: inclusion squares fail",
+                    lambda: f"{t} w={sorted(w)} k={k}: inclusion squares fail",
                 )
     return report
 
@@ -185,22 +188,22 @@ def law_tree_action(max_nodes: int, dims_upto: int) -> LawReport:
     report = LawReport("tree-action")
     subsets = all_dimsets(dims_upto)
     for t in all_trees(max_nodes):
-        report.check(op_tree(dimset([]), t) == t, f"{t}: empty opposite moved the tree")
+        report.check(op_tree(dimset([]), t) == t, lambda: f"{t}: empty opposite moved the tree")
         report.check(
             all(p == q for p, q in op_positions_iso(dimset([]), t).items()),
-            f"{t}: empty opposite moved positions",
+            lambda: f"{t}: empty opposite moved positions",
         )
         scheme = positions(t)
         for w, v in itertools.product(subsets, subsets):
             wv = dimset(w ^ v)
             report.check(
                 op_tree(w, op_tree(v, t)) == op_tree(wv, t),
-                f"{t} w={sorted(w)} v={sorted(v)}: tree action is not symmetric difference",
+                lambda: f"{t} w={sorted(w)} v={sorted(v)}: tree action is not symmetric difference",
             )
             report.check(
                 op_glob_bipointed(w, op_glob_bipointed(v, scheme))
                 == op_glob_bipointed(wv, scheme),
-                f"{t} w={sorted(w)} v={sorted(v)}: scheme action is not symmetric difference",
+                lambda: f"{t} w={sorted(w)} v={sorted(v)}: scheme action is not symmetric difference",
             )
         for w, v in itertools.product(subsets, subsets):
             wv = dimset(w ^ v)
@@ -209,7 +212,7 @@ def law_tree_action(max_nodes: int, dims_upto: int) -> LawReport:
             composite = {q: iso_v[iso_w[q]] for q in iso_w}
             report.check(
                 composite == dict(op_positions_iso(wv, t)),
-                f"{t} w={sorted(w)} v={sorted(v)}: position isomorphisms do not compose",
+                lambda: f"{t} w={sorted(w)} v={sorted(v)}: position isomorphisms do not compose",
             )
     return report
 
@@ -222,18 +225,18 @@ def law_suspension(nm_max: int = 3) -> LawReport:
     for n, k, m in comp_triples(nm_max):
         report.check(
             suspend_tree(comp_tree(n, k, m)) == comp_tree(n + 1, k + 1, m + 1),
-            f"comp_tree({n},{k},{m}): suspension is not the shifted tree",
+            lambda: f"comp_tree({n},{k},{m}): suspension is not the shifted tree",
         )
         report.check(
             suspend_cell(comp_cell(n, k, m)) == comp_cell(n + 1, k + 1, m + 1),
-            f"comp_cell({n},{k},{m}): suspension is not the shifted template",
+            lambda: f"comp_cell({n},{k},{m}): suspension is not the shifted template",
         )
     for ambient, cell in cell_corpus():
         pointed = suspend_computad(ambient)
         up = suspend_cell(cell)
         report.check(
             desuspend_cell(up) == cell,
-            f"{cell_key(cell)}: desuspension does not invert suspension",
+            lambda: f"{cell_key(cell)}: desuspension does not invert suspension",
         )
         report.check(
             desuspend_computad(pointed.computad) == ambient,
@@ -242,7 +245,7 @@ def law_suspension(nm_max: int = 3) -> LawReport:
         lifted = {f"1.{g}" for g in support(ambient, cell)}
         report.check(
             support(pointed.computad, up) == lifted | {BASE_MINUS, BASE_PLUS},
-            f"{cell_key(cell)}: suspended support is not the lifted support plus basepoints",
+            lambda: f"{cell_key(cell)}: suspended support is not the lifted support plus basepoints",
         )
     return report
 
@@ -260,7 +263,7 @@ def law_pushout_counts(nm_max: int = 4) -> LawReport:
             got = len(scheme.cells_at(d))
             report.check(
                 got == want,
-                f"comp({n},{k},{m}) dim {d}: {got} positions, want {want}",
+                lambda: f"comp({n},{k},{m}) dim {d}: {got} positions, want {want}",
             )
     return report
 
@@ -274,12 +277,12 @@ def law_typecheck(dims_upto: int = 3) -> LawReport:
     for ambient, cell in corpus:
         report.check(
             is_well_typed(ambient, cell),
-            f"{cell_key(cell)}: corpus cell does not typecheck",
+            lambda: f"{cell_key(cell)}: corpus cell does not typecheck",
         )
         for w in all_dimsets(dims_upto):
             report.check(
                 is_well_typed(op_computad(w, ambient), op_cell(w, cell)),
-                f"{cell_key(cell)} w={sorted(w)}: opposite does not typecheck",
+                lambda: f"{cell_key(cell)} w={sorted(w)}: opposite does not typecheck",
             )
     eh = eh_computad().computad
     for g in ("a", "b"):
@@ -287,7 +290,7 @@ def law_typecheck(dims_upto: int = 3) -> LawReport:
         report.check(
             is_well_typed(eh.truncate(1), sphere.src)
             and is_well_typed(eh.truncate(1), sphere.tgt),
-            f"{g}: attaching sphere does not typecheck",
+            lambda: f"{g}: attaching sphere does not typecheck",
         )
     two = comp_tree(1, 0, 1)
     not_full = Coh(
@@ -331,17 +334,17 @@ def law_cell_action(dims_upto: int = 3) -> LawReport:
         for w, v in itertools.product(subsets, subsets):
             report.check(
                 op_computad(w, op_computad(v, c)) == op_computad(dimset(w ^ v), c),
-                f"w={sorted(w)} v={sorted(v)}: computad action is not symmetric difference",
+                lambda: f"w={sorted(w)} v={sorted(v)}: computad action is not symmetric difference",
             )
     for _, cell in corpus:
         report.check(
             op_cell(dimset([]), cell) == cell,
-            f"{cell_key(cell)}: empty opposite moved the cell",
+            lambda: f"{cell_key(cell)}: empty opposite moved the cell",
         )
         for w, v in itertools.product(subsets, subsets):
             report.check(
                 op_cell(w, op_cell(v, cell)) == op_cell(dimset(w ^ v), cell),
-                f"{cell_key(cell)} w={sorted(w)} v={sorted(v)}: cell action is not symmetric difference",
+                lambda: f"{cell_key(cell)} w={sorted(w)} v={sorted(v)}: cell action is not symmetric difference",
             )
     return report
 
@@ -356,11 +359,11 @@ def law_hom_roundtrip() -> LawReport:
         h = hom_factor(pointed, cell)
         report.check(
             hom_realize(pointed, h) == cell,
-            f"{cell_key(cell)}: realize after factor is not the identity",
+            lambda: f"{cell_key(cell)}: realize after factor is not the identity",
         )
         report.check(
             hom_factor(pointed, hom_realize(pointed, h)) == h,
-            f"{cell_key(cell)}: factor after realize is not the identity",
+            lambda: f"{cell_key(cell)}: factor after realize is not the identity",
         )
     c = pointed.computad
     id_x = identity_cell(c, c.var("x"))
@@ -372,7 +375,7 @@ def law_hom_roundtrip() -> LawReport:
         up = suspend_cell(cell)
         report.check(
             not is_indecomposable(suspend_computad(ambient), up),
-            f"{cell_key(cell)}: suspension image should be decomposable",
+            lambda: f"{cell_key(cell)}: suspension image should be decomposable",
         )
     return report
 
@@ -381,12 +384,13 @@ def law_hom_transport(dims_upto: int = 3) -> LawReport:
     """Forming opposites commutes with factoring through the hom computad."""
     report = LawReport("hom-transport")
     pointed = eh_computad()
+    corpus = loop_corpus()
     for w in all_dimsets(dims_upto):
-        for cell in loop_corpus():
+        for cell in corpus:
             passed, diff = op_hom_transport(w, pointed, cell)
             report.check(
                 passed,
-                f"{cell_key(cell)} w={sorted(w)}: {diff}",
+                lambda: f"{cell_key(cell)} w={sorted(w)}: {diff}",
             )
     return report
 
@@ -421,7 +425,7 @@ def law_eh_identities(dims_upto: int = 3) -> LawReport:
     for w in all_dimsets(dims_upto):
         report.check(
             op_computad(w, c) == c,
-            f"w={sorted(w)}: the Eckmann-Hilton computad should be self-dual",
+            lambda: f"w={sorted(w)}: the Eckmann-Hilton computad should be self-dual",
         )
     return report
 
@@ -443,7 +447,7 @@ def law_counit_squares(min_cells: int = 20) -> LawReport:
             continue
     report.check(
         len(double_cells) >= min_cells,
-        f"only {len(double_cells)} double cells were generated",
+        lambda: f"only {len(double_cells)} double cells were generated",
     )
 
     up = suspend_computad(c).computad
@@ -456,11 +460,11 @@ def law_counit_squares(min_cells: int = 20) -> LawReport:
         rhs = suspend_cell(counit_eval(c, u, denote))
         report.check(
             lhs == rhs,
-            f"{cell_key(u)}: evaluation does not commute with suspension",
+            lambda: f"{cell_key(u)}: evaluation does not commute with suspension",
         )
         report.check(
             is_well_typed(up_dbl, suspend_cell(u)) and is_well_typed(up, lhs),
-            f"{cell_key(u)}: suspended double cell does not typecheck",
+            lambda: f"{cell_key(u)}: suspended double cell does not typecheck",
         )
     for w in all_dimsets(3):
         op_c = op_computad(w, c)
@@ -470,24 +474,32 @@ def law_counit_squares(min_cells: int = 20) -> LawReport:
             rhs = op_cell(w, counit_eval(c, u, denote))
             report.check(
                 lhs == rhs,
-                f"{cell_key(u)} w={sorted(w)}: evaluation does not commute with opposites",
+                lambda: f"{cell_key(u)} w={sorted(w)}: evaluation does not commute with opposites",
             )
     return report
 
 
+# The law families in sweep order, by report name.  Each entry takes the
+# sweep's bounds (max_nodes, dims_upto) and passes on the ones its family
+# uses.  The entries call the families through their module-level names,
+# so rebinding a ``law_*`` name (as the benchmark's tracer does) reaches
+# the sweep.
+FAMILIES: dict[str, Callable[[int, int], LawReport]] = {
+    "tree-boundary": lambda max_nodes, dims_upto: law_tree_boundary(max_nodes, dims_upto),
+    "tree-action": lambda max_nodes, dims_upto: law_tree_action(max_nodes, dims_upto),
+    "suspension": lambda max_nodes, dims_upto: law_suspension(),
+    "pushout-counts": lambda max_nodes, dims_upto: law_pushout_counts(),
+    "typecheck": lambda max_nodes, dims_upto: law_typecheck(dims_upto),
+    "cell-action": lambda max_nodes, dims_upto: law_cell_action(dims_upto),
+    "hom-roundtrip": lambda max_nodes, dims_upto: law_hom_roundtrip(),
+    "hom-transport": lambda max_nodes, dims_upto: law_hom_transport(dims_upto),
+    "eh-identities": lambda max_nodes, dims_upto: law_eh_identities(dims_upto),
+    "counit-squares": lambda max_nodes, dims_upto: law_counit_squares(),
+}
+
+
 def run_laws(max_nodes: int = 5, dims_upto: int = 3) -> list[LawReport]:
-    return [
-        law_tree_boundary(max_nodes, dims_upto),
-        law_tree_action(max_nodes, dims_upto),
-        law_suspension(),
-        law_pushout_counts(),
-        law_typecheck(dims_upto),
-        law_cell_action(dims_upto),
-        law_hom_roundtrip(),
-        law_hom_transport(dims_upto),
-        law_eh_identities(dims_upto),
-        law_counit_squares(),
-    ]
+    return [family(max_nodes, dims_upto) for family in FAMILIES.values()]
 
 
 def format_reports(reports: list[LawReport]) -> str:

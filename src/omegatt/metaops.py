@@ -28,12 +28,15 @@ from .computads import (
     Sphere,
     Substitution,
     Var,
-    sub_get,
+    keep_pair,
+    map_values,
+    map_vars,
     sub_map,
     substitution,
 )
-from .globular import DimSet
-from .trees import op_positions_iso, op_tree, suspend_tree
+from .globular import DimSet, canonical_dimset
+from .hashcons import memoise, recall
+from .trees import op_positions_iso, op_tree, sorted_positions, suspend_tree
 
 BASE_MINUS = "0"
 BASE_PLUS = "1"
@@ -67,20 +70,31 @@ class BipointedComputad:
 def suspend_cell(cell: CellTerm) -> CellTerm:
     """Suspend a cell: generators shift to their ``1.``-names one dimension
     up; coherence substitutions additionally send the two fresh root sectors
-    to the basepoints."""
-    if isinstance(cell, Var):
-        return Var(f"1.{cell.name}", cell.dim + 1)
-    sub: dict[str, CellTerm] = {
-        BASE_MINUS: Var(BASE_MINUS, 0),
-        BASE_PLUS: Var(BASE_PLUS, 0),
-    }
-    for p, v in cell.sub:
-        sub[f"1.{p}"] = suspend_cell(v)
-    return Coh(suspend_tree(cell.tree), suspend_sphere(cell.sphere), substitution(sub))
+    to the basepoints.  Each node of the DAG is suspended once per call."""
+    return _suspend(cell, {})
+
+
+def _suspend(cell: CellTerm, memo: dict) -> CellTerm:
+    out = memo.get(cell)
+    if out is None:
+        if isinstance(cell, Var):
+            out = Var(f"1.{cell.name}", cell.dim + 1)
+        else:
+            sub: dict[str, CellTerm] = {
+                BASE_MINUS: Var(BASE_MINUS, 0),
+                BASE_PLUS: Var(BASE_PLUS, 0),
+            }
+            for p, v in cell.sub:
+                sub[f"1.{p}"] = _suspend(v, memo)
+            sphere = Sphere(_suspend(cell.sphere.src, memo), _suspend(cell.sphere.tgt, memo))
+            out = Coh(suspend_tree(cell.tree), sphere, substitution(sub))
+        memo[cell] = out
+    return out
 
 
 def suspend_sphere(sphere: Sphere) -> Sphere:
-    return Sphere(suspend_cell(sphere.src), suspend_cell(sphere.tgt))
+    memo: dict = {}
+    return Sphere(_suspend(sphere.src, memo), _suspend(sphere.tgt, memo))
 
 
 def suspend_morphism(sigma: Substitution) -> Substitution:
@@ -89,8 +103,9 @@ def suspend_morphism(sigma: Substitution) -> Substitution:
         BASE_MINUS: Var(BASE_MINUS, 0),
         BASE_PLUS: Var(BASE_PLUS, 0),
     }
+    memo: dict = {}
     for k, v in sigma:
-        out[f"1.{k}"] = suspend_cell(v)
+        out[f"1.{k}"] = _suspend(v, memo)
     return substitution(out)
 
 
@@ -129,7 +144,19 @@ class NotASuspension(Exception):
 
 
 def desuspend_cell(cell: CellTerm, path: tuple[str, ...] = ()) -> CellTerm:
-    """Invert :func:`suspend_cell` on its image; raises NotASuspension off it."""
+    """Invert :func:`suspend_cell` on its image; raises NotASuspension off it.
+    Each node of the DAG is desuspended once per call."""
+    return _desuspend(cell, path, {})
+
+
+def _desuspend(cell: CellTerm, path: tuple[str, ...], memo: dict) -> CellTerm:
+    out = memo.get(cell)
+    if out is None:
+        out = memo[cell] = _desuspend_node(cell, path, memo)
+    return out
+
+
+def _desuspend_node(cell: CellTerm, path: tuple[str, ...], memo: dict) -> CellTerm:
     if isinstance(cell, Var):
         if cell.dim >= 1 and cell.name.startswith("1."):
             return Var(cell.name[2:], cell.dim - 1)
@@ -146,19 +173,23 @@ def desuspend_cell(cell: CellTerm, path: tuple[str, ...] = ()) -> CellTerm:
     for p, v in cell.sub:
         if p in (BASE_MINUS, BASE_PLUS):
             continue
-        sub[p[2:]] = desuspend_cell(v, path + ("sub", p))
+        sub[p[2:]] = _desuspend(v, path + ("sub", p), memo)
     return Coh(
         cell.tree.children[0],
-        desuspend_sphere(cell.sphere, path + ("sphere",)),
+        _desuspend_sphere(cell.sphere, path + ("sphere",), memo),
         substitution(sub),
     )
 
 
-def desuspend_sphere(sphere: Sphere, path: tuple[str, ...] = ()) -> Sphere:
+def _desuspend_sphere(sphere: Sphere, path: tuple[str, ...], memo: dict) -> Sphere:
     return Sphere(
-        desuspend_cell(sphere.src, path + ("src",)),
-        desuspend_cell(sphere.tgt, path + ("tgt",)),
+        _desuspend(sphere.src, path + ("src",), memo),
+        _desuspend(sphere.tgt, path + ("tgt",), memo),
     )
+
+
+def desuspend_sphere(sphere: Sphere, path: tuple[str, ...] = ()) -> Sphere:
+    return _desuspend_sphere(sphere, path, {})
 
 
 def desuspend_morphism(sigma: Substitution) -> Substitution:
@@ -203,13 +234,12 @@ def desuspend_computad(c: Computad) -> Computad:
 def rename_cell(rename: Mapping[str, str], cell: CellTerm) -> CellTerm:
     """Rename the ambient generators a cell refers to (coherence spheres are
     untouched: their variables are scheme positions, not ambient names)."""
-    if isinstance(cell, Var):
-        return Var(rename.get(cell.name, cell.name), cell.dim)
-    return Coh(
-        cell.tree,
-        cell.sphere,
-        substitution([(p, rename_cell(rename, v)) for p, v in cell.sub]),
-    )
+    return map_vars(_renaming(rename), cell)
+
+
+def _renaming(rename: Mapping[str, str]):
+    """The leaf map of a renaming of generators."""
+    return lambda v: Var(rename.get(v.name, v.name), v.dim)
 
 
 def op_cell(w: DimSet, cell: CellTerm) -> CellTerm:
@@ -219,15 +249,25 @@ def op_cell(w: DimSet, cell: CellTerm) -> CellTerm:
     substitution precomposes with the canonical position bijection, and the
     sphere (swapped when the cell's own dimension is reversed) is renamed
     through the inverse bijection so it lives over the opposite scheme.
+    The result is memoised on the coherence node, per dimension set.
     """
     if isinstance(cell, Var):
         return cell
-    iso = op_positions_iso(w, cell.tree)
-    inv = {q: p for p, q in iso.items()}
-    sphere = op_sphere(w, cell.sphere)
-    sphere = Sphere(rename_cell(inv, sphere.src), rename_cell(inv, sphere.tgt))
-    sub = substitution([(p, op_cell(w, sub_get(cell.sub, q))) for p, q in iso.items()])
-    return Coh(op_tree(w, cell.tree), sphere, sub)
+    out = recall(cell._op, w)
+    if out is None:
+        iso = op_positions_iso(w, cell.tree)
+        leaf, renamed = _renaming({q: p for p, q in iso.items()}), {}
+        sphere = op_sphere(w, cell.sphere)
+        sphere = Sphere(map_vars(leaf, sphere.src, renamed), map_vars(leaf, sphere.tgt, renamed))
+        bound = {pair[0]: pair for pair in cell.sub}
+        tree = op_tree(w, cell.tree)
+        sub = []
+        for p in sorted_positions(tree):
+            pair = bound[iso[p]]
+            sub.append(keep_pair(pair, p, op_cell(w, pair[1])))
+        out, created = Coh.build(tree, sphere, tuple(sub))
+        memoise(cell, "_op", canonical_dimset(w), out, created)
+    return out
 
 
 def op_sphere(w: DimSet, sphere: Sphere) -> Sphere:
@@ -240,7 +280,7 @@ def op_sphere(w: DimSet, sphere: Sphere) -> Sphere:
 
 
 def op_morphism(w: DimSet, sigma: Substitution) -> Substitution:
-    return substitution([(k, op_cell(w, v)) for k, v in sigma])
+    return map_values(sigma, lambda v: op_cell(w, v))
 
 
 def op_computad(w: DimSet, c: Computad) -> Computad:

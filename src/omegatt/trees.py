@@ -15,18 +15,37 @@ lexicographic-with-numeric-segments order is the source-to-target sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
-from .globular import BipointedGlobularSet, DimSet, FiniteGlobularSet, nat_key
+from .globular import (
+    BipointedGlobularSet,
+    DimSet,
+    FiniteGlobularSet,
+    canonical_dimset,
+    dimset_down,
+    nat_key,
+)
+from .hashcons import HashConsed, remember
 
 
-@dataclass(frozen=True)
-class BataninTree:
-    """A finite rooted planar tree; children ordered left to right."""
+class BataninTree(HashConsed):
+    """A finite rooted planar tree; children ordered left to right.
 
-    children: tuple["BataninTree", ...] = ()
+    Interned: structurally equal trees are one object.  ``_op`` memoises
+    :func:`op_tree` per dimension set and ``_names``
+    :func:`sorted_positions`.  The ``_op`` entries are strong: a tree
+    stays in the position caches for the life of the process anyway, so
+    a memo cycle between a tree and its opposite costs nothing.
+    """
+
+    __slots__ = ("children", "_op", "_names")
+    __match_args__ = ("children",)
+    children: tuple["BataninTree", ...]
+
+    def __new__(cls, children: tuple["BataninTree", ...] = ()) -> "BataninTree":
+        children = tuple(children)
+        return cls._cons(children, (children, None, None))[0]
 
     def __repr__(self) -> str:
         return "br[" + ", ".join(repr(c) for c in self.children) + "]"
@@ -172,11 +191,18 @@ def op_tree(w: DimSet, t: BataninTree) -> BataninTree:
     Reversing dimension 1 flips the order of the root's children; the
     set shifts down by one for the recursion into each child.
     """
-    down = frozenset(d - 1 for d in w if d >= 2)
-    kids = tuple(op_tree(down, c) for c in t.children)
-    if 1 in w:
-        kids = tuple(reversed(kids))
-    return BataninTree(kids)
+    memo = t._op
+    if memo is None:
+        memo = {}
+        remember(t, "_op", memo)
+    out = memo.get(w)
+    if out is None:
+        down = dimset_down(w)
+        kids = tuple(op_tree(down, c) for c in t.children)
+        if 1 in w:
+            kids = kids[::-1]
+        out = memo[canonical_dimset(w)] = BataninTree(kids)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -188,7 +214,7 @@ def op_positions_iso(w: DimSet, t: BataninTree) -> Mapping[str, str]:
     otherwise branches keep their index.  Recurses with the shifted set.
     """
     n = len(t.children)
-    down = frozenset(d - 1 for d in w if d >= 2)
+    down = dimset_down(w)
     out: dict[str, str] = {}
     if 1 in w:
         for j in range(n + 1):
@@ -241,6 +267,11 @@ def all_trees(max_nodes: int) -> Iterator[BataninTree]:
         yield from trees_with_nodes(n)
 
 
-def sorted_positions(t: BataninTree) -> list[str]:
-    """All position names of ``t`` in canonical (natural-key) order."""
-    return sorted((p for _, p in positions(t).carrier.all_cells()), key=nat_key)
+def sorted_positions(t: BataninTree) -> tuple[str, ...]:
+    """All position names of ``t`` in canonical (natural-key) order: the
+    key order of every substitution over ``t``.  Memoised on ``t``."""
+    names = t._names
+    if names is None:
+        names = tuple(sorted((p for _, p in positions(t).carrier.all_cells()), key=nat_key))
+        remember(t, "_names", names)
+    return names

@@ -1,0 +1,131 @@
+"""Hash-consed terms: structurally equal terms are one object.
+
+The invariants are checked with Hypothesis over the law corpora
+(``cell_corpus``, ``loop_corpus``) and every dimension set up to 3.
+"""
+
+from __future__ import annotations
+
+import copy
+import gc
+import json
+import pickle
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from omegatt.computads import Coh, Sphere, Var, cell_key
+from omegatt.export import document_from_json, document_to_json
+from omegatt.homcat import HomGenerator
+from omegatt.laws import all_dimsets, cell_corpus, loop_corpus
+from omegatt.metaops import desuspend_cell, op_cell, suspend_cell
+from omegatt.oplib import comp_cell, eh_computad
+from omegatt.surface import ElabCell, ElabDocument, document_text, load_document
+from omegatt.trees import BataninTree, br
+
+CELLS = cell_corpus()
+LOOPS = loop_corpus()
+LOOP_AMBIENT = eh_computad().computad
+DIMSETS = all_dimsets(3)
+NODE_CLASSES = (BataninTree, Var, Sphere, Coh, HomGenerator)
+
+# an ambient computad with the term over it, from either corpus
+ambient_cells = st.one_of(
+    st.sampled_from(CELLS),
+    st.sampled_from(LOOPS).map(lambda cell: (LOOP_AMBIENT, cell)),
+)
+
+
+def table_sizes() -> tuple[int, ...]:
+    return tuple(cls.table_size() for cls in NODE_CLASSES)
+
+
+class TestSharing:
+    def test_equal_constructions_are_one_object(self):
+        assert br(br(), br()) is br(br(), br())
+        assert Var("x", 0) is Var("x", 0)
+        assert Sphere(Var("x", 0), Var("y", 0)) is Sphere(Var("x", 0), Var("y", 0))
+        assert comp_cell(2, 0, 2) is Coh(
+            comp_cell(2, 0, 2).tree, comp_cell(2, 0, 2).sphere, list(comp_cell(2, 0, 2).sub)
+        )
+
+    def test_distinct_constructions_stay_apart(self):
+        assert Var("x", 0) is not Var("x", 1)
+        assert Var("x", 0) != Var("y", 0)
+        assert br(br()) != br(br(), br())
+
+    def test_copy_and_pickle_give_the_interned_node(self):
+        cell = comp_cell(2, 1, 2)
+        assert copy.copy(cell) is cell
+        assert copy.deepcopy(cell) is cell
+        assert pickle.loads(pickle.dumps(cell)) is cell
+
+    def test_nodes_are_immutable(self):
+        with pytest.raises(AttributeError):
+            Var("x", 0).name = "y"
+        with pytest.raises(AttributeError):
+            del comp_cell(1, 0, 1).sphere
+
+    def test_cell_key_is_memoised_on_the_node(self):
+        cell = comp_cell(2, 0, 1)
+        assert cell_key(cell) is cell_key(cell)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ambient_cells, st.sampled_from(DIMSETS))
+def test_opposite_is_an_involution_on_the_nose(pair, w):
+    _, cell = pair
+    assert op_cell(w, op_cell(w, cell)) is cell
+
+
+@settings(max_examples=60, deadline=None)
+@given(ambient_cells)
+def test_desuspension_inverts_suspension_on_the_nose(pair):
+    _, cell = pair
+    assert desuspend_cell(suspend_cell(cell)) is cell
+
+
+def _document(ambient, cell) -> ElabDocument:
+    doc = ElabDocument()
+    doc.computads.append(("c", ambient))
+    doc.cells.append(("t", ElabCell("cell", ambient, cell, "c")))
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(ambient_cells)
+def test_parse_after_print_gives_the_same_object(pair):
+    ambient, cell = pair
+    again = load_document(document_text(_document(ambient, cell)))
+    assert again.computads == [("c", ambient)]
+    assert again.cells[0][1].term is cell
+
+
+@settings(max_examples=60, deadline=None)
+@given(ambient_cells)
+def test_json_import_after_export_gives_the_same_object(pair):
+    ambient, cell = pair
+    text = json.dumps(document_to_json(_document(ambient, cell)))
+    assert document_from_json(json.loads(text)).cells[0][1].term is cell
+
+
+class TestTables:
+    def test_invalid_constructions_raise_before_interning(self):
+        point, arrow = Var("x", 0), Var("f", 1)
+        before = table_sizes()
+        with pytest.raises(ValueError):
+            Var("y", -1)
+        with pytest.raises(ValueError):
+            Sphere(point, arrow)
+        assert table_sizes() == before
+
+    def test_dropped_terms_leave_the_tables(self):
+        big = comp_cell(10, 0, 10)
+        gc.collect()
+        before = table_sizes()
+        up = suspend_cell(big)
+        assert Coh.table_size() > before[NODE_CLASSES.index(Coh)]
+        del up
+        gc.collect()
+        assert table_sizes() == before
