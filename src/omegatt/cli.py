@@ -68,6 +68,18 @@ def _dims(text: str) -> DimSet:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def count(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid count value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return count
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     doc = _load(args.file)
     for name, _ in doc.computads:
@@ -96,32 +108,27 @@ def _transform_document(
     return out
 
 
-def cmd_susp(args: argparse.Namespace) -> int:
-    doc = _load(args.file)
-    out = _transform_document(
-        doc, lambda c: suspend_computad(c).computad, suspend_cell
-    )
-    print(document_text(out), end="")
+def _print_transformed(args: argparse.Namespace, *actions) -> int:
+    """Print the file's document with every computad and cell transformed."""
+    print(document_text(_transform_document(_load(args.file), *actions)), end="")
     return 0
+
+
+def cmd_susp(args: argparse.Namespace) -> int:
+    return _print_transformed(args, lambda c: suspend_computad(c).computad, suspend_cell)
 
 
 def cmd_desusp(args: argparse.Namespace) -> int:
-    doc = _load(args.file)
-    out = _transform_document(doc, desuspend_computad, desuspend_cell)
-    print(document_text(out), end="")
-    return 0
+    return _print_transformed(args, desuspend_computad, desuspend_cell)
 
 
 def cmd_op(args: argparse.Namespace) -> int:
-    doc = _load(args.file)
-    out = _transform_document(
-        doc,
+    return _print_transformed(
+        args,
         lambda c: op_computad(args.dims, c),
         lambda cell: op_cell(args.dims, cell),
         lambda h: op_homcell(args.dims, h),
     )
-    print(document_text(out), end="")
-    return 0
 
 
 def cmd_comp(args: argparse.Namespace) -> int:
@@ -257,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_export)
 
     p = sub.add_parser("laws", help="run the law harness on enumerated instances")
-    p.add_argument("--max-nodes", type=int, default=5)
-    p.add_argument("--dims-upto", type=int, default=3)
+    p.add_argument("--max-nodes", type=_at_least(1), default=5)
+    p.add_argument("--dims-upto", type=_at_least(0), default=3)
     p.set_defaults(run=cmd_laws)
 
     return parser

@@ -42,6 +42,7 @@ from .trees import (
     dim_tree,
     pos_dim,
     positions,
+    sorted_positions,
     src_inclusion,
     tgt_inclusion,
     tree_from_list,
@@ -268,6 +269,18 @@ def identity_sub(c: Computad) -> Substitution:
     return substitution({v: Var(v, d) for d in range(c.bound + 1) for v in c.generators_at(d)})
 
 
+@lru_cache(maxsize=None)
+def template_sub(t: BataninTree) -> Substitution:
+    """The identity substitution on the positions of a scheme, which is
+    ``identity_sub(pasting_computad(t))`` (cached)."""
+    return tuple([(p, Var(p, pos_dim(p))) for p in sorted_positions(t)])
+
+
+def is_template(cell: CellTerm) -> bool:
+    """A coherence whose substitution is the identity on its own scheme."""
+    return isinstance(cell, Coh) and cell.sub == template_sub(cell.tree)
+
+
 # ---------------------------------------------------------------------------
 # boundary, support, fullness
 
@@ -327,10 +340,20 @@ def boundary_at(c: Computad, cell: CellTerm, k: int) -> Sphere:
     """Iterated boundary down to a k-sphere (k < dim of the cell)."""
     if not 0 <= k < cell.dim:
         raise ValueError(f"no {k}-boundary of a {cell.dim}-cell")
-    sphere = cell_boundary(c, cell)
-    while sphere.dim > k:
-        sphere = Sphere(cell_boundary(c, sphere.src).src, cell_boundary(c, sphere.tgt).tgt)
-    return sphere
+    return boundaries(c, cell, k)[0]
+
+
+def boundaries(c: Computad, cell: CellTerm, k: int = 0) -> list[Sphere]:
+    """The iterated boundaries of a cell from dimension ``k`` up, found in
+    one descent from the top: item ``j`` is its ``(k + j)``-boundary."""
+    out = []
+    if cell.dim > k:
+        sphere = cell_boundary(c, cell)
+        out.append(sphere)
+        while sphere.dim > k:
+            sphere = Sphere(cell_boundary(c, sphere.src).src, cell_boundary(c, sphere.tgt).tgt)
+            out.append(sphere)
+    return out[::-1]
 
 
 def parallel(c: Computad, a: CellTerm, b: CellTerm) -> bool:
@@ -568,9 +591,20 @@ def counit_eval(
 # JSON
 
 
-def cell_to_json(cell: CellTerm) -> dict:
-    if isinstance(cell, Var):
-        return {"var": cell.name}
+def var_to_json(v: Var) -> dict:
+    return {"var": v.name}
+
+
+def var_from_json(obj: Mapping, dim_of) -> Var:
+    return Var(obj["var"], dim_of(obj["var"]))
+
+
+def cell_to_json(cell: CellTerm, leaf=var_to_json) -> dict:
+    """Encode a cell; ``leaf`` encodes the cells that are not coherences
+    (a generator by its name by default).  Coherence spheres always take the
+    default: their leaves are positions of the scheme."""
+    if not isinstance(cell, Coh):
+        return leaf(cell)
     return {
         "coh": {
             "tree": tree_to_list(cell.tree),
@@ -578,24 +612,25 @@ def cell_to_json(cell: CellTerm) -> dict:
                 "src": cell_to_json(cell.sphere.src),
                 "tgt": cell_to_json(cell.sphere.tgt),
             },
-            "sub": {p: cell_to_json(v) for p, v in cell.sub},
+            "sub": {p: cell_to_json(v, leaf) for p, v in cell.sub},
         }
     }
 
 
-def cell_from_json(obj: Mapping, dim_of) -> CellTerm:
-    """Decode a cell; ``dim_of`` resolves dimensions of Var names at this
+def cell_from_json(obj: Mapping, dim_of, leaf=var_from_json) -> CellTerm:
+    """Decode a cell; ``leaf(obj, dim_of)`` decodes the cells that are not
+    coherences, and ``dim_of`` resolves dimensions of Var names at this
     level (the ambient computad's ``dim_of`` at top level, position depth
     inside coherence spheres)."""
-    if "var" in obj:
-        return Var(obj["var"], dim_of(obj["var"]))
+    if "coh" not in obj:
+        return leaf(obj, dim_of)
     body = obj["coh"]
     tree = tree_from_list(body["tree"])
     sphere = Sphere(
         cell_from_json(body["sphere"]["src"], pos_dim),
         cell_from_json(body["sphere"]["tgt"], pos_dim),
     )
-    sub = substitution({p: cell_from_json(v, dim_of) for p, v in body["sub"].items()})
+    sub = substitution({p: cell_from_json(v, dim_of, leaf) for p, v in body["sub"].items()})
     return Coh(tree, sphere, sub)
 
 

@@ -16,22 +16,24 @@ from .computads import (
     cell_to_json,
     computad_from_json,
     computad_to_json,
+    is_template,
+    pasting_computad,
+    var_from_json,
+    var_to_json,
 )
-from .computads import pasting_computad
-from .homcat import homcell_from_json, homcell_to_json
-from .surface import ElabCell, ElabDocument, _is_template, cell_text
+from .homcat import homgen_from_json, homgen_to_json
+from .surface import ElabCell, ElabDocument, cell_text
 from .trees import pos_dim
+
+# the JSON leaf codec of each kind of bound cell: (encode, decode)
+LEAVES = {"cell": (var_to_json, var_from_json), "homcell": (homgen_to_json, homgen_from_json)}
 
 
 def document_to_json(doc: ElabDocument) -> dict:
     computads = [{"name": name, **computad_to_json(c)} for name, c in doc.computads]
     cells = []
     for name, elab in doc.cells:
-        term = (
-            homcell_to_json(elab.term)
-            if elab.kind == "homcell"
-            else cell_to_json(elab.term)
-        )
+        term = cell_to_json(elab.term, LEAVES[elab.kind][0])
         cells.append({"name": name, "over": elab.over, "kind": elab.kind, "term": term})
     return {"computads": computads, "cells": cells}
 
@@ -47,9 +49,8 @@ def document_from_json(obj: Mapping) -> ElabDocument:
         def dim_of(name: str, c: Computad = ambient) -> int:
             return c.dim_of(name) if c.has_generator(name) else pos_dim(name)
 
-        decode = homcell_from_json if entry["kind"] == "homcell" else cell_from_json
-        term = decode(entry["term"], dim_of)
-        if entry["kind"] == "cell" and over is None and _is_template(term):
+        term = cell_from_json(entry["term"], dim_of, LEAVES[entry["kind"]][1])
+        if entry["kind"] == "cell" and over is None and is_template(term):
             ambient = pasting_computad(term.tree)
         doc.cells.append(
             (entry["name"], ElabCell(entry["kind"], ambient, term, over))

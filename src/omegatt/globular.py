@@ -115,12 +115,6 @@ class FiniteGlobularSet:
     def tgt_of(self, d: int, x: str) -> str:
         return _boundary_of(self.tgts[d], self.cells[d], x)
 
-    def src_map(self, d: int) -> dict[str, str]:
-        return dict(self.srcs[d]) if 1 <= d <= self.ndim else {}
-
-    def tgt_map(self, d: int) -> dict[str, str]:
-        return dict(self.tgts[d]) if 1 <= d <= self.ndim else {}
-
     def to_json(self) -> dict:
         src: dict[str, str] = {}
         tgt: dict[str, str] = {}
@@ -224,15 +218,10 @@ def hom_glob(x: BipointedGlobularSet) -> FiniteGlobularSet:
     """
     g = x.carrier
 
-    def src0(d: int, c: str) -> str:
+    def end0(d: int, c: str, side) -> str:
+        """The iterated ``side`` boundary of a d-cell down to a 0-cell."""
         while d > 0:
-            c = g.src_of(d, c)
-            d -= 1
-        return c
-
-    def tgt0(d: int, c: str) -> str:
-        while d > 0:
-            c = g.tgt_of(d, c)
+            c = side(d, c)
             d -= 1
         return c
 
@@ -242,7 +231,7 @@ def hom_glob(x: BipointedGlobularSet) -> FiniteGlobularSet:
             [
                 c
                 for c in g.cells_at(d)
-                if src0(d, c) == x.base_minus and tgt0(d, c) == x.base_plus
+                if end0(d, c, g.src_of) == x.base_minus and end0(d, c, g.tgt_of) == x.base_plus
             ]
         )
     names = [c for level in selected for c in level]

@@ -9,6 +9,17 @@ or a coherence whose scheme and sphere drop out of the suspension shape of
 the input — and ``hom_realize`` plays the factorization backwards.  The two
 are mutually inverse on the nose.
 
+A hom cell is a cell whose leaves are ``HomGenerator`` nodes instead of
+``Var`` nodes.  So the coherence-level code is shared with plain cells and
+only the leaf action differs: ``hom_realize`` is suspension
+(:func:`omegatt.metaops.suspend_coh`) with the counit at the leaves,
+``op_homcell`` is the coherence opposite (:func:`omegatt.metaops.op_coh`)
+at the shifted-down dimension set, ``hom_factor`` desuspends through
+:func:`omegatt.metaops.unsuspend_sub`, and the JSON codec is
+:func:`omegatt.computads.cell_to_json` with the leaf :func:`homgen_to_json`.
+What is specific to homs stays here: loop cells, indecomposability and
+fullness.
+
 Indecomposability is decided syntactically: a loop coherence decomposes
 exactly when its scheme has a single branch, its substitution pins the two
 root sectors to the basepoints, and its sphere is a suspension.
@@ -22,36 +33,23 @@ from typing import Mapping, Union
 from .computads import (
     CellTerm,
     Coh,
-    Sphere,
     boundary_at,
     cell_from_json,
     cell_to_json,
     is_full,
-    sub_map,
     substitution,
 )
 from .globular import DimSet, dimset_down
 from .hashcons import HashConsed
 from .metaops import (
-    BASE_MINUS,
-    BASE_PLUS,
     BipointedComputad,
     NotASuspension,
     desuspend_sphere,
     op_bipointed,
     op_cell,
-    op_sphere,
-    rename_cell,
-    suspend_sphere,
-)
-from .trees import (
-    op_positions_iso,
-    op_tree,
-    pos_dim,
-    sorted_positions,
-    suspend_tree,
-    tree_from_list,
-    tree_to_list,
+    op_coh,
+    suspend_coh,
+    unsuspend_sub,
 )
 
 
@@ -95,27 +93,22 @@ def is_loop_cell(c: BipointedComputad, cell: CellTerm) -> bool:
     return sphere.src == c.base_minus and sphere.tgt == c.base_plus
 
 
-def _decomposition_shape(c: BipointedComputad, cell: CellTerm) -> bool:
-    """The suspension shape: single branch, root sectors at the basepoints,
-    suspended sphere."""
+def _unsuspended(c: BipointedComputad, cell: CellTerm):
+    """A loop coherence in the suspension shape (single branch, root sectors
+    at the basepoints, suspended sphere) as its bindings above the root
+    sectors and its desuspended sphere; None for an indecomposable cell."""
     if not isinstance(cell, Coh):
-        return False
-    if len(cell.tree.children) != 1:
-        return False
-    bound = sub_map(cell.sub)
-    if bound.get(BASE_MINUS) != c.base_minus or bound.get(BASE_PLUS) != c.base_plus:
-        return False
+        return None
     try:
-        desuspend_sphere(cell.sphere)
+        return unsuspend_sub(cell, c.base, ()), desuspend_sphere(cell.sphere)
     except NotASuspension:
-        return False
-    return True
+        return None
 
 
 def is_indecomposable(c: BipointedComputad, cell: CellTerm) -> bool:
     if not is_loop_cell(c, cell):
         raise ValueError("indecomposability is about loop cells")
-    return not _decomposition_shape(c, cell)
+    return _unsuspended(c, cell) is None
 
 
 def hom_factor(c: BipointedComputad, cell: CellTerm) -> HomCell:
@@ -135,26 +128,24 @@ def _hom_factor(c: BipointedComputad, cell: CellTerm, memo: dict) -> HomCell:
 def _hom_factor_node(c: BipointedComputad, cell: CellTerm, memo: dict) -> HomCell:
     if not is_loop_cell(c, cell):
         raise ValueError("only loop cells factor through the hom computad")
-    if not _decomposition_shape(c, cell):
+    shape = _unsuspended(c, cell)
+    if shape is None:
         return HomGenerator(cell)
-    assert isinstance(cell, Coh)
+    entries, sphere = shape
     tree = cell.tree.children[0]
-    sphere = desuspend_sphere(cell.sphere)
     if not is_full(tree, sphere):
         raise HomFactorError(
             ("sphere",), "desuspended sphere is not full over the desuspended scheme"
         )
-    sub: dict[str, HomCell] = {}
-    for p, v in cell.sub:
-        if p in (BASE_MINUS, BASE_PLUS):
-            continue
-        sub[p[2:]] = _hom_factor(c, v, memo)
+    sub = {p[2:]: _hom_factor(c, v, memo) for p, v in entries}
     return Coh(tree, sphere, substitution(sub))
 
 
 def hom_realize(c: BipointedComputad, h: HomCell) -> CellTerm:
-    """Play a hom cell back as a loop cell of the ambient computad.  Each
-    node of the DAG is played back once per call."""
+    """Play a hom cell back as a loop cell of the ambient computad: the
+    suspension with the basepoints of ``c`` at the root sectors and the
+    counit at the leaves.  Each node of the DAG is played back once per
+    call."""
     return _hom_realize(c, h, {})
 
 
@@ -164,28 +155,28 @@ def _hom_realize(c: BipointedComputad, h: HomCell, memo: dict) -> CellTerm:
         if isinstance(h, HomGenerator):
             out = h.underlying
         else:
-            sub: dict[str, CellTerm] = {BASE_MINUS: c.base_minus, BASE_PLUS: c.base_plus}
-            for p, v in h.sub:
-                sub[f"1.{p}"] = _hom_realize(c, v, memo)
-            out = Coh(suspend_tree(h.tree), suspend_sphere(h.sphere), substitution(sub))
+            out = suspend_coh(h, c.base, lambda v: _hom_realize(c, v, memo), memo)
         memo[h] = out
     return out
 
 
 def op_homcell(w: DimSet, h: HomCell) -> HomCell:
     """The opposite at hom level: ambient dimensions act on the wrapped
-    cells, the shifted-down set acts on the hom-level structure."""
-    down = dimset_down(w)
-    if isinstance(h, HomGenerator):
-        return HomGenerator(op_cell(w, h.underlying))
-    iso = op_positions_iso(down, h.tree)
-    inv = {q: p for p, q in iso.items()}
-    sphere = op_sphere(down, h.sphere)
-    sphere = Sphere(rename_cell(inv, sphere.src), rename_cell(inv, sphere.tgt))
-    bound = dict(h.sub)
-    tree = op_tree(down, h.tree)
-    sub = tuple([(p, op_homcell(w, bound[iso[p]])) for p in sorted_positions(tree)])
-    return Coh(tree, sphere, sub)
+    cells, the shifted-down set acts on the hom-level structure.  Each node
+    of the DAG is visited once per call."""
+    down, memo = dimset_down(w), {}
+
+    def go(h: HomCell) -> HomCell:
+        out = memo.get(h)
+        if out is None:
+            if isinstance(h, HomGenerator):
+                out = HomGenerator(op_cell(w, h.underlying))
+            else:
+                out = op_coh(down, h, go)[0]
+            memo[h] = out
+        return out
+
+    return go(h)
 
 
 def op_hom_transport(w: DimSet, c: BipointedComputad, cell: CellTerm) -> tuple[bool, str]:
@@ -205,29 +196,11 @@ def op_hom_transport(w: DimSet, c: BipointedComputad, cell: CellTerm) -> tuple[b
 # JSON
 
 
-def homcell_to_json(h: HomCell) -> dict:
-    if isinstance(h, HomGenerator):
-        return {"homgen": cell_to_json(h.underlying)}
-    return {
-        "coh": {
-            "tree": tree_to_list(h.tree),
-            "sphere": {
-                "src": cell_to_json(h.sphere.src),
-                "tgt": cell_to_json(h.sphere.tgt),
-            },
-            "sub": {p: homcell_to_json(v) for p, v in h.sub},
-        }
-    }
+def homgen_to_json(h: HomGenerator) -> dict:
+    """The JSON leaf of a hom cell (see :func:`cell_to_json`)."""
+    return {"homgen": cell_to_json(h.underlying)}
 
 
-def homcell_from_json(obj: Mapping, dim_of) -> HomCell:
-    if "homgen" in obj:
-        return HomGenerator(cell_from_json(obj["homgen"], dim_of))
-    body = obj["coh"]
-    tree = tree_from_list(body["tree"])
-    sphere = Sphere(
-        cell_from_json(body["sphere"]["src"], pos_dim),
-        cell_from_json(body["sphere"]["tgt"], pos_dim),
-    )
-    sub = substitution({p: homcell_from_json(v, dim_of) for p, v in body["sub"].items()})
-    return Coh(tree, sphere, sub)
+def homgen_from_json(obj: Mapping, dim_of) -> HomGenerator:
+    """Decode the JSON leaf of a hom cell (see :func:`cell_from_json`)."""
+    return HomGenerator(cell_from_json(obj["homgen"], dim_of))

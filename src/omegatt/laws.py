@@ -23,10 +23,10 @@ from .computads import (
     cell_key,
     counit_eval,
     double_computad,
-    identity_sub,
     is_well_typed,
     pasting_computad,
     support,
+    template_sub,
     typecheck_cell,
 )
 from .globular import DimSet, dimset, op_glob_bipointed
@@ -293,20 +293,12 @@ def law_typecheck(dims_upto: int = 3) -> LawReport:
             lambda: f"{g}: attaching sphere does not typecheck",
         )
     two = comp_tree(1, 0, 1)
-    not_full = Coh(
-        two,
-        Sphere(Var("0", 0), Var("0", 0)),
-        identity_sub(pasting_computad(two)),
-    )
+    not_full = Coh(two, Sphere(Var("0", 0), Var("0", 0)), template_sub(two))
     report.check(
         _error_code(eh, not_full) == "NotFull",
         "seeded non-full coherence was not rejected with NotFull",
     )
-    not_parallel = Coh(
-        two,
-        Sphere(Var("1.0", 1), Var("2.0", 1)),
-        identity_sub(pasting_computad(two)),
-    )
+    not_parallel = Coh(two, Sphere(Var("1.0", 1), Var("2.0", 1)), template_sub(two))
     report.check(
         _error_code(eh, not_parallel) == "NotParallel",
         "seeded non-parallel coherence was not rejected with NotParallel",

@@ -1,4 +1,4 @@
-"""Suspension and opposites of computads, cells, spheres and morphisms.
+"""Suspension and opposites of computads, cells and spheres.
 
 Both families of operations are defined so that the algebraic laws hold as
 plain term equalities:
@@ -14,22 +14,26 @@ plain term equalities:
 
 Desuspension inverts suspension on its image and reports the first
 obstruction path when a term is not a suspension.
+
+The coherence case of each operation is written once, with the action on
+the cells of the substitution passed in (:func:`op_coh`,
+:func:`suspend_coh`, :func:`unsuspend_sub`): cells here have ``Var``
+leaves, and the hom cells of :mod:`omegatt.homcat`, whose leaves are
+``HomGenerator`` nodes, go through the same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .computads import (
     CellTerm,
     Coh,
     Computad,
     Sphere,
-    Substitution,
     Var,
     keep_pair,
-    map_values,
     map_vars,
     sub_map,
     substitution,
@@ -40,6 +44,7 @@ from .trees import op_positions_iso, op_tree, sorted_positions, suspend_tree
 
 BASE_MINUS = "0"
 BASE_PLUS = "1"
+_BASEPOINTS = (Var(BASE_MINUS, 0), Var(BASE_PLUS, 0))
 
 
 @dataclass(frozen=True)
@@ -80,33 +85,31 @@ def _suspend(cell: CellTerm, memo: dict) -> CellTerm:
         if isinstance(cell, Var):
             out = Var(f"1.{cell.name}", cell.dim + 1)
         else:
-            sub: dict[str, CellTerm] = {
-                BASE_MINUS: Var(BASE_MINUS, 0),
-                BASE_PLUS: Var(BASE_PLUS, 0),
-            }
-            for p, v in cell.sub:
-                sub[f"1.{p}"] = _suspend(v, memo)
-            sphere = Sphere(_suspend(cell.sphere.src, memo), _suspend(cell.sphere.tgt, memo))
-            out = Coh(suspend_tree(cell.tree), sphere, substitution(sub))
+            out = suspend_coh(cell, _BASEPOINTS, lambda v: _suspend(v, memo), memo)
         memo[cell] = out
     return out
+
+
+def suspend_coh(
+    cell: Coh, base: tuple[CellTerm, CellTerm], value: Callable, memo: dict
+) -> Coh:
+    """The coherence case of suspension, with the leaf action passed in: the
+    scheme and the sphere go one dimension up, the two fresh root sectors go
+    to ``base`` and every other position ``p`` becomes ``1.p``, bound to
+    ``value`` of its cell.  The sphere lives over the scheme, so it is
+    suspended by :func:`_suspend` through ``memo``, the memo of the calling
+    traversal; sphere cells have ``Var`` leaves, so they never collide with
+    the keys of a caller whose leaves are of another kind."""
+    sub: dict[str, CellTerm] = {BASE_MINUS: base[0], BASE_PLUS: base[1]}
+    for p, v in cell.sub:
+        sub[f"1.{p}"] = value(v)
+    sphere = Sphere(_suspend(cell.sphere.src, memo), _suspend(cell.sphere.tgt, memo))
+    return Coh(suspend_tree(cell.tree), sphere, substitution(sub))
 
 
 def suspend_sphere(sphere: Sphere) -> Sphere:
     memo: dict = {}
     return Sphere(_suspend(sphere.src, memo), _suspend(sphere.tgt, memo))
-
-
-def suspend_morphism(sigma: Substitution) -> Substitution:
-    """Suspend a morphism/substitution: basepoints map to basepoints."""
-    out: dict[str, CellTerm] = {
-        BASE_MINUS: Var(BASE_MINUS, 0),
-        BASE_PLUS: Var(BASE_PLUS, 0),
-    }
-    memo: dict = {}
-    for k, v in sigma:
-        out[f"1.{k}"] = _suspend(v, memo)
-    return substitution(out)
 
 
 def suspend_computad(c: Computad) -> BipointedComputad:
@@ -118,12 +121,10 @@ def suspend_computad(c: Computad) -> BipointedComputad:
         gens.append([f"1.{v}" for v in c.generators_at(d)])
         for v in c.generators_at(d):
             if d == 0:
-                attach[f"1.{v}"] = Sphere(Var(BASE_MINUS, 0), Var(BASE_PLUS, 0))
+                attach[f"1.{v}"] = Sphere(*_BASEPOINTS)
             else:
                 attach[f"1.{v}"] = suspend_sphere(c.sphere_of(v))
-    return BipointedComputad(
-        Computad.make(gens, attach), (Var(BASE_MINUS, 0), Var(BASE_PLUS, 0))
-    )
+    return BipointedComputad(Computad.make(gens, attach), _BASEPOINTS)
 
 
 # ---------------------------------------------------------------------------
@@ -162,23 +163,31 @@ def _desuspend_node(cell: CellTerm, path: tuple[str, ...], memo: dict) -> CellTe
             return Var(cell.name[2:], cell.dim - 1)
         reason = "a basepoint 0-cell" if cell.dim == 0 else f"generator {cell.name!r} is not shifted"
         raise NotASuspension(path, reason)
-    if len(cell.tree.children) != 1:
-        raise NotASuspension(
-            path + ("tree",), f"scheme has {len(cell.tree.children)} branches, want 1"
-        )
-    bound = sub_map(cell.sub)
-    if bound.get(BASE_MINUS) != Var(BASE_MINUS, 0) or bound.get(BASE_PLUS) != Var(BASE_PLUS, 0):
-        raise NotASuspension(path + ("sub",), "root sectors are not sent to the basepoints")
     sub: dict[str, CellTerm] = {}
-    for p, v in cell.sub:
-        if p in (BASE_MINUS, BASE_PLUS):
-            continue
+    for p, v in unsuspend_sub(cell, _BASEPOINTS, path):
         sub[p[2:]] = _desuspend(v, path + ("sub", p), memo)
     return Coh(
         cell.tree.children[0],
         _desuspend_sphere(cell.sphere, path + ("sphere",), memo),
         substitution(sub),
     )
+
+
+def unsuspend_sub(
+    cell: Coh, base: tuple[CellTerm, CellTerm], path: tuple[str, ...]
+) -> list[tuple[str, CellTerm]]:
+    """The shape test of desuspension on a coherence: its scheme has one
+    branch and its substitution sends the two root sectors to ``base``.
+    Returns the other bindings, still under their ``1.``-names; raises
+    NotASuspension at the first obstruction."""
+    if len(cell.tree.children) != 1:
+        raise NotASuspension(
+            path + ("tree",), f"scheme has {len(cell.tree.children)} branches, want 1"
+        )
+    bound = sub_map(cell.sub)
+    if bound.get(BASE_MINUS) != base[0] or bound.get(BASE_PLUS) != base[1]:
+        raise NotASuspension(path + ("sub",), "root sectors are not sent to the basepoints")
+    return [(p, v) for p, v in cell.sub if p not in (BASE_MINUS, BASE_PLUS)]
 
 
 def _desuspend_sphere(sphere: Sphere, path: tuple[str, ...], memo: dict) -> Sphere:
@@ -190,19 +199,6 @@ def _desuspend_sphere(sphere: Sphere, path: tuple[str, ...], memo: dict) -> Sphe
 
 def desuspend_sphere(sphere: Sphere, path: tuple[str, ...] = ()) -> Sphere:
     return _desuspend_sphere(sphere, path, {})
-
-
-def desuspend_morphism(sigma: Substitution) -> Substitution:
-    out: dict[str, CellTerm] = {}
-    for k, v in sigma:
-        if k in (BASE_MINUS, BASE_PLUS):
-            if v != Var(k, 0):
-                raise NotASuspension((k,), "basepoint is not fixed")
-            continue
-        if not k.startswith("1."):
-            raise NotASuspension((k,), "key is not a shifted generator")
-        out[k[2:]] = desuspend_cell(v, (k,))
-    return substitution(out)
 
 
 def desuspend_computad(c: Computad) -> Computad:
@@ -218,8 +214,7 @@ def desuspend_computad(c: Computad) -> Computad:
             name = v[2:]
             level.append(name)
             if d == 1:
-                want = Sphere(Var(BASE_MINUS, 0), Var(BASE_PLUS, 0))
-                if c.sphere_of(v) != want:
+                if c.sphere_of(v) != Sphere(*_BASEPOINTS):
                     raise NotASuspension((v,), "1-generator not attached to the basepoints")
             else:
                 attach[name] = desuspend_sphere(c.sphere_of(v), (v,))
@@ -244,30 +239,35 @@ def _renaming(rename: Mapping[str, str]):
 
 def op_cell(w: DimSet, cell: CellTerm) -> CellTerm:
     """The image of a cell under op_w : cells of C -> cells of op_w(C).
-
-    Generators are preserved.  A coherence moves to the opposite scheme: the
-    substitution precomposes with the canonical position bijection, and the
-    sphere (swapped when the cell's own dimension is reversed) is renamed
-    through the inverse bijection so it lives over the opposite scheme.
-    The result is memoised on the coherence node, per dimension set.
-    """
+    Generators are preserved; a coherence goes through :func:`op_coh`.  The
+    result is memoised on the coherence node, per dimension set."""
     if isinstance(cell, Var):
         return cell
     out = recall(cell._op, w)
     if out is None:
-        iso = op_positions_iso(w, cell.tree)
-        leaf, renamed = _renaming({q: p for p, q in iso.items()}), {}
-        sphere = op_sphere(w, cell.sphere)
-        sphere = Sphere(map_vars(leaf, sphere.src, renamed), map_vars(leaf, sphere.tgt, renamed))
-        bound = {pair[0]: pair for pair in cell.sub}
-        tree = op_tree(w, cell.tree)
-        sub = []
-        for p in sorted_positions(tree):
-            pair = bound[iso[p]]
-            sub.append(keep_pair(pair, p, op_cell(w, pair[1])))
-        out, created = Coh.build(tree, sphere, tuple(sub))
+        out, created = op_coh(w, cell, lambda v: op_cell(w, v))
         memoise(cell, "_op", canonical_dimset(w), out, created)
     return out
+
+
+def op_coh(w: DimSet, cell: Coh, value: Callable) -> tuple[Coh, bool]:
+    """The coherence case of the opposite at ``w``, with the leaf action
+    passed in: the coherence moves to the opposite scheme, its substitution
+    precomposes with the canonical position bijection and binds ``value`` of
+    each cell, and its sphere (swapped when the cell's own dimension is
+    reversed) is renamed through the inverse bijection so it lives over the
+    opposite scheme.  Returns :meth:`Coh.build`'s ``(cell, created)``."""
+    iso = op_positions_iso(w, cell.tree)
+    leaf, renamed = _renaming({q: p for p, q in iso.items()}), {}
+    sphere = op_sphere(w, cell.sphere)
+    sphere = Sphere(map_vars(leaf, sphere.src, renamed), map_vars(leaf, sphere.tgt, renamed))
+    bound = {pair[0]: pair for pair in cell.sub}
+    tree = op_tree(w, cell.tree)
+    sub = []
+    for p in sorted_positions(tree):
+        pair = bound[iso[p]]
+        sub.append(keep_pair(pair, p, value(pair[1])))
+    return Coh.build(tree, sphere, tuple(sub))
 
 
 def op_sphere(w: DimSet, sphere: Sphere) -> Sphere:
@@ -277,10 +277,6 @@ def op_sphere(w: DimSet, sphere: Sphere) -> Sphere:
     if sphere.dim + 1 in w:
         src, tgt = tgt, src
     return Sphere(src, tgt)
-
-
-def op_morphism(w: DimSet, sigma: Substitution) -> Substitution:
-    return map_values(sigma, lambda v: op_cell(w, v))
 
 
 def op_computad(w: DimSet, c: Computad) -> Computad:

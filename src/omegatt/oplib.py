@@ -21,17 +21,15 @@ from .computads import (
     Computad,
     Sphere,
     Var,
-    boundary_at,
-    identity_sub,
-    pasting_computad,
+    boundaries,
     substitution,
+    template_sub,
 )
 from .metaops import BipointedComputad, rename_cell
 from .trees import (
     boundary_tree,
     comp_tree,
     disk_tree,
-    positions,
     src_inclusion,
     tgt_inclusion,
 )
@@ -78,7 +76,7 @@ def comp_template(n: int, k: int, m: int) -> CompTemplate:
             rename_cell(src_inclusion(d, b), prev),
             rename_cell(tgt_inclusion(d, b), prev),
         )
-    cell = Coh(b, sphere, identity_sub(pasting_computad(b)))
+    cell = Coh(b, sphere, template_sub(b))
     return CompTemplate(n, k, m, cell)
 
 
@@ -92,11 +90,16 @@ def identity_cell(c: Computad, cell: CellTerm) -> CellTerm:
     n = cell.dim
     top = _disk_top(n)
     sub: dict[str, CellTerm] = {top: cell}
-    for d in range(n):
-        sphere = boundary_at(c, cell, d)
-        sub["1." * d + "0"] = sphere.src
-        sub["1." * d + "1"] = sphere.tgt
+    _fill_disk(sub, "", boundaries(c, cell))
     return Coh(disk_tree(n), Sphere(Var(top, n), Var(top, n)), substitution(sub))
+
+
+def _fill_disk(sub: dict[str, CellTerm], prefix: str, spheres: list[Sphere]) -> None:
+    """Bind the source and target sectors of a disk branch, dimension by
+    dimension from ``prefix`` up, to the cells of ``spheres``."""
+    for d, sphere in enumerate(spheres):
+        sub[prefix + "1." * d + "0"] = sphere.src
+        sub[prefix + "1." * d + "1"] = sphere.tgt
 
 
 @dataclass(frozen=True)
@@ -115,24 +118,18 @@ def compose(c: Computad, x: CellTerm, k: int, y: CellTerm) -> CellTerm:
     n, m = x.dim, y.dim
     if not 0 <= k < min(n, m):
         raise BoundaryMismatch(k, f"cells have dimensions {n} and {m}")
-    if boundary_at(c, x, k).tgt != boundary_at(c, y, k).src:
+    xs, ys = boundaries(c, x), boundaries(c, y)
+    if xs[k].tgt != ys[k].src:
         raise BoundaryMismatch(k, "k-target of the first is not the k-source of the second")
     sub: dict[str, CellTerm] = {}
-    for j in range(k):
-        sphere = boundary_at(c, x, j)
-        sub["1." * j + "0"] = sphere.src
-        sub["1." * j + "1"] = sphere.tgt
-    sub["1." * k + "0"] = boundary_at(c, x, k).src
-    sub["1." * k + "1"] = boundary_at(c, x, k).tgt
-    sub["1." * k + "2"] = boundary_at(c, y, k).tgt
-    for i, cell in ((1, x), (2, y)):
+    _fill_disk(sub, "", xs[:k])
+    sub["1." * k + "0"] = xs[k].src
+    sub["1." * k + "1"] = xs[k].tgt
+    sub["1." * k + "2"] = ys[k].tgt
+    for i, cell, spheres in ((1, x, xs), (2, y, ys)):
         prefix = "1." * k + f"{i}."
-        height = cell.dim - k - 1
-        for d in range(height):
-            sphere = boundary_at(c, cell, k + 1 + d)
-            sub[prefix + "1." * d + "0"] = sphere.src
-            sub[prefix + "1." * d + "1"] = sphere.tgt
-        sub[prefix + "1." * height + "0"] = cell
+        _fill_disk(sub, prefix, spheres[k + 1 :])
+        sub[prefix + "1." * (cell.dim - k - 1) + "0"] = cell
     template = comp_cell(n, k, m)
     return Coh(template.tree, template.sphere, substitution(sub))
 

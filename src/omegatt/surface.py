@@ -22,7 +22,7 @@ position names; printing is deterministic and re-parses to the same terms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Union
+from typing import Callable, Union
 
 from .computads import (
     CellTerm,
@@ -32,16 +32,16 @@ from .computads import (
     TypecheckError,
     Var,
     boundary_at,
-    identity_sub,
+    is_template,
     pasting_computad,
-    substitution,
+    template_sub,
     typecheck_cell,
 )
-from .globular import dimset, nat_key
+from .globular import dimset
 from .homcat import HomCell, HomGenerator, hom_factor
 from .metaops import BipointedComputad, op_cell, op_computad, suspend_cell, suspend_computad
 from .oplib import BoundaryMismatch, comp_cell, compose, identity_cell
-from .trees import BataninTree, pos_dim, positions
+from .trees import BataninTree, pos_dim, positions, sorted_positions
 
 POSITION_ALIASES = {0: "xyzuvw", 1: "fghkl", 2: "abcde"}
 
@@ -284,14 +284,11 @@ class _Parser:
         return LetDecl(name, self.cell_expr(), loc)
 
     def ident(self, what: str) -> str:
-        tok = self.next()
-        if tok.kind != "ident" or tok.text in KEYWORDS:
-            raise SurfaceError(tok.location, f"expected {what}, found {tok.text or 'end of input'!r}")
-        return tok.text
+        return self.word(what, ("ident",))
 
-    def word(self, what: str) -> str:
+    def word(self, what: str, kinds: tuple[str, ...] = ("ident", "name", "num", "pos")) -> str:
         tok = self.next()
-        if tok.kind not in ("ident", "name", "num", "pos") or tok.text in KEYWORDS:
+        if tok.kind not in kinds or tok.text in KEYWORDS:
             raise SurfaceError(tok.location, f"expected {what}, found {tok.text or 'end of input'!r}")
         return tok.text
 
@@ -346,13 +343,8 @@ class _Parser:
         self.expect(",")
         m = self.number("m")
         self.expect(")")
-        self.expect("[")
-        if self.at("]"):
-            self.next()
-            return CompExpr(n, k, m, (), None, loc)
-        if self._entries_ahead():
-            entries = self._entry_list()
-            self.expect("]")
+        entries = self.substitution_entries()
+        if entries is not None:
             return CompExpr(n, k, m, entries, None, loc)
         args = [self.cell_expr()]
         while self.at(","):
@@ -448,7 +440,7 @@ def _position_scope(tree: BataninTree) -> dict[str, str]:
     scope: dict[str, str] = {}
     carrier = positions(tree).carrier
     for d in range(carrier.ndim + 1):
-        level = sorted(carrier.cells_at(d), key=nat_key)
+        level = carrier.cells_at(d)  # in canonical order
         for p in level:
             scope[p] = p
         for alias, p in zip(POSITION_ALIASES.get(d, ""), level):
@@ -546,7 +538,7 @@ class Elaborator:
         ambient = self.current[1] if self.current else Computad.make([], {})
         over = self.current[0] if self.current else None
         term = self.cell(expr, ambient)
-        if isinstance(expr, (CohExpr, CompExpr)) and _is_template(term):
+        if isinstance(expr, (CohExpr, CompExpr)) and is_template(term):
             return ElabCell("cell", pasting_computad(term.tree), term, None)
         return ElabCell("cell", ambient, term, over)
 
@@ -572,7 +564,7 @@ class Elaborator:
                 return bound.term
             raise SurfaceError(expr.location, f"unknown cell {expr.name!r}")
         if isinstance(expr, CohExpr):
-            return self.coh(expr, ambient)
+            return self.coh(expr, lambda e: self.cell(e, ambient))
         if isinstance(expr, CompExpr):
             return self.comp(expr, ambient)
         if isinstance(expr, UnaryExpr) and expr.op == "id":
@@ -585,16 +577,17 @@ class Elaborator:
             )
         raise SurfaceError(expr.location, "expected a cell expression")
 
-    def coh(self, expr: CohExpr, ambient: Computad) -> CellTerm:
+    def coh(self, expr: CohExpr, value: Callable[[CellExpr], CellTerm]) -> CellTerm:
+        """An explicit coherence; ``value`` elaborates the cells that its
+        substitution assigns."""
         scope = _position_scope(expr.tree)
         pc = pasting_computad(expr.tree)
-        src = self.position_cell(expr.src, expr.tree, scope, pc)
-        tgt = self.position_cell(expr.tgt, expr.tree, scope, pc)
+        src = self.position_cell(expr.src, scope, pc)
+        tgt = self.position_cell(expr.tgt, scope, pc)
         sphere = self._mk_sphere(src, tgt, expr.location)
         if not expr.entries:
-            return Coh(expr.tree, sphere, identity_sub(pc))
-        sub = self.entries_sub(expr.entries, expr.tree, scope, ambient)
-        return Coh(expr.tree, sphere, sub)
+            return Coh(expr.tree, sphere, template_sub(expr.tree))
+        return Coh(expr.tree, sphere, self.entries_sub(expr.entries, expr.tree, scope, value))
 
     def comp(self, expr: CompExpr, ambient: Computad) -> CellTerm:
         try:
@@ -621,10 +614,10 @@ class Elaborator:
         if not expr.entries:
             return template
         scope = _position_scope(template.tree)
-        sub = self.entries_sub(expr.entries, template.tree, scope, ambient)
+        sub = self.entries_sub(expr.entries, template.tree, scope, lambda e: self.cell(e, ambient))
         return Coh(template.tree, template.sphere, sub)
 
-    def entries_sub(self, entries, tree, scope, ambient):
+    def entries_sub(self, entries, tree, scope, value):
         assignment: dict[str, CellTerm] = {}
         for key, value_expr, loc in entries:
             p = scope.get(key)
@@ -632,19 +625,14 @@ class Elaborator:
                 raise SurfaceError(loc, f"{key!r} is not a position of the scheme")
             if p in assignment:
                 raise SurfaceError(loc, f"position {p} is assigned twice")
-            assignment[p] = self.cell(value_expr, ambient)
-        missing = [
-            p
-            for _, p in positions(tree).carrier.all_cells()
-            if p not in assignment
-        ]
+            assignment[p] = value(value_expr)
+        names = sorted_positions(tree)
+        missing = [p for p in names if p not in assignment]
         if missing:
-            raise SurfaceError(
-                entries[0][2], f"substitution misses positions {sorted(missing, key=nat_key)}"
-            )
-        return substitution(assignment)
+            raise SurfaceError(entries[0][2], f"substitution misses positions {missing}")
+        return tuple([(p, assignment[p]) for p in names])
 
-    def position_cell(self, expr, tree, scope, pc) -> CellTerm:
+    def position_cell(self, expr, scope, pc) -> CellTerm:
         """Elaborate a sphere-side expression, where identifiers refer to the
         positions of the scheme itself."""
         if isinstance(expr, RefExpr):
@@ -655,22 +643,9 @@ class Elaborator:
                 )
             return Var(p, pos_dim(p))
         if isinstance(expr, CohExpr):
-            inner_scope = _position_scope(expr.tree)
-            inner_pc = pasting_computad(expr.tree)
-            src = self.position_cell(expr.src, expr.tree, inner_scope, inner_pc)
-            tgt = self.position_cell(expr.tgt, expr.tree, inner_scope, inner_pc)
-            sphere = self._mk_sphere(src, tgt, expr.location)
-            if not expr.entries:
-                return Coh(expr.tree, sphere, identity_sub(inner_pc))
-            assignment: dict[str, CellTerm] = {}
-            for key, value_expr, loc in expr.entries:
-                p = inner_scope.get(key)
-                if p is None:
-                    raise SurfaceError(loc, f"{key!r} is not a position of the scheme")
-                assignment[p] = self.position_cell(value_expr, tree, scope, pc)
-            return Coh(expr.tree, sphere, substitution(assignment))
+            return self.coh(expr, lambda e: self.position_cell(e, scope, pc))
         if isinstance(expr, UnaryExpr) and expr.op == "id":
-            inner = self.position_cell(expr.arg, tree, scope, pc)
+            inner = self.position_cell(expr.arg, scope, pc)
             return identity_cell(pc, inner)
         raise SurfaceError(
             expr.location, "only positions, coherences and id(...) may appear in a sphere"
@@ -692,11 +667,6 @@ def load_document(text: str) -> ElabDocument:
     return elaborate(parse(text))
 
 
-def _is_template(term: CellTerm) -> bool:
-    """A coherence whose substitution is the identity on its own scheme."""
-    return isinstance(term, Coh) and term.sub == identity_sub(pasting_computad(term.tree))
-
-
 # ---------------------------------------------------------------------------
 # printing (canonical)
 
@@ -711,7 +681,7 @@ def cell_text(term: CellTerm | HomCell) -> str:
     if isinstance(term, HomGenerator):
         return f"homgen({cell_text(term.underlying)})"
     sphere = f"{cell_text(term.sphere.src)} -> {cell_text(term.sphere.tgt)}"
-    if term.sub == identity_sub(pasting_computad(term.tree)):
+    if is_template(term):
         entries = "[]"
     else:
         entries = "[" + ", ".join(f"{p} => {cell_text(v)}" for p, v in term.sub) + "]"

@@ -68,15 +68,6 @@ def dim_tree(t: BataninTree) -> int:
     return 0 if not t.children else 1 + max(dim_tree(c) for c in t.children)
 
 
-def is_linear(t: BataninTree) -> bool:
-    """True iff the tree is a disk: at most one child all the way down."""
-    while t.children:
-        if len(t.children) != 1:
-            return False
-        t = t.children[0]
-    return True
-
-
 def disk_tree(n: int) -> BataninTree:
     """The linear tree of height n (the n-disk pasting scheme)."""
     if n < 0:
@@ -158,29 +149,26 @@ def src_inclusion(k: int, t: BataninTree) -> Mapping[str, str]:
     Picks the leftmost root sector at the pruned depth; the identity
     everywhere below.  Returned as a plain name map.
     """
-    if k < 0:
-        raise ValueError(f"src_inclusion: negative dimension {k}")
-    if k == 0:
-        return {"0": "0"}
-    out: dict[str, str] = {str(j): str(j) for j in range(len(t.children) + 1)}
-    for i, child in enumerate(t.children, start=1):
-        inner = src_inclusion(k - 1, child)
-        for p, q in inner.items():
-            out[f"{i}.{p}"] = f"{i}.{q}"
-    return out
+    return _inclusion(k, t, src_inclusion, "0")
 
 
 @lru_cache(maxsize=None)
 def tgt_inclusion(k: int, t: BataninTree) -> Mapping[str, str]:
     """Positions of ``boundary_tree(k, t)`` -> positions of ``t``, target side."""
+    return _inclusion(k, t, tgt_inclusion, str(len(t.children)))
+
+
+def _inclusion(k: int, t: BataninTree, side, end: str) -> dict[str, str]:
+    """The two boundary inclusions differ only at ``k = 0``, where the point
+    goes to the root sector ``end``; above it each branch recurses on its
+    ``side``."""
     if k < 0:
-        raise ValueError(f"tgt_inclusion: negative dimension {k}")
+        raise ValueError(f"{side.__name__}: negative dimension {k}")
     if k == 0:
-        return {"0": str(len(t.children))}
+        return {"0": end}
     out: dict[str, str] = {str(j): str(j) for j in range(len(t.children) + 1)}
     for i, child in enumerate(t.children, start=1):
-        inner = tgt_inclusion(k - 1, child)
-        for p, q in inner.items():
+        for p, q in side(k - 1, child).items():
             out[f"{i}.{p}"] = f"{i}.{q}"
     return out
 
@@ -215,22 +203,12 @@ def op_positions_iso(w: DimSet, t: BataninTree) -> Mapping[str, str]:
     """
     n = len(t.children)
     down = dimset_down(w)
-    out: dict[str, str] = {}
-    if 1 in w:
-        for j in range(n + 1):
-            out[str(j)] = str(n - j)
-        for i in range(1, n + 1):
-            child = t.children[n - i]
-            inner = op_positions_iso(down, child)
-            for p, q in inner.items():
-                out[f"{i}.{p}"] = f"{n + 1 - i}.{q}"
-    else:
-        for j in range(n + 1):
-            out[str(j)] = str(j)
-        for i, child in enumerate(t.children, start=1):
-            inner = op_positions_iso(down, child)
-            for p, q in inner.items():
-                out[f"{i}.{p}"] = f"{i}.{q}"
+    flip = 1 in w
+    out: dict[str, str] = {str(j): str(n - j if flip else j) for j in range(n + 1)}
+    for i in range(1, n + 1):
+        k = n + 1 - i if flip else i
+        for p, q in op_positions_iso(down, t.children[k - 1]).items():
+            out[f"{i}.{p}"] = f"{k}.{q}"
     return out
 
 

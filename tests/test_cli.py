@@ -114,6 +114,17 @@ class TestExitCodes:
         code, _, err = invoke(capsys, "id", "nope", "samples/comp101.ctt")
         assert code == 1
 
+    def test_duplicate_position_in_a_sphere_is_check_error(self, capsys, tmp_path):
+        source = tmp_path / "dup.ctt"
+        source.write_text(
+            "let t = coh [[],[]] { coh [[],[]] { x -> z } "
+            "[0 => 0, 0 => 0, 1 => 1, 2 => 2, 1.0 => 1.0, 2.0 => 2.0] "
+            "-> coh [[],[]] { x -> z } [] } []\n"
+        )
+        code, _, err = invoke(capsys, "check", str(source))
+        assert code == 1
+        assert err == f"{source}:1:55: position 0 is assigned twice\n"
+
     def test_hom_checks_endpoints(self, capsys):
         code, _, err = invoke(
             capsys, "hom", "--src", "x", "--tgt", "y", "factor", "fg", "samples/comp101.ctt"
@@ -149,3 +160,20 @@ class TestLawsVerb:
         code, out, _ = invoke(capsys, "laws", "--max-nodes", "3", "--dims-upto", "1")
         assert code == 0
         assert out.splitlines()[-1].endswith("checks passed")
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("--max-nodes", "-1", "--dims-upto", "0"), "--max-nodes"),
+            (("--max-nodes", "0"), "--max-nodes"),
+            (("--dims-upto", "-1"), "--dims-upto"),
+            (("--max-nodes", "two"), "--max-nodes"),
+        ],
+    )
+    def test_bounds_out_of_range_are_usage_errors(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["laws", *argv])
+        assert err.value.code == 2
+        usage = capsys.readouterr().err
+        assert usage.startswith("usage: omegatt laws")
+        assert f"argument {flag}:" in usage

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from omegatt.computads import Coh, Sphere, Var, cell_key
 from omegatt.export import document_from_json, document_to_json
-from omegatt.homcat import HomGenerator
+from omegatt.homcat import HomGenerator, hom_factor, op_homcell
 from omegatt.laws import all_dimsets, cell_corpus, loop_corpus
 from omegatt.metaops import desuspend_cell, op_cell, suspend_cell
 from omegatt.oplib import comp_cell, eh_computad
@@ -108,6 +108,17 @@ def test_json_import_after_export_gives_the_same_object(pair):
     ambient, cell = pair
     text = json.dumps(document_to_json(_document(ambient, cell)))
     assert document_from_json(json.loads(text)).cells[0][1].term is cell
+
+
+def test_hom_json_import_after_export_gives_the_same_object():
+    factored = [hom_factor(eh_computad(), cell) for cell in LOOPS]
+    for w in DIMSETS:
+        doc = ElabDocument()
+        doc.computads.append(("eh", LOOP_AMBIENT))
+        homcells = [op_homcell(w, h) for h in factored]
+        doc.cells.extend((f"h{i}", ElabCell("homcell", LOOP_AMBIENT, h, "eh")) for i, h in enumerate(homcells))
+        again = document_from_json(json.loads(json.dumps(document_to_json(doc))))
+        assert all(elab.term is h for (_, elab), h in zip(again.cells, homcells, strict=True))
 
 
 class TestTables:

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given
 
 from conftest import dimsets
-from omegatt.computads import Coh
+from omegatt.computads import Coh, cell_from_json, cell_to_json
 from omegatt.globular import dimset
 from omegatt.homcat import (
     HomGenerator,
     hom_factor,
     hom_realize,
-    homcell_from_json,
-    homcell_to_json,
+    homgen_from_json,
+    homgen_to_json,
     is_indecomposable,
     is_loop_cell,
     op_hom_transport,
@@ -156,10 +156,10 @@ class TestHomJson:
         pointed, c, a, b = eh_cells()
         for cell in (identity_cell(c, c.var("x")), compose(c, a, 1, b)):
             h = hom_factor(pointed, cell)
-            obj = homcell_to_json(h)
-            assert homcell_from_json(obj, c.dim_of) == h
+            obj = cell_to_json(h, homgen_to_json)
+            assert cell_from_json(obj, c.dim_of, homgen_from_json) == h
 
     def test_generator_shape(self):
         pointed, c, a, _ = eh_cells()
-        obj = homcell_to_json(HomGenerator(a))
+        obj = cell_to_json(HomGenerator(a), homgen_to_json)
         assert set(obj) == {"homgen"}
