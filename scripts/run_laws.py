@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Sweep every law family and print a per-family summary.
 
-Equivalent to ``omegatt laws`` but with tunable bounds from the command line,
-plus a wall-clock figure per family so you can see where enumeration time goes
-when pushing ``--max-nodes`` past the defaults.
+Equivalent to ``omegatt laws``, with the same bounds (``--max-nodes`` at
+least 1, ``--dims-upto`` at least 0, else exit 2), plus a wall-clock figure
+per family so you can see where enumeration time goes when pushing
+``--max-nodes`` past the defaults.
 """
 
 from __future__ import annotations
@@ -12,14 +13,17 @@ import argparse
 import sys
 import time
 
+from omegatt.cli import _at_least
 from omegatt.laws import FAMILIES
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-nodes", type=int, default=5, help="tree size bound")
-    parser.add_argument("--dims-upto", type=int, default=3, help="reversal dimension bound")
-    args = parser.parse_args()
+    parser.add_argument("--max-nodes", type=_at_least(1), default=5, help="tree size bound")
+    parser.add_argument(
+        "--dims-upto", type=_at_least(0), default=3, help="reversal dimension bound"
+    )
+    args = parser.parse_args(argv)
 
     total = 0
     bad = 0

@@ -27,10 +27,24 @@ than the node (:func:`apply_morphism` and :func:`map_vars`,
 for one call, so they visit each node of the DAG once.  Maps that keep the
 keys of a substitution (:func:`map_values`) keep its canonical order and
 do not re-sort it; :func:`substitution` sorts, for callers that rename keys.
+
+Computads are validated once.  :meth:`Computad.make` checks names and
+arities, then looks its data (levels and attaching pairs) up among the
+computads it validated before, held weakly; on a hit it returns that
+object, otherwise it typechecks every attaching sphere and registers the
+result only on success.  :meth:`Computad.extend` adds one generator to a
+validated computad and checks only the new sphere; typing is monotone
+under adding generators, so it returns the object that ``make`` would.  A
+computad built by the raw constructor (as a proper truncation is) or by a
+copy is never trusted: ``make`` on its data still validates.  The
+opposites and the suspension of a computad (:mod:`omegatt.metaops`) are
+computads again, so they are memoised on it and not re-validated.
 """
 
 from __future__ import annotations
 
+import bisect
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Mapping, Union
@@ -172,18 +186,42 @@ class Computad:
 
     ``generators[d]`` is the tuple of d-generator names in canonical order;
     ``attach`` binds each generator of positive dimension to its sphere.
-    Use :meth:`make`, which validates the attaching spheres bottom-up.
+    Use :meth:`make`, which validates the attaching spheres bottom-up, or
+    :meth:`extend`, which adds one generator to a validated computad.
     Lookups by name go through dicts built once per computad.
+
+    Attributes outside the dataclass fields, so they take no part in
+    ``==``: ``_validated``, true on the computads :meth:`make` and
+    :meth:`extend` return, and the memo slots ``_op``
+    (:func:`omegatt.metaops.op_computad` per dimension set) and ``_susp``
+    (:func:`omegatt.metaops.suspend_computad`).
     """
 
     generators: tuple[tuple[str, ...], ...]
     attach: tuple[tuple[str, Sphere], ...]
+
+    _validated = False
+    _op = None
+    _susp = None
 
     @staticmethod
     def make(
         generators_by_dim: Iterable[Iterable[str]],
         attach: Mapping[str, Sphere],
     ) -> "Computad":
+        """The validated computad on these generators and spheres: the same
+        object for equal data, validated by the first call only."""
+        return Computad.build(generators_by_dim, attach)[0]
+
+    @staticmethod
+    def build(
+        generators_by_dim: Iterable[Iterable[str]],
+        attach: Mapping[str, Sphere],
+    ) -> tuple["Computad", bool]:
+        """``(computad, created)``: what :meth:`make` returns, and whether
+        this call built and validated it (see
+        :func:`omegatt.hashcons.memoise`) rather than finding it among the
+        computads validated already."""
         levels = [tuple(sorted(level, key=nat_key)) for level in generators_by_dim]
         while levels and not levels[-1]:
             levels.pop()
@@ -199,20 +237,56 @@ class Computad:
                 if v not in attach:
                     raise ValueError(f"generator {v!r} has no attaching sphere")
                 pairs.append((v, attach[v]))
-        c = Computad(tuple(levels), tuple(pairs))
+        key = (tuple(levels), tuple(pairs))
+        c = _VALIDATED.get(key)
+        if c is not None:
+            return c, False
+        c = Computad(*key)
         for d in range(1, len(levels)):
             lower = c.truncate(d - 1)
             for v in levels[d]:
-                sphere = c.sphere_of(v)
-                if sphere.dim != d - 1:
-                    raise ValueError(
-                        f"attaching sphere of {v!r} has dimension {sphere.dim}, want {d - 1}"
-                    )
-                typecheck_cell(lower, sphere.src)
-                typecheck_cell(lower, sphere.tgt)
-                if not parallel(lower, sphere.src, sphere.tgt):
-                    raise ValueError(f"attaching sphere of {v!r} is not parallel")
+                _check_attachment(lower, v, c.sphere_of(v), d)
+        _register(key, c)
+        return c, True
+
+    def extend(self, name: str, sphere: Sphere | None) -> "Computad":
+        """This computad with one more generator: a 0-generator when
+        ``sphere`` is None, else one attached along ``sphere``.
+
+        When this computad came from :meth:`make` or :meth:`extend`, only
+        the new sphere is checked, against ``self.truncate(d - 1)``: typing
+        is monotone under adding generators, so the old spheres still
+        check and the result is the object :meth:`make` returns on the
+        same data, with the same error when the new sphere fails.  Any
+        other computad is validated whole."""
+        d = 0 if sphere is None else sphere.dim + 1
+        levels = list(self.generators) + [()] * (d + 1 - len(self.generators))
+        if not self._validated or self.has_generator(name):
+            levels[d] += (name,)
+            attach = dict(self.attach) if sphere is None else {**dict(self.attach), name: sphere}
+            return Computad.make(levels, attach)
+        # a validated computad keeps each level sorted and its attaching
+        # pairs level by level, so the new name and pair go in by bisection
+        # and slicing instead of re-sorting every level through nat_key
+        level = levels[d]
+        at = bisect.bisect_right(level, nat_key(name), key=nat_key)
+        levels[d] = level[:at] + (name,) + level[at:]
+        pairs = self.attach
+        if sphere is not None:
+            at += sum(map(len, levels[1:d]))
+            pairs = pairs[:at] + ((name, sphere),) + pairs[at:]
+        key = (tuple(levels), pairs)
+        c = _VALIDATED.get(key)
+        if c is None:
+            if sphere is not None:
+                _check_attachment(self.truncate(d - 1), name, sphere, d)
+            c = Computad(*key)
+            _register(key, c)
         return c
+
+    def __reduce__(self):
+        # a copy or an unpickled computad is raw data: no memos, not trusted
+        return Computad, (self.generators, self.attach)
 
     @property
     def bound(self) -> int:
@@ -243,11 +317,36 @@ class Computad:
         return Var(name, self.dim_of(name))
 
     def truncate(self, d: int) -> "Computad":
+        """The generators up to dimension ``d``: this computad itself when
+        ``d`` reaches its bound, else a raw computad, never registered as
+        validated."""
         if d >= self.bound:
             return self
         levels = self.generators[: d + 1]
         keep = {v for level in levels for v in level}
         return Computad(levels, tuple((k, s) for k, s in self.attach if k in keep))
+
+
+# The computads built by ``make`` and ``extend``, by their data: each was
+# validated once, and ``make`` on equal data returns it instead of checking
+# its spheres again.  Held weakly, like the term tables of hashcons.
+_VALIDATED: "weakref.WeakValueDictionary[tuple, Computad]" = weakref.WeakValueDictionary()
+
+
+def _register(key: tuple, c: Computad) -> None:
+    remember(c, "_validated", True)
+    _VALIDATED[key] = c
+
+
+def _check_attachment(lower: Computad, v: str, sphere: Sphere, d: int) -> None:
+    """Validate the sphere attaching the d-generator ``v`` over the
+    computad ``lower`` of its generators below dimension d."""
+    if sphere.dim != d - 1:
+        raise ValueError(f"attaching sphere of {v!r} has dimension {sphere.dim}, want {d - 1}")
+    typecheck_cell(lower, sphere.src)
+    typecheck_cell(lower, sphere.tgt)
+    if not parallel(lower, sphere.src, sphere.tgt):
+        raise ValueError(f"attaching sphere of {v!r} is not parallel")
 
 
 def free_computad(x: FiniteGlobularSet) -> Computad:
@@ -630,7 +729,9 @@ def cell_from_json(obj: Mapping, dim_of, leaf=var_from_json) -> CellTerm:
         cell_from_json(body["sphere"]["src"], pos_dim),
         cell_from_json(body["sphere"]["tgt"], pos_dim),
     )
-    sub = substitution({p: cell_from_json(v, dim_of, leaf) for p, v in body["sub"].items()})
+    sub = tuple([(p, cell_from_json(v, dim_of, leaf)) for p, v in body["sub"].items()])
+    if tuple(body["sub"]) != sorted_positions(tree):  # not as cell_to_json writes it
+        sub = substitution(sub)
     return Coh(tree, sphere, sub)
 
 

@@ -97,10 +97,11 @@ def recall(memo: dict | None, key):
     return out
 
 
-def memoise(node: HashConsed, slot: str, key, value: HashConsed, created: bool) -> None:
+def memoise(node, slot: str, key, value, created: bool) -> None:
     """Store ``value`` under ``key`` in the memo dict in ``node``'s
     ``slot``: strongly when ``created`` (the caller just built ``value``,
-    so it is younger than ``node``), weakly otherwise."""
+    so it is younger than ``node``), weakly otherwise.  ``node`` and
+    ``value`` are interned nodes, or validated computads."""
     memo = getattr(node, slot)
     if memo is None:
         memo = {}

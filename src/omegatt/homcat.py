@@ -37,7 +37,6 @@ from .computads import (
     cell_from_json,
     cell_to_json,
     is_full,
-    substitution,
 )
 from .globular import DimSet, dimset_down
 from .hashcons import HashConsed
@@ -137,8 +136,9 @@ def _hom_factor_node(c: BipointedComputad, cell: CellTerm, memo: dict) -> HomCel
         raise HomFactorError(
             ("sphere",), "desuspended sphere is not full over the desuspended scheme"
         )
-    sub = {p[2:]: _hom_factor(c, v, memo) for p, v in entries}
-    return Coh(tree, sphere, substitution(sub))
+    # stripping the prefix keeps the canonical order (see suspend_coh)
+    sub = tuple([(p[2:], _hom_factor(c, v, memo)) for p, v in entries])
+    return Coh(tree, sphere, sub)
 
 
 def hom_realize(c: BipointedComputad, h: HomCell) -> CellTerm:

@@ -36,7 +36,6 @@ from .computads import (
     keep_pair,
     map_vars,
     sub_map,
-    substitution,
 )
 from .globular import DimSet, canonical_dimset
 from .hashcons import memoise, recall
@@ -96,15 +95,17 @@ def suspend_coh(
     """The coherence case of suspension, with the leaf action passed in: the
     scheme and the sphere go one dimension up, the two fresh root sectors go
     to ``base`` and every other position ``p`` becomes ``1.p``, bound to
-    ``value`` of its cell.  The sphere lives over the scheme, so it is
-    suspended by :func:`_suspend` through ``memo``, the memo of the calling
-    traversal; sphere cells have ``Var`` leaves, so they never collide with
-    the keys of a caller whose leaves are of another kind."""
-    sub: dict[str, CellTerm] = {BASE_MINUS: base[0], BASE_PLUS: base[1]}
-    for p, v in cell.sub:
-        sub[f"1.{p}"] = value(v)
+    ``value`` of its cell.  Under ``nat_key`` the basepoints come before
+    every ``1.``-name and the prefix keeps the order of the rest, so the
+    substitution comes out in canonical order with no sort.  The sphere
+    lives over the scheme, so it is suspended by :func:`_suspend` through
+    ``memo``, the memo of the calling traversal; sphere cells have ``Var``
+    leaves, so they never collide with the keys of a caller whose leaves
+    are of another kind."""
+    sub = [(BASE_MINUS, base[0]), (BASE_PLUS, base[1])]
+    sub += [(f"1.{p}", value(v)) for p, v in cell.sub]
     sphere = Sphere(_suspend(cell.sphere.src, memo), _suspend(cell.sphere.tgt, memo))
-    return Coh(suspend_tree(cell.tree), sphere, substitution(sub))
+    return Coh(suspend_tree(cell.tree), sphere, tuple(sub))
 
 
 def suspend_sphere(sphere: Sphere) -> Sphere:
@@ -114,17 +115,23 @@ def suspend_sphere(sphere: Sphere) -> Sphere:
 
 def suspend_computad(c: Computad) -> BipointedComputad:
     """Suspend a computad: two fresh basepoint 0-generators plus the shifted
-    generators with suspended attaching spheres."""
-    gens: list[list[str]] = [[BASE_MINUS, BASE_PLUS]]
-    attach: dict[str, Sphere] = {}
-    for d in range(c.bound + 1):
-        gens.append([f"1.{v}" for v in c.generators_at(d)])
-        for v in c.generators_at(d):
-            if d == 0:
-                attach[f"1.{v}"] = Sphere(*_BASEPOINTS)
-            else:
-                attach[f"1.{v}"] = suspend_sphere(c.sphere_of(v))
-    return BipointedComputad(Computad.make(gens, attach), _BASEPOINTS)
+    generators with suspended attaching spheres.  The suspended computad is
+    memoised on ``c`` (under the key None), held as :func:`op_computad`
+    holds its results."""
+    up = recall(c._susp, None)
+    if up is None:
+        gens: list[list[str]] = [[BASE_MINUS, BASE_PLUS]]
+        attach: dict[str, Sphere] = {}
+        for d in range(c.bound + 1):
+            gens.append([f"1.{v}" for v in c.generators_at(d)])
+            for v in c.generators_at(d):
+                if d == 0:
+                    attach[f"1.{v}"] = Sphere(*_BASEPOINTS)
+                else:
+                    attach[f"1.{v}"] = suspend_sphere(c.sphere_of(v))
+        up, created = Computad.build(gens, attach)
+        memoise(c, "_susp", None, up, created)
+    return BipointedComputad(up, _BASEPOINTS)
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +170,11 @@ def _desuspend_node(cell: CellTerm, path: tuple[str, ...], memo: dict) -> CellTe
             return Var(cell.name[2:], cell.dim - 1)
         reason = "a basepoint 0-cell" if cell.dim == 0 else f"generator {cell.name!r} is not shifted"
         raise NotASuspension(path, reason)
-    sub: dict[str, CellTerm] = {}
-    for p, v in unsuspend_sub(cell, _BASEPOINTS, path):
-        sub[p[2:]] = _desuspend(v, path + ("sub", p), memo)
-    return Coh(
-        cell.tree.children[0],
-        _desuspend_sphere(cell.sphere, path + ("sphere",), memo),
-        substitution(sub),
-    )
+    # stripping the prefix keeps the canonical order (see suspend_coh)
+    entries = unsuspend_sub(cell, _BASEPOINTS, path)
+    sub = tuple([(p[2:], _desuspend(v, path + ("sub", p), memo)) for p, v in entries])
+    sphere = _desuspend_sphere(cell.sphere, path + ("sphere",), memo)
+    return Coh(cell.tree.children[0], sphere, sub)
 
 
 def unsuspend_sub(
@@ -280,10 +284,21 @@ def op_sphere(w: DimSet, sphere: Sphere) -> Sphere:
 
 
 def op_computad(w: DimSet, c: Computad) -> Computad:
-    return Computad.make(
-        [list(level) for level in c.generators],
-        {v: op_sphere(w, s) for v, s in c.attach},
-    )
+    """The w-opposite of a computad: the same generators, each attaching
+    sphere replaced by its opposite.  Memoised on ``c`` per dimension set
+    like :func:`op_cell`: strongly only when this call built the result, so
+    ``c`` and its opposite never hold each other strongly.  The inverse
+    entry is never seeded: ``op_computad(w, op_computad(w, c)) is c`` holds
+    because the opposite of the opposite is built again and
+    :meth:`Computad.make` finds ``c`` among the validated computads."""
+    out = recall(c._op, w)
+    if out is None:
+        out, created = Computad.build(
+            [list(level) for level in c.generators],
+            {v: op_sphere(w, s) for v, s in c.attach},
+        )
+        memoise(c, "_op", canonical_dimset(w), out, created)
+    return out
 
 
 def op_bipointed(w: DimSet, c: BipointedComputad) -> BipointedComputad:

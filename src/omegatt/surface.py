@@ -467,15 +467,12 @@ class Elaborator:
     def block(self, block: ComputadBlock) -> None:
         if any(n == block.name for n, _ in self.doc.computads):
             raise SurfaceError(block.location, f"computad {block.name!r} is already defined")
-        gens: list[list[str]] = []
-        attach: dict[str, Sphere] = {}
         partial = Computad.make([], {})
         for decl in block.decls:
             if partial.has_generator(decl.name):
                 raise SurfaceError(decl.location, f"generator {decl.name!r} is already declared")
-            if decl.sphere is None:
-                d = 0
-            else:
+            sphere = None
+            if decl.sphere is not None:
                 src = self.cell(decl.sphere[0], partial)
                 tgt = self.cell(decl.sphere[1], partial)
                 if src.dim != tgt.dim:
@@ -483,13 +480,9 @@ class Elaborator:
                         decl.location,
                         f"boundary cells have dimensions {src.dim} and {tgt.dim}",
                     )
-                d = src.dim + 1
-                attach[decl.name] = Sphere(src, tgt)
-            while len(gens) <= d:
-                gens.append([])
-            gens[d].append(decl.name)
+                sphere = Sphere(src, tgt)
             try:
-                partial = Computad.make(gens, attach)
+                partial = partial.extend(decl.name, sphere)
             except (ValueError, TypecheckError) as err:
                 raise SurfaceError(decl.location, str(err)) from err
         self.doc.computads.append((block.name, partial))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -177,3 +178,19 @@ class TestLawsVerb:
         usage = capsys.readouterr().err
         assert usage.startswith("usage: omegatt laws")
         assert f"argument {flag}:" in usage
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("--max-nodes", "-1", "--dims-upto", "0"), "--max-nodes"),
+            (("--dims-upto", "-1"), "--dims-upto"),
+        ],
+    )
+    def test_script_bounds_out_of_range_are_usage_errors(self, capsys, argv, flag):
+        spec = importlib.util.spec_from_file_location("run_laws", ROOT / "scripts" / "run_laws.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        with pytest.raises(SystemExit) as err:
+            script.main(list(argv))
+        assert err.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err

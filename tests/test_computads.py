@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 
 from conftest import trees
+from omegatt import computads
 from omegatt.computads import (
     Coh,
     Computad,
@@ -35,6 +39,8 @@ from omegatt.computads import (
     typecheck_cell,
     typecheck_morphism,
 )
+from omegatt.globular import dimset
+from omegatt.metaops import op_computad, suspend_computad
 from omegatt.trees import br, comp_tree, disk_tree, pos_dim, positions
 
 TWO_ARROWS = comp_tree(1, 0, 1)
@@ -98,6 +104,76 @@ class TestComputadMake:
         c = walking_composite()
         assert c.truncate(0).generators == (("x", "y", "z"),)
         assert c.truncate(5) == c
+
+
+class TestValidateOnce:
+    def test_equal_make_inputs_give_the_same_object(self):
+        c = walking_composite()
+        assert walking_composite() is c
+        assert Computad.make([["z", "y", "x"], ["g", "f"]], dict(c.attach)) is c
+
+    def test_failed_make_registers_nothing(self):
+        c = walking_composite()
+        levels = [["x", "y", "z"], ["f", "g"], ["q"]]
+        attach = {**dict(c.attach), "q": Sphere(Var("f", 1), Var("g", 1))}
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not parallel"):
+                Computad.make(levels, attach)
+        key = (
+            (("x", "y", "z"), ("f", "g"), ("q",)),
+            (*c.attach, ("q", attach["q"])),
+        )
+        assert key not in computads._VALIDATED
+
+    def test_raw_computad_is_not_trusted(self):
+        c = walking_composite()
+        bad = Sphere(Var("f", 1), Var("g", 1))
+        raw = Computad(c.generators + (("q",),), c.attach + (("q", bad),))
+        with pytest.raises(ValueError, match="not parallel"):
+            Computad.make([list(level) for level in raw.generators], dict(raw.attach))
+        with pytest.raises(ValueError, match="not parallel"):
+            raw.extend("r", Sphere(Var("q", 2), Var("q", 2)))
+        # a raw copy of a valid computad is not the validated object either
+        twin = Computad(c.generators, c.attach)
+        assert twin == c and twin is not c and not twin._validated
+        assert Computad.make([list(level) for level in twin.generators], dict(twin.attach)) is c
+
+    def test_copies_are_raw_data(self):
+        c = op_computad(dimset([1]), walking_composite())
+        suspend_computad(c)
+        for again in (copy.copy(c), pickle.loads(pickle.dumps(c))):
+            assert again == c and again is not c
+            assert not again._validated and again._op is None and again._susp is None
+            assert Computad.make([list(level) for level in again.generators], dict(again.attach)) is c
+
+    def test_extend_step_by_step_is_the_batch_make(self):
+        c = walking_composite()
+        partial = Computad.make([], {})
+        for name in ("y", "x", "f", "z", "g"):
+            partial = partial.extend(name, c._spheres.get(name))
+        assert partial is c
+
+    @given(trees(5))
+    def test_extend_rebuilds_pasting_computads(self, t):
+        pc = pasting_computad(t)
+        partial = Computad.make([], {})
+        for d in range(pc.bound + 1):
+            for name in reversed(pc.generators_at(d)):
+                partial = partial.extend(name, pc.sphere_of(name) if d else None)
+        assert partial is pc
+
+    def test_extend_reports_what_make_reports(self):
+        c = walking_composite()
+        bad = Sphere(Var("f", 1), Var("g", 1))
+        with pytest.raises(ValueError) as by_make:
+            Computad.make([["x", "y", "z"], ["f", "g"], ["q"]], {**dict(c.attach), "q": bad})
+        with pytest.raises(ValueError) as by_extend:
+            c.extend("q", bad)
+        assert str(by_extend.value) == str(by_make.value)
+        with pytest.raises(ValueError, match="duplicate generator name 'f'"):
+            c.extend("f", None)
+        with pytest.raises(TypecheckError, match="UnknownGenerator"):
+            c.extend("h", Sphere(Var("x", 0), Var("w", 0)))
 
 
 class TestPastingComputad:
@@ -297,6 +373,15 @@ class TestJson:
     def test_computad_round_trip(self):
         c = walking_composite()
         assert computad_from_json(computad_to_json(c)) == c
+
+    def test_permuted_substitution_decodes_to_the_same_cell(self):
+        c = walking_composite()
+        fg = comp_fg(c)
+        obj = cell_to_json(fg)
+        sub = obj["coh"]["sub"]
+        obj["coh"]["sub"] = {p: sub[p] for p in reversed(sub)}
+        assert list(obj["coh"]["sub"]) != list(sub)
+        assert cell_from_json(obj, c.dim_of) is fg
 
     def test_template_round_trip_uses_position_dims(self):
         template = Coh(

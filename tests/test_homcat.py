@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from conftest import dimsets
-from omegatt.computads import Coh, cell_from_json, cell_to_json
+from conftest import coh_nodes, dimsets
+from omegatt.computads import Coh, cell_from_json, cell_to_json, substitution
 from omegatt.globular import dimset
 from omegatt.homcat import (
     HomGenerator,
@@ -110,6 +110,12 @@ class TestRealize:
             h = hom_factor(pointed, cell)
             assert hom_realize(pointed, h) == cell
             assert hom_factor(pointed, hom_realize(pointed, h)) == h
+
+    def test_factoring_keeps_the_canonical_order(self):
+        pointed = eh_computad()
+        for cell in loop_corpus():
+            for node in coh_nodes(hom_factor(pointed, cell)):
+                assert node.sub == substitution(node.sub)
 
     def test_generator_realizes_to_its_cell(self):
         pointed, c, a, _ = eh_cells()

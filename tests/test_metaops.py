@@ -2,22 +2,27 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given
 
-from conftest import dimsets
+from conftest import coh_nodes, dimsets
 from omegatt.computads import (
     Coh,
+    Computad,
     Sphere,
     Var,
     boundary_at,
     cell_boundary,
     is_well_typed,
     pasting_computad,
+    substitution,
     support,
 )
 from omegatt.globular import dimset
-from omegatt.laws import cell_corpus, template_corpus
+from omegatt.laws import all_dimsets, cell_corpus, loop_corpus, template_corpus
 from omegatt.metaops import (
     BASE_MINUS,
     BASE_PLUS,
@@ -210,6 +215,48 @@ class TestOpComputad:
         assert op_computad(dimset([]), pc) == pc
         for w, v in ((W1, W2), (W1, W1), (dimset([1, 2]), W2)):
             assert op_computad(w, op_computad(v, pc)) == op_computad(dimset(w ^ v), pc)
+
+
+class TestComputadMemos:
+    def test_opposite_is_an_involution_on_the_nose(self):
+        for c, _ in template_corpus():
+            for w in all_dimsets(3):
+                assert op_computad(w, op_computad(w, c)) is c
+                assert op_computad(w, c) is op_computad(w, c)
+
+    def test_suspension_is_memoised(self):
+        for c, _ in template_corpus():
+            up = suspend_computad(c).computad
+            assert suspend_computad(c).computad is up
+            assert desuspend_computad(up) is c
+
+    def test_memos_keep_no_cycle(self):
+        # a computad no other test builds, dropped with its memos: reference
+        # counting alone must free it, so the memos hold no cycle
+        gc.disable()
+        try:
+            c = Computad.make(
+                [["m0", "m1"], ["m2"]], {"m2": Sphere(Var("m0", 0), Var("m1", 0))}
+            )
+            assert op_computad(W1, c)._op is None  # the inverse entry is not seeded
+            refs = [weakref.ref(c)]
+            for w in all_dimsets(3):
+                refs.append(weakref.ref(op_computad(w, c)))
+                refs.append(weakref.ref(op_computad(w, op_computad(w, c))))
+            refs.append(weakref.ref(suspend_computad(op_computad(W1, c)).computad))
+            del c
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+
+def test_prefix_renamings_keep_the_canonical_order():
+    up = [suspend_cell(cell) for _, cell in cell_corpus()] + [
+        suspend_cell(cell) for cell in loop_corpus()
+    ]
+    for term in up + [desuspend_cell(cell) for cell in up]:
+        for node in coh_nodes(term):
+            assert node.sub == substitution(node.sub)
 
 
 class TestRename:

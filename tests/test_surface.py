@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from omegatt import computads
 from omegatt.computads import Coh, Var, identity_sub, pasting_computad
 from omegatt.globular import dimset
 from omegatt.metaops import op_cell, suspend_cell
@@ -167,6 +168,34 @@ class TestElaboration:
         cells = dict(doc.cells)
         assert cells["v1"].term.dim == 2
         assert cells["v2"].term.dim == 2
+
+
+def chain_source(n: int) -> str:
+    """A chain of n 1-cells x(i-1) -> xi with a scalar 2-cell on each."""
+    decls = [f"x{i} : * ;" for i in range(n + 1)]
+    for i in range(1, n + 1):
+        decls += [f"f{i} : x{i - 1} -> x{i} ;", f"a{i} : f{i} -> f{i} ;"]
+    return "computad chain {\n  " + "\n  ".join(decls) + "\n}\n"
+
+
+def test_block_typechecks_each_sphere_cell_once(monkeypatch):
+    checked = []
+    typecheck = computads.typecheck_cell
+
+    def counted(c, cell, path=()):
+        checked.append(cell.name)
+        return typecheck(c, cell, path)
+
+    monkeypatch.setattr(computads, "typecheck_cell", counted)
+    n = 40
+    chain = load_document(chain_source(n)).computad("chain")
+    want = []
+    for i in range(1, n + 1):
+        want += [f"x{i - 1}", f"x{i}", f"f{i}", f"f{i}"]
+    assert sorted(checked) == sorted(want)
+    assert chain is computads.Computad.make(
+        [list(level) for level in chain.generators], dict(chain.attach)
+    )
 
 
 class TestCanonicalPrinting:
