@@ -193,8 +193,9 @@ class Computad:
     Attributes outside the dataclass fields, so they take no part in
     ``==``: ``_validated``, true on the computads :meth:`make` and
     :meth:`extend` return, and the memo slots ``_op``
-    (:func:`omegatt.metaops.op_computad` per dimension set) and ``_susp``
-    (:func:`omegatt.metaops.suspend_computad`).
+    (:func:`omegatt.metaops.op_computad` per dimension set), ``_susp``
+    (:func:`omegatt.metaops.suspend_computad`) and ``_desusp``
+    (:func:`omegatt.metaops.desuspend_computad`).
     """
 
     generators: tuple[tuple[str, ...], ...]
@@ -203,6 +204,7 @@ class Computad:
     _validated = False
     _op = None
     _susp = None
+    _desusp = None
 
     @staticmethod
     def make(
@@ -353,8 +355,8 @@ def free_computad(x: FiniteGlobularSet) -> Computad:
     """The computad with one generator per cell of ``x``, disk attachments."""
     attach: dict[str, Sphere] = {}
     for d in range(1, x.ndim + 1):
-        for c in x.cells_at(d):
-            attach[c] = Sphere(Var(x.src_of(d, c), d - 1), Var(x.tgt_of(d, c), d - 1))
+        for (c, s), (_, t) in zip(x.srcs[d], x.tgts[d]):
+            attach[c] = Sphere(Var(s, d - 1), Var(t, d - 1))
     return Computad.make([list(level) for level in x.cells], attach)
 
 
@@ -502,7 +504,7 @@ def is_full(b: BataninTree, a: Sphere) -> bool:
 # typechecking
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class TypecheckError(Exception):
     """First failure found while checking a cell, with a path into the term."""
 
@@ -575,9 +577,8 @@ def _typecheck(c: Computad, cell: CellTerm, path: tuple[str, ...], passed: set) 
         _typecheck(c, v, path + ("sub", p), passed)
     bound = dict(cell.sub)
     for d in range(1, pos.ndim + 1):
-        for p in pos.cells_at(d):
-            want_sphere = Sphere(bound[pos.src_of(d, p)], bound[pos.tgt_of(d, p)])
-            if cell_boundary(c, bound[p]) != want_sphere:
+        for (p, s), (_, t) in zip(pos.srcs[d], pos.tgts[d]):
+            if cell_boundary(c, bound[p]) != Sphere(bound[s], bound[t]):
                 raise TypecheckError(
                     "BadSubstitution",
                     path + ("sub", p),

@@ -7,8 +7,8 @@ source/target maps satisfying the globularity equations
 
 Cells are identified by strings.  Every constructor in this library produces
 names that are unique across *all* dimensions, which lets substitutions and
-morphisms elsewhere be flat name-keyed maps; `FiniteGlobularSet.make` checks
-this.
+morphisms elsewhere be flat name-keyed maps; every `FiniteGlobularSet` checks
+this when it is built.
 
 Bipointed globular sets carry two distinguished 0-cells (x_minus, x_plus) and
 support wedge sums, suspension and the hom (loop) construction.  Suspension
@@ -36,9 +36,10 @@ def _sorted_names(names: Iterable[str]) -> tuple[str, ...]:
 def _boundary_of(pairs: tuple[tuple[str, str], ...], level: tuple[str, ...], x: str) -> str:
     """The boundary of ``x`` in ``pairs``, which lists ``level`` in order.
 
-    A scan of the level in C rather than a dict: the sets of positions of
-    every pasting scheme stay cached, and an index per set would cost more
-    memory than the scan costs time at these sizes."""
+    For single lookups only: a scan of the level in C, so a loop over a
+    level walks its pairs instead (see :class:`FiniteGlobularSet`).  The
+    sets of positions of every pasting scheme stay cached, and an index
+    per set would cost more memory than one scan costs time."""
     try:
         return pairs[level.index(x)][1]
     except (ValueError, IndexError):
@@ -51,7 +52,11 @@ class FiniteGlobularSet:
 
     ``cells[d]`` is the tuple of d-cell names in natural order; ``srcs[d]`` and
     ``tgts[d]`` (for d >= 1) are tuples of (cell, boundary) pairs in the same
-    order.  Use :meth:`make` rather than the raw constructor.
+    order.  Every construction validates, in one pass over those pairs.
+    :meth:`make` sorts its levels by :func:`nat_key` and hands them to
+    :meth:`ordered`, which takes levels already in canonical order; code
+    that has the pairs in that order already (positions, suspensions,
+    opposites) calls the constructor itself.
     """
 
     cells: tuple[tuple[str, ...], ...]
@@ -64,19 +69,28 @@ class FiniteGlobularSet:
         src: Mapping[str, str],
         tgt: Mapping[str, str],
     ) -> "FiniteGlobularSet":
-        levels = [_sorted_names(level) for level in cells_by_dim]
+        return FiniteGlobularSet.ordered([_sorted_names(level) for level in cells_by_dim], src, tgt)
+
+    @staticmethod
+    def ordered(
+        levels: Sequence[Sequence[str]],
+        src: Mapping[str, str],
+        tgt: Mapping[str, str],
+    ) -> "FiniteGlobularSet":
+        """The globular set on ``levels``, each already in canonical order."""
+        levels = [tuple(level) for level in levels]
         while levels and not levels[-1]:
             levels.pop()
         srcs: list[tuple[tuple[str, str], ...]] = [()]
         tgts: list[tuple[tuple[str, str], ...]] = [()]
-        for d in range(1, len(levels)):
-            srcs.append(tuple((x, src[x]) for x in levels[d]))
-            tgts.append(tuple((x, tgt[x]) for x in levels[d]))
-        g = FiniteGlobularSet(tuple(levels), tuple(srcs), tuple(tgts))
-        g._validate()
-        return g
+        for level in levels[1:]:
+            srcs.append(tuple([(x, src[x]) for x in level]))
+            tgts.append(tuple([(x, tgt[x]) for x in level]))
+        return FiniteGlobularSet(tuple(levels), tuple(srcs), tuple(tgts))
 
-    def _validate(self) -> None:
+    def __post_init__(self) -> None:
+        """Validate: names unique, then no dangling boundary, then
+        globularity, each check in one pass over the levels."""
         seen: set[str] = set()
         for level in self.cells:
             for x in level:
@@ -85,15 +99,13 @@ class FiniteGlobularSet:
                 seen.add(x)
         for d in range(1, self.ndim + 1):
             below = set(self.cells[d - 1])
-            for x in self.cells[d]:
-                if self.src_of(d, x) not in below or self.tgt_of(d, x) not in below:
+            for (x, s), (_, t) in zip(self.srcs[d], self.tgts[d]):
+                if s not in below or t not in below:
                     raise ValueError(f"dangling boundary on {d}-cell {x!r}")
         for d in range(2, self.ndim + 1):
-            for x in self.cells[d]:
-                s, t = self.src_of(d, x), self.tgt_of(d, x)
-                if self.src_of(d - 1, s) != self.src_of(d - 1, t) or self.tgt_of(
-                    d - 1, s
-                ) != self.tgt_of(d - 1, t):
+            src, tgt = dict(self.srcs[d - 1]), dict(self.tgts[d - 1])
+            for (x, s), (_, t) in zip(self.srcs[d], self.tgts[d]):
+                if src[s] != src[t] or tgt[s] != tgt[t]:
                     raise ValueError(f"globularity fails at {d}-cell {x!r}")
 
     @property
@@ -116,12 +128,8 @@ class FiniteGlobularSet:
         return _boundary_of(self.tgts[d], self.cells[d], x)
 
     def to_json(self) -> dict:
-        src: dict[str, str] = {}
-        tgt: dict[str, str] = {}
-        for d in range(1, self.ndim + 1):
-            for x in self.cells[d]:
-                src[x] = self.src_of(d, x)
-                tgt[x] = self.tgt_of(d, x)
+        src = {x: s for pairs in self.srcs for x, s in pairs}
+        tgt = {x: t for pairs in self.tgts for x, t in pairs}
         order = sorted(src, key=nat_key)
         return {
             "dims": [list(level) for level in self.cells],
@@ -191,22 +199,30 @@ def disk(n: int) -> FiniteGlobularSet:
     return FiniteGlobularSet.make(cells, src, tgt)
 
 
+def shift_levels(x: FiniteGlobularSet, prefix: str, lo: str, hi: str) -> list[tuple]:
+    """The levels of ``x`` one dimension up, as ``(cells, srcs, tgts)`` for
+    dimensions 1, 2, ...: every name gains ``prefix`` and the old 0-cells
+    run from ``lo`` to ``hi``.  A common prefix keeps each level in
+    canonical order."""
+    out = []
+    renamed: dict[str, str] = {}  # so the pairs share the new name strings
+    for d, level in enumerate(x.cells):
+        cells = tuple([prefix + c for c in level])
+        if d == 0:
+            srcs, tgts = tuple([(c, lo) for c in cells]), tuple([(c, hi) for c in cells])
+        else:
+            srcs = tuple([(c, renamed[b]) for c, (_, b) in zip(cells, x.srcs[d])])
+            tgts = tuple([(c, renamed[b]) for c, (_, b) in zip(cells, x.tgts[d])])
+        renamed.update(zip(level, cells))
+        out.append((cells, srcs, tgts))
+    return out
+
+
 def suspend_glob(x: FiniteGlobularSet) -> BipointedGlobularSet:
     """Suspension: two fresh basepoints "0","1"; each d-cell c becomes the
     (d+1)-cell "1."+c.  Old 0-cells get src/tgt the new basepoints."""
-    cells: list[list[str]] = [["0", "1"]]
-    src: dict[str, str] = {}
-    tgt: dict[str, str] = {}
-    for d in range(x.ndim + 1):
-        cells.append([f"1.{c}" for c in x.cells_at(d)])
-        for c in x.cells_at(d):
-            if d == 0:
-                src[f"1.{c}"] = "0"
-                tgt[f"1.{c}"] = "1"
-            else:
-                src[f"1.{c}"] = f"1.{x.src_of(d, c)}"
-                tgt[f"1.{c}"] = f"1.{x.tgt_of(d, c)}"
-    return BipointedGlobularSet(FiniteGlobularSet.make(cells, src, tgt), ("0", "1"))
+    cells, srcs, tgts = zip((("0", "1"), (), ()), *shift_levels(x, "1.", "0", "1"))
+    return BipointedGlobularSet(FiniteGlobularSet(cells, srcs, tgts), ("0", "1"))
 
 
 def hom_glob(x: BipointedGlobularSet) -> FiniteGlobularSet:
@@ -217,37 +233,29 @@ def hom_glob(x: BipointedGlobularSet) -> FiniteGlobularSet:
     stripped, so that hom_glob(suspend_glob(X)) == X exactly.
     """
     g = x.carrier
-
-    def end0(d: int, c: str, side) -> str:
-        """The iterated ``side`` boundary of a d-cell down to a 0-cell."""
-        while d > 0:
-            c = side(d, c)
-            d -= 1
-        return c
-
+    # the iterated source and target of each cell down to a 0-cell
+    lo = {c: c for c in g.cells_at(0)}
+    hi = dict(lo)
     selected: list[list[str]] = []
+    src: dict[str, str] = {}
+    tgt: dict[str, str] = {}
     for d in range(1, g.ndim + 1):
-        selected.append(
-            [
-                c
-                for c in g.cells_at(d)
-                if end0(d, c, g.src_of) == x.base_minus and end0(d, c, g.tgt_of) == x.base_plus
-            ]
-        )
+        level = []
+        for (c, s), (_, t) in zip(g.srcs[d], g.tgts[d]):
+            lo[c], hi[c] = lo[s], hi[t]
+            if lo[c] == x.base_minus and hi[c] == x.base_plus:
+                level.append(c)
+                src[c], tgt[c] = s, t
+        selected.append(level)
     names = [c for level in selected for c in level]
     strip = bool(names) and all(c.startswith("1.") for c in names)
     rename = (lambda c: c[2:]) if strip else (lambda c: c)
-    cells = [[rename(c) for c in level] for level in selected]
-    src: dict[str, str] = {}
-    tgt: dict[str, str] = {}
-    for i, level in enumerate(selected):
-        d = i + 1  # dimension in the ambient set; loop dimension is i
-        if i == 0:
-            continue
-        for c in level:
-            src[rename(c)] = rename(g.src_of(d, c))
-            tgt[rename(c)] = rename(g.tgt_of(d, c))
-    return FiniteGlobularSet.make(cells, src, tgt)
+    # stripping the common prefix keeps each level in canonical order
+    return FiniteGlobularSet.ordered(
+        [[rename(c) for c in level] for level in selected],
+        {rename(c): rename(s) for c, s in src.items()},
+        {rename(c): rename(t) for c, t in tgt.items()},
+    )
 
 
 def wedge(parts: Sequence[BipointedGlobularSet]) -> BipointedGlobularSet:
@@ -282,7 +290,7 @@ def wedge(parts: Sequence[BipointedGlobularSet]) -> BipointedGlobularSet:
     def node(i: int) -> str:
         return str(find(i))
 
-    cells: list[list[str]] = [sorted({node(i) for i in range(n + 1)}, key=nat_key)]
+    cells: list[list[str]] = [list({node(i) for i in range(n + 1)})]
     src: dict[str, str] = {}
     tgt: dict[str, str] = {}
     for i, part in enumerate(parts, start=1):
@@ -296,16 +304,13 @@ def wedge(parts: Sequence[BipointedGlobularSet]) -> BipointedGlobularSet:
                 return node(i)
             return f"{i}.{c}"
 
-        for d in range(g.ndim + 1):
-            while len(cells) <= d:
+        cells[0] += [tag(0, c) for c in g.cells_at(0) if c not in basepoints]
+        for d in range(1, g.ndim + 1):
+            if len(cells) == d:
                 cells.append([])
-            for c in g.cells_at(d):
-                if d == 0 and c in basepoints:
-                    continue
+            for (c, s), (_, t) in zip(g.srcs[d], g.tgts[d]):
                 cells[d].append(tag(d, c))
-                if d >= 1:
-                    src[tag(d, c)] = tag(d - 1, g.src_of(d, c))
-                    tgt[tag(d, c)] = tag(d - 1, g.tgt_of(d, c))
+                src[tag(d, c)], tgt[tag(d, c)] = tag(d - 1, s), tag(d - 1, t)
     carrier = FiniteGlobularSet.make(cells, src, tgt)
     return BipointedGlobularSet(carrier, (node(0), node(n)))
 
@@ -337,16 +342,11 @@ def dimset_down(w: frozenset[int]) -> frozenset[int]:
 
 def op_glob(w: frozenset[int], x: FiniteGlobularSet) -> FiniteGlobularSet:
     """The w-opposite: swap src/tgt of the d-cells for every d in w."""
-    cells = [list(level) for level in x.cells]
-    src: dict[str, str] = {}
-    tgt: dict[str, str] = {}
+    srcs, tgts = list(x.srcs), list(x.tgts)
     for d in range(1, x.ndim + 1):
-        for c in x.cells_at(d):
-            s, t = x.src_of(d, c), x.tgt_of(d, c)
-            if d in w:
-                s, t = t, s
-            src[c], tgt[c] = s, t
-    return FiniteGlobularSet.make(cells, src, tgt)
+        if d in w:
+            srcs[d], tgts[d] = tgts[d], srcs[d]
+    return FiniteGlobularSet(x.cells, tuple(srcs), tuple(tgts))
 
 
 def op_glob_bipointed(w: frozenset[int], x: BipointedGlobularSet) -> BipointedGlobularSet:

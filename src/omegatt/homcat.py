@@ -70,7 +70,7 @@ class HomGenerator(HashConsed):
 HomCell = Union[HomGenerator, Coh]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class HomFactorError(Exception):
     """Factorization failed on a structurally valid input (e.g. a sphere
     that desuspends cellwise but loses fullness, which the construction

@@ -138,7 +138,7 @@ def suspend_computad(c: Computad) -> BipointedComputad:
 # desuspension
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class NotASuspension(Exception):
     """A term is outside the image of suspension; path points at the first
     obstruction."""
@@ -206,6 +206,12 @@ def desuspend_sphere(sphere: Sphere, path: tuple[str, ...] = ()) -> Sphere:
 
 
 def desuspend_computad(c: Computad) -> Computad:
+    """Invert :func:`suspend_computad`; raises NotASuspension off its image.
+    The result is memoised on ``c`` as :func:`suspend_computad` memoises
+    its own; a failure is not, so it is raised again on every call."""
+    down = recall(c._desusp, None)
+    if down is not None:
+        return down
     if c.generators_at(0) != (BASE_MINUS, BASE_PLUS):
         raise NotASuspension((), "0-generators are not exactly the two basepoints")
     gens: list[list[str]] = []
@@ -223,7 +229,9 @@ def desuspend_computad(c: Computad) -> Computad:
             else:
                 attach[name] = desuspend_sphere(c.sphere_of(v), (v,))
         gens.append(level)
-    return Computad.make(gens, attach)
+    down, created = Computad.build(gens, attach)
+    memoise(c, "_desusp", None, down, created)
+    return down
 
 
 # ---------------------------------------------------------------------------

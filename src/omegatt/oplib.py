@@ -102,7 +102,7 @@ def _fill_disk(sub: dict[str, CellTerm], prefix: str, spheres: list[Sphere]) -> 
         sub[prefix + "1." * d + "1"] = sphere.tgt
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class BoundaryMismatch(Exception):
     """The two cells of a would-be composite do not share the k-boundary."""
 

@@ -55,7 +55,7 @@ class SourceLocation:
         return f"{self.line}:{self.col}"
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SurfaceError(Exception):
     location: SourceLocation
     message: str

@@ -11,6 +11,8 @@ Positions are named canonically so that every construction downstream
 
 So the dimension of a position is the number of dots in its name, and
 lexicographic-with-numeric-segments order is the source-to-target sweep.
+Positions are emitted in that canonical order by construction (root
+sectors, then branch by branch), so no position set is ever sorted.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .globular import (
     FiniteGlobularSet,
     canonical_dimset,
     dimset_down,
-    nat_key,
+    shift_levels,
 )
 from .hashcons import HashConsed, remember
 
@@ -111,30 +113,21 @@ def positions(t: BataninTree) -> BipointedGlobularSet:
 
     Bipointed by the leftmost and rightmost root sectors.  Source and
     target of a sector one dimension up are the two root sectors it sits
-    between, pushed through the child's own position set.
+    between, pushed through the child's own position set.  Branch by
+    branch in index order, every level comes out in canonical order.
     """
     n = len(t.children)
-    cells: list[list[str]] = [[str(i) for i in range(n + 1)]]
-    src: dict[str, str] = {}
-    tgt: dict[str, str] = {}
+    sectors = [str(i) for i in range(n + 1)]
+    levels: list[list[list]] = [[sectors, [], []]]
     for i, child in enumerate(t.children, start=1):
-        sub = positions(child)
-        for d, layer in enumerate(sub.carrier.cells):
-            while len(cells) <= d + 1:
-                cells.append([])
-            for p in layer:
-                cells[d + 1].append(f"{i}.{p}")
-        # dimension-1 positions of t coming from child's dimension-0
-        # positions: their boundaries are root sectors i-1 and i.
-        for p in sub.carrier.cells[0]:
-            src[f"{i}.{p}"] = str(i - 1)
-            tgt[f"{i}.{p}"] = str(i)
-        for d in range(1, sub.carrier.ndim + 1):
-            for p in sub.carrier.cells[d]:
-                src[f"{i}.{p}"] = f"{i}.{sub.carrier.src_of(d, p)}"
-                tgt[f"{i}.{p}"] = f"{i}.{sub.carrier.tgt_of(d, p)}"
-    carrier = FiniteGlobularSet.make(cells, src, tgt)
-    return BipointedGlobularSet(carrier, ("0", str(n)))
+        shifted = shift_levels(positions(child).carrier, f"{i}.", sectors[i - 1], sectors[i])
+        for d, parts in enumerate(shifted, start=1):
+            if len(levels) == d:
+                levels.append([[], [], []])
+            for whole, part in zip(levels[d], parts):
+                whole += part
+    cells, srcs, tgts = (tuple(map(tuple, side)) for side in zip(*levels))
+    return BipointedGlobularSet(FiniteGlobularSet(cells, srcs, tgts), (sectors[0], sectors[n]))
 
 
 def pos_dim(p: str) -> int:
@@ -250,6 +243,10 @@ def sorted_positions(t: BataninTree) -> tuple[str, ...]:
     key order of every substitution over ``t``.  Memoised on ``t``."""
     names = t._names
     if names is None:
-        names = tuple(sorted((p for _, p in positions(t).carrier.all_cells()), key=nat_key))
+        names = ["0"]
+        for i, child in enumerate(t.children, start=1):
+            names.append(str(i))
+            names += [f"{i}.{p}" for p in sorted_positions(child)]
+        names = tuple(names)
         remember(t, "_names", names)
     return names

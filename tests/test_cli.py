@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import importlib.util
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
 from omegatt.cli import run_cli
+from omegatt.computads import TypecheckError
+from omegatt.homcat import HomFactorError
+from omegatt.metaops import NotASuspension
+from omegatt.oplib import BoundaryMismatch
+from omegatt.surface import SourceLocation, SurfaceError
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
@@ -132,6 +138,32 @@ class TestExitCodes:
         )
         assert code == 1
         assert "runs" in err
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        TypecheckError("NotFull", ("sphere",), "m"),
+        NotASuspension(("sub",), "m"),
+        HomFactorError(("sub",), "m"),
+        BoundaryMismatch(0, "m"),
+        SurfaceError(SourceLocation(1, 1), "m"),
+    ],
+    ids=lambda error: type(error).__name__,
+)
+def test_library_errors_pass_through_context_managers(error):
+    # leaving a @contextmanager block sets the exception's __traceback__
+    @contextmanager
+    def block():
+        yield
+
+    with pytest.raises(type(error)) as raised:
+        with block():
+            raise error
+    assert raised.value is error
+    assert raised.value.__traceback__ is not None
+    assert raised.value == type(error)(*vars(error).values())
+    assert hash(raised.value) == hash(type(error)(*vars(error).values()))
 
 
 class TestEhCheck:

@@ -7,18 +7,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import dimsets, trees
+from omegatt import globular
 from omegatt.globular import (
     BipointedGlobularSet,
     FiniteGlobularSet,
     disk,
     glob_from_json,
     hom_glob,
+    nat_key,
     op_glob,
     op_glob_bipointed,
     suspend_glob,
     wedge,
 )
-from omegatt.trees import positions
+from omegatt.laws import all_dimsets
+from omegatt.trees import all_trees, br, disk_tree, positions, sorted_positions
 
 
 def point(name: str = "p") -> FiniteGlobularSet:
@@ -45,6 +48,40 @@ class TestMake:
                 {"f": "a", "g": "b", "m": "f"},
                 {"f": "b", "g": "c", "m": "g"},
             )
+
+    @pytest.mark.parametrize(
+        "cells, src, tgt, message",
+        [
+            ([["a", "x"], ["x"]], {"x": "a"}, {"x": "a"}, "duplicate cell name 'x'"),
+            ([["a"], ["f"]], {"f": "a"}, {"f": "b"}, "dangling boundary on 1-cell 'f'"),
+            (
+                [["a", "b", "c"], ["f", "g"], ["m"]],
+                {"f": "a", "g": "b", "m": "f"},
+                {"f": "b", "g": "c", "m": "g"},
+                "globularity fails at 2-cell 'm'",
+            ),
+            # a globularity failure at dimension 2 and a dangling boundary at
+            # dimension 3: every dangling check runs before any globularity check
+            (
+                [["a", "b", "c"], ["f", "g"], ["m"], ["z"]],
+                {"f": "a", "g": "b", "m": "f", "z": "m"},
+                {"f": "b", "g": "c", "m": "g", "z": "nowhere"},
+                "dangling boundary on 3-cell 'z'",
+            ),
+        ],
+    )
+    def test_each_defect_raises_its_exact_message(self, cells, src, tgt, message):
+        with pytest.raises(ValueError) as err:
+            FiniteGlobularSet.make(cells, src, tgt)
+        assert str(err.value) == message
+        # the constructor on pairs validates as make does
+        srcs, tgts = (
+            ((),) + tuple(tuple((x, side[x]) for x in level) for level in cells[1:])
+            for side in (src, tgt)
+        )
+        with pytest.raises(ValueError) as err:
+            FiniteGlobularSet(tuple(map(tuple, cells)), srcs, tgts)
+        assert str(err.value) == message
 
     def test_trailing_empty_dimensions_dropped(self):
         g = FiniteGlobularSet.make([["a"], []], {}, {})
@@ -173,3 +210,66 @@ class TestJson:
         assert obj["dims"] == [["0", "1"], ["1.p"]]
         assert obj["src"] == {"1.p": "0"}
         assert obj["base"] == ["0", "1"]
+
+
+# every tree with up to 7 nodes, and one whose branch indices run past 9
+SHAPES = list(all_trees(7)) + [br(*[br()] * 5, disk_tree(2), *[br()] * 5)]
+
+
+def maps(x: FiniteGlobularSet) -> tuple[dict[str, str], dict[str, str]]:
+    return (
+        {c: b for pairs in x.srcs for c, b in pairs},
+        {c: b for pairs in x.tgts for c, b in pairs},
+    )
+
+
+class TestOrderedConstructions:
+    """Positions, their names and opposites are built in canonical order
+    without a sort; each must equal what the sorting constructor gives."""
+
+    def test_positions_equal_make_on_their_own_data(self):
+        for t in SHAPES:
+            x = positions(t).carrier
+            shuffled = [level[::-1] for level in x.cells]
+            assert x == FiniteGlobularSet.make(shuffled, *maps(x)), t
+
+    def test_sorted_positions_are_the_natural_sort(self):
+        for t in SHAPES:
+            names = [p for _, p in positions(t).carrier.all_cells()]
+            assert sorted_positions(t) == tuple(sorted(names, key=nat_key)), t
+
+    def test_opposites_equal_make_on_swapped_maps(self):
+        for t in SHAPES:
+            x = positions(t).carrier
+            src, tgt = maps(x)
+            for w in all_dimsets(3):
+                swapped = {c for d in w if d <= x.ndim for c in x.cells[d]}
+                op_src = {c: (tgt if c in swapped else src)[c] for c in src}
+                op_tgt = {c: (src if c in swapped else tgt)[c] for c in src}
+                assert op_glob(w, x) == FiniteGlobularSet.make(x.cells, op_src, op_tgt)
+                assert op_glob(w, op_glob(w, x)) == x
+
+    def test_no_sort_and_no_scan_on_the_ordered_paths(self, monkeypatch):
+        calls = []
+
+        def counted(f):
+            def wrapper(*args):
+                calls.append(f.__name__)
+                return f(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(globular, "nat_key", counted(globular.nat_key))
+        monkeypatch.setattr(globular, "_boundary_of", counted(globular._boundary_of))
+        # trees no other test builds, so their positions are built here
+        fresh = [br(*(disk_tree(k % 4) for k in range(13))), br(disk_tree(5), br(br(), br(br())))]
+        before = positions.cache_info().misses
+        for t in fresh:
+            assert t._names is None
+            x = positions(t)
+            sorted_positions(t)
+            hom_glob(suspend_glob(x.carrier))
+            for w in all_dimsets(3):
+                op_glob_bipointed(w, x)
+        assert positions.cache_info().misses > before
+        assert calls == []

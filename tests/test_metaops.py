@@ -250,6 +250,56 @@ class TestComputadMemos:
             gc.enable()
 
 
+    def test_desuspension_is_memoised(self, monkeypatch):
+        import omegatt.metaops as metaops
+
+        calls, real = [], metaops.desuspend_sphere
+        monkeypatch.setattr(metaops, "desuspend_sphere", lambda *a: calls.append(a) or real(*a))
+        # a suspended computad no other test builds
+        up = Computad.make(
+            [[BASE_MINUS, BASE_PLUS], ["1.d0", "1.d1"], ["1.d2"]],
+            {
+                "1.d0": Sphere(Var(BASE_MINUS, 0), Var(BASE_PLUS, 0)),
+                "1.d1": Sphere(Var(BASE_MINUS, 0), Var(BASE_PLUS, 0)),
+                "1.d2": Sphere(Var("1.d0", 1), Var("1.d1", 1)),
+            },
+        )
+        down = desuspend_computad(up)
+        assert len(calls) == 1
+        assert desuspend_computad(up) is down
+        assert len(calls) == 1
+        assert down._susp is None  # the inverse entry is not seeded
+
+    def test_failed_desuspension_is_raised_every_time(self):
+        c = eh_computad().computad
+        for _ in range(2):
+            with pytest.raises(NotASuspension):
+                desuspend_computad(c)
+        assert c._desusp is None
+
+    def test_desuspension_memo_keeps_no_cycle(self):
+        gc.disable()
+        try:
+            up = Computad.make(
+                [[BASE_MINUS, BASE_PLUS], ["1.n0", "1.n1"], ["1.n2"]],
+                {
+                    "1.n0": Sphere(Var(BASE_MINUS, 0), Var(BASE_PLUS, 0)),
+                    "1.n1": Sphere(Var(BASE_MINUS, 0), Var(BASE_PLUS, 0)),
+                    "1.n2": Sphere(Var("1.n0", 1), Var("1.n1", 1)),
+                },
+            )
+            down = desuspend_computad(up)
+            assert suspend_computad(down).computad is up
+            assert desuspend_computad(suspend_computad(op_computad(W1, down)).computad) is (
+                op_computad(W1, down)
+            )
+            refs = [weakref.ref(up), weakref.ref(down), weakref.ref(op_computad(W1, down))]
+            del up, down
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+
 def test_prefix_renamings_keep_the_canonical_order():
     up = [suspend_cell(cell) for _, cell in cell_corpus()] + [
         suspend_cell(cell) for cell in loop_corpus()
