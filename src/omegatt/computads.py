@@ -28,25 +28,22 @@ for one call, so they visit each node of the DAG once.  Maps that keep the
 keys of a substitution (:func:`map_values`) keep its canonical order and
 do not re-sort it; :func:`substitution` sorts, for callers that rename keys.
 
-Computads are validated once.  :meth:`Computad.make` checks names and
-arities, then looks its data (levels and attaching pairs) up among the
-computads it validated before, held weakly; on a hit it returns that
-object, otherwise it typechecks every attaching sphere and registers the
-result only on success.  :meth:`Computad.extend` adds one generator to a
-validated computad and checks only the new sphere; typing is monotone
-under adding generators, so it returns the object that ``make`` would.  A
-computad built by the raw constructor (as a proper truncation is) or by a
-copy is never trusted: ``make`` on its data still validates.  The
-opposites and the suspension of a computad (:mod:`omegatt.metaops`) are
-computads again, so they are memoised on it and not re-validated.
+Every computad is valid.  Computads are interned like terms, on their
+levels and attaching pairs.  :meth:`Computad.make` checks foreign data
+once, before interning; on data it has seen it returns the interned
+object unchecked.  The constructor, ``copy`` and ``pickle`` go through
+``make``.  :meth:`Computad.truncate`, :func:`pasting_computad` and
+:meth:`Computad.extend` (which checks only the sphere it adds, typing
+being monotone under adding generators) intern results that are valid by
+construction.  The opposites and the suspension of a computad
+(:mod:`omegatt.metaops`) are memoised on it.
 """
 
 from __future__ import annotations
 
 import bisect
-import weakref
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Union
 
 from .globular import FiniteGlobularSet, nat_key
@@ -132,17 +129,6 @@ def keep_pair(pair: tuple[str, "CellTerm"], key: str, value: "CellTerm") -> tupl
     return pair if pair[1] is value and pair[0] == key else (key, value)
 
 
-def sub_get(sub: Substitution, name: str) -> "CellTerm":
-    for k, v in sub:
-        if k == name:
-            return v
-    raise KeyError(name)
-
-
-def sub_map(sub: Substitution) -> dict[str, "CellTerm"]:
-    return dict(sub)
-
-
 class Coh(HashConsed):
     """A coherence cell: scheme, full sphere over the scheme, substitution.
 
@@ -180,39 +166,31 @@ CellTerm = Union[Var, Coh]
 # computads
 
 
-@dataclass(frozen=True)
-class Computad:
-    """Generator names per dimension with attaching spheres.
+class Computad(HashConsed):
+    """Generator names per dimension with attaching spheres; always valid.
 
     ``generators[d]`` is the tuple of d-generator names in canonical order;
-    ``attach`` binds each generator of positive dimension to its sphere.
-    Use :meth:`make`, which validates the attaching spheres bottom-up, or
-    :meth:`extend`, which adds one generator to a validated computad.
-    Lookups by name go through dicts built once per computad.
-
-    Attributes outside the dataclass fields, so they take no part in
-    ``==``: ``_validated``, true on the computads :meth:`make` and
-    :meth:`extend` return, and the memo slots ``_op``
+    ``attach`` binds each generator of positive dimension to its sphere,
+    level by level in that order.  Interned on these two fields, so equal
+    computads are one object.  Other slots: the name tables ``_dims`` and
+    ``_spheres``, filled on first lookup, and the memos ``_op``
     (:func:`omegatt.metaops.op_computad` per dimension set), ``_susp``
     (:func:`omegatt.metaops.suspend_computad`) and ``_desusp``
     (:func:`omegatt.metaops.desuspend_computad`).
     """
 
+    __slots__ = ("generators", "attach", "_dims", "_spheres", "_op", "_susp", "_desusp")
+    __match_args__ = ("generators", "attach")
     generators: tuple[tuple[str, ...], ...]
     attach: tuple[tuple[str, Sphere], ...]
 
-    _validated = False
-    _op = None
-    _susp = None
-    _desusp = None
+    def __new__(cls, generators: Iterable[Iterable[str]], attach) -> "Computad":
+        return cls.make(generators, dict(attach))
 
     @staticmethod
-    def make(
-        generators_by_dim: Iterable[Iterable[str]],
-        attach: Mapping[str, Sphere],
-    ) -> "Computad":
-        """The validated computad on these generators and spheres: the same
-        object for equal data, validated by the first call only."""
+    def make(generators_by_dim: Iterable[Iterable[str]], attach: Mapping[str, Sphere]) -> "Computad":
+        """The computad on these generators and spheres, checked the first
+        time its data are seen: the same object for equal data."""
         return Computad.build(generators_by_dim, attach)[0]
 
     @staticmethod
@@ -221,9 +199,9 @@ class Computad:
         attach: Mapping[str, Sphere],
     ) -> tuple["Computad", bool]:
         """``(computad, created)``: what :meth:`make` returns, and whether
-        this call built and validated it (see
-        :func:`omegatt.hashcons.memoise`) rather than finding it among the
-        computads validated already."""
+        this call built and checked it (see :func:`omegatt.hashcons.memoise`)
+        rather than finding it interned.  The spheres are checked bottom-up,
+        each truncation interned once its level passes."""
         levels = [tuple(sorted(level, key=nat_key)) for level in generators_by_dim]
         while levels and not levels[-1]:
             levels.pop()
@@ -239,37 +217,45 @@ class Computad:
                 if v not in attach:
                     raise ValueError(f"generator {v!r} has no attaching sphere")
                 pairs.append((v, attach[v]))
-        key = (tuple(levels), tuple(pairs))
-        c = _VALIDATED.get(key)
+        if len(pairs) != len(attach):
+            attached = {v for v, _ in pairs}
+            stray = next(v for v in attach if v not in attached)
+            raise ValueError(f"sphere attached to {stray!r}, not a generator of positive dimension")
+        levels, pairs = tuple(levels), tuple(pairs)
+        c = _interned((levels, pairs))
         if c is not None:
             return c, False
-        c = Computad(*key)
-        for d in range(1, len(levels)):
-            lower = c.truncate(d - 1)
-            for v in levels[d]:
-                _check_attachment(lower, v, c.sphere_of(v), d)
-        _register(key, c)
+        c = Computad._intern((), ())
+        for d, level in enumerate(levels):
+            if level:
+                start = len(c.attach)
+                end = start + len(level) if d else 0
+                for v, sphere in pairs[start:end]:
+                    _check_attachment(c, v, sphere, d)
+                c = Computad._intern(levels[: d + 1], pairs[:end])
         return c, True
+
+    @classmethod
+    def _intern(cls, levels: tuple, pairs: tuple) -> "Computad":
+        """The computad on data known to be valid, in the form :meth:`make`
+        gives it: levels in canonical order with no empty last level, pairs
+        level by level."""
+        return cls._cons((levels, pairs), (levels, pairs, None, None, None, None, None))[0]
 
     def extend(self, name: str, sphere: Sphere | None) -> "Computad":
         """This computad with one more generator: a 0-generator when
         ``sphere`` is None, else one attached along ``sphere``.
 
-        When this computad came from :meth:`make` or :meth:`extend`, only
-        the new sphere is checked, against ``self.truncate(d - 1)``: typing
-        is monotone under adding generators, so the old spheres still
-        check and the result is the object :meth:`make` returns on the
-        same data, with the same error when the new sphere fails.  Any
-        other computad is validated whole."""
+        Only the new sphere is checked, against ``self.truncate(d - 1)``:
+        typing is monotone under adding generators, so the old spheres
+        still check and the result is the object :meth:`make` returns on
+        the same data, with the same error when the new sphere fails."""
+        if self.has_generator(name):
+            raise ValueError(f"duplicate generator name {name!r}")
         d = 0 if sphere is None else sphere.dim + 1
         levels = list(self.generators) + [()] * (d + 1 - len(self.generators))
-        if not self._validated or self.has_generator(name):
-            levels[d] += (name,)
-            attach = dict(self.attach) if sphere is None else {**dict(self.attach), name: sphere}
-            return Computad.make(levels, attach)
-        # a validated computad keeps each level sorted and its attaching
-        # pairs level by level, so the new name and pair go in by bisection
-        # and slicing instead of re-sorting every level through nat_key
+        # each level is sorted and the attaching pairs go level by level, so
+        # the new name and pair go in by bisection and slicing, with no sort
         level = levels[d]
         at = bisect.bisect_right(level, nat_key(name), key=nat_key)
         levels[d] = level[:at] + (name,) + level[at:]
@@ -277,18 +263,16 @@ class Computad:
         if sphere is not None:
             at += sum(map(len, levels[1:d]))
             pairs = pairs[:at] + ((name, sphere),) + pairs[at:]
-        key = (tuple(levels), pairs)
-        c = _VALIDATED.get(key)
+        levels = tuple(levels)
+        c = _interned((levels, pairs))
         if c is None:
             if sphere is not None:
                 _check_attachment(self.truncate(d - 1), name, sphere, d)
-            c = Computad(*key)
-            _register(key, c)
+            c = Computad._intern(levels, pairs)
         return c
 
-    def __reduce__(self):
-        # a copy or an unpickled computad is raw data: no memos, not trusted
-        return Computad, (self.generators, self.attach)
+    def __repr__(self) -> str:
+        return f"Computad(generators={self.generators!r}, attach={self.attach!r})"
 
     @property
     def bound(self) -> int:
@@ -298,46 +282,45 @@ class Computad:
     def generators_at(self, d: int) -> tuple[str, ...]:
         return self.generators[d] if 0 <= d <= self.bound else ()
 
-    @cached_property
-    def _dims(self) -> dict[str, int]:
-        return {v: d for d, level in enumerate(self.generators) for v in level}
-
-    @cached_property
-    def _spheres(self) -> dict[str, Sphere]:
-        return dict(self.attach)
+    def _names(self) -> dict[str, int]:
+        dims = self._dims
+        if dims is None:
+            dims = {v: d for d, level in enumerate(self.generators) for v in level}
+            remember(self, "_dims", dims)
+        return dims
 
     def has_generator(self, name: str) -> bool:
-        return name in self._dims
+        return name in self._names()
 
     def dim_of(self, name: str) -> int:
-        return self._dims[name]
+        return self._names()[name]
 
     def sphere_of(self, name: str) -> Sphere:
-        return self._spheres[name]
+        spheres = self._spheres
+        if spheres is None:
+            spheres = dict(self.attach)
+            remember(self, "_spheres", spheres)
+        return spheres[name]
 
     def var(self, name: str) -> Var:
         return Var(name, self.dim_of(name))
 
     def truncate(self, d: int) -> "Computad":
         """The generators up to dimension ``d``: this computad itself when
-        ``d`` reaches its bound, else a raw computad, never registered as
-        validated."""
+        ``d`` reaches its bound, else the interned truncation, sliced from
+        this computad's data (a truncation of a valid computad is valid)."""
         if d >= self.bound:
             return self
-        levels = self.generators[: d + 1]
-        keep = {v for level in levels for v in level}
-        return Computad(levels, tuple((k, s) for k, s in self.attach if k in keep))
+        levels = self.generators[: max(d + 1, 0)]
+        while levels and not levels[-1]:
+            levels = levels[:-1]
+        return Computad._intern(levels, self.attach[: sum(map(len, levels[1:]))])
 
 
-# The computads built by ``make`` and ``extend``, by their data: each was
-# validated once, and ``make`` on equal data returns it instead of checking
-# its spheres again.  Held weakly, like the term tables of hashcons.
-_VALIDATED: "weakref.WeakValueDictionary[tuple, Computad]" = weakref.WeakValueDictionary()
-
-
-def _register(key: tuple, c: Computad) -> None:
-    remember(c, "_validated", True)
-    _VALIDATED[key] = c
+def _interned(key: tuple) -> Computad | None:
+    """The live computad with data ``key``, if there is one."""
+    ref = Computad._table.get(key)
+    return None if ref is None else ref()
 
 
 def _check_attachment(lower: Computad, v: str, sphere: Sphere, d: int) -> None:
@@ -351,19 +334,28 @@ def _check_attachment(lower: Computad, v: str, sphere: Sphere, d: int) -> None:
         raise ValueError(f"attaching sphere of {v!r} is not parallel")
 
 
+def _disk_attachments(x: FiniteGlobularSet) -> tuple[tuple[str, Sphere], ...]:
+    """Each cell of ``x`` of positive dimension with the sphere of its two
+    boundary cells, level by level in the order of ``x``."""
+    return tuple([
+        (c, Sphere(Var(s, d - 1), Var(t, d - 1)))
+        for d in range(1, x.ndim + 1)
+        for (c, s), (_, t) in zip(x.srcs[d], x.tgts[d])
+    ])
+
+
 def free_computad(x: FiniteGlobularSet) -> Computad:
     """The computad with one generator per cell of ``x``, disk attachments."""
-    attach: dict[str, Sphere] = {}
-    for d in range(1, x.ndim + 1):
-        for (c, s), (_, t) in zip(x.srcs[d], x.tgts[d]):
-            attach[c] = Sphere(Var(s, d - 1), Var(t, d - 1))
-    return Computad.make([list(level) for level in x.cells], attach)
+    return Computad.make(x.cells, dict(_disk_attachments(x)))
 
 
 @lru_cache(maxsize=None)
 def pasting_computad(t: BataninTree) -> Computad:
-    """Free computad on the positions of a pasting scheme (cached)."""
-    return free_computad(positions(t).carrier)
+    """Free computad on the positions of a pasting scheme (cached).  The
+    positions are a valid globular set listed in canonical order, so their
+    free computad is interned as it stands, without :meth:`Computad.make`."""
+    x = positions(t).carrier
+    return Computad._intern(x.cells, _disk_attachments(x))
 
 
 def identity_sub(c: Computad) -> Substitution:
@@ -598,7 +590,7 @@ def is_well_typed(c: Computad, cell: CellTerm) -> bool:
 def typecheck_morphism(dom: Computad, cod: Computad, sigma: Substitution) -> None:
     """A morphism must bind every generator of ``dom`` to a cell of ``cod`` of
     the same dimension, compatibly with the attaching spheres."""
-    bound = sub_map(sigma)
+    bound = dict(sigma)
     for d in range(dom.bound + 1):
         for v in dom.generators_at(d):
             if v not in bound:

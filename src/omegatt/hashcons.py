@@ -101,7 +101,7 @@ def memoise(node, slot: str, key, value, created: bool) -> None:
     """Store ``value`` under ``key`` in the memo dict in ``node``'s
     ``slot``: strongly when ``created`` (the caller just built ``value``,
     so it is younger than ``node``), weakly otherwise.  ``node`` and
-    ``value`` are interned nodes, or validated computads."""
+    ``value`` are interned nodes (terms or computads)."""
     memo = getattr(node, slot)
     if memo is None:
         memo = {}

@@ -35,7 +35,6 @@ from .computads import (
     Var,
     keep_pair,
     map_vars,
-    sub_map,
 )
 from .globular import DimSet, canonical_dimset
 from .hashcons import memoise, recall
@@ -188,7 +187,7 @@ def unsuspend_sub(
         raise NotASuspension(
             path + ("tree",), f"scheme has {len(cell.tree.children)} branches, want 1"
         )
-    bound = sub_map(cell.sub)
+    bound = dict(cell.sub)
     if bound.get(BASE_MINUS) != base[0] or bound.get(BASE_PLUS) != base[1]:
         raise NotASuspension(path + ("sub",), "root sectors are not sent to the basepoints")
     return [(p, v) for p, v in cell.sub if p not in (BASE_MINUS, BASE_PLUS)]
@@ -295,10 +294,10 @@ def op_computad(w: DimSet, c: Computad) -> Computad:
     """The w-opposite of a computad: the same generators, each attaching
     sphere replaced by its opposite.  Memoised on ``c`` per dimension set
     like :func:`op_cell`: strongly only when this call built the result, so
-    ``c`` and its opposite never hold each other strongly.  The inverse
-    entry is never seeded: ``op_computad(w, op_computad(w, c)) is c`` holds
-    because the opposite of the opposite is built again and
-    :meth:`Computad.make` finds ``c`` among the validated computads."""
+    ``c`` and its opposite never hold each other strongly.  A new result
+    is checked through :meth:`Computad.build`.  The inverse entry is never
+    seeded: ``op_computad(w, op_computad(w, c)) is c`` holds because the
+    opposite of the opposite is built again and is ``c``, interned."""
     out = recall(c._op, w)
     if out is None:
         out, created = Computad.build(

@@ -22,7 +22,6 @@ from .computads import (
     Sphere,
     Var,
     boundaries,
-    substitution,
     template_sub,
 )
 from .metaops import BipointedComputad, rename_cell
@@ -89,17 +88,19 @@ def identity_cell(c: Computad, cell: CellTerm) -> CellTerm:
     and its iterated boundaries, with the degenerate full sphere on top."""
     n = cell.dim
     top = _disk_top(n)
-    sub: dict[str, CellTerm] = {top: cell}
-    _fill_disk(sub, "", boundaries(c, cell))
-    return Coh(disk_tree(n), Sphere(Var(top, n), Var(top, n)), substitution(sub))
+    sub = _disk_sub("", boundaries(c, cell), cell)
+    return Coh(disk_tree(n), Sphere(Var(top, n), Var(top, n)), tuple(sub))
 
 
-def _fill_disk(sub: dict[str, CellTerm], prefix: str, spheres: list[Sphere]) -> None:
-    """Bind the source and target sectors of a disk branch, dimension by
-    dimension from ``prefix`` up, to the cells of ``spheres``."""
+def _disk_sub(prefix: str, spheres: list[Sphere], top: CellTerm) -> list[tuple[str, CellTerm]]:
+    """The bindings of a disk branch at ``prefix`` in canonical order: the
+    source and target sectors of each dimension, bound to the cells of
+    ``spheres``, then the top sector, bound to ``top``."""
+    sub = []
     for d, sphere in enumerate(spheres):
-        sub[prefix + "1." * d + "0"] = sphere.src
-        sub[prefix + "1." * d + "1"] = sphere.tgt
+        sub += [(f"{prefix}{'1.' * d}0", sphere.src), (f"{prefix}{'1.' * d}1", sphere.tgt)]
+    sub.append((prefix + _disk_top(len(spheres)), top))
+    return sub
 
 
 @dataclass(unsafe_hash=True)
@@ -121,17 +122,16 @@ def compose(c: Computad, x: CellTerm, k: int, y: CellTerm) -> CellTerm:
     xs, ys = boundaries(c, x), boundaries(c, y)
     if xs[k].tgt != ys[k].src:
         raise BoundaryMismatch(k, "k-target of the first is not the k-source of the second")
-    sub: dict[str, CellTerm] = {}
-    _fill_disk(sub, "", xs[:k])
-    sub["1." * k + "0"] = xs[k].src
-    sub["1." * k + "1"] = xs[k].tgt
-    sub["1." * k + "2"] = ys[k].tgt
-    for i, cell, spheres in ((1, x, xs), (2, y, ys)):
-        prefix = "1." * k + f"{i}."
-        _fill_disk(sub, prefix, spheres[k + 1 :])
-        sub[prefix + "1." * (cell.dim - k - 1) + "0"] = cell
+    # canonical order: the sectors below dimension k and the k-source,
+    # then for each cell its k-target sector and its own branch
+    middle = "1." * k
+    sub = _disk_sub("", xs[:k], xs[k].src)
+    sub.append((middle + "1", xs[k].tgt))
+    sub += _disk_sub(middle + "1.", xs[k + 1 :], x)
+    sub.append((middle + "2", ys[k].tgt))
+    sub += _disk_sub(middle + "2.", ys[k + 1 :], y)
     template = comp_cell(n, k, m)
-    return Coh(template.tree, template.sphere, substitution(sub))
+    return Coh(template.tree, template.sphere, tuple(sub))
 
 
 def eh_computad() -> BipointedComputad:

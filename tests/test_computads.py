@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given
 
 from conftest import trees
-from omegatt import computads
 from omegatt.computads import (
     Coh,
     Computad,
@@ -33,7 +32,6 @@ from omegatt.computads import (
     is_well_typed,
     parallel,
     pasting_computad,
-    sub_get,
     substitution,
     support,
     typecheck_cell,
@@ -41,7 +39,8 @@ from omegatt.computads import (
 )
 from omegatt.globular import dimset
 from omegatt.metaops import op_computad, suspend_computad
-from omegatt.trees import br, comp_tree, disk_tree, pos_dim, positions
+from omegatt.oplib import eh_computad
+from omegatt.trees import all_trees, br, comp_tree, disk_tree, pos_dim, positions
 
 TWO_ARROWS = comp_tree(1, 0, 1)
 
@@ -100,10 +99,27 @@ class TestComputadMake:
         c = Computad.make([["b", "a", "a.10", "a.2"]], {})
         assert c.generators_at(0) == ("a", "a.2", "a.10", "b")
 
+    def test_rejects_a_sphere_on_no_generator_of_positive_dimension(self):
+        arrow = Sphere(Var("x", 0), Var("y", 0))
+        with pytest.raises(ValueError, match="sphere attached to 'zz'"):
+            Computad.make([["x", "y"]], {"zz": arrow})
+        with pytest.raises(ValueError, match="sphere attached to 'x'"):
+            Computad.make([["x", "y"], ["f"]], {"f": arrow, "x": arrow})
+        obj = computad_to_json(walking_composite())
+        obj["attach"]["h"] = obj["attach"]["g"]
+        with pytest.raises(ValueError, match="sphere attached to 'h'"):
+            computad_from_json(obj)
+
     def test_truncate(self):
         c = walking_composite()
         assert c.truncate(0).generators == (("x", "y", "z"),)
-        assert c.truncate(5) == c
+        assert c.truncate(0) is Computad.make([["x", "y", "z"]], {})
+        assert c.truncate(-1) is Computad.make([], {})
+        assert c.truncate(5) is c
+        # an empty level below the cut is dropped, as make drops it
+        gap = eh_computad().computad
+        assert gap.generators == (("x",), (), ("a", "b"))
+        assert gap.truncate(1) is Computad.make([["x"]], {})
 
 
 class TestValidateOnce:
@@ -123,44 +139,40 @@ class TestValidateOnce:
             (("x", "y", "z"), ("f", "g"), ("q",)),
             (*c.attach, ("q", attach["q"])),
         )
-        assert key not in computads._VALIDATED
+        assert key not in Computad._table
 
-    def test_raw_computad_is_not_trusted(self):
+    def test_constructor_is_make(self):
         c = walking_composite()
         bad = Sphere(Var("f", 1), Var("g", 1))
-        raw = Computad(c.generators + (("q",),), c.attach + (("q", bad),))
         with pytest.raises(ValueError, match="not parallel"):
-            Computad.make([list(level) for level in raw.generators], dict(raw.attach))
-        with pytest.raises(ValueError, match="not parallel"):
-            raw.extend("r", Sphere(Var("q", 2), Var("q", 2)))
-        # a raw copy of a valid computad is not the validated object either
-        twin = Computad(c.generators, c.attach)
-        assert twin == c and twin is not c and not twin._validated
-        assert Computad.make([list(level) for level in twin.generators], dict(twin.attach)) is c
+            Computad(c.generators + (("q",),), c.attach + (("q", bad),))
+        assert Computad(c.generators, c.attach) is c
+        assert Computad([["z", "y", "x"], ["g", "f"]], dict(c.attach)) is c
 
-    def test_copies_are_raw_data(self):
+    def test_copies_are_the_interned_object(self):
         c = op_computad(dimset([1]), walking_composite())
-        suspend_computad(c)
-        for again in (copy.copy(c), pickle.loads(pickle.dumps(c))):
-            assert again == c and again is not c
-            assert not again._validated and again._op is None and again._susp is None
-            assert Computad.make([list(level) for level in again.generators], dict(again.attach)) is c
+        up = suspend_computad(c).computad
+        for again in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            assert again is c and suspend_computad(again).computad is up
 
     def test_extend_step_by_step_is_the_batch_make(self):
         c = walking_composite()
         partial = Computad.make([], {})
         for name in ("y", "x", "f", "z", "g"):
-            partial = partial.extend(name, c._spheres.get(name))
+            partial = partial.extend(name, dict(c.attach).get(name))
         assert partial is c
 
-    @given(trees(5))
-    def test_extend_rebuilds_pasting_computads(self, t):
-        pc = pasting_computad(t)
-        partial = Computad.make([], {})
-        for d in range(pc.bound + 1):
-            for name in reversed(pc.generators_at(d)):
-                partial = partial.extend(name, pc.sphere_of(name) if d else None)
-        assert partial is pc
+    def test_extend_rebuilds_pasting_computads(self):
+        # make and extend check every sphere: the independent check of the
+        # pasting computads, which are interned without those checks
+        for t in all_trees(7):
+            pc = pasting_computad(t)
+            assert free_computad(positions(t).carrier) is pc
+            partial = Computad.make([], {})
+            for d in range(pc.bound + 1):
+                for name in reversed(pc.generators_at(d)):
+                    partial = partial.extend(name, pc.sphere_of(name) if d else None)
+            assert partial is pc
 
     def test_extend_reports_what_make_reports(self):
         c = walking_composite()
@@ -310,13 +322,13 @@ class TestMorphisms:
         )
         moved = apply_morphism(swap, fg)
         assert moved.sphere == fg.sphere  # scheme-internal, untouched
-        assert sub_get(moved.sub, "1.0") == c.var("g")
+        assert dict(moved.sub)["1.0"] == c.var("g")
 
     def test_compose_morphisms(self):
         c = walking_composite()
         sigma = substitution({"x": c.var("y")})
         tau = substitution({"y": c.var("z")})
-        assert sub_get(compose_morphisms(tau, sigma), "x") == c.var("z")
+        assert dict(compose_morphisms(tau, sigma))["x"] == c.var("z")
 
     def test_typecheck_morphism_rejects_wrong_boundary(self):
         c = walking_composite()
@@ -372,7 +384,7 @@ class TestJson:
 
     def test_computad_round_trip(self):
         c = walking_composite()
-        assert computad_from_json(computad_to_json(c)) == c
+        assert computad_from_json(computad_to_json(c)) is c
 
     def test_permuted_substitution_decodes_to_the_same_cell(self):
         c = walking_composite()

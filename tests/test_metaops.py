@@ -301,10 +301,11 @@ class TestComputadMemos:
 
 
 def test_prefix_renamings_keep_the_canonical_order():
-    up = [suspend_cell(cell) for _, cell in cell_corpus()] + [
-        suspend_cell(cell) for cell in loop_corpus()
-    ]
-    for term in up + [desuspend_cell(cell) for cell in up]:
+    # the corpus cells are built by compose and identity_cell, which list
+    # their bindings in canonical order without sorting them
+    cells = [cell for _, cell in cell_corpus()] + loop_corpus()
+    up = [suspend_cell(cell) for cell in cells]
+    for term in cells + up + [desuspend_cell(cell) for cell in up]:
         for node in coh_nodes(term):
             assert node.sub == substitution(node.sub)
 

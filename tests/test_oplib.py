@@ -12,7 +12,6 @@ from omegatt.computads import (
     identity_sub,
     is_well_typed,
     pasting_computad,
-    sub_get,
 )
 from omegatt.oplib import (
     BoundaryMismatch,
@@ -88,7 +87,7 @@ class TestIdentityCell:
     def test_identity_sub_fills_the_disk(self):
         c = eh_computad().computad
         cell = identity_cell(c, c.var("a"))
-        assert sub_get(cell.sub, "1.1.0") == c.var("a")
+        assert dict(cell.sub)["1.1.0"] == c.var("a")
 
 
 class TestCompose:
