@@ -9,6 +9,8 @@ Exit status is 0 on success, 1 when a check fails, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
+import io
 import json
 import sys
 
@@ -32,6 +34,7 @@ from .oplib import comp_cell, eh_computad, identity_cell
 from .surface import (
     ElabCell,
     ElabDocument,
+    SourceLocation,
     SurfaceError,
     cell_text,
     computad_text,
@@ -46,8 +49,16 @@ def _fail(message: str) -> int:
 
 
 def _load(path: str) -> ElabDocument:
-    with open(path, encoding="utf-8") as handle:
-        return load_document(handle.read())
+    """Elaborate a UTF-8 file; as in text mode, any line ending reads as a newline."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:  # located at the first bad byte
+        before = io.StringIO(data[: err.start].decode("utf-8"), newline=None).read()
+        where = SourceLocation(before.count("\n") + 1, len(before) - before.rfind("\n"))
+        raise SurfaceError(where, "not UTF-8 text") from None
+    return load_document(io.StringIO(text, newline=None).read())
 
 
 def _resolve(doc: ElabDocument, name: str) -> ElabCell:
@@ -271,9 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged, and
+    its ``prog`` and ``run`` defaults are fixed, so reuse changes no output."""
+    return build_parser()
+
+
 def run_cli(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except OSError as err:

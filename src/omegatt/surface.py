@@ -21,8 +21,9 @@ position names; printing is deterministic and re-parses to the same terms.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .computads import (
     CellTerm,
@@ -46,8 +47,7 @@ from .trees import BataninTree, pos_dim, positions, sorted_positions
 POSITION_ALIASES = {0: "xyzuvw", 1: "fghkl", 2: "abcde"}
 
 
-@dataclass(frozen=True)
-class SourceLocation:
+class SourceLocation(NamedTuple):
     line: int
     col: int
 
@@ -67,12 +67,7 @@ class SurfaceError(Exception):
 # ---------------------------------------------------------------------------
 # lexer
 
-_PUNCT2 = ("=>", "->")
-_PUNCT1 = "{}[](),;:*="
-
-
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | name | num | pos | punct | eof
     text: str
     location: SourceLocation
@@ -81,61 +76,44 @@ class Token:
 KEYWORDS = frozenset(
     {"computad", "let", "coh", "comp", "id", "susp", "op", "homfactor"}
 )
+WORDS = ("ident", "name", "num", "pos")  # the kinds of a word token
+
+# One match per item: blanks, then a newline, a comment, a punctuation mark,
+# a word (dotted segments of word characters, e.g. an identifier, a number,
+# a position path 1.2.0 or a suspended name 1.x) or a stray character.
+# The search stops before trailing blanks, so every other blank starts a match.
+_TOKEN = re.compile(r"[ \t\r]*(?:(\n)|(#[^\n]*)|(=>|->|[{}\[\](),;:*=])|(\w+(?:\.\w+)*)|(.))")
+_NEWLINE, _COMMENT, _PUNCT, _WORD = 1, 2, 3, 4
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, ending in an eof token.  Columns count
+    characters from 1; a comment does not advance the column, so the eof
+    token after a trailing comment sits where the comment starts."""
     tokens: list[Token] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-
-    def here() -> SourceLocation:
-        return SourceLocation(line, col)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line, col, i = line + 1, 1, i + 1
-            continue
-        if ch in " \t\r":
-            col, i = col + 1, i + 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        loc = here()
-        if text.startswith(_PUNCT2[0], i) or text.startswith(_PUNCT2[1], i):
-            tokens.append(Token("punct", text[i : i + 2], loc))
-            col, i = col + 2, i + 2
-            continue
-        if ch in _PUNCT1:
-            tokens.append(Token("punct", ch, loc))
-            col, i = col + 1, i + 1
-            continue
-        if ch.isalnum() or ch == "_":
-            # a word: dotted segments of [A-Za-z0-9_], e.g. an identifier, a
-            # number, a position path 1.2.0, or a suspended name like 1.x
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            dotted = False
-            while j + 1 < n and text[j] == "." and (text[j + 1].isalnum() or text[j + 1] == "_"):
-                dotted = True
-                j += 1
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-            word = text[i:j]
-            if all(seg.isdigit() for seg in word.split(".")):
-                kind = "pos" if dotted else "num"
-            elif dotted:
-                kind = "name"
+    append = tokens.append
+    new = tuple.__new__  # builds a token or location without a Python frame
+    line, before_line = 1, -1  # before_line: offset of the newline that opened the line
+    match = None
+    for match in _TOKEN.finditer(text, 0, len(text.rstrip(" \t\r"))):
+        group = match.lastindex
+        if group >= _PUNCT:  # a token or a stray character
+            item = match[group]
+            location = new(SourceLocation, (line, match.start(group) - before_line))
+            if group == _PUNCT:
+                kind = "punct"
+            elif group == _WORD:
+                if "." in item:
+                    kind = "pos" if item.replace(".", "").isdigit() else "name"
+                else:
+                    kind = "num" if item.isdigit() else "ident"
             else:
-                kind = "ident"
-            tokens.append(Token(kind, word, loc))
-            col, i = col + (j - i), j
-            continue
-        raise SurfaceError(loc, f"unexpected character {ch!r}")
-    tokens.append(Token("eof", "", here()))
+                raise SurfaceError(location, f"unexpected character {item!r}")
+            append(new(Token, (kind, item, location)))
+        elif group == _NEWLINE:
+            line, before_line = line + 1, match.end() - 1
+    end = match.start(_COMMENT) if match is not None and match.lastindex == _COMMENT else len(text)
+    append(new(Token, ("eof", "", new(SourceLocation, (line, end - before_line)))))
     return tokens
 
 
@@ -219,8 +197,8 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]  # the eof token ends the list and is never consumed
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -229,13 +207,14 @@ class _Parser:
         return tok
 
     def expect(self, text: str) -> Token:
-        tok = self.next()
-        if tok.text != text:
+        tok = self.tokens[self.pos]
+        if tok.text != text:  # never the eof token, whose text is empty
             raise SurfaceError(tok.location, f"expected {text!r}, found {tok.text or 'end of input'!r}")
+        self.pos += 1
         return tok
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text
+        return self.tokens[self.pos].text == text
 
     # --- grammar ---
 
@@ -286,7 +265,7 @@ class _Parser:
     def ident(self, what: str) -> str:
         return self.word(what, ("ident",))
 
-    def word(self, what: str, kinds: tuple[str, ...] = ("ident", "name", "num", "pos")) -> str:
+    def word(self, what: str, kinds: tuple[str, ...] = WORDS) -> str:
         tok = self.next()
         if tok.kind not in kinds or tok.text in KEYWORDS:
             raise SurfaceError(tok.location, f"expected {what}, found {tok.text or 'end of input'!r}")
@@ -294,6 +273,9 @@ class _Parser:
 
     def cell_expr(self) -> CellExpr:
         tok = self.peek()
+        if tok.kind in WORDS and tok.text not in KEYWORDS:
+            self.next()
+            return RefExpr(tok.text, tok.location)
         if tok.text == "coh":
             return self.coh_expr()
         if tok.text == "comp":
@@ -316,9 +298,6 @@ class _Parser:
             arg = self.cell_expr()
             self.expect(")")
             return OpExpr(tuple(dims), arg, tok.location)
-        if tok.kind in ("ident", "name", "num", "pos") and tok.text not in KEYWORDS:
-            self.next()
-            return RefExpr(tok.text, tok.location)
         raise SurfaceError(tok.location, f"expected a cell expression, found {tok.text or 'end of input'!r}")
 
     def coh_expr(self) -> CohExpr:
@@ -355,9 +334,12 @@ class _Parser:
 
     def number(self, what: str) -> int:
         tok = self.next()
-        if tok.kind != "num":
-            raise SurfaceError(tok.location, f"expected {what} (a number), found {tok.text!r}")
-        return int(tok.text)
+        if tok.kind == "num":
+            try:
+                return int(tok.text)
+            except ValueError:  # a digit that int() does not read, such as '²'
+                pass
+        raise SurfaceError(tok.location, f"expected {what} (a number), found {tok.text!r}")
 
     def tree_literal(self) -> BataninTree:
         self.expect("[")
@@ -370,38 +352,29 @@ class _Parser:
         self.expect("]")
         return BataninTree(tuple(children))
 
-    def _entries_ahead(self) -> bool:
-        return (
-            self.peek().kind in ("ident", "name", "num", "pos")
-            and self.peek(1).text == "=>"
-        )
-
-    def _entry_list(self) -> tuple[tuple[str, CellExpr, SourceLocation], ...]:
-        entries = [self._entry()]
-        while self.at(","):
-            self.next()
-            entries.append(self._entry())
-        return tuple(entries)
-
     def _entry(self) -> tuple[str, CellExpr, SourceLocation]:
         tok = self.next()
-        if tok.kind not in ("ident", "name", "num", "pos"):
+        if tok.kind not in WORDS:
             raise SurfaceError(tok.location, f"expected a position, found {tok.text!r}")
         self.expect("=>")
         return tok.text, self.cell_expr(), tok.location
 
-    def substitution_entries(
-        self,
-    ) -> tuple[tuple[str, CellExpr, SourceLocation], ...] | None:
+    def substitution_entries(self) -> tuple[tuple[str, CellExpr, SourceLocation], ...] | None:
+        """``[p => cell, ...]`` or ``[]``; None, having read only the ``[``,
+        when the bracket holds plain cells."""
         self.expect("[")
         if self.at("]"):
             self.next()
             return ()
-        if not self._entries_ahead():
+        # a word is never the last token, so the one after it exists
+        if not (self.peek().kind in WORDS and self.tokens[self.pos + 1].text == "=>"):
             return None
-        entries = self._entry_list()
+        entries = [self._entry()]
+        while self.at(","):
+            self.next()
+            entries.append(self._entry())
         self.expect("]")
-        return entries
+        return tuple(entries)
 
 
 def parse(text: str) -> SourceFile:

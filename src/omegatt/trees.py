@@ -93,15 +93,22 @@ def suspend_tree(t: BataninTree) -> BataninTree:
     return br(t)
 
 
+# The largest n and m of a composite: a mistyped number is an error, not a
+# disk that high.  Above about 350, templates still exceed the recursion limit.
+MAX_COMP_DIM = 1000
+
+
 def comp_tree(n: int, k: int, m: int) -> BataninTree:
     """The scheme for composing an n-cell with an m-cell along a k-cell.
 
-    Requires 0 <= k < min(n, m).  For k = 0 this is two branches, the
-    disks of heights n-1 and m-1 side by side; higher k wraps that in k
-    more unary levels.
+    Requires 0 <= k < min(n, m) and max(n, m) <= MAX_COMP_DIM.  For k = 0
+    this is two branches, the disks of heights n-1 and m-1 side by side;
+    higher k wraps that in k more unary levels.
     """
-    if not (0 <= k < min(n, m)):
-        raise ValueError(f"comp_tree: need 0 <= k < min(n, m), got ({n}, {k}, {m})")
+    if not (0 <= k < min(n, m) and max(n, m) <= MAX_COMP_DIM):
+        raise ValueError(
+            f"comp_tree: need 0 <= k < min(n, m) and max(n, m) <= {MAX_COMP_DIM}, got ({n}, {k}, {m})"
+        )
     if k == 0:
         return br(disk_tree(n - 1), disk_tree(m - 1))
     return br(comp_tree(n - 1, k - 1, m - 1))

@@ -8,12 +8,14 @@ from pathlib import Path
 
 import pytest
 
+from omegatt import cli
 from omegatt.cli import run_cli
 from omegatt.computads import TypecheckError
 from omegatt.homcat import HomFactorError
 from omegatt.metaops import NotASuspension
 from omegatt.oplib import BoundaryMismatch
 from omegatt.surface import SourceLocation, SurfaceError
+from omegatt.trees import MAX_COMP_DIM
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
@@ -132,6 +134,34 @@ class TestExitCodes:
         assert code == 1
         assert err == f"{source}:1:55: position 0 is assigned twice\n"
 
+    def test_digit_that_int_does_not_read_is_check_error(self, capsys, tmp_path):
+        source = tmp_path / "sup.ctt"
+        source.write_text("computad c { x : * ; f : x -> x ; }\nlet a = comp(²,0,1)[f, f]\n", encoding="utf-8")
+        assert invoke(capsys, "check", str(source)) == (1, "", f"{source}:2:14: expected n (a number), found '²'\n")
+
+    def test_comp_beyond_the_bound(self, capsys, tmp_path):
+        source = tmp_path / "huge.ctt"
+        source.write_text("let t = comp(99999999999999999999999,0,1)[]\n")
+        code, _, err = invoke(capsys, "check", str(source))
+        assert code == 1
+        assert err.startswith(f"{source}:1:9: comp_tree: ")
+        code, _, err = invoke(capsys, "comp", "99999999999", "0", "1")
+        assert code == 2
+        assert f"max(n, m) <= {MAX_COMP_DIM}" in err
+
+    @pytest.mark.parametrize(
+        "data,where",
+        [
+            (b"\xff\xfe x", "1:1"),
+            # lines end in CRLF and a lone CR, as a text-mode read sees them
+            ("computad c {\r\n x : * ;\r}\n# é\nlet q = ".encode() + b"\xe9\n", "5:9"),
+        ],
+    )
+    def test_file_that_is_not_utf8_is_check_error(self, capsys, tmp_path, data, where):
+        source = tmp_path / "bytes.ctt"
+        source.write_bytes(data)
+        assert invoke(capsys, "check", str(source)) == (1, "", f"{source}:{where}: not UTF-8 text\n")
+
     def test_hom_checks_endpoints(self, capsys):
         code, _, err = invoke(
             capsys, "hom", "--src", "x", "--tgt", "y", "factor", "fg", "samples/comp101.ctt"
@@ -226,3 +256,35 @@ class TestLawsVerb:
             script.main(list(argv))
         assert err.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    """The argument parser is built once per process, and each call through
+    it prints exactly what a fresh parser would: usage errors before and
+    after a good verb, and a rejected bound."""
+    calls = [("comp", "1", "0"), ("check", "samples/comp101.ctt"), ("comp", "1", "0"), ("laws", "--max-nodes", "0")]
+
+    def outcome(argv):
+        try:
+            code = run_cli(list(argv))
+        except SystemExit as exit:
+            code = exit.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    with monkeypatch.context() as fresh_parsers:
+        fresh_parsers.setattr(cli, "_parser", cli.build_parser)
+        fresh = [outcome(argv) for argv in calls]
+    assert [code for code, _, _ in fresh] == [2, 0, 2, 2]
+
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    assert [outcome(argv) for argv in calls] == fresh
+    assert len(built) == 1

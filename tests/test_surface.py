@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
-import pytest
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import char_lexer
 from omegatt import computads
 from omegatt.computads import Coh, Var, identity_sub, pasting_computad
 from omegatt.globular import dimset
 from omegatt.metaops import op_cell, suspend_cell
 from omegatt.oplib import comp_cell, compose, eh_computad, identity_cell
 from omegatt.surface import (
+    SourceLocation,
     SurfaceError,
     cell_text,
     computad_text,
@@ -18,6 +24,9 @@ from omegatt.surface import (
     parse,
     tokenize,
 )
+from omegatt.trees import MAX_COMP_DIM
+
+ROOT = Path(__file__).resolve().parents[1]
 
 EH_SOURCE = """
 computad eh {
@@ -62,6 +71,81 @@ class TestLexer:
         with pytest.raises(SurfaceError) as err:
             tokenize("x @ y")
         assert err.value.location.col == 3
+
+
+def lexed(text: str, lexer=tokenize):
+    """Every token as (kind, text, line, col), or the error's location and
+    message."""
+    try:
+        return [(t.kind, t.text, t.location.line, t.location.col) for t in lexer(text)]
+    except SurfaceError as err:
+        return ("error", err.location.line, err.location.col, err.message)
+
+
+# pieces of .ctt text, malformed ones included: blanks, line ends, comments,
+# every punctuation mark, dotted words, trailing dots, non-ASCII letters and
+# digits (² is a digit that int() does not read, ١ one that it does), and
+# characters that are no token
+FRAGMENTS = [
+    " ", "\t", "\r", "\n", "\r\n", "# note", "#", "#x\n",
+    "=>", "->", "=", "-", ">", "{", "}", "[", "]", "(", ")", ",", ";", ":", "*",
+    ".", "x", "fg", "_", "let", "comp", "0", "12", "1.0", "1.2.0", "1.x", "a.b", "1.", "x..y",
+    "é", "²", "١", "1.²", "@", "?", "\x0b", "\u2028",
+]
+ODD_CHARS = " \t\r\n#=->{}[](),;:*._x1é²١@"
+
+
+class TestLexerAgainstReference:
+    """``tokenize`` gives the tokens, locations and errors of the
+    character-by-character lexer in ``char_lexer``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(st.sampled_from(FRAGMENTS), max_size=14).map("".join),
+        st.sampled_from(["", " ", "\t\r", "\n", "# trailing comment", "  # c", "\n# c", "1."]),
+    )
+    def test_fragments(self, body, tail):
+        text = body + tail
+        assert lexed(text) == lexed(text, char_lexer.tokenize)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet=ODD_CHARS, max_size=20))
+    def test_characters(self, text):
+        assert lexed(text) == lexed(text, char_lexer.tokenize)
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted((ROOT / "samples").glob("*.ctt")) + sorted((ROOT / "tests" / "golden").glob("*.ctt")),
+        ids=lambda path: path.name,
+    )
+    def test_sample_files(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert lexed(text) == lexed(text, char_lexer.tokenize)
+
+
+class TestNumbers:
+    def test_digit_that_int_does_not_read_is_located(self):
+        with pytest.raises(SurfaceError) as err:
+            load_document(WALKING_SOURCE + "let a = comp(²,0,1)[f, g]")
+        assert err.value.location == SourceLocation(7, 14)
+        assert err.value.message == "expected n (a number), found '²'"
+
+    def test_dimension_that_int_does_not_read_is_located(self):
+        with pytest.raises(SurfaceError) as err:
+            load_document(WALKING_SOURCE + "let a = op{²}(f)")
+        assert err.value.location == SourceLocation(7, 12)
+        assert err.value.message == "expected a dimension (a number), found '²'"
+
+    def test_decimal_digits_of_any_script_are_numbers(self):
+        doc = load_document(WALKING_SOURCE + "let a = comp(١,0,١)[f, g]\nlet b = comp(1,0,1)[f, g]")
+        cells = dict(doc.cells)
+        assert cells["a"].term == cells["b"].term
+
+    def test_comp_beyond_the_bound_is_located(self):
+        with pytest.raises(SurfaceError) as err:
+            load_document(f"let t = comp({MAX_COMP_DIM + 1},0,1)[]")
+        assert err.value.location == SourceLocation(1, 9)
+        assert f"max(n, m) <= {MAX_COMP_DIM}" in err.value.message
 
 
 class TestParseErrors:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import dimsets, trees
 from omegatt.globular import dimset, op_glob_bipointed, suspend_glob, wedge
 from omegatt.trees import (
+    MAX_COMP_DIM,
     BataninTree,
     boundary_tree,
     br,
@@ -93,6 +94,11 @@ class TestCompTree:
             comp_tree(1, 1, 1)
         with pytest.raises(ValueError):
             comp_tree(0, 0, 1)
+        with pytest.raises(ValueError, match=f"max\\(n, m\\) <= {MAX_COMP_DIM}"):
+            comp_tree(1, 0, MAX_COMP_DIM + 1)
+
+    def test_dimension_bound_is_inclusive(self):
+        assert comp_tree(MAX_COMP_DIM, 0, 1) == br(disk_tree(MAX_COMP_DIM - 1), br())
 
 
 class TestPositions:
