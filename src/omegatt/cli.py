@@ -18,7 +18,7 @@ from .computads import boundary_at, is_well_typed
 from .export import document_to_dot, document_to_json
 from .globular import DimSet, dimset
 from .homcat import hom_factor, op_homcell
-from .laws import format_reports, run_laws
+from .laws import format_reports, reports_to_json, timed_laws
 from .metaops import (
     BipointedComputad,
     NotASuspension,
@@ -216,8 +216,9 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_laws(args: argparse.Namespace) -> int:
-    reports = run_laws(max_nodes=args.max_nodes, dims_upto=args.dims_upto)
-    print(format_reports(reports))
+    timed = timed_laws(max_nodes=args.max_nodes, dims_upto=args.dims_upto)
+    reports = [report for report, _ in timed]
+    print(json.dumps(reports_to_json(timed), indent=2) if args.json else format_reports(reports))
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -277,6 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("laws", help="run the law harness on enumerated instances")
     p.add_argument("--max-nodes", type=_at_least(1), default=5)
     p.add_argument("--dims-upto", type=_at_least(0), default=3)
+    p.add_argument(
+        "--json", action="store_true", help="print each family's checks, failures and seconds as JSON"
+    )
     p.set_defaults(run=cmd_laws)
 
     return parser

@@ -21,10 +21,13 @@ O(1).  A term is therefore a DAG: a subterm that recurs is stored once.
 Pure traversals are memoised on the node they start from, and each memo
 lives as long as its node: the boundary of a coherence
 (:func:`cell_boundary`), :func:`cell_key`, and in :mod:`omegatt.metaops`
-the opposite per dimension set.  Traversals whose result depends on more
+the opposite per dimension set.  A traversal whose result depends on a
+computad as well is memoised on the computad: :func:`typecheck_cell`
+records the cells that passed, and :mod:`omegatt.homcat` keeps its hom
+factorizations there.  The other traversals whose result depends on more
 than the node (:func:`apply_morphism` and :func:`map_vars`,
-:func:`counit_eval`, :func:`support`, :func:`typecheck_cell`) keep a memo
-for one call, so they visit each node of the DAG once.  Maps that keep the
+:func:`counit_eval`, :func:`support`) keep a memo for one call, so they
+visit each node of the DAG once.  Maps that keep the
 keys of a substitution (:func:`map_values`) keep its canonical order and
 do not re-sort it; :func:`substitution` sorts, for callers that rename keys.
 
@@ -133,7 +136,8 @@ class Coh(HashConsed):
     """A coherence cell: scheme, full sphere over the scheme, substitution.
 
     Interned like every term node.  Memo slots: ``_op`` (:func:`op_cell`
-    per dimension set), ``_boundary`` (:func:`cell_boundary`, which for a
+    per dimension set, or :func:`omegatt.homcat.op_homcell` for a hom
+    cell), ``_boundary`` (:func:`cell_boundary`, which for a
     coherence does not depend on the ambient computad) and ``_key``
     (:func:`cell_key`).
     """
@@ -175,11 +179,16 @@ class Computad(HashConsed):
     computads are one object.  Other slots: the name tables ``_dims`` and
     ``_spheres``, filled on first lookup, and the memos ``_op``
     (:func:`omegatt.metaops.op_computad` per dimension set), ``_susp``
-    (:func:`omegatt.metaops.suspend_computad`) and ``_desusp``
-    (:func:`omegatt.metaops.desuspend_computad`).
+    (:func:`omegatt.metaops.suspend_computad`), ``_desusp``
+    (:func:`omegatt.metaops.desuspend_computad`), ``_hom``
+    (:func:`omegatt.homcat.hom_factor` and
+    :func:`omegatt.homcat.hom_realize` per basepoint pair) and
+    ``_passed`` (the cells that passed :func:`typecheck_cell` over it).
     """
 
-    __slots__ = ("generators", "attach", "_dims", "_spheres", "_op", "_susp", "_desusp")
+    __slots__ = (
+        "generators", "attach", "_dims", "_spheres", "_op", "_susp", "_desusp", "_hom", "_passed"
+    )
     __match_args__ = ("generators", "attach")
     generators: tuple[tuple[str, ...], ...]
     attach: tuple[tuple[str, Sphere], ...]
@@ -240,7 +249,7 @@ class Computad(HashConsed):
         """The computad on data known to be valid, in the form :meth:`make`
         gives it: levels in canonical order with no empty last level, pairs
         level by level."""
-        return cls._cons((levels, pairs), (levels, pairs, None, None, None, None, None))[0]
+        return cls._cons((levels, pairs), (levels, pairs) + (None,) * 7)[0]
 
     def extend(self, name: str, sphere: Sphere | None) -> "Computad":
         """This computad with one more generator: a 0-generator when
@@ -512,12 +521,15 @@ class TypecheckError(Exception):
 def typecheck_cell(c: Computad, cell: CellTerm, path: tuple[str, ...] = ()) -> None:
     """Validate a cell against a computad; raises TypecheckError on failure.
 
-    Within one call each coherence node is checked once per computad: a
-    check that passed passes again wherever the node recurs in the DAG."""
-    _typecheck(c, cell, path, set())
+    Each coherence node that passes over a computad is recorded in the
+    computad's ``_passed`` set, so it is checked once for as long as the
+    computad lives, wherever it recurs in the DAG and in later calls.  A
+    failure is not recorded: a bad cell raises the same error, at the same
+    path, on every call."""
+    _typecheck(c, cell, path)
 
 
-def _typecheck(c: Computad, cell: CellTerm, path: tuple[str, ...], passed: set) -> None:
+def _typecheck(c: Computad, cell: CellTerm, path: tuple[str, ...]) -> None:
     if isinstance(cell, Var):
         if not c.has_generator(cell.name):
             raise TypecheckError("UnknownGenerator", path, f"no generator named {cell.name!r}")
@@ -529,8 +541,11 @@ def _typecheck(c: Computad, cell: CellTerm, path: tuple[str, ...], passed: set) 
                 f"generator {cell.name!r} has dimension {d}, used at {cell.dim}",
             )
         return
-    done = (id(c), cell)
-    if done in passed:
+    passed = c._passed
+    if passed is None:
+        passed = set()
+        remember(c, "_passed", passed)
+    elif cell in passed:
         return
     if dim_tree(cell.tree) > cell.dim:
         raise TypecheckError(
@@ -539,8 +554,8 @@ def _typecheck(c: Computad, cell: CellTerm, path: tuple[str, ...], passed: set) 
             f"scheme of dimension {dim_tree(cell.tree)} in a {cell.dim}-cell",
         )
     pc = pasting_computad(cell.tree)
-    _typecheck(pc, cell.sphere.src, path + ("sphere", "src"), passed)
-    _typecheck(pc, cell.sphere.tgt, path + ("sphere", "tgt"), passed)
+    _typecheck(pc, cell.sphere.src, path + ("sphere", "src"))
+    _typecheck(pc, cell.sphere.tgt, path + ("sphere", "tgt"))
     if not parallel(pc, cell.sphere.src, cell.sphere.tgt):
         raise TypecheckError(
             "NotParallel", path + ("sphere",), "coherence sphere cells are not parallel"
@@ -566,7 +581,7 @@ def _typecheck(c: Computad, cell: CellTerm, path: tuple[str, ...], passed: set) 
                 path + ("sub", p),
                 f"position {p} has dimension {pos_dim(p)}, assigned a {v.dim}-cell",
             )
-        _typecheck(c, v, path + ("sub", p), passed)
+        _typecheck(c, v, path + ("sub", p))
     bound = dict(cell.sub)
     for d in range(1, pos.ndim + 1):
         for (p, s), (_, t) in zip(pos.srcs[d], pos.tgts[d]):
@@ -576,7 +591,42 @@ def _typecheck(c: Computad, cell: CellTerm, path: tuple[str, ...], passed: set) 
                     path + ("sub", p),
                     f"assignment at {p} does not match the boundaries of its sector",
                 )
-    passed.add(done)
+    passed.add(cell)
+
+
+def term_diff(a, b) -> tuple[str, ...] | None:
+    """The path to the first subterm at which ``a`` and ``b`` differ, in
+    :class:`TypecheckError`'s path notation, or None when they are equal.
+
+    The walk goes down while both sides are coherences on one scheme, to
+    the first differing child: the sphere's source, then its target, then
+    the substitution in canonical order.  It stops at two different leaves
+    (variables, or the leaves of hom cells), at a leaf against a
+    coherence, and at coherences on different schemes."""
+    path: tuple[str, ...] = ()
+    while a is not b:
+        if not (isinstance(a, Coh) and isinstance(b, Coh)) or a.tree is not b.tree:
+            return path
+        if a.sphere is not b.sphere:
+            side = "src" if a.sphere.src is not b.sphere.src else "tgt"
+            path += ("sphere", side)
+            a, b = getattr(a.sphere, side), getattr(b.sphere, side)
+        else:
+            pair = next(((x, y) for x, y in zip(a.sub, b.sub) if x != y), None)
+            if pair is None or pair[0][0] != pair[1][0]:  # the positions differ
+                return path + ("sub",)
+            (p, a), (_, b) = pair
+            path += ("sub", p)
+    return None
+
+
+def subterm(cell, path: tuple[str, ...]):
+    """The subterm of ``cell`` at ``path`` (see :func:`term_diff`); a
+    path that ends in a lone ``"sub"`` names the coherence it ends at."""
+    steps = iter(path)
+    for step, arg in zip(steps, steps):
+        cell = getattr(cell.sphere, arg) if step == "sphere" else dict(cell.sub)[arg]
+    return cell
 
 
 def is_well_typed(c: Computad, cell: CellTerm) -> bool:

@@ -55,8 +55,9 @@ class FiniteGlobularSet:
     order.  Every construction validates, in one pass over those pairs.
     :meth:`make` sorts its levels by :func:`nat_key` and hands them to
     :meth:`ordered`, which takes levels already in canonical order; code
-    that has the pairs in that order already (positions, suspensions,
-    opposites) calls the constructor itself.
+    that has the pairs in that order already (positions, suspensions)
+    calls the constructor itself.  :func:`op_glob` alone builds through
+    :meth:`_trusted`, which skips the check.
     """
 
     cells: tuple[tuple[str, ...], ...]
@@ -87,6 +88,17 @@ class FiniteGlobularSet:
             srcs.append(tuple([(x, src[x]) for x in level]))
             tgts.append(tuple([(x, tgt[x]) for x in level]))
         return FiniteGlobularSet(tuple(levels), tuple(srcs), tuple(tgts))
+
+    @classmethod
+    def _trusted(cls, cells: tuple, srcs: tuple, tgts: tuple) -> "FiniteGlobularSet":
+        """The globular set on these tables, unchecked: only for tables
+        that a valid set gives by swapping its boundary tables at some
+        dimensions, which keeps the names, the boundaries and globularity."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "cells", cells)
+        object.__setattr__(x, "srcs", srcs)
+        object.__setattr__(x, "tgts", tgts)
+        return x
 
     def __post_init__(self) -> None:
         """Validate: names unique, then no dangling boundary, then
@@ -341,12 +353,13 @@ def dimset_down(w: frozenset[int]) -> frozenset[int]:
 
 
 def op_glob(w: frozenset[int], x: FiniteGlobularSet) -> FiniteGlobularSet:
-    """The w-opposite: swap src/tgt of the d-cells for every d in w."""
+    """The w-opposite: swap src/tgt of the d-cells for every d in w.  The
+    swap keeps a valid set valid, so the result is not checked again."""
     srcs, tgts = list(x.srcs), list(x.tgts)
     for d in range(1, x.ndim + 1):
         if d in w:
             srcs[d], tgts[d] = tgts[d], srcs[d]
-    return FiniteGlobularSet(x.cells, tuple(srcs), tuple(tgts))
+    return FiniteGlobularSet._trusted(x.cells, tuple(srcs), tuple(tgts))
 
 
 def op_glob_bipointed(w: frozenset[int], x: BipointedGlobularSet) -> BipointedGlobularSet:

@@ -21,6 +21,37 @@ the memos never close a reference cycle among cells, and reference
 counting alone frees a dropped term: no garbage waits for the cycle
 collector.
 
+The memo slots, and what bounds each one's lifetime:
+
+* ``BataninTree._op`` (:func:`omegatt.trees.op_tree` per dimension set)
+  and ``._names`` (:func:`omegatt.trees.sorted_positions`): a tree lives
+  as long as the position caches of :mod:`omegatt.trees` hold it, which
+  is the life of the process for every tree they have seen.
+* ``Coh._op`` (:func:`omegatt.metaops.op_cell` per dimension set),
+  ``._boundary`` (:func:`omegatt.computads.cell_boundary`) and ``._key``
+  (:func:`omegatt.computads.cell_key`), and ``HomGenerator._op``
+  (:func:`omegatt.homcat.op_homcell` per dimension set): they die with
+  their node, so they are bounded by the live terms.  The ``_op`` entries
+  are held as described above; a node's ``_op`` dict holds at most one
+  entry per dimension set asked for.
+* ``Computad._dims`` and ``._spheres`` (name tables), ``._op``,
+  ``._susp`` and ``._desusp`` (its opposites, suspension and
+  desuspension, held as ``Coh._op`` holds its entries), ``._hom``
+  (:func:`omegatt.homcat.hom_factor` and
+  :func:`omegatt.homcat.hom_realize` per basepoint pair) and
+  ``._passed`` (the cells that passed
+  :func:`omegatt.computads.typecheck_cell` over it): they die with their
+  computad.  ``_hom`` and ``_passed`` hold cells strongly; cells never
+  refer to computads, so those entries close no cycle, and they are
+  bounded by the cells checked or factored over the computad while it
+  lives.  The pasting computads that
+  :func:`omegatt.computads.pasting_computad` caches live for the process,
+  so their ``_passed`` sets keep the sphere cells checked over each scheme
+  seen.
+
+No memo records a failure: a call that raises stores nothing for the
+node it failed on, so it raises again on the next call.
+
 Nodes are immutable; their slots are written only while a node is built
 and, for memo slots, through :func:`remember`.  The tables take no lock:
 build terms from one thread at a time.

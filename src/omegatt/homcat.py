@@ -23,6 +23,13 @@ fullness.
 Indecomposability is decided syntactically: a loop coherence decomposes
 exactly when its scheme has a single branch, its substitution pins the two
 root sectors to the basepoints, and its sphere is a suspension.
+
+The three traversals keep their memos on what they are about, as
+:func:`omegatt.metaops.op_cell` does: ``hom_factor`` and ``hom_realize``
+on the ambient computad, one pair of memos per basepoint pair, and
+``op_homcell`` on each hom-cell node per dimension set.  Each node is
+factored, played back or reversed once for as long as its computad or
+node lives.  A failure is never memoised.
 """
 
 from __future__ import annotations
@@ -35,11 +42,14 @@ from .computads import (
     Coh,
     boundary_at,
     cell_from_json,
+    cell_key,
     cell_to_json,
     is_full,
+    subterm,
+    term_diff,
 )
-from .globular import DimSet, dimset_down
-from .hashcons import HashConsed
+from .globular import DimSet, canonical_dimset, dimset_down
+from .hashcons import HashConsed, memoise, recall, remember
 from .metaops import (
     BipointedComputad,
     NotASuspension,
@@ -50,18 +60,26 @@ from .metaops import (
     suspend_coh,
     unsuspend_sub,
 )
+from .trees import tree_to_list
 
 
 class HomGenerator(HashConsed):
-    """An indecomposable loop cell, seen as a generator one dimension down."""
+    """An indecomposable loop cell, seen as a generator one dimension down.
 
-    __slots__ = ("underlying", "dim")
+    Memo slot: ``_op`` (:func:`op_homcell` per dimension set)."""
+
+    __slots__ = ("underlying", "dim", "_op")
     __match_args__ = ("underlying",)
     underlying: CellTerm
     dim: int
 
     def __new__(cls, underlying: CellTerm) -> "HomGenerator":
-        return cls._cons(underlying, (underlying, underlying.dim - 1))[0]
+        return cls.build(underlying)[0]
+
+    @classmethod
+    def build(cls, underlying: CellTerm) -> tuple["HomGenerator", bool]:
+        """``(generator, created)``, as :meth:`Coh.build`."""
+        return cls._cons(underlying, (underlying, underlying.dim - 1, None))
 
     def __repr__(self) -> str:
         return f"HomGenerator({self.underlying!r})"
@@ -110,11 +128,26 @@ def is_indecomposable(c: BipointedComputad, cell: CellTerm) -> bool:
     return _unsuspended(c, cell) is None
 
 
+def _memos(c: BipointedComputad) -> tuple[dict, dict]:
+    """The factor and realize memos of ``c``, kept in the ``_hom`` slot of
+    its computad per basepoint pair.  Cells never refer to computads, so
+    these strong entries close no reference cycle; they die with the
+    computad."""
+    memos = c.computad._hom
+    if memos is None:
+        memos = {}
+        remember(c.computad, "_hom", memos)
+    pair = memos.get(c.base)
+    if pair is None:
+        pair = memos[c.base] = ({}, {})
+    return pair
+
+
 def hom_factor(c: BipointedComputad, cell: CellTerm) -> HomCell:
     """Rewrite a loop cell as a cell over the hom computad (the inverse of
     the structure bijection).  Each node of the DAG is factored once per
-    call."""
-    return _hom_factor(c, cell, {})
+    computad and basepoint pair (see :func:`_memos`)."""
+    return _hom_factor(c, cell, _memos(c)[0])
 
 
 def _hom_factor(c: BipointedComputad, cell: CellTerm, memo: dict) -> HomCell:
@@ -145,8 +178,10 @@ def hom_realize(c: BipointedComputad, h: HomCell) -> CellTerm:
     """Play a hom cell back as a loop cell of the ambient computad: the
     suspension with the basepoints of ``c`` at the root sectors and the
     counit at the leaves.  Each node of the DAG is played back once per
-    call."""
-    return _hom_realize(c, h, {})
+    computad and basepoint pair (see :func:`_memos`).  The memo is not
+    seeded by :func:`hom_factor`, so the round trip is computed both
+    ways."""
+    return _hom_realize(c, h, _memos(c)[1])
 
 
 def _hom_realize(c: BipointedComputad, h: HomCell, memo: dict) -> CellTerm:
@@ -162,18 +197,21 @@ def _hom_realize(c: BipointedComputad, h: HomCell, memo: dict) -> CellTerm:
 
 def op_homcell(w: DimSet, h: HomCell) -> HomCell:
     """The opposite at hom level: ambient dimensions act on the wrapped
-    cells, the shifted-down set acts on the hom-level structure.  Each node
-    of the DAG is visited once per call."""
-    down, memo = dimset_down(w), {}
+    cells, the shifted-down set acts on the hom-level structure.  The
+    result is memoised on each hom-cell node per dimension set, held as
+    :func:`omegatt.metaops.op_cell` holds its own.  Hom cells have
+    ``HomGenerator`` leaves and cells have ``Var`` leaves, so the two
+    never share a node's ``_op`` entry."""
+    down = dimset_down(w)
 
     def go(h: HomCell) -> HomCell:
-        out = memo.get(h)
+        out = recall(h._op, w)
         if out is None:
             if isinstance(h, HomGenerator):
-                out = HomGenerator(op_cell(w, h.underlying))
+                out, created = HomGenerator.build(op_cell(w, h.underlying))
             else:
-                out = op_coh(down, h, go)[0]
-            memo[h] = out
+                out, created = op_coh(down, h, go)
+            memoise(h, "_op", canonical_dimset(w), out, created)
         return out
 
     return go(h)
@@ -187,9 +225,28 @@ def op_hom_transport(w: DimSet, c: BipointedComputad, cell: CellTerm) -> tuple[b
         raise ValueError("transport check needs a loop cell")
     lhs = hom_factor(op_bipointed(w, c), op_cell(w, cell))
     rhs = op_homcell(w, hom_factor(c, cell))
-    if lhs == rhs:
+    path = term_diff(lhs, rhs)
+    if path is None:
         return True, ""
-    return False, f"factor(op) = {lhs!r}\nop(factor) = {rhs!r}"
+    where = "/".join(path) or "<root>"
+    return False, (
+        f"factor(op) and op(factor) differ at {where}: "
+        f"{_text(subterm(lhs, path))} against {_text(subterm(rhs, path))}"
+    )
+
+
+def _text(h) -> str:
+    """Short text for one side of a transport diff: :func:`cell_key` for a
+    cell, the wrapped cell's key for a generator, and the scheme alone for
+    a coherence of hom level, where a diff stops only on its scheme."""
+    if isinstance(h, HomGenerator):
+        return f"HomGenerator({cell_key(h.underlying)})"
+    leaf = h
+    while isinstance(leaf, Coh):
+        leaf = leaf.sub[0][1]
+    if isinstance(leaf, HomGenerator):
+        return f"coh{tree_to_list(h.tree)}(...)"
+    return cell_key(h)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,17 @@
 
 Each law family sweeps a finite corpus (trees up to a node bound, dimension
 sets up to a bound, a cell corpus over the Eckmann-Hilton computad) and
-records every violated instance.  ``run_laws`` runs all families and the
-``laws`` CLI verb prints one line per family.  The corpus builders are also
-used directly by the test suite.
+records every violated instance.  ``run_laws`` runs all families
+(``timed_laws`` also times each); the ``laws`` CLI verb prints one line per
+family (:func:`format_reports`), or under ``--json`` one object with each
+family's checks, failures and seconds (:func:`reports_to_json`).  The corpus
+builders are also used directly by the test suite.
 """
 
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -490,8 +493,18 @@ FAMILIES: dict[str, Callable[[int, int], LawReport]] = {
 }
 
 
+def timed_laws(max_nodes: int = 5, dims_upto: int = 3) -> list[tuple[LawReport, float]]:
+    """Each family's report, in sweep order, with its wall time in seconds."""
+    out = []
+    for family in FAMILIES.values():
+        start = time.perf_counter()
+        report = family(max_nodes, dims_upto)
+        out.append((report, time.perf_counter() - start))
+    return out
+
+
 def run_laws(max_nodes: int = 5, dims_upto: int = 3) -> list[LawReport]:
-    return [family(max_nodes, dims_upto) for family in FAMILIES.values()]
+    return [report for report, _ in timed_laws(max_nodes, dims_upto)]
 
 
 def format_reports(reports: list[LawReport]) -> str:
@@ -513,3 +526,17 @@ def format_reports(reports: list[LawReport]) -> str:
     else:
         lines.append(f"all {total} checks passed")
     return "\n".join(lines)
+
+
+def reports_to_json(timed: list[tuple[LawReport, float]]) -> dict:
+    """A timed sweep (:func:`timed_laws`) as one JSON object: per family its
+    checks, the messages of its failures and its seconds, then the totals."""
+    return {
+        "families": [
+            {"name": r.name, "checks": r.checks, "failures": r.failures, "seconds": seconds}
+            for r, seconds in timed
+        ],
+        "checks": sum(r.checks for r, _ in timed),
+        "failed": sum(len(r.failures) for r, _ in timed),
+        "seconds": sum(seconds for _, seconds in timed),
+    }

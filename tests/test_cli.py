@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import importlib.util
+import json
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from omegatt import cli
+from omegatt import cli, laws
 from omegatt.cli import run_cli
 from omegatt.computads import TypecheckError
 from omegatt.homcat import HomFactorError
@@ -241,6 +241,30 @@ class TestLawsVerb:
         assert usage.startswith("usage: omegatt laws")
         assert f"argument {flag}:" in usage
 
+    def test_json_report_matches_the_text_report(self, capsys):
+        argv = ("laws", "--max-nodes", "3", "--dims-upto", "1")
+        code, text, _ = invoke(capsys, *argv)
+        json_code, out, _ = invoke(capsys, *argv, "--json")
+        report = json.loads(out)
+        assert json_code == code == 0
+        assert [f["name"] for f in report["families"]] == list(laws.FAMILIES)
+        lines = [f"{f['name']}: {f['checks']} checks ok" for f in report["families"]]
+        assert text.splitlines() == lines + [f"all {report['checks']} checks passed"]
+        assert report["failed"] == 0 and all(f["failures"] == [] for f in report["families"])
+        assert report["seconds"] == pytest.approx(sum(f["seconds"] for f in report["families"]))
+
+    def test_json_report_fails_as_the_text_report_does(self, capsys, monkeypatch):
+        monkeypatch.setattr(laws, "desuspend_cell", lambda cell: cell)
+        argv = ("laws", "--max-nodes", "2", "--dims-upto", "0")
+        code, text, _ = invoke(capsys, *argv)
+        json_code, out, _ = invoke(capsys, *argv, "--json")
+        report = json.loads(out)
+        assert json_code == code == 1
+        suspension = report["families"][list(laws.FAMILIES).index("suspension")]
+        assert (suspension["checks"], len(suspension["failures"])) == (211, 61)
+        assert report["failed"] == 61
+        assert f"  {suspension['failures'][0]}" in text.splitlines()
+
     @pytest.mark.parametrize(
         "argv,flag",
         [
@@ -248,12 +272,9 @@ class TestLawsVerb:
             (("--dims-upto", "-1"), "--dims-upto"),
         ],
     )
-    def test_script_bounds_out_of_range_are_usage_errors(self, capsys, argv, flag):
-        spec = importlib.util.spec_from_file_location("run_laws", ROOT / "scripts" / "run_laws.py")
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
+    def test_json_bounds_out_of_range_are_usage_errors(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as err:
-            script.main(list(argv))
+            run_cli(["laws", "--json", *argv])
         assert err.value.code == 2
         assert f"argument {flag}:" in capsys.readouterr().err
 

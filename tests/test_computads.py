@@ -33,13 +33,15 @@ from omegatt.computads import (
     parallel,
     pasting_computad,
     substitution,
+    subterm,
     support,
+    term_diff,
     typecheck_cell,
     typecheck_morphism,
 )
 from omegatt.globular import dimset
 from omegatt.metaops import op_computad, suspend_computad
-from omegatt.oplib import eh_computad
+from omegatt.oplib import compose, eh_computad, identity_cell
 from omegatt.trees import all_trees, br, comp_tree, disk_tree, pos_dim, positions
 
 TWO_ARROWS = comp_tree(1, 0, 1)
@@ -294,10 +296,65 @@ class TestTypecheck:
         assert err.value.code == "BadSubstitution"
         assert err.value.path == ("sub", "2.0")
 
+    def test_failure_repeats_after_a_sibling_was_memoised(self):
+        pointed = eh_computad()
+        c = pointed.computad
+        a, b = c.var("a"), c.var("b")
+        ab = compose(c, a, 1, b)
+        sibling = dict(ab.sub)["1.1"]
+        assert isinstance(sibling, Coh)
+        bad = Coh(ab.tree, ab.sphere, tuple((p, Var("q", 2) if v is b else v) for p, v in ab.sub))
+        errors = []
+        for _ in range(2):
+            with pytest.raises(TypecheckError) as err:
+                typecheck_cell(c, bad)
+            errors.append((err.value.code, err.value.path, str(err.value)))
+            assert sibling in c._passed and bad not in c._passed
+        assert errors[0] == errors[1] == (
+            "UnknownGenerator",
+            ("sub", "1.2.0"),
+            "UnknownGenerator at sub/1.2.0: no generator named 'q'",
+        )
+
     def test_is_well_typed(self):
         c = walking_composite()
         assert is_well_typed(c, comp_fg(c))
         assert not is_well_typed(c, Var("q", 3))
+
+
+class TestTermDiff:
+    def test_equal_terms_have_no_diff(self):
+        c = walking_composite()
+        assert term_diff(comp_fg(c), comp_fg(c)) is None
+        assert term_diff(Var("x", 0), Var("x", 0)) is None
+
+    def test_first_differing_binding(self):
+        c = walking_composite()
+        fg = comp_fg(c)
+        other = Coh(fg.tree, fg.sphere, substitution({**dict(fg.sub), "2.0": c.var("f"), "2": c.var("y")}))
+        assert term_diff(fg, other) == ("sub", "2")
+        assert subterm(other, ("sub", "2")) is c.var("y")
+
+    def test_sphere_before_substitution(self):
+        c = walking_composite()
+        fg = comp_fg(c)
+        other = Coh(fg.tree, Sphere(Var("0", 0), Var("1", 0)), fg.sub)
+        assert term_diff(fg, other) == ("sphere", "tgt")
+        assert subterm(fg, ("sphere", "tgt")) is Var("2", 0)
+
+    def test_path_goes_down_through_nested_coherences(self):
+        c = walking_composite()
+        fg = comp_fg(c)
+        gf = Coh(fg.tree, fg.sphere, substitution({**dict(fg.sub), "1.0": c.var("g")}))
+        assert term_diff(identity_cell(c, fg), identity_cell(c, gf)) == ("sub", "1.0", "sub", "1.0")
+
+    def test_leaves_and_schemes_stop_the_walk(self):
+        c = walking_composite()
+        fg = comp_fg(c)
+        assert term_diff(Var("x", 0), Var("y", 0)) == ()
+        assert term_diff(fg, c.var("f")) == ()
+        assert term_diff(fg, identity_cell(c, c.var("x"))) == ()
+        assert term_diff(fg, Coh(fg.tree, fg.sphere, fg.sub[:-1])) == ("sub",)
 
 
 class TestMorphisms:

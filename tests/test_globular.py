@@ -249,6 +249,21 @@ class TestOrderedConstructions:
                 assert op_glob(w, x) == FiniteGlobularSet.make(x.cells, op_src, op_tgt)
                 assert op_glob(w, op_glob(w, x)) == x
 
+    def test_opposites_are_valid_without_a_second_check(self, monkeypatch):
+        """op_glob skips validation: each result equals the set the
+        validating constructor builds on the same tables."""
+        checks = []
+        check = FiniteGlobularSet.__post_init__
+        monkeypatch.setattr(FiniteGlobularSet, "__post_init__", lambda x: checks.append(x) or check(x))
+        for t in all_trees(7):
+            x = positions(t).carrier
+            for w in all_dimsets(3):
+                checks.clear()
+                y = op_glob(w, x)
+                assert checks == []
+                assert y == FiniteGlobularSet(y.cells, y.srcs, y.tgts)
+                assert len(checks) == 1
+
     def test_no_sort_and_no_scan_on_the_ordered_paths(self, monkeypatch):
         calls = []
 

@@ -10,17 +10,20 @@ import copy
 import gc
 import json
 import pickle
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegatt.computads import Coh, Sphere, Var, cell_key
+from omegatt import computads, homcat
+from omegatt.computads import Coh, Computad, Sphere, Var, cell_key, typecheck_cell
 from omegatt.export import document_from_json, document_to_json
-from omegatt.homcat import HomGenerator, hom_factor, op_homcell
+from omegatt.homcat import HomGenerator, hom_factor, hom_realize, op_homcell
 from omegatt.laws import all_dimsets, cell_corpus, loop_corpus
-from omegatt.metaops import desuspend_cell, op_cell, suspend_cell
-from omegatt.oplib import comp_cell, eh_computad
+from omegatt.metaops import BipointedComputad, desuspend_cell, op_cell, suspend_cell
+from omegatt.globular import dimset
+from omegatt.oplib import comp_cell, compose, eh_computad
 from omegatt.surface import ElabCell, ElabDocument, document_text, load_document
 from omegatt.trees import BataninTree, br
 
@@ -140,3 +143,71 @@ class TestTables:
         del up
         gc.collect()
         assert table_sizes() == before
+
+
+def _counting(monkeypatch, module, name: str) -> list:
+    """Count the calls the module makes to one of its functions."""
+    calls: list = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestMemos:
+    """Hom factoring and typechecking are memoised on the computad, hom
+    opposites on the hom-cell node: a second call does no work."""
+
+    def test_second_factor_call_is_a_memo_hit(self, monkeypatch):
+        pointed = eh_computad()
+        cell = LOOPS[-1]
+        first = hom_factor(pointed, cell)
+        nodes = _counting(monkeypatch, homcat, "_hom_factor_node")
+        assert hom_factor(pointed, cell) is first
+        assert hom_realize(pointed, first) is hom_realize(pointed, first)
+        assert nodes == []
+
+    def test_second_op_homcell_call_is_a_memo_hit(self, monkeypatch):
+        h = hom_factor(eh_computad(), LOOPS[-1])
+        w = DIMSETS[-1]
+        first = op_homcell(w, h)
+        reversals = _counting(monkeypatch, homcat, "op_coh")
+        assert op_homcell(w, h) is first
+        assert reversals == []
+        assert op_homcell(w, first) is h
+
+    def test_second_typecheck_call_is_a_memo_hit(self, monkeypatch):
+        ambient, cell = CELLS[-1]
+        typecheck_cell(ambient, cell)
+        assert cell in ambient._passed
+        fullness = _counting(monkeypatch, computads, "is_full")
+        typecheck_cell(ambient, cell)
+        assert fullness == []
+
+    def test_memos_die_with_their_computad(self):
+        """Reference counting alone frees a dropped computad's hom memos and
+        the hom cells they hold: the memos close no cycle."""
+        loop = Sphere(Var("memo-p", 0), Var("memo-p", 0))
+        c = Computad.make([["memo-p"], ["memo-f", "memo-g"]], {"memo-f": loop, "memo-g": loop})
+        pointed = BipointedComputad(c, (c.var("memo-p"), c.var("memo-p")))
+        cell = compose(c, c.var("memo-f"), 0, c.var("memo-g"))
+        gc.collect()
+        gc.disable()
+        try:
+            h = hom_factor(pointed, cell)
+            reversed_h = op_homcell(dimset([1]), h)
+            assert reversed_h.underlying is compose(c, c.var("memo-g"), 0, c.var("memo-f"))
+            assert op_homcell(dimset([1]), reversed_h) is h  # memoised on reversed_h too
+            gen, gen_op = weakref.ref(h), weakref.ref(reversed_h)
+            del h, reversed_h, cell
+            assert gen() is not None  # held by the memo on the computad
+            assert gen_op() is not None  # held by the memo on the generator
+            del c, pointed
+            assert gen() is None
+            assert gen_op() is None
+        finally:
+            gc.enable()

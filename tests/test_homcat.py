@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given
 
 from conftest import coh_nodes, dimsets
-from omegatt.computads import Coh, cell_from_json, cell_to_json, substitution
+from omegatt.computads import Coh, Sphere, Var, cell_from_json, cell_to_json, substitution
 from omegatt.globular import dimset
 from omegatt.homcat import (
+    HomFactorError,
     HomGenerator,
     hom_factor,
     hom_realize,
@@ -22,7 +23,7 @@ from omegatt.homcat import (
 from omegatt.laws import loop_corpus
 from omegatt.metaops import suspend_cell, suspend_computad
 from omegatt.oplib import comp_cell, compose, eh_computad, identity_cell
-from omegatt.trees import comp_tree
+from omegatt.trees import comp_tree, pos_dim, sorted_positions, suspend_tree
 
 
 def eh_cells():
@@ -117,9 +118,44 @@ class TestRealize:
             for node in coh_nodes(hom_factor(pointed, cell)):
                 assert node.sub == substitution(node.sub)
 
+    def test_realize_after_factor_is_the_cell_itself(self):
+        pointed = eh_computad()
+        for cell in loop_corpus():
+            assert hom_realize(pointed, hom_factor(pointed, cell)) is cell
+
     def test_generator_realizes_to_its_cell(self):
         pointed, c, a, _ = eh_cells()
         assert hom_realize(pointed, HomGenerator(a)) == a
+
+
+def _not_full_loop(c, a):
+    """A loop 2-cell over the Eckmann-Hilton computad in the suspension
+    shape whose desuspended sphere, 0 -> 0 over two arrows, is not full."""
+    x = c.var("x")
+    id_x = identity_cell(c, x)
+    tree = suspend_tree(comp_tree(1, 0, 1))
+    sub = tuple((p, (x, id_x, a)[pos_dim(p)]) for p in sorted_positions(tree))
+    return Coh(tree, Sphere(Var("1.0", 1), Var("1.0", 1)), sub)
+
+
+class TestFactorFailures:
+    def test_failure_repeats_after_a_sibling_was_memoised(self):
+        pointed, c, a, b = eh_cells()
+        bad = _not_full_loop(c, a)
+        ab = compose(c, a, 1, b)
+        parent = Coh(ab.tree, ab.sphere, tuple((p, bad if v is b else v) for p, v in ab.sub))
+        errors = []
+        for _ in range(2):
+            with pytest.raises(HomFactorError) as err:
+                hom_factor(pointed, parent)
+            errors.append((err.value.path, str(err.value)))
+            memo = c._hom[pointed.base][0]
+            assert memo[a] is HomGenerator(a)  # the sibling before it
+            assert bad not in memo and parent not in memo
+        assert errors[0] == errors[1] == (
+            ("sphere",),
+            "hom factorization failed at sphere: desuspended sphere is not full over the desuspended scheme",
+        )
 
 
 class TestIndecomposable:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 
-from omegatt import laws
+from omegatt import homcat, laws
 from omegatt.metaops import op_cell
 
 
@@ -59,3 +59,22 @@ class TestFailureMessages:
             "empty opposite moved the cell"
         )
         assert _digest(report.failures) == "4a278d2882b19b083b4272bc15158af146cb2ef42ebff69a4fb0281a98048c6a"
+
+    def test_seeded_hom_transport_failure_names_the_differing_subterm(self, monkeypatch):
+        """A mutant op_homcell that also reverses dimension 2: each failure
+        gives the path to the first differing subterm and both sides there."""
+        flip = frozenset({2})
+        real = homcat.op_homcell
+        monkeypatch.setattr(homcat, "op_homcell", lambda w, h: real(w ^ flip, h))
+        report = laws.law_hom_transport(2)
+        assert (report.checks, len(report.failures)) == (2120, 808)
+        assert report.failures[0] == (
+            "coh[[[], []]]{1.0->1.2}(0:=x;1:=x;1.0:=coh[]{0->0}(0:=x);1.1:=coh[]{0->0}(0:=x);"
+            "1.1.0:=a;1.2:=coh[]{0->0}(0:=x);1.2.0:=b) w=[]: "
+            "factor(op) and op(factor) differ at sub/1.0: HomGenerator(a) against HomGenerator(b)"
+        )
+        assert report.failures[4].endswith(
+            " w=[]: factor(op) and op(factor) differ at <root>: coh[[], [[]]](...) against coh[[[]], []](...)"
+        )
+        assert not any("positions>" in message for message in report.failures)
+        assert _digest(report.failures) == "caf29b52f22849a04ef9a9d3c2d968462502d1007746580637019247d8d049b1"
