@@ -21,7 +21,8 @@ O(1).  A term is therefore a DAG: a subterm that recurs is stored once.
 Pure traversals are memoised on the node they start from, and each memo
 lives as long as its node: the boundary of a coherence
 (:func:`cell_boundary`), :func:`cell_key`, and in :mod:`omegatt.metaops`
-the opposite per dimension set.  A traversal whose result depends on a
+the opposite per dimension set and, on a sphere, the reversed sphere of
+the coherences over it.  A traversal whose result depends on a
 computad as well is memoised on the computad: :func:`typecheck_cell`
 records the cells that passed, and :mod:`omegatt.homcat` keeps its hom
 factorizations there.  The other traversals whose result depends on more
@@ -86,20 +87,29 @@ class Var(HashConsed):
 
 
 class Sphere(HashConsed):
-    """A parallel pair of cells; the boundary data for one dimension up."""
+    """A parallel pair of cells; the boundary data for one dimension up.
 
-    __slots__ = ("src", "tgt", "dim")
+    Memo slot: ``_op`` (:func:`omegatt.metaops.op_sphere_over`, the
+    sphere of the opposite of a coherence with this sphere, per dimension
+    set and scheme)."""
+
+    __slots__ = ("src", "tgt", "dim", "_op")
     __match_args__ = ("src", "tgt")
     src: "CellTerm"
     tgt: "CellTerm"
     dim: int
 
     def __new__(cls, src: "CellTerm", tgt: "CellTerm") -> "Sphere":
+        return cls.build(src, tgt)[0]
+
+    @classmethod
+    def build(cls, src: "CellTerm", tgt: "CellTerm") -> tuple["Sphere", bool]:
+        """``(sphere, created)``, as :meth:`Coh.build`."""
         if src.dim != tgt.dim:
             raise ValueError(
                 f"sphere cells must share a dimension: {src.dim} != {tgt.dim}"
             )
-        return cls._cons((src, tgt), (src, tgt, src.dim))[0]
+        return cls._cons((src, tgt), (src, tgt, src.dim, None))
 
     def __repr__(self) -> str:
         return f"Sphere(src={self.src!r}, tgt={self.tgt!r})"

@@ -23,17 +23,21 @@ collector.
 
 The memo slots, and what bounds each one's lifetime:
 
-* ``BataninTree._op`` (:func:`omegatt.trees.op_tree` per dimension set)
-  and ``._names`` (:func:`omegatt.trees.sorted_positions`): a tree lives
+* ``BataninTree._op`` (:func:`omegatt.trees.op_tree` per dimension set),
+  ``._boundary`` (:func:`omegatt.trees.boundary_tree` per dimension) and
+  ``._names`` (:func:`omegatt.trees.sorted_positions`): a tree lives
   as long as the position caches of :mod:`omegatt.trees` hold it, which
   is the life of the process for every tree they have seen.
 * ``Coh._op`` (:func:`omegatt.metaops.op_cell` per dimension set),
   ``._boundary`` (:func:`omegatt.computads.cell_boundary`) and ``._key``
-  (:func:`omegatt.computads.cell_key`), and ``HomGenerator._op``
-  (:func:`omegatt.homcat.op_homcell` per dimension set): they die with
-  their node, so they are bounded by the live terms.  The ``_op`` entries
-  are held as described above; a node's ``_op`` dict holds at most one
-  entry per dimension set asked for.
+  (:func:`omegatt.computads.cell_key`), ``HomGenerator._op``
+  (:func:`omegatt.homcat.op_homcell` per dimension set) and
+  ``Sphere._op`` (the reversed sphere of a coherence,
+  :func:`omegatt.metaops.op_sphere_over`, per dimension set and scheme):
+  they die with their node, so they are bounded by the live terms.  The
+  ``_op`` entries are held as described above; a node's ``_op`` dict
+  holds at most one entry per dimension set asked for, and a sphere's at
+  most one per dimension set and scheme it is reversed over.
 * ``Computad._dims`` and ``._spheres`` (name tables), ``._op``,
   ``._susp`` and ``._desusp`` (its opposites, suspension and
   desuspension, held as ``Coh._op`` holds its entries), ``._hom``

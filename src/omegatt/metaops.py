@@ -38,7 +38,7 @@ from .computads import (
 )
 from .globular import DimSet, canonical_dimset
 from .hashcons import memoise, recall
-from .trees import op_positions_iso, op_tree, sorted_positions, suspend_tree
+from .trees import BataninTree, op_positions_iso, op_sub_order, op_tree, suspend_tree
 
 BASE_MINUS = "0"
 BASE_PLUS = "1"
@@ -263,22 +263,39 @@ def op_cell(w: DimSet, cell: CellTerm) -> CellTerm:
 
 def op_coh(w: DimSet, cell: Coh, value: Callable) -> tuple[Coh, bool]:
     """The coherence case of the opposite at ``w``, with the leaf action
-    passed in: the coherence moves to the opposite scheme, its substitution
-    precomposes with the canonical position bijection and binds ``value`` of
-    each cell, and its sphere (swapped when the cell's own dimension is
-    reversed) is renamed through the inverse bijection so it lives over the
-    opposite scheme.  Returns :meth:`Coh.build`'s ``(cell, created)``."""
-    iso = op_positions_iso(w, cell.tree)
-    leaf, renamed = _renaming({q: p for p, q in iso.items()}), {}
-    sphere = op_sphere(w, cell.sphere)
-    sphere = Sphere(map_vars(leaf, sphere.src, renamed), map_vars(leaf, sphere.tgt, renamed))
-    bound = {pair[0]: pair for pair in cell.sub}
-    tree = op_tree(w, cell.tree)
-    sub = []
-    for p in sorted_positions(tree):
-        pair = bound[iso[p]]
-        sub.append(keep_pair(pair, p, value(pair[1])))
-    return Coh.build(tree, sphere, tuple(sub))
+    passed in: the coherence moves to the opposite scheme with the sphere
+    :func:`op_sphere_over` gives, and its substitution precomposes with the
+    canonical position bijection, binding ``value`` of each cell.  Only
+    the substitution depends on the cell: it is gathered in the order
+    :func:`omegatt.trees.op_sub_order` computes once per dimension set and
+    scheme, which relies on every substitution being stored in canonical
+    order.  Returns :meth:`Coh.build`'s ``(cell, created)``."""
+    sub = cell.sub
+    out = []
+    for p, i in op_sub_order(w, cell.tree):
+        pair = sub[i]
+        out.append(keep_pair(pair, p, value(pair[1])))
+    sphere = op_sphere_over(w, cell.tree, cell.sphere)
+    return Coh.build(op_tree(w, cell.tree), sphere, tuple(out))
+
+
+def op_sphere_over(w: DimSet, tree: BataninTree, sphere: Sphere) -> Sphere:
+    """The sphere of the opposite of a coherence with scheme ``tree`` and
+    sphere ``sphere``: :func:`op_sphere`, renamed through the inverse of
+    the canonical position bijection so that it lives over
+    ``op_tree(w, tree)``.  It does not depend on the coherence's
+    substitution, so it is memoised on ``sphere`` per dimension set and
+    scheme, held as :func:`op_cell` holds its results."""
+    key = (canonical_dimset(w), tree)
+    out = recall(sphere._op, key)
+    if out is None:
+        leaf = _renaming({q: p for p, q in op_positions_iso(w, tree).items()})
+        reversed_sphere, renamed = op_sphere(w, sphere), {}
+        out, created = Sphere.build(
+            map_vars(leaf, reversed_sphere.src, renamed), map_vars(leaf, reversed_sphere.tgt, renamed)
+        )
+        memoise(sphere, "_op", key, out, created)
+    return out
 
 
 def op_sphere(w: DimSet, sphere: Sphere) -> Sphere:

@@ -42,7 +42,7 @@ from .globular import dimset
 from .homcat import HomCell, HomGenerator, hom_factor
 from .metaops import BipointedComputad, op_cell, op_computad, suspend_cell, suspend_computad
 from .oplib import BoundaryMismatch, comp_cell, compose, identity_cell
-from .trees import BataninTree, pos_dim, positions, sorted_positions
+from .trees import MAX_COMP_DIM, BataninTree, pos_dim, positions, sorted_positions
 
 POSITION_ALIASES = {0: "xyzuvw", 1: "fghkl", 2: "abcde"}
 
@@ -342,15 +342,26 @@ class _Parser:
         raise SurfaceError(tok.location, f"expected {what} (a number), found {tok.text!r}")
 
     def tree_literal(self) -> BataninTree:
-        self.expect("[")
-        children: list[BataninTree] = []
-        if not self.at("]"):
-            children.append(self.tree_literal())
-            while self.at(","):
-                self.next()
-                children.append(self.tree_literal())
-        self.expect("]")
-        return BataninTree(tuple(children))
+        """``[t1, ..., tn]``, read with an explicit stack holding the
+        children read so far under each open bracket, so that its depth
+        is bounded by MAX_COMP_DIM and not by Python's recursion limit."""
+        stack: list[list[BataninTree]] = []
+        while True:
+            tok = self.expect("[")
+            if len(stack) == MAX_COMP_DIM:
+                raise SurfaceError(tok.location, f"tree literal nested more than {MAX_COMP_DIM} deep")
+            stack.append([])
+            if not self.at("]"):
+                continue  # the first child opens
+            while True:  # close brackets until a ',' opens the next child
+                self.expect("]")
+                tree = BataninTree(tuple(stack.pop()))
+                if not stack:
+                    return tree
+                stack[-1].append(tree)
+                if self.at(","):
+                    self.next()
+                    break
 
     def _entry(self) -> tuple[str, CellExpr, SourceLocation]:
         tok = self.next()

@@ -35,19 +35,22 @@ class BataninTree(HashConsed):
     """A finite rooted planar tree; children ordered left to right.
 
     Interned: structurally equal trees are one object.  ``_op`` memoises
-    :func:`op_tree` per dimension set and ``_names``
-    :func:`sorted_positions`.  The ``_op`` entries are strong: a tree
-    stays in the position caches for the life of the process anyway, so
-    a memo cycle between a tree and its opposite costs nothing.
+    :func:`op_tree` per dimension set, ``_boundary``
+    :func:`boundary_tree` per dimension and ``_names``
+    :func:`sorted_positions`.  The ``_op`` and ``_boundary`` entries are
+    strong: a tree stays in the position caches for the life of the
+    process anyway, so a memo cycle between a tree and its opposite or
+    its boundary (the tree itself at or above its dimension) costs
+    nothing.
     """
 
-    __slots__ = ("children", "_op", "_names")
+    __slots__ = ("children", "_op", "_boundary", "_names")
     __match_args__ = ("children",)
     children: tuple["BataninTree", ...]
 
     def __new__(cls, children: tuple["BataninTree", ...] = ()) -> "BataninTree":
         children = tuple(children)
-        return cls._cons(children, (children, None, None))[0]
+        return cls._cons(children, (children, None, None, None))[0]
 
     def __repr__(self) -> str:
         return "br[" + ", ".join(repr(c) for c in self.children) + "]"
@@ -81,12 +84,19 @@ def disk_tree(n: int) -> BataninTree:
 
 
 def boundary_tree(k: int, t: BataninTree) -> BataninTree:
-    """Truncate to height <= k (the k-boundary of the scheme)."""
+    """Truncate to height <= k (the k-boundary of the scheme).  Memoised
+    on ``t`` per ``k``."""
     if k < 0:
         raise ValueError(f"boundary_tree: negative dimension {k}")
-    if k == 0:
-        return br()
-    return BataninTree(tuple(boundary_tree(k - 1, c) for c in t.children))
+    memo = t._boundary
+    if memo is None:
+        memo = {}
+        remember(t, "_boundary", memo)
+    out = memo.get(k)
+    if out is None:
+        out = br() if k == 0 else BataninTree(tuple([boundary_tree(k - 1, c) for c in t.children]))
+        memo[k] = out
+    return out
 
 
 def suspend_tree(t: BataninTree) -> BataninTree:
@@ -210,6 +220,20 @@ def op_positions_iso(w: DimSet, t: BataninTree) -> Mapping[str, str]:
         for p, q in op_positions_iso(down, t.children[k - 1]).items():
             out[f"{i}.{p}"] = f"{k}.{q}"
     return out
+
+
+@lru_cache(maxsize=None)
+def op_sub_order(w: DimSet, t: BataninTree) -> tuple[tuple[str, int], ...]:
+    """How a substitution over ``t`` reindexes to one over ``op_tree(w, t)``.
+
+    Each position ``p`` of the opposite scheme, in canonical order, with
+    the index in ``sorted_positions(t)`` of the position
+    ``op_positions_iso(w, t)`` sends it to.  A substitution over ``t`` is
+    stored in that order, so its opposite is a gather by these indices.
+    """
+    index = {q: i for i, q in enumerate(sorted_positions(t))}
+    iso = op_positions_iso(w, t)
+    return tuple([(p, index[iso[p]]) for p in sorted_positions(op_tree(w, t))])
 
 
 def node_count(t: BataninTree) -> int:

@@ -149,6 +149,14 @@ class TestExitCodes:
         assert code == 2
         assert f"max(n, m) <= {MAX_COMP_DIM}" in err
 
+    def test_tree_literal_beyond_the_bound(self, capsys, tmp_path):
+        source = tmp_path / "deep.ctt"
+        source.write_text(f"let t = coh {'[' * 3000}{']' * 3000} {{ x -> x }} []\n")
+        at = len("let t = coh ") + MAX_COMP_DIM + 1  # the first '[' too many
+        assert invoke(capsys, "check", str(source)) == (
+            1, "", f"{source}:1:{at}: tree literal nested more than {MAX_COMP_DIM} deep\n"
+        )
+
     @pytest.mark.parametrize(
         "data,where",
         [

@@ -16,14 +16,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omegatt import computads, homcat
-from omegatt.computads import Coh, Computad, Sphere, Var, cell_key, typecheck_cell
+from omegatt import computads, homcat, metaops
+from omegatt.computads import (
+    Coh,
+    Computad,
+    Sphere,
+    Var,
+    cell_key,
+    pasting_computad,
+    template_sub,
+    typecheck_cell,
+)
 from omegatt.export import document_from_json, document_to_json
 from omegatt.homcat import HomGenerator, hom_factor, hom_realize, op_homcell
 from omegatt.laws import all_dimsets, cell_corpus, loop_corpus
 from omegatt.metaops import BipointedComputad, desuspend_cell, op_cell, suspend_cell
 from omegatt.globular import dimset
-from omegatt.oplib import comp_cell, compose, eh_computad
+from omegatt.oplib import comp_cell, compose, eh_computad, identity_cell
 from omegatt.surface import ElabCell, ElabDocument, document_text, load_document
 from omegatt.trees import BataninTree, br
 
@@ -160,7 +169,8 @@ def _counting(monkeypatch, module, name: str) -> list:
 
 class TestMemos:
     """Hom factoring and typechecking are memoised on the computad, hom
-    opposites on the hom-cell node: a second call does no work."""
+    opposites on the hom-cell node and the reversed sphere of a coherence
+    on its sphere: a second call does no work."""
 
     def test_second_factor_call_is_a_memo_hit(self, monkeypatch):
         pointed = eh_computad()
@@ -179,6 +189,55 @@ class TestMemos:
         assert op_homcell(w, h) is first
         assert reversals == []
         assert op_homcell(w, first) is h
+
+    def test_coherences_on_one_sphere_share_the_reversed_sphere(self, monkeypatch):
+        """The opposite of a second coherence with the same scheme and
+        sphere reverses no sphere: only its substitution is new work."""
+        point = {v: Var(v, 0) for v in ("share-x", "share-y", "share-z")}
+        arrow = Sphere(point["share-y"], point["share-z"])
+        c = Computad.make(
+            [list(point), ["share-f", "share-g", "share-h"]],
+            {"share-f": Sphere(point["share-x"], point["share-y"]), "share-g": arrow, "share-h": arrow},
+        )
+        first = compose(c, c.var("share-f"), 0, c.var("share-g"))
+        second = compose(c, c.var("share-f"), 0, c.var("share-h"))
+        assert (first.tree, first.sphere) == (second.tree, second.sphere)
+        w = dimset([1, 2])
+        reversed_first = op_cell(w, first)
+        spheres = _counting(monkeypatch, metaops, "op_sphere")
+        renamings = _counting(monkeypatch, metaops, "map_vars")
+        reversed_second = op_cell(w, second)
+        assert spheres == [] and renamings == []
+        assert reversed_second.sphere is reversed_first.sphere
+        flipped_c = metaops.op_computad(w, c)
+        assert reversed_second is compose(flipped_c, c.var("share-h"), 0, c.var("share-f"))
+
+    def test_reversed_sphere_dies_with_its_coherence(self):
+        """Reference counting alone frees a fresh coherence, its opposite
+        and the reversed sphere memoised on its sphere: the memo closes no
+        cycle."""
+        tree = br(br(), br())
+        pc = pasting_computad(tree)
+        f, g = pc.var("1.0"), pc.var("2.0")
+        # f then g against f, then g whiskered by identities on both sides:
+        # a sphere no other test or corpus builds
+        left, right, padded = identity_cell(pc, pc.var("1")), identity_cell(pc, pc.var("2")), g
+        for _ in range(3):
+            padded = compose(pc, left, 0, compose(pc, padded, 0, right))
+        cell = Coh(tree, Sphere(compose(pc, f, 0, g), compose(pc, f, 0, padded)), template_sub(tree))
+        w = dimset([1, 2])
+        gc.collect()
+        gc.disable()
+        try:
+            flipped = op_cell(w, cell)
+            assert op_cell(w, flipped) is cell  # memoised on flipped too
+            assert op_cell(w, cell) is flipped
+            sphere, reversed_sphere = weakref.ref(cell.sphere), weakref.ref(flipped.sphere)
+            del cell, flipped
+            assert sphere() is None
+            assert reversed_sphere() is None
+        finally:
+            gc.enable()
 
     def test_second_typecheck_call_is_a_memo_hit(self, monkeypatch):
         ambient, cell = CELLS[-1]

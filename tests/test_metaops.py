@@ -8,6 +8,7 @@ import weakref
 import pytest
 from hypothesis import given
 
+import op_reference
 from conftest import coh_nodes, dimsets
 from omegatt.computads import (
     Coh,
@@ -22,6 +23,7 @@ from omegatt.computads import (
     support,
 )
 from omegatt.globular import dimset
+from omegatt.homcat import hom_factor, op_homcell
 from omegatt.laws import all_dimsets, cell_corpus, loop_corpus, template_corpus
 from omegatt.metaops import (
     BASE_MINUS,
@@ -181,6 +183,24 @@ class TestOpCell:
         iso = op_positions_iso(W1, cell.tree)
         inv = {q: p for p, q in iso.items()}
         assert rename_cell(inv, op_cell(W1, cell)) == cell
+
+
+class TestOpReference:
+    """The opposite, which reuses the reversed sphere and the substitution
+    order per dimension set and scheme, gives the very term that the
+    reference in ``op_reference`` rebuilds from scratch."""
+
+    @pytest.mark.parametrize("w", all_dimsets(3))
+    def test_cells_match_the_reference(self, w):
+        for _, cell in cell_corpus():
+            assert op_cell(w, cell) is op_reference.op_cell(w, cell)
+
+    @pytest.mark.parametrize("w", all_dimsets(3))
+    def test_hom_cells_match_the_reference(self, w):
+        pointed = eh_computad()
+        for cell in loop_corpus():
+            h = hom_factor(pointed, cell)
+            assert op_homcell(w, h) is op_reference.op_homcell(w, h)
 
 
 class TestOpSuspensionInterplay:
