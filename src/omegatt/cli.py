@@ -100,8 +100,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
+class _NoHomAction(Exception):
+    """A transform without an action on hom cells met one: exit 1."""
+
+
 def _transform_document(
-    doc: ElabDocument, on_computad, on_cell, on_homcell=None
+    doc: ElabDocument, verb: str, on_computad, on_cell, on_homcell=None
 ) -> ElabDocument:
     out = ElabDocument()
     for name, c in doc.computads:
@@ -109,7 +113,7 @@ def _transform_document(
     for name, elab in doc.cells:
         if elab.kind == "homcell":
             if on_homcell is None:
-                raise NotASuspension((name,), "hom cells cannot be suspended")
+                raise _NoHomAction(f"cannot {verb} {name}: it is a hom cell")
             term = on_homcell(elab.term)
         else:
             term = on_cell(elab.term)
@@ -126,16 +130,17 @@ def _print_transformed(args: argparse.Namespace, *actions) -> int:
 
 
 def cmd_susp(args: argparse.Namespace) -> int:
-    return _print_transformed(args, lambda c: suspend_computad(c).computad, suspend_cell)
+    return _print_transformed(args, "suspend", lambda c: suspend_computad(c).computad, suspend_cell)
 
 
 def cmd_desusp(args: argparse.Namespace) -> int:
-    return _print_transformed(args, desuspend_computad, desuspend_cell)
+    return _print_transformed(args, "desuspend", desuspend_computad, desuspend_cell)
 
 
 def cmd_op(args: argparse.Namespace) -> int:
     return _print_transformed(
         args,
+        "reverse",
         lambda c: op_computad(args.dims, c),
         lambda cell: op_cell(args.dims, cell),
         lambda h: op_homcell(args.dims, h),
@@ -309,6 +314,8 @@ def run_cli(argv: list[str] | None = None) -> int:
         at = "/".join(err.path)
         print(f"omegatt: not a suspension at {at or 'top level'}: {err.message}", file=sys.stderr)
         return 1
+    except _NoHomAction as err:
+        return _fail(str(err))
     except ValueError as err:
         print(f"omegatt: {err}", file=sys.stderr)
         return 2

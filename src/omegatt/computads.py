@@ -18,19 +18,22 @@ Terms are hash-consed (:mod:`omegatt.hashcons`): ``Var``, ``Sphere`` and
 ``Coh``, like ``BataninTree``, are interned in weak tables, so
 structurally equal terms are one object, ``==`` is ``is`` and the hash is
 O(1).  A term is therefore a DAG: a subterm that recurs is stored once.
-Pure traversals are memoised on the node they start from, and each memo
-lives as long as its node: the boundary of a coherence
+Pure traversals are memoised in a slot of the node they start from, and
+each memo lives as long as its node: the boundary of a coherence
 (:func:`cell_boundary`), :func:`cell_key`, and in :mod:`omegatt.metaops`
 the opposite per dimension set and, on a sphere, the reversed sphere of
-the coherences over it.  A traversal whose result depends on a
+the coherences over it (the memos with keys go through
+:func:`omegatt.hashcons.cached`).  A traversal whose result depends on a
 computad as well is memoised on the computad: :func:`typecheck_cell`
 records the cells that passed, and :mod:`omegatt.homcat` keeps its hom
-factorizations there.  The other traversals whose result depends on more
-than the node (:func:`apply_morphism` and :func:`map_vars`,
-:func:`counit_eval`, :func:`support`) keep a memo for one call, so they
-visit each node of the DAG once.  Maps that keep the
-keys of a substitution (:func:`map_values`) keep its canonical order and
-do not re-sort it; :func:`substitution` sorts, for callers that rename keys.
+factorizations there.  The other
+traversals whose result depends on more than the node (:func:`map_vars`
+and so :func:`apply_morphism` and :func:`counit_eval`, :func:`support`,
+suspension and desuspension) are walks (:func:`omegatt.hashcons.walker`)
+with a memo for one call, so they visit each node of the DAG once.  Maps
+that keep the keys of a substitution (:func:`map_values`) keep its
+canonical order and do not re-sort it; :func:`substitution` sorts, for
+callers that rename keys.
 
 Every computad is valid.  Computads are interned like terms, on their
 levels and attaching pairs.  :meth:`Computad.make` checks foreign data
@@ -51,10 +54,9 @@ from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Union
 
 from .globular import FiniteGlobularSet, nat_key
-from .hashcons import HashConsed, remember
+from .hashcons import HashConsed, remember, walker
 from .trees import (
     BataninTree,
-    dim_tree,
     pos_dim,
     positions,
     sorted_positions,
@@ -165,7 +167,7 @@ class Coh(HashConsed):
     @classmethod
     def build(cls, tree: BataninTree, sphere: Sphere, sub: Substitution) -> tuple["Coh", bool]:
         """``(cell, created)``: the interned coherence, and whether this
-        call built it (see :func:`omegatt.hashcons.memoise`)."""
+        call built it (see :func:`omegatt.hashcons.cached`)."""
         sub = tuple(sub)
         return cls._cons((tree, sphere, sub), (tree, sphere, sub, sphere.dim + 1, None, None, None))
 
@@ -218,7 +220,7 @@ class Computad(HashConsed):
         attach: Mapping[str, Sphere],
     ) -> tuple["Computad", bool]:
         """``(computad, created)``: what :meth:`make` returns, and whether
-        this call built and checked it (see :func:`omegatt.hashcons.memoise`)
+        this call built and checked it (see :func:`omegatt.hashcons.cached`)
         rather than finding it interned.  The spheres are checked bottom-up,
         each truncation interned once its level passes."""
         levels = [tuple(sorted(level, key=nat_key)) for level in generators_by_dim]
@@ -241,7 +243,7 @@ class Computad(HashConsed):
             stray = next(v for v in attach if v not in attached)
             raise ValueError(f"sphere attached to {stray!r}, not a generator of positive dimension")
         levels, pairs = tuple(levels), tuple(pairs)
-        c = _interned((levels, pairs))
+        c = Computad._live((levels, pairs))
         if c is not None:
             return c, False
         c = Computad._intern((), ())
@@ -283,7 +285,7 @@ class Computad(HashConsed):
             at += sum(map(len, levels[1:d]))
             pairs = pairs[:at] + ((name, sphere),) + pairs[at:]
         levels = tuple(levels)
-        c = _interned((levels, pairs))
+        c = Computad._live((levels, pairs))
         if c is None:
             if sphere is not None:
                 _check_attachment(self.truncate(d - 1), name, sphere, d)
@@ -334,12 +336,6 @@ class Computad(HashConsed):
         while levels and not levels[-1]:
             levels = levels[:-1]
         return Computad._intern(levels, self.attach[: sum(map(len, levels[1:]))])
-
-
-def _interned(key: tuple) -> Computad | None:
-    """The live computad with data ``key``, if there is one."""
-    ref = Computad._table.get(key)
-    return None if ref is None else ref()
 
 
 def _check_attachment(lower: Computad, v: str, sphere: Sphere, d: int) -> None:
@@ -404,16 +400,13 @@ def map_vars(leaf: Callable[[Var], CellTerm], cell: CellTerm, memo: dict | None 
     outer substitution moves.  ``memo`` (fresh by default; pass one dict
     to share it between calls with the same ``leaf``) holds each node
     already mapped, so a subterm shared in the DAG is mapped once."""
-    if memo is None:
-        memo = {}
-    out = memo.get(cell)
-    if out is None:
+
+    def step(cell: CellTerm, again) -> CellTerm:
         if isinstance(cell, Var):
-            out = leaf(cell)
-        else:
-            out = Coh(cell.tree, cell.sphere, map_values(cell.sub, lambda v: map_vars(leaf, v, memo)))
-        memo[cell] = out
-    return out
+            return leaf(cell)
+        return Coh(cell.tree, cell.sphere, map_values(cell.sub, again))
+
+    return walker(step, {} if memo is None else memo)(cell)
 
 
 def _morphism(sigma: Substitution) -> Callable[[Var], CellTerm]:
@@ -425,12 +418,6 @@ def _morphism(sigma: Substitution) -> Callable[[Var], CellTerm]:
 def apply_morphism(sigma: Substitution, cell: CellTerm) -> CellTerm:
     """Push a cell along a morphism given by its action on generators."""
     return map_vars(_morphism(sigma), cell)
-
-
-def compose_morphisms(sigma: Substitution, tau: Substitution) -> Substitution:
-    """sigma after tau, as an action on tau's keys."""
-    leaf, memo = _morphism(sigma), {}
-    return map_values(tau, lambda v: map_vars(leaf, v, memo))
 
 
 def cell_boundary(c: Computad, cell: CellTerm) -> Sphere:
@@ -479,21 +466,17 @@ def parallel(c: Computad, a: CellTerm, b: CellTerm) -> bool:
 def support(c: Computad, cell: CellTerm) -> frozenset[str]:
     """Generators a cell depends on, including those of its boundary.
     Each node of the DAG is visited once per call."""
-    return _support(c, cell, {})
 
-
-def _support(c: Computad, cell: CellTerm, memo: dict) -> frozenset[str]:
-    out = memo.get(cell)
-    if out is None:
+    def step(cell: CellTerm, again) -> frozenset[str]:
         if isinstance(cell, Var):
             out = frozenset({cell.name})
             if cell.dim > 0:
                 sphere = c.sphere_of(cell.name)
-                out |= _support(c, sphere.src, memo) | _support(c, sphere.tgt, memo)
-        else:
-            out = frozenset().union(*(_support(c, v, memo) for _, v in cell.sub))
-        memo[cell] = out
-    return out
+                out |= again(sphere.src) | again(sphere.tgt)
+            return out
+        return frozenset().union(*[again(v) for _, v in cell.sub])
+
+    return walker(step, {})(cell)
 
 
 def is_full(b: BataninTree, a: Sphere) -> bool:
@@ -501,9 +484,9 @@ def is_full(b: BataninTree, a: Sphere) -> bool:
     exactly the source-inclusion image of the scheme's n-boundary, and
     dually for the target."""
     n = a.dim
-    if dim_tree(b) > n + 1:
+    if b.dim > n + 1:
         raise ValueError(
-            f"sphere of dimension {n} cannot be full over a scheme of dimension {dim_tree(b)}"
+            f"sphere of dimension {n} cannot be full over a scheme of dimension {b.dim}"
         )
     pc = pasting_computad(b)
     src_image = frozenset(src_inclusion(n, b).values())
@@ -557,11 +540,11 @@ def _typecheck(c: Computad, cell: CellTerm, path: tuple[str, ...]) -> None:
         remember(c, "_passed", passed)
     elif cell in passed:
         return
-    if dim_tree(cell.tree) > cell.dim:
+    if cell.tree.dim > cell.dim:
         raise TypecheckError(
             "DimensionMismatch",
             path + ("tree",),
-            f"scheme of dimension {dim_tree(cell.tree)} in a {cell.dim}-cell",
+            f"scheme of dimension {cell.tree.dim} in a {cell.dim}-cell",
         )
     pc = pasting_computad(cell.tree)
     _typecheck(pc, cell.sphere.src, path + ("sphere", "src"))
@@ -645,29 +628,6 @@ def is_well_typed(c: Computad, cell: CellTerm) -> bool:
     except TypecheckError:
         return False
     return True
-
-
-def typecheck_morphism(dom: Computad, cod: Computad, sigma: Substitution) -> None:
-    """A morphism must bind every generator of ``dom`` to a cell of ``cod`` of
-    the same dimension, compatibly with the attaching spheres."""
-    bound = dict(sigma)
-    for d in range(dom.bound + 1):
-        for v in dom.generators_at(d):
-            if v not in bound:
-                raise TypecheckError("BadSubstitution", (v,), f"generator {v!r} unbound")
-            cell = bound[v]
-            if cell.dim != d:
-                raise TypecheckError(
-                    "DimensionMismatch", (v,), f"{v!r} has dimension {d}, image has {cell.dim}"
-                )
-            typecheck_cell(cod, cell, (v,))
-            if d >= 1:
-                want = dom.sphere_of(v)
-                got = cell_boundary(cod, cell)
-                if got != Sphere(apply_morphism(sigma, want.src), apply_morphism(sigma, want.tgt)):
-                    raise TypecheckError(
-                        "BadSubstitution", (v,), f"image of {v!r} has the wrong boundary"
-                    )
 
 
 # ---------------------------------------------------------------------------

@@ -33,19 +33,6 @@ def _sorted_names(names: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(names, key=nat_key))
 
 
-def _boundary_of(pairs: tuple[tuple[str, str], ...], level: tuple[str, ...], x: str) -> str:
-    """The boundary of ``x`` in ``pairs``, which lists ``level`` in order.
-
-    For single lookups only: a scan of the level in C, so a loop over a
-    level walks its pairs instead (see :class:`FiniteGlobularSet`).  The
-    sets of positions of every pasting scheme stay cached, and an index
-    per set would cost more memory than one scan costs time."""
-    try:
-        return pairs[level.index(x)][1]
-    except (ValueError, IndexError):
-        raise KeyError(x) from None
-
-
 @dataclass(frozen=True, slots=True)
 class FiniteGlobularSet:
     """Cells per dimension plus source/target maps (immutable, canonical order).
@@ -133,12 +120,6 @@ class FiniteGlobularSet:
             for x in level:
                 yield d, x
 
-    def src_of(self, d: int, x: str) -> str:
-        return _boundary_of(self.srcs[d], self.cells[d], x)
-
-    def tgt_of(self, d: int, x: str) -> str:
-        return _boundary_of(self.tgts[d], self.cells[d], x)
-
     def to_json(self) -> dict:
         src = {x: s for pairs in self.srcs for x, s in pairs}
         tgt = {x: t for pairs in self.tgts for x, t in pairs}
@@ -182,12 +163,6 @@ class BipointedGlobularSet:
     @staticmethod
     def from_json(obj: Mapping) -> "BipointedGlobularSet":
         return BipointedGlobularSet(FiniteGlobularSet.from_json(obj), tuple(obj["base"]))
-
-
-def glob_from_json(obj: Mapping) -> FiniteGlobularSet | BipointedGlobularSet:
-    if "base" in obj:
-        return BipointedGlobularSet.from_json(obj)
-    return FiniteGlobularSet.from_json(obj)
 
 
 def disk(n: int) -> FiniteGlobularSet:

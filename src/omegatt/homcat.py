@@ -26,10 +26,11 @@ root sectors to the basepoints, and its sphere is a suspension.
 
 The three traversals keep their memos on what they are about, as
 :func:`omegatt.metaops.op_cell` does: ``hom_factor`` and ``hom_realize``
-on the ambient computad, one pair of memos per basepoint pair, and
-``op_homcell`` on each hom-cell node per dimension set.  Each node is
-factored, played back or reversed once for as long as its computad or
-node lives.  A failure is never memoised.
+on the ambient computad, one pair of walks (:func:`omegatt.hashcons.walker`)
+with their memos per basepoint pair, and ``op_homcell`` on each hom-cell
+node per dimension set.  Each node is factored, played back or reversed
+once for as long as its computad or node lives.  A failure is never
+memoised.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .computads import (
     term_diff,
 )
 from .globular import DimSet, canonical_dimset, dimset_down
-from .hashcons import HashConsed, memoise, recall, remember
+from .hashcons import HashConsed, cached, walker
 from .metaops import (
     BipointedComputad,
     NotASuspension,
@@ -58,6 +59,7 @@ from .metaops import (
     op_cell,
     op_coh,
     suspend_coh,
+    suspender,
     unsuspend_sub,
 )
 from .trees import tree_to_list
@@ -128,36 +130,34 @@ def is_indecomposable(c: BipointedComputad, cell: CellTerm) -> bool:
     return _unsuspended(c, cell) is None
 
 
-def _memos(c: BipointedComputad) -> tuple[dict, dict]:
-    """The factor and realize memos of ``c``, kept in the ``_hom`` slot of
-    its computad per basepoint pair.  Cells never refer to computads, so
-    these strong entries close no reference cycle; they die with the
-    computad."""
-    memos = c.computad._hom
-    if memos is None:
-        memos = {}
-        remember(c.computad, "_hom", memos)
-    pair = memos.get(c.base)
-    if pair is None:
-        pair = memos[c.base] = ({}, {})
-    return pair
+def _walks(c: BipointedComputad) -> tuple:
+    """The factor and realize walks of ``c``, kept with their memos in the
+    ``_hom`` slot of its computad per basepoint pair.  Neither walk refers
+    to the computad, and cells never refer to computads, so these strong
+    entries close no reference cycle; they die with the computad."""
+    return cached(c.computad, "_hom", c.base, _fresh_walks, c.base)
+
+
+def _fresh_walks(base: tuple[CellTerm, CellTerm]) -> tuple[tuple, bool]:
+    memo: dict = {}
+    suspend = suspender(memo)  # the suspended sphere cells share the memo
+
+    def realize(h: HomCell, again) -> CellTerm:
+        if isinstance(h, HomGenerator):
+            return h.underlying
+        return suspend_coh(h, base, again, suspend)
+
+    return (walker(_hom_factor_node, {}), walker(realize, memo)), True
 
 
 def hom_factor(c: BipointedComputad, cell: CellTerm) -> HomCell:
     """Rewrite a loop cell as a cell over the hom computad (the inverse of
     the structure bijection).  Each node of the DAG is factored once per
-    computad and basepoint pair (see :func:`_memos`)."""
-    return _hom_factor(c, cell, _memos(c)[0])
+    computad and basepoint pair (see :func:`_walks`)."""
+    return _walks(c)[0](cell, c)
 
 
-def _hom_factor(c: BipointedComputad, cell: CellTerm, memo: dict) -> HomCell:
-    out = memo.get(cell)
-    if out is None:
-        out = memo[cell] = _hom_factor_node(c, cell, memo)
-    return out
-
-
-def _hom_factor_node(c: BipointedComputad, cell: CellTerm, memo: dict) -> HomCell:
+def _hom_factor_node(cell: CellTerm, again, c: BipointedComputad) -> HomCell:
     if not is_loop_cell(c, cell):
         raise ValueError("only loop cells factor through the hom computad")
     shape = _unsuspended(c, cell)
@@ -170,7 +170,7 @@ def _hom_factor_node(c: BipointedComputad, cell: CellTerm, memo: dict) -> HomCel
             ("sphere",), "desuspended sphere is not full over the desuspended scheme"
         )
     # stripping the prefix keeps the canonical order (see suspend_coh)
-    sub = tuple([(p[2:], _hom_factor(c, v, memo)) for p, v in entries])
+    sub = tuple([(p[2:], again(v, c)) for p, v in entries])
     return Coh(tree, sphere, sub)
 
 
@@ -178,21 +178,10 @@ def hom_realize(c: BipointedComputad, h: HomCell) -> CellTerm:
     """Play a hom cell back as a loop cell of the ambient computad: the
     suspension with the basepoints of ``c`` at the root sectors and the
     counit at the leaves.  Each node of the DAG is played back once per
-    computad and basepoint pair (see :func:`_memos`).  The memo is not
+    computad and basepoint pair (see :func:`_walks`).  The memo is not
     seeded by :func:`hom_factor`, so the round trip is computed both
     ways."""
-    return _hom_realize(c, h, _memos(c)[1])
-
-
-def _hom_realize(c: BipointedComputad, h: HomCell, memo: dict) -> CellTerm:
-    out = memo.get(h)
-    if out is None:
-        if isinstance(h, HomGenerator):
-            out = h.underlying
-        else:
-            out = suspend_coh(h, c.base, lambda v: _hom_realize(c, v, memo), memo)
-        memo[h] = out
-    return out
+    return _walks(c)[1](h)
 
 
 def op_homcell(w: DimSet, h: HomCell) -> HomCell:
@@ -202,19 +191,13 @@ def op_homcell(w: DimSet, h: HomCell) -> HomCell:
     :func:`omegatt.metaops.op_cell` holds its own.  Hom cells have
     ``HomGenerator`` leaves and cells have ``Var`` leaves, so the two
     never share a node's ``_op`` entry."""
-    down = dimset_down(w)
+    return _op_homcell(canonical_dimset(w), h)
 
-    def go(h: HomCell) -> HomCell:
-        out = recall(h._op, w)
-        if out is None:
-            if isinstance(h, HomGenerator):
-                out, created = HomGenerator.build(op_cell(w, h.underlying))
-            else:
-                out, created = op_coh(down, h, go)
-            memoise(h, "_op", canonical_dimset(w), out, created)
-        return out
 
-    return go(h)
+def _op_homcell(w: DimSet, h: HomCell) -> HomCell:
+    if isinstance(h, HomGenerator):
+        return cached(h, "_op", w, lambda: HomGenerator.build(op_cell(w, h.underlying)))
+    return cached(h, "_op", w, lambda: op_coh(dimset_down(w), h, _op_homcell, w))
 
 
 def op_hom_transport(w: DimSet, c: BipointedComputad, cell: CellTerm) -> tuple[bool, str]:

@@ -46,11 +46,9 @@ from .metaops import (
 )
 from .oplib import BoundaryMismatch, comp_cell, compose, eh_computad, identity_cell
 from .trees import (
-    BataninTree,
     all_trees,
     boundary_tree,
     comp_tree,
-    dim_tree,
     op_positions_iso,
     op_tree,
     positions,
@@ -163,7 +161,7 @@ def law_tree_boundary(max_nodes: int, dims_upto: int) -> LawReport:
         for w in all_dimsets(dims_upto):
             opt = op_tree(w, t)
             iso_t = op_positions_iso(w, t)
-            for k in range(dim_tree(t)):
+            for k in range(t.dim):
                 bt = boundary_tree(k, t)
                 report.check(
                     op_tree(w, bt) == boundary_tree(k, opt),

@@ -37,7 +37,7 @@ from .computads import (
     map_vars,
 )
 from .globular import DimSet, canonical_dimset
-from .hashcons import memoise, recall
+from .hashcons import cached, walker
 from .trees import BataninTree, op_positions_iso, op_sub_order, op_tree, suspend_tree
 
 BASE_MINUS = "0"
@@ -74,22 +74,23 @@ def suspend_cell(cell: CellTerm) -> CellTerm:
     """Suspend a cell: generators shift to their ``1.``-names one dimension
     up; coherence substitutions additionally send the two fresh root sectors
     to the basepoints.  Each node of the DAG is suspended once per call."""
-    return _suspend(cell, {})
+    return suspender({})(cell)
 
 
-def _suspend(cell: CellTerm, memo: dict) -> CellTerm:
-    out = memo.get(cell)
-    if out is None:
-        if isinstance(cell, Var):
-            out = Var(f"1.{cell.name}", cell.dim + 1)
-        else:
-            out = suspend_coh(cell, _BASEPOINTS, lambda v: _suspend(v, memo), memo)
-        memo[cell] = out
-    return out
+def suspender(memo: dict) -> Callable[[CellTerm], CellTerm]:
+    """Suspension of cells through ``memo``: one walk over the DAG that
+    can be continued on further cells."""
+    return walker(_suspend, memo)
+
+
+def _suspend(cell: CellTerm, again) -> CellTerm:
+    if isinstance(cell, Var):
+        return Var(f"1.{cell.name}", cell.dim + 1)
+    return suspend_coh(cell, _BASEPOINTS, again, again)
 
 
 def suspend_coh(
-    cell: Coh, base: tuple[CellTerm, CellTerm], value: Callable, memo: dict
+    cell: Coh, base: tuple[CellTerm, CellTerm], value: Callable, suspend: Callable
 ) -> Coh:
     """The coherence case of suspension, with the leaf action passed in: the
     scheme and the sphere go one dimension up, the two fresh root sectors go
@@ -97,19 +98,19 @@ def suspend_coh(
     ``value`` of its cell.  Under ``nat_key`` the basepoints come before
     every ``1.``-name and the prefix keeps the order of the rest, so the
     substitution comes out in canonical order with no sort.  The sphere
-    lives over the scheme, so it is suspended by :func:`_suspend` through
-    ``memo``, the memo of the calling traversal; sphere cells have ``Var``
-    leaves, so they never collide with the keys of a caller whose leaves
-    are of another kind."""
+    lives over the scheme, so its cells go through ``suspend``, a
+    :func:`suspender` that the calling traversal keeps; sphere cells have
+    ``Var`` leaves, so they never collide with the keys of a caller whose
+    leaves are of another kind."""
     sub = [(BASE_MINUS, base[0]), (BASE_PLUS, base[1])]
     sub += [(f"1.{p}", value(v)) for p, v in cell.sub]
-    sphere = Sphere(_suspend(cell.sphere.src, memo), _suspend(cell.sphere.tgt, memo))
+    sphere = Sphere(suspend(cell.sphere.src), suspend(cell.sphere.tgt))
     return Coh(suspend_tree(cell.tree), sphere, tuple(sub))
 
 
 def suspend_sphere(sphere: Sphere) -> Sphere:
-    memo: dict = {}
-    return Sphere(_suspend(sphere.src, memo), _suspend(sphere.tgt, memo))
+    suspend = suspender({})
+    return Sphere(suspend(sphere.src), suspend(sphere.tgt))
 
 
 def suspend_computad(c: Computad) -> BipointedComputad:
@@ -117,20 +118,20 @@ def suspend_computad(c: Computad) -> BipointedComputad:
     generators with suspended attaching spheres.  The suspended computad is
     memoised on ``c`` (under the key None), held as :func:`op_computad`
     holds its results."""
-    up = recall(c._susp, None)
-    if up is None:
-        gens: list[list[str]] = [[BASE_MINUS, BASE_PLUS]]
-        attach: dict[str, Sphere] = {}
-        for d in range(c.bound + 1):
-            gens.append([f"1.{v}" for v in c.generators_at(d)])
-            for v in c.generators_at(d):
-                if d == 0:
-                    attach[f"1.{v}"] = Sphere(*_BASEPOINTS)
-                else:
-                    attach[f"1.{v}"] = suspend_sphere(c.sphere_of(v))
-        up, created = Computad.build(gens, attach)
-        memoise(c, "_susp", None, up, created)
-    return BipointedComputad(up, _BASEPOINTS)
+    return BipointedComputad(cached(c, "_susp", None, _suspended, c), _BASEPOINTS)
+
+
+def _suspended(c: Computad) -> tuple[Computad, bool]:
+    gens: list[list[str]] = [[BASE_MINUS, BASE_PLUS]]
+    attach: dict[str, Sphere] = {}
+    for d in range(c.bound + 1):
+        gens.append([f"1.{v}" for v in c.generators_at(d)])
+        for v in c.generators_at(d):
+            if d == 0:
+                attach[f"1.{v}"] = Sphere(*_BASEPOINTS)
+            else:
+                attach[f"1.{v}"] = suspend_sphere(c.sphere_of(v))
+    return Computad.build(gens, attach)
 
 
 # ---------------------------------------------------------------------------
@@ -153,17 +154,10 @@ class NotASuspension(Exception):
 def desuspend_cell(cell: CellTerm, path: tuple[str, ...] = ()) -> CellTerm:
     """Invert :func:`suspend_cell` on its image; raises NotASuspension off it.
     Each node of the DAG is desuspended once per call."""
-    return _desuspend(cell, path, {})
+    return walker(_desuspend, {})(cell, path)
 
 
-def _desuspend(cell: CellTerm, path: tuple[str, ...], memo: dict) -> CellTerm:
-    out = memo.get(cell)
-    if out is None:
-        out = memo[cell] = _desuspend_node(cell, path, memo)
-    return out
-
-
-def _desuspend_node(cell: CellTerm, path: tuple[str, ...], memo: dict) -> CellTerm:
+def _desuspend(cell: CellTerm, again, path: tuple[str, ...]) -> CellTerm:
     if isinstance(cell, Var):
         if cell.dim >= 1 and cell.name.startswith("1."):
             return Var(cell.name[2:], cell.dim - 1)
@@ -171,8 +165,8 @@ def _desuspend_node(cell: CellTerm, path: tuple[str, ...], memo: dict) -> CellTe
         raise NotASuspension(path, reason)
     # stripping the prefix keeps the canonical order (see suspend_coh)
     entries = unsuspend_sub(cell, _BASEPOINTS, path)
-    sub = tuple([(p[2:], _desuspend(v, path + ("sub", p), memo)) for p, v in entries])
-    sphere = _desuspend_sphere(cell.sphere, path + ("sphere",), memo)
+    sub = tuple([(p[2:], again(v, path + ("sub", p))) for p, v in entries])
+    sphere = _desuspend_sphere(cell.sphere, path + ("sphere",), again)
     return Coh(cell.tree.children[0], sphere, sub)
 
 
@@ -193,24 +187,22 @@ def unsuspend_sub(
     return [(p, v) for p, v in cell.sub if p not in (BASE_MINUS, BASE_PLUS)]
 
 
-def _desuspend_sphere(sphere: Sphere, path: tuple[str, ...], memo: dict) -> Sphere:
-    return Sphere(
-        _desuspend(sphere.src, path + ("src",), memo),
-        _desuspend(sphere.tgt, path + ("tgt",), memo),
-    )
+def _desuspend_sphere(sphere: Sphere, path: tuple[str, ...], desuspend) -> Sphere:
+    return Sphere(desuspend(sphere.src, path + ("src",)), desuspend(sphere.tgt, path + ("tgt",)))
 
 
 def desuspend_sphere(sphere: Sphere, path: tuple[str, ...] = ()) -> Sphere:
-    return _desuspend_sphere(sphere, path, {})
+    return _desuspend_sphere(sphere, path, walker(_desuspend, {}))
 
 
 def desuspend_computad(c: Computad) -> Computad:
     """Invert :func:`suspend_computad`; raises NotASuspension off its image.
     The result is memoised on ``c`` as :func:`suspend_computad` memoises
     its own; a failure is not, so it is raised again on every call."""
-    down = recall(c._desusp, None)
-    if down is not None:
-        return down
+    return cached(c, "_desusp", None, _desuspended, c)
+
+
+def _desuspended(c: Computad) -> tuple[Computad, bool]:
     if c.generators_at(0) != (BASE_MINUS, BASE_PLUS):
         raise NotASuspension((), "0-generators are not exactly the two basepoints")
     gens: list[list[str]] = []
@@ -228,9 +220,7 @@ def desuspend_computad(c: Computad) -> Computad:
             else:
                 attach[name] = desuspend_sphere(c.sphere_of(v), (v,))
         gens.append(level)
-    down, created = Computad.build(gens, attach)
-    memoise(c, "_desusp", None, down, created)
-    return down
+    return Computad.build(gens, attach)
 
 
 # ---------------------------------------------------------------------------
@@ -250,23 +240,22 @@ def _renaming(rename: Mapping[str, str]):
 
 def op_cell(w: DimSet, cell: CellTerm) -> CellTerm:
     """The image of a cell under op_w : cells of C -> cells of op_w(C).
-    Generators are preserved; a coherence goes through :func:`op_coh`.  The
-    result is memoised on the coherence node, per dimension set."""
+    Generators are preserved; a coherence goes through :func:`op_coh`,
+    with this function as the action on the cells it binds.  The result
+    is memoised on the coherence node, per dimension set."""
     if isinstance(cell, Var):
         return cell
-    out = recall(cell._op, w)
-    if out is None:
-        out, created = op_coh(w, cell, lambda v: op_cell(w, v))
-        memoise(cell, "_op", canonical_dimset(w), out, created)
-    return out
+    return cached(cell, "_op", w, op_coh, w, cell, op_cell, w)
 
 
-def op_coh(w: DimSet, cell: Coh, value: Callable) -> tuple[Coh, bool]:
+def op_coh(w: DimSet, cell: Coh, value: Callable, arg) -> tuple[Coh, bool]:
     """The coherence case of the opposite at ``w``, with the leaf action
     passed in: the coherence moves to the opposite scheme with the sphere
     :func:`op_sphere_over` gives, and its substitution precomposes with the
-    canonical position bijection, binding ``value`` of each cell.  Only
-    the substitution depends on the cell: it is gathered in the order
+    canonical position bijection, binding ``value(arg, v)`` of each cell
+    ``v`` that is not a ``Var`` (a generator is its own opposite, so a
+    ``Var`` binding is kept as it is).  Only the substitution depends on
+    the cell: it is gathered in the order
     :func:`omegatt.trees.op_sub_order` computes once per dimension set and
     scheme, which relies on every substitution being stored in canonical
     order.  Returns :meth:`Coh.build`'s ``(cell, created)``."""
@@ -274,7 +263,11 @@ def op_coh(w: DimSet, cell: Coh, value: Callable) -> tuple[Coh, bool]:
     out = []
     for p, i in op_sub_order(w, cell.tree):
         pair = sub[i]
-        out.append(keep_pair(pair, p, value(pair[1])))
+        if type(pair[1]) is not Var:
+            pair = keep_pair(pair, p, value(arg, pair[1]))
+        elif pair[0] != p:
+            pair = (p, pair[1])
+        out.append(pair)
     sphere = op_sphere_over(w, cell.tree, cell.sphere)
     return Coh.build(op_tree(w, cell.tree), sphere, tuple(out))
 
@@ -286,16 +279,15 @@ def op_sphere_over(w: DimSet, tree: BataninTree, sphere: Sphere) -> Sphere:
     ``op_tree(w, tree)``.  It does not depend on the coherence's
     substitution, so it is memoised on ``sphere`` per dimension set and
     scheme, held as :func:`op_cell` holds its results."""
-    key = (canonical_dimset(w), tree)
-    out = recall(sphere._op, key)
-    if out is None:
-        leaf = _renaming({q: p for p, q in op_positions_iso(w, tree).items()})
-        reversed_sphere, renamed = op_sphere(w, sphere), {}
-        out, created = Sphere.build(
-            map_vars(leaf, reversed_sphere.src, renamed), map_vars(leaf, reversed_sphere.tgt, renamed)
-        )
-        memoise(sphere, "_op", key, out, created)
-    return out
+    return cached(sphere, "_op", (canonical_dimset(w), tree), _op_sphere_over, w, tree, sphere)
+
+
+def _op_sphere_over(w: DimSet, tree: BataninTree, sphere: Sphere) -> tuple[Sphere, bool]:
+    leaf = _renaming({q: p for p, q in op_positions_iso(w, tree).items()})
+    reversed_sphere, renamed = op_sphere(w, sphere), {}
+    return Sphere.build(
+        map_vars(leaf, reversed_sphere.src, renamed), map_vars(leaf, reversed_sphere.tgt, renamed)
+    )
 
 
 def op_sphere(w: DimSet, sphere: Sphere) -> Sphere:
@@ -315,22 +307,11 @@ def op_computad(w: DimSet, c: Computad) -> Computad:
     is checked through :meth:`Computad.build`.  The inverse entry is never
     seeded: ``op_computad(w, op_computad(w, c)) is c`` holds because the
     opposite of the opposite is built again and is ``c``, interned."""
-    out = recall(c._op, w)
-    if out is None:
-        out, created = Computad.build(
-            [list(level) for level in c.generators],
-            {v: op_sphere(w, s) for v, s in c.attach},
-        )
-        memoise(c, "_op", canonical_dimset(w), out, created)
-    return out
+    return cached(c, "_op", canonical_dimset(w), lambda: Computad.build(
+        [list(level) for level in c.generators], {v: op_sphere(w, s) for v, s in c.attach}
+    ))
 
 
 def op_bipointed(w: DimSet, c: BipointedComputad) -> BipointedComputad:
     base = (c.base_plus, c.base_minus) if 1 in w else c.base
     return BipointedComputad(op_computad(w, c.computad), base)
-
-
-def swap_basepoints(cell: CellTerm) -> CellTerm:
-    """Rename the two suspension basepoints into each other; the comparison
-    map between op-of-suspension and suspension-of-op when 1 is reversed."""
-    return rename_cell({BASE_MINUS: BASE_PLUS, BASE_PLUS: BASE_MINUS}, cell)

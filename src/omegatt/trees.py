@@ -24,7 +24,6 @@ from .globular import (
     BipointedGlobularSet,
     DimSet,
     FiniteGlobularSet,
-    canonical_dimset,
     dimset_down,
     shift_levels,
 )
@@ -34,23 +33,30 @@ from .hashcons import HashConsed, remember
 class BataninTree(HashConsed):
     """A finite rooted planar tree; children ordered left to right.
 
-    Interned: structurally equal trees are one object.  ``_op`` memoises
-    :func:`op_tree` per dimension set, ``_boundary``
+    Interned: structurally equal trees are one object.  ``dim`` is the
+    height, computed from the children when the tree is first built.
+    ``_op`` memoises :func:`op_tree` per dimension set, ``_boundary``
     :func:`boundary_tree` per dimension and ``_names``
-    :func:`sorted_positions`.  The ``_op`` and ``_boundary`` entries are
-    strong: a tree stays in the position caches for the life of the
-    process anyway, so a memo cycle between a tree and its opposite or
-    its boundary (the tree itself at or above its dimension) costs
-    nothing.
+    :func:`sorted_positions`.  The ``_op`` and ``_boundary`` dicts come
+    with the tree, so the hot lookups in them take no helper call, and
+    their entries are strong: a tree stays in the position caches for the
+    life of the process anyway, so a memo cycle between a tree and its
+    opposite or its boundary (the tree itself at or above its dimension)
+    costs nothing.
     """
 
-    __slots__ = ("children", "_op", "_boundary", "_names")
+    __slots__ = ("children", "dim", "_op", "_boundary", "_names")
     __match_args__ = ("children",)
     children: tuple["BataninTree", ...]
+    dim: int
 
     def __new__(cls, children: tuple["BataninTree", ...] = ()) -> "BataninTree":
         children = tuple(children)
-        return cls._cons(children, (children, None, None, None))[0]
+        tree = cls._live(children)
+        if tree is None:
+            dim = 1 + max([c.dim for c in children]) if children else 0
+            tree = cls._cons(children, (children, dim, {}, {}, None))[0]
+        return tree
 
     def __repr__(self) -> str:
         return "br[" + ", ".join(repr(c) for c in self.children) + "]"
@@ -70,7 +76,7 @@ def tree_from_list(data: Sequence) -> BataninTree:
 
 def dim_tree(t: BataninTree) -> int:
     """Height of the tree = dimension of the pasting scheme."""
-    return 0 if not t.children else 1 + max(dim_tree(c) for c in t.children)
+    return t.dim
 
 
 def disk_tree(n: int) -> BataninTree:
@@ -88,14 +94,10 @@ def boundary_tree(k: int, t: BataninTree) -> BataninTree:
     on ``t`` per ``k``."""
     if k < 0:
         raise ValueError(f"boundary_tree: negative dimension {k}")
-    memo = t._boundary
-    if memo is None:
-        memo = {}
-        remember(t, "_boundary", memo)
-    out = memo.get(k)
+    out = t._boundary.get(k)
     if out is None:
         out = br() if k == 0 else BataninTree(tuple([boundary_tree(k - 1, c) for c in t.children]))
-        memo[k] = out
+        t._boundary[k] = out
     return out
 
 
@@ -189,17 +191,11 @@ def op_tree(w: DimSet, t: BataninTree) -> BataninTree:
     Reversing dimension 1 flips the order of the root's children; the
     set shifts down by one for the recursion into each child.
     """
-    memo = t._op
-    if memo is None:
-        memo = {}
-        remember(t, "_op", memo)
-    out = memo.get(w)
+    out = t._op.get(w)
     if out is None:
         down = dimset_down(w)
         kids = tuple(op_tree(down, c) for c in t.children)
-        if 1 in w:
-            kids = kids[::-1]
-        out = memo[canonical_dimset(w)] = BataninTree(kids)
+        out = t._op[w] = BataninTree(kids[::-1] if 1 in w else kids)
     return out
 
 

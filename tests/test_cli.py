@@ -119,6 +119,22 @@ class TestExitCodes:
         assert code == 1
         assert "not a suspension" in err
 
+    def test_susp_of_a_hom_cell_names_suspension(self, capsys):
+        code, _, err = invoke(capsys, "susp", "samples/eh.ctt")
+        assert code == 1
+        assert err == "omegatt: cannot suspend vertical_factored: it is a hom cell\n"
+
+    def test_desusp_of_a_hom_cell_names_desuspension(self, capsys, tmp_path):
+        source = tmp_path / "suspended.ctt"
+        source.write_text(
+            "computad s {\n  0 : * ; 1 : * ;\n  1.x : 0 -> 1 ; 1.y : 0 -> 1 ;\n  1.f : 1.x -> 1.y ;\n}\n"
+            "let h = homfactor(1.f)\n",
+            encoding="utf-8",
+        )
+        code, _, err = invoke(capsys, "desusp", str(source))
+        assert code == 1
+        assert err == "omegatt: cannot desuspend h: it is a hom cell\n"
+
     def test_unknown_cell_is_check_error(self, capsys):
         code, _, err = invoke(capsys, "id", "nope", "samples/comp101.ctt")
         assert code == 1
@@ -155,6 +171,13 @@ class TestExitCodes:
         at = len("let t = coh ") + MAX_COMP_DIM + 1  # the first '[' too many
         assert invoke(capsys, "check", str(source)) == (
             1, "", f"{source}:1:{at}: tree literal nested more than {MAX_COMP_DIM} deep\n"
+        )
+
+    def test_tall_tree_literal_is_a_located_error(self, capsys, tmp_path):
+        source = tmp_path / "tall.ctt"
+        source.write_text(f"let t = coh {'[' * 330}{']' * 330} {{ x -> x }} []\n")
+        assert invoke(capsys, "check", str(source)) == (
+            1, "", f"{source}:1:1: DimensionMismatch at tree: scheme of dimension 329 in a 1-cell\n"
         )
 
     @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 
 from conftest import trees
+from extras import compose_morphisms, typecheck_morphism
 from omegatt.computads import (
     Coh,
     Computad,
@@ -21,7 +22,6 @@ from omegatt.computads import (
     cell_from_json,
     cell_key,
     cell_to_json,
-    compose_morphisms,
     computad_from_json,
     computad_to_json,
     counit_eval,
@@ -37,7 +37,6 @@ from omegatt.computads import (
     support,
     term_diff,
     typecheck_cell,
-    typecheck_morphism,
 )
 from omegatt.globular import dimset
 from omegatt.metaops import op_computad, suspend_computad

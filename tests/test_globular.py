@@ -7,12 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import dimsets, trees
+from extras import glob_from_json, src_of, tgt_of
 from omegatt import globular
 from omegatt.globular import (
     BipointedGlobularSet,
     FiniteGlobularSet,
     disk,
-    glob_from_json,
     hom_glob,
     nat_key,
     op_glob,
@@ -103,9 +103,9 @@ class TestDisk:
         rename = {"0": "s0", "1": "t0", "1.0": "s1", "1.1": "t1",
                   "1.1.0": "s2", "1.1.1": "t2", "1.1.1.0": "top"}
         cells = [[rename[c] for c in level] for level in p.cells]
-        src = {rename[c]: rename[p.src_of(d, c)]
+        src = {rename[c]: rename[src_of(p, d, c)]
                for d in range(1, p.ndim + 1) for c in p.cells_at(d)}
-        tgt = {rename[c]: rename[p.tgt_of(d, c)]
+        tgt = {rename[c]: rename[tgt_of(p, d, c)]
                for d in range(1, p.ndim + 1) for c in p.cells_at(d)}
         assert FiniteGlobularSet.make(cells, src, tgt) == disk(3)
 
@@ -127,10 +127,10 @@ class TestWedge:
         w = wedge([arrow, arrow])
         assert w.carrier.cells == (("0", "1", "2"), ("1.1.p", "2.1.p"))
         assert w.base == ("0", "2")
-        assert w.carrier.src_of(1, "1.1.p") == "0"
-        assert w.carrier.tgt_of(1, "1.1.p") == "1"
-        assert w.carrier.src_of(1, "2.1.p") == "1"
-        assert w.carrier.tgt_of(1, "2.1.p") == "2"
+        assert src_of(w.carrier, 1, "1.1.p") == "0"
+        assert tgt_of(w.carrier, 1, "1.1.p") == "1"
+        assert src_of(w.carrier, 1, "2.1.p") == "1"
+        assert tgt_of(w.carrier, 1, "2.1.p") == "2"
 
     def test_loop_part_merges_chain_nodes(self):
         loop = BipointedGlobularSet(point(), ("p", "p"))
@@ -149,8 +149,8 @@ class TestSuspend:
     def test_suspend_point_is_an_arrow(self):
         s = suspend_glob(point())
         assert s.carrier.cells == (("0", "1"), ("1.p",))
-        assert s.carrier.src_of(1, "1.p") == "0"
-        assert s.carrier.tgt_of(1, "1.p") == "1"
+        assert src_of(s.carrier, 1, "1.p") == "0"
+        assert tgt_of(s.carrier, 1, "1.p") == "1"
 
     @given(st.integers(min_value=0, max_value=4))
     def test_suspend_disk_counts(self, n):
@@ -183,8 +183,8 @@ class TestOp:
 
     def test_op1_disk1_swaps_endpoints(self):
         g = op_glob(frozenset({1}), disk(1))
-        assert g.src_of(1, "top") == "t0"
-        assert g.tgt_of(1, "top") == "s0"
+        assert src_of(g, 1, "top") == "t0"
+        assert tgt_of(g, 1, "top") == "s0"
 
     @given(trees(4), dimsets(3), dimsets(3))
     def test_op_composes_by_symmetric_difference(self, t, w, v):
@@ -275,7 +275,6 @@ class TestOrderedConstructions:
             return wrapper
 
         monkeypatch.setattr(globular, "nat_key", counted(globular.nat_key))
-        monkeypatch.setattr(globular, "_boundary_of", counted(globular._boundary_of))
         # trees no other test builds, so their positions are built here
         fresh = [br(*(disk_tree(k % 4) for k in range(13))), br(disk_tree(5), br(br(), br(br())))]
         before = positions.cache_info().misses

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extras import table_size
 from omegatt import computads, homcat, metaops
 from omegatt.computads import (
     Coh,
@@ -50,7 +51,7 @@ ambient_cells = st.one_of(
 
 
 def table_sizes() -> tuple[int, ...]:
-    return tuple(cls.table_size() for cls in NODE_CLASSES)
+    return tuple(table_size(cls) for cls in NODE_CLASSES)
 
 
 class TestSharing:
@@ -148,7 +149,7 @@ class TestTables:
         gc.collect()
         before = table_sizes()
         up = suspend_cell(big)
-        assert Coh.table_size() > before[NODE_CLASSES.index(Coh)]
+        assert table_size(Coh) > before[NODE_CLASSES.index(Coh)]
         del up
         gc.collect()
         assert table_sizes() == before
@@ -176,7 +177,7 @@ class TestMemos:
         pointed = eh_computad()
         cell = LOOPS[-1]
         first = hom_factor(pointed, cell)
-        nodes = _counting(monkeypatch, homcat, "_hom_factor_node")
+        nodes = _counting(monkeypatch, homcat, "is_loop_cell")  # once per node factored
         assert hom_factor(pointed, cell) is first
         assert hom_realize(pointed, first) is hom_realize(pointed, first)
         assert nodes == []
@@ -212,6 +213,28 @@ class TestMemos:
         flipped_c = metaops.op_computad(w, c)
         assert reversed_second is compose(flipped_c, c.var("share-h"), 0, c.var("share-f"))
 
+    def test_var_bindings_are_kept_without_a_call(self, monkeypatch):
+        """Generators are their own opposites: reversing a coherence whose
+        bindings are all variables enters op_cell once, for the cell."""
+        point = {v: Var(v, 0) for v in ("once-x", "once-y", "once-z")}
+        c = Computad.make(
+            [list(point), ["once-f", "once-g"]],
+            {
+                "once-f": Sphere(point["once-x"], point["once-y"]),
+                "once-g": Sphere(point["once-y"], point["once-z"]),
+            },
+        )
+        cell = compose(c, c.var("once-f"), 0, c.var("once-g"))
+        template = comp_cell(1, 0, 1)
+        assert (cell.tree, cell.sphere) == (template.tree, template.sphere)
+        w = dimset([1])
+        op_cell(w, template)  # the shared sphere is reversed here, not below
+        assert cell._op is None
+        entries = _counting(monkeypatch, metaops, "op_cell")
+        flipped = metaops.op_cell(w, cell)
+        assert entries == [None]
+        assert flipped is compose(metaops.op_computad(w, c), c.var("once-g"), 0, c.var("once-f"))
+
     def test_reversed_sphere_dies_with_its_coherence(self):
         """Reference counting alone frees a fresh coherence, its opposite
         and the reversed sphere memoised on its sphere: the memo closes no
@@ -246,6 +269,30 @@ class TestMemos:
         fullness = _counting(monkeypatch, computads, "is_full")
         typecheck_cell(ambient, cell)
         assert fullness == []
+
+    def test_computad_memos_close_no_cycle(self):
+        """Reference counting alone frees a fresh computad, its suspension
+        and its opposite, although each memoises the other's image."""
+        x, y = Var("cycle-x", 0), Var("cycle-y", 0)
+        f, g = Var("cycle-f", 1), Var("cycle-g", 1)
+        c = Computad.make(
+            [["cycle-x", "cycle-y"], ["cycle-f", "cycle-g"], ["cycle-a"]],
+            {"cycle-f": Sphere(x, y), "cycle-g": Sphere(x, y), "cycle-a": Sphere(f, g)},
+        )
+        w = dimset([1, 2])
+        gc.collect()
+        gc.disable()
+        try:
+            up = metaops.suspend_computad(c).computad
+            assert metaops.desuspend_computad(up) is c
+            flipped = metaops.op_computad(w, c)
+            assert metaops.op_computad(w, flipped) is c
+            assert c._susp and up._desusp and c._op and flipped._op
+            refs = [weakref.ref(node) for node in (c, up, flipped)]
+            del c, up, flipped
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
 
     def test_memos_die_with_their_computad(self):
         """Reference counting alone frees a dropped computad's hom memos and

@@ -149,7 +149,7 @@ class TestFactorFailures:
             with pytest.raises(HomFactorError) as err:
                 hom_factor(pointed, parent)
             errors.append((err.value.path, str(err.value)))
-            memo = c._hom[pointed.base][0]
+            memo = c._hom[pointed.base][0].__self__.memo  # the factor walk's memo
             assert memo[a] is HomGenerator(a)  # the sibling before it
             assert bad not in memo and parent not in memo
         assert errors[0] == errors[1] == (

@@ -10,6 +10,7 @@ from hypothesis import given
 
 import op_reference
 from conftest import coh_nodes, dimsets
+from extras import swap_basepoints
 from omegatt.computads import (
     Coh,
     Computad,
@@ -38,7 +39,6 @@ from omegatt.metaops import (
     suspend_cell,
     suspend_computad,
     suspend_sphere,
-    swap_basepoints,
 )
 from omegatt.oplib import comp_cell, compose, eh_computad, identity_cell
 from omegatt.trees import comp_tree, op_positions_iso

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import dimsets, trees
+from extras import src_of, tgt_of
 from omegatt.globular import dimset, op_glob_bipointed, suspend_glob, wedge
 from omegatt.trees import (
     MAX_COMP_DIM,
@@ -38,6 +39,9 @@ class TestBasics:
         assert dim_tree(br()) == 0
         assert dim_tree(T_WHISKER) == 2
         assert dim_tree(disk_tree(4)) == 4
+
+    def test_dim_of_a_tall_tree_is_read_not_recursed(self):
+        assert dim_tree(disk_tree(2000)) == 2000
 
     def test_list_round_trip(self):
         assert tree_from_list(tree_to_list(T_WHISKER)) == T_WHISKER
@@ -110,17 +114,17 @@ class TestPositions:
     def test_three_arrows(self):
         p = positions(br(br(), br(), br()))
         assert p.carrier.cells == (("0", "1", "2", "3"), ("1.0", "2.0", "3.0"))
-        assert p.carrier.src_of(1, "2.0") == "1"
-        assert p.carrier.tgt_of(1, "2.0") == "2"
+        assert src_of(p.carrier, 1, "2.0") == "1"
+        assert tgt_of(p.carrier, 1, "2.0") == "2"
         assert p.base == ("0", "3")
 
     def test_vertical_composite_scheme(self):
         p = positions(T_COMP2)
         assert p.carrier.cells == (("0", "1"), ("1.0", "1.1", "1.2"), ("1.1.0", "1.2.0"))
-        assert p.carrier.src_of(2, "1.1.0") == "1.0"
-        assert p.carrier.tgt_of(2, "1.1.0") == "1.1"
-        assert p.carrier.src_of(2, "1.2.0") == "1.1"
-        assert p.carrier.tgt_of(2, "1.2.0") == "1.2"
+        assert src_of(p.carrier, 2, "1.1.0") == "1.0"
+        assert tgt_of(p.carrier, 2, "1.1.0") == "1.1"
+        assert src_of(p.carrier, 2, "1.2.0") == "1.1"
+        assert tgt_of(p.carrier, 2, "1.2.0") == "1.2"
 
     @given(trees(6))
     def test_position_dimension_is_dot_count(self, t):
@@ -173,8 +177,8 @@ class TestInclusions:
             assert len(set(inc.values())) == len(inc)
             for d in range(1, dom.ndim + 1):
                 for p in dom.cells_at(d):
-                    assert inc[dom.src_of(d, p)] == cod.src_of(d, inc[p]), inc_name
-                    assert inc[dom.tgt_of(d, p)] == cod.tgt_of(d, inc[p]), inc_name
+                    assert inc[src_of(dom, d, p)] == src_of(cod, d, inc[p]), inc_name
+                    assert inc[tgt_of(dom, d, p)] == tgt_of(cod, d, inc[p]), inc_name
 
     @given(trees(6), st.integers(min_value=0, max_value=4))
     def test_inclusions_preserve_basepoints_above_dim0(self, t, k):
@@ -238,8 +242,8 @@ class TestOpPositionsIso:
         g, h = dom.carrier, cod.carrier
         for d in range(1, g.ndim + 1):
             for p in g.cells_at(d):
-                assert iso[g.src_of(d, p)] == h.src_of(d, iso[p])
-                assert iso[g.tgt_of(d, p)] == h.tgt_of(d, iso[p])
+                assert iso[src_of(g, d, p)] == src_of(h, d, iso[p])
+                assert iso[tgt_of(g, d, p)] == tgt_of(h, d, iso[p])
 
     @given(trees(5), dimsets(3), dimsets(3))
     def test_iso_composition_law(self, t, w, v):
