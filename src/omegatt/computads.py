@@ -23,7 +23,11 @@ each memo lives as long as its node: the boundary of a coherence
 (:func:`cell_boundary`), :func:`cell_key`, and in :mod:`omegatt.metaops`
 the opposite per dimension set and, on a sphere, the reversed sphere of
 the coherences over it (the memos with keys go through
-:func:`omegatt.hashcons.cached`).  A traversal whose result depends on a
+:func:`omegatt.hashcons.cached`), and the unfolded node count
+(:func:`tree_size`).  The writers print and export a term above
+:data:`SHARE_ABOVE` nodes with each recurring subterm once, numbered by
+:func:`shared_subterms`, so their output grows with the DAG.  A
+traversal whose result depends on a
 computad as well is memoised on the computad: :func:`typecheck_cell`
 records the cells that passed, and :mod:`omegatt.homcat` keeps its hom
 factorizations there.  The other
@@ -150,11 +154,11 @@ class Coh(HashConsed):
     Interned like every term node.  Memo slots: ``_op`` (:func:`op_cell`
     per dimension set, or :func:`omegatt.homcat.op_homcell` for a hom
     cell), ``_boundary`` (:func:`cell_boundary`, which for a
-    coherence does not depend on the ambient computad) and ``_key``
-    (:func:`cell_key`).
+    coherence does not depend on the ambient computad), ``_key``
+    (:func:`cell_key`) and ``_size`` (:func:`tree_size`).
     """
 
-    __slots__ = ("tree", "sphere", "sub", "dim", "_op", "_boundary", "_key")
+    __slots__ = ("tree", "sphere", "sub", "dim", "_op", "_boundary", "_key", "_size")
     __match_args__ = ("tree", "sphere", "sub")
     tree: BataninTree
     sphere: Sphere
@@ -169,7 +173,7 @@ class Coh(HashConsed):
         """``(cell, created)``: the interned coherence, and whether this
         call built it (see :func:`omegatt.hashcons.cached`)."""
         sub = tuple(sub)
-        return cls._cons((tree, sphere, sub), (tree, sphere, sub, sphere.dim + 1, None, None, None))
+        return cls._cons((tree, sphere, sub), (tree, sphere, sub, sphere.dim + 1, None, None, None, None))
 
     def __repr__(self) -> str:
         return f"Coh({self.tree!r}, {self.sphere!r}, <{len(self.sub)} positions>)"
@@ -700,52 +704,179 @@ def counit_eval(
 
 
 # ---------------------------------------------------------------------------
+# sharing: the subterms that the writers print or export once
+
+SHARE_ABOVE = 1000
+"""The largest unfolded term that the writers (:func:`omegatt.surface.cell_text`
+and :func:`cell_to_json`) write as a tree.  A term with more nodes
+(:func:`tree_size`) is written in shared form, each subterm that recurs
+written once and referred to by number.  Every golden and sample is far
+below it (38 nodes at most); ``comp_cell(7, 0, 7)`` has 1,370 nodes."""
+
+# The context of a subterm, which decides what its leaves name: over the
+# ambient computad, where a leaf is a generator, or inside a coherence's
+# sphere, where a leaf is a position of the coherence's scheme.  A subterm is
+# numbered per context; the sigils are those of the shared text form.
+AMBIENT, SCHEME = "$", "@"
+
+
+def tree_size(term) -> int:
+    """The number of nodes of ``term`` unfolded as a tree: a variable is
+    one node; a coherence is one plus its sphere's two cells and its
+    substitution's values; a hom generator is one plus the cell it wraps.
+    Memoised in each coherence's ``_size`` slot, so it costs O(DAG) once
+    per node while it lives and O(1) after."""
+    if isinstance(term, Coh) and term._size is not None:
+        return term._size
+    return walker(_size_step, {})(term)
+
+
+def _size_step(node, again) -> int:
+    if isinstance(node, Var):
+        return 1
+    if not isinstance(node, Coh):  # a hom generator
+        return 1 + again(node.underlying)
+    size = node._size
+    if size is None:
+        size = 1 + again(node.sphere.src) + again(node.sphere.tgt) + sum([again(v) for _, v in node.sub])
+        remember(node, "_size", size)
+    return size
+
+
+def _children(node, context: str):
+    """The children of a coherence or hom generator written in ``context``
+    that are not variables, each with the context it is written in."""
+    if isinstance(node, Coh):
+        out = [(c, SCHEME) for c in (node.sphere.src, node.sphere.tgt) if not isinstance(c, Var)]
+        out += [(v, context) for _, v in node.sub if not isinstance(v, Var)]
+        return out
+    return [] if isinstance(node.underlying, Var) else [(node.underlying, context)]
+
+
+def shared_subterms(term) -> list[tuple[object, str]]:
+    """The subterms that the shared form of ``term`` writes once, as
+    ``(node, context)`` in post-order, so each comes after those it
+    contains; empty when ``term`` is at most :data:`SHARE_ABOVE` nodes
+    (:func:`tree_size`), which the writers then write as a tree.
+
+    After the maximal sharing of van den Brand, de Jong, Klint & Olivier,
+    *Efficient annotated terms* (SP&E 30(3), 2000), on top of the
+    hash-consing: a coherence or hom generator is shared when it is a child
+    of more than one node of the DAG, or twice a child of one, in the same
+    context.  One walk per context numbers the DAG; each node is visited
+    once."""
+    if isinstance(term, Var) or tree_size(term) <= SHARE_ABOVE:
+        return []
+    uses: dict[tuple, int] = {}
+    order: list[tuple] = []
+
+    def visit(context: str):
+        def step(node, again) -> str:
+            for key in _children(node, context):
+                uses[key] = uses.get(key, 0) + 1
+                walks[key[1]](key[0])
+            order.append((node, context))
+            return context
+
+        return walker(step, {})
+
+    walks = {AMBIENT: visit(AMBIENT), SCHEME: visit(SCHEME)}
+    walks[AMBIENT](term)
+    return [key for key in order if uses.get(key, 0) > 1]
+
+
+# ---------------------------------------------------------------------------
 # JSON
+#
+# A cell is written as a tree of objects: ``{"coh": {"tree", "sphere":
+# {"src", "tgt"}, "sub": {position: cell}}}`` for a coherence and a leaf
+# object for the rest (``{"var": name}``, or what the leaf codec writes).  A
+# cell above SHARE_ABOVE nodes is written as ``{"sphere_nodes": [...],
+# "nodes": [...], "root": cell}``: the two node tables hold its shared
+# subterms (:func:`shared_subterms`) inside coherence spheres and over the
+# ambient computad, each in post-order, and ``{"ref": k}`` in a context
+# stands for the k-th node of that context's table.  A table entry refers
+# only to earlier entries, and the sphere table only to itself.
+
+_TABLES = {SCHEME: "sphere_nodes", AMBIENT: "nodes"}
 
 
-def var_to_json(v: Var) -> dict:
+def var_to_json(v: Var, encode=None) -> dict:
     return {"var": v.name}
 
 
-def var_from_json(obj: Mapping, dim_of) -> Var:
+def var_from_json(obj: Mapping, dim_of, decode=None) -> Var:
     return Var(obj["var"], dim_of(obj["var"]))
 
 
 def cell_to_json(cell: CellTerm, leaf=var_to_json) -> dict:
-    """Encode a cell; ``leaf`` encodes the cells that are not coherences
-    (a generator by its name by default).  Coherence spheres always take the
-    default: their leaves are positions of the scheme."""
-    if not isinstance(cell, Coh):
-        return leaf(cell)
-    return {
-        "coh": {
-            "tree": tree_to_list(cell.tree),
-            "sphere": {
-                "src": cell_to_json(cell.sphere.src),
-                "tgt": cell_to_json(cell.sphere.tgt),
-            },
-            "sub": {p: cell_to_json(v, leaf) for p, v in cell.sub},
+    """Encode a cell, in shared form when it has more than
+    :data:`SHARE_ABOVE` nodes.  A variable is written by its name;
+    ``leaf(node, encode)`` encodes the other cells that are not coherences
+    (the hom generators of a hom cell, say), with ``encode`` for the cell
+    it wraps."""
+    refs: dict[tuple, dict] = {}
+
+    def encode(node, context: str = AMBIENT) -> dict:
+        ref = refs.get((node, context)) if refs else None
+        if ref is not None:
+            return ref
+        if isinstance(node, Var):
+            return var_to_json(node)
+        if not isinstance(node, Coh):
+            return leaf(node, encode)
+        return {
+            "coh": {
+                "tree": tree_to_list(node.tree),
+                "sphere": {"src": encode(node.sphere.src, SCHEME), "tgt": encode(node.sphere.tgt, SCHEME)},
+                "sub": {p: encode(v, context) for p, v in node.sub},
+            }
         }
-    }
+
+    shared = shared_subterms(cell)
+    if not shared:
+        return encode(cell)
+    tables: dict[str, list] = {SCHEME: [], AMBIENT: []}
+    for node, context in shared:
+        table = tables[context]
+        table.append(encode(node, context))
+        refs[node, context] = {"ref": len(table) - 1}
+    return {_TABLES[SCHEME]: tables[SCHEME], _TABLES[AMBIENT]: tables[AMBIENT], "root": encode(cell)}
 
 
 def cell_from_json(obj: Mapping, dim_of, leaf=var_from_json) -> CellTerm:
-    """Decode a cell; ``leaf(obj, dim_of)`` decodes the cells that are not
-    coherences, and ``dim_of`` resolves dimensions of Var names at this
-    level (the ambient computad's ``dim_of`` at top level, position depth
-    inside coherence spheres)."""
-    if "coh" not in obj:
-        return leaf(obj, dim_of)
-    body = obj["coh"]
-    tree = tree_from_list(body["tree"])
-    sphere = Sphere(
-        cell_from_json(body["sphere"]["src"], pos_dim),
-        cell_from_json(body["sphere"]["tgt"], pos_dim),
-    )
-    sub = tuple([(p, cell_from_json(v, dim_of, leaf)) for p, v in body["sub"].items()])
-    if tuple(body["sub"]) != sorted_positions(tree):  # not as cell_to_json writes it
-        sub = substitution(sub)
-    return Coh(tree, sphere, sub)
+    """Decode a cell, in either form; ``leaf(obj, dim_of, decode)`` decodes
+    the cells that are neither variables nor coherences, with ``decode``
+    for the cell it wraps.  ``dim_of`` resolves dimensions of Var names
+    over the ambient computad; inside coherence spheres a name is a
+    position and its depth is its dimension.  A node reference that is
+    not to an earlier node of its table raises ValueError."""
+    tables: dict[str, list] = {SCHEME: [], AMBIENT: []}
+
+    def decode(obj: Mapping, context: str = AMBIENT):
+        if "ref" in obj:
+            k, table = obj["ref"], tables[context]
+            if type(k) is not int or not 0 <= k < len(table):
+                raise ValueError(f"{_TABLES[context]} reference {k!r} is not to an earlier node")
+            return table[k]
+        if "var" in obj:
+            return var_from_json(obj, dim_of if context == AMBIENT else pos_dim)
+        if "coh" not in obj:
+            return leaf(obj, dim_of, decode)
+        body = obj["coh"]
+        tree = tree_from_list(body["tree"])
+        sphere = Sphere(decode(body["sphere"]["src"], SCHEME), decode(body["sphere"]["tgt"], SCHEME))
+        sub = tuple([(p, decode(v, context)) for p, v in body["sub"].items()])
+        if tuple(body["sub"]) != sorted_positions(tree):  # not as cell_to_json writes it
+            sub = substitution(sub)
+        return Coh(tree, sphere, sub)
+
+    if "root" not in obj:
+        return decode(obj)
+    for context in (SCHEME, AMBIENT):
+        for entry in obj.get(_TABLES[context], []):
+            tables[context].append(decode(entry, context))
+    return decode(obj["root"])
 
 
 def computad_to_json(c: Computad) -> dict:

@@ -1,6 +1,9 @@
 """Export elaborated documents to JSON and Graphviz DOT.
 
-The JSON form round-trips (:func:`document_from_json`); the DOT form is a
+The JSON form round-trips (:func:`document_from_json`).  Each cell is
+written by :func:`omegatt.computads.cell_to_json`: as a tree, or above
+:data:`omegatt.computads.SHARE_ABOVE` nodes as node tables with
+back-references, the leaves of hom cells included; the DOT form is a
 one-way rendering with one ``digraph`` per computad and dimension: the
 ``d``-th layer draws the ``d``-generators as edges between their printed
 ``(d-1)``-boundary cells.  Bound cells only appear in the JSON form.

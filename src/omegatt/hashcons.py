@@ -33,8 +33,9 @@ The memo slots, and what bounds each one's lifetime:
   two are dicts made with the tree and read directly, without
   :func:`cached`: they are on the hot path of the tree laws.
 * ``Coh._op`` (:func:`omegatt.metaops.op_cell` per dimension set),
-  ``._boundary`` (:func:`omegatt.computads.cell_boundary`) and ``._key``
-  (:func:`omegatt.computads.cell_key`), ``HomGenerator._op``
+  ``._boundary`` (:func:`omegatt.computads.cell_boundary`), ``._key``
+  (:func:`omegatt.computads.cell_key`) and ``._size`` (the unfolded node
+  count, :func:`omegatt.computads.tree_size`), ``HomGenerator._op``
   (:func:`omegatt.homcat.op_homcell` per dimension set) and
   ``Sphere._op`` (the reversed sphere of a coherence,
   :func:`omegatt.metaops.op_sphere_over`, per dimension set and scheme):

@@ -42,9 +42,7 @@ from .computads import (
     CellTerm,
     Coh,
     boundary_at,
-    cell_from_json,
     cell_key,
-    cell_to_json,
     is_full,
     subterm,
     term_diff,
@@ -208,20 +206,24 @@ def op_hom_transport(w: DimSet, c: BipointedComputad, cell: CellTerm) -> tuple[b
         raise ValueError("transport check needs a loop cell")
     lhs = hom_factor(op_bipointed(w, c), op_cell(w, cell))
     rhs = op_homcell(w, hom_factor(c, cell))
-    path = term_diff(lhs, rhs)
-    if path is None:
+    if lhs is rhs:
         return True, ""
+    return False, f"factor(op) and op(factor) differ {diff_text(lhs, rhs)}"
+
+
+def diff_text(lhs, rhs) -> str:
+    """``at PATH: X against Y`` for two different cells or hom cells: the
+    path to the first subterm where they differ (:func:`term_diff`) and the
+    two subterms there, for the message of a failed law."""
+    path = term_diff(lhs, rhs)
     where = "/".join(path) or "<root>"
-    return False, (
-        f"factor(op) and op(factor) differ at {where}: "
-        f"{_text(subterm(lhs, path))} against {_text(subterm(rhs, path))}"
-    )
+    return f"at {where}: {_text(subterm(lhs, path))} against {_text(subterm(rhs, path))}"
 
 
 def _text(h) -> str:
-    """Short text for one side of a transport diff: :func:`cell_key` for a
-    cell, the wrapped cell's key for a generator, and the scheme alone for
-    a coherence of hom level, where a diff stops only on its scheme."""
+    """Short text for one side of a diff: :func:`cell_key` for a cell, the
+    wrapped cell's key for a generator, and the scheme alone for a
+    coherence of hom level, where a diff stops only on its scheme."""
     if isinstance(h, HomGenerator):
         return f"HomGenerator({cell_key(h.underlying)})"
     leaf = h
@@ -236,11 +238,13 @@ def _text(h) -> str:
 # JSON
 
 
-def homgen_to_json(h: HomGenerator) -> dict:
-    """The JSON leaf of a hom cell (see :func:`cell_to_json`)."""
-    return {"homgen": cell_to_json(h.underlying)}
+def homgen_to_json(h: HomGenerator, encode) -> dict:
+    """The JSON leaf of a hom cell (see :func:`cell_to_json`), with
+    ``encode`` for the wrapped cell."""
+    return {"homgen": encode(h.underlying)}
 
 
-def homgen_from_json(obj: Mapping, dim_of) -> HomGenerator:
-    """Decode the JSON leaf of a hom cell (see :func:`cell_from_json`)."""
-    return HomGenerator(cell_from_json(obj["homgen"], dim_of))
+def homgen_from_json(obj: Mapping, dim_of, decode) -> HomGenerator:
+    """Decode the JSON leaf of a hom cell (see :func:`cell_from_json`),
+    with ``decode`` for the wrapped cell."""
+    return HomGenerator(decode(obj["homgen"]))

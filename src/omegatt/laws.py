@@ -33,7 +33,7 @@ from .computads import (
     typecheck_cell,
 )
 from .globular import DimSet, dimset, op_glob_bipointed
-from .homcat import hom_factor, hom_realize, is_indecomposable, op_hom_transport
+from .homcat import diff_text, hom_factor, hom_realize, is_indecomposable, op_hom_transport
 from .metaops import (
     BASE_MINUS,
     BASE_PLUS,
@@ -235,9 +235,10 @@ def law_suspension(nm_max: int = 3) -> LawReport:
     for ambient, cell in cell_corpus():
         pointed = suspend_computad(ambient)
         up = suspend_cell(cell)
+        down = desuspend_cell(up)
         report.check(
-            desuspend_cell(up) == cell,
-            lambda: f"{cell_key(cell)}: desuspension does not invert suspension",
+            down == cell,
+            lambda: f"{cell_key(cell)}: desuspension does not invert suspension {diff_text(down, cell)}",
         )
         report.check(
             desuspend_computad(pointed.computad) == ambient,
@@ -330,14 +331,19 @@ def law_cell_action(dims_upto: int = 3) -> LawReport:
                 lambda: f"w={sorted(w)} v={sorted(v)}: computad action is not symmetric difference",
             )
     for _, cell in corpus:
+        moved = op_cell(dimset([]), cell)
         report.check(
-            op_cell(dimset([]), cell) == cell,
-            lambda: f"{cell_key(cell)}: empty opposite moved the cell",
+            moved == cell,
+            lambda: f"{cell_key(cell)}: empty opposite moved the cell {diff_text(moved, cell)}",
         )
         for w, v in itertools.product(subsets, subsets):
+            lhs, rhs = op_cell(w, op_cell(v, cell)), op_cell(dimset(w ^ v), cell)
             report.check(
-                op_cell(w, op_cell(v, cell)) == op_cell(dimset(w ^ v), cell),
-                lambda: f"{cell_key(cell)} w={sorted(w)} v={sorted(v)}: cell action is not symmetric difference",
+                lhs == rhs,
+                lambda: (
+                    f"{cell_key(cell)} w={sorted(w)} v={sorted(v)}: "
+                    f"cell action is not symmetric difference {diff_text(lhs, rhs)}"
+                ),
             )
     return report
 
@@ -350,13 +356,15 @@ def law_hom_roundtrip() -> LawReport:
     pointed = eh_computad()
     for cell in loop_corpus():
         h = hom_factor(pointed, cell)
+        back = hom_realize(pointed, h)
         report.check(
-            hom_realize(pointed, h) == cell,
-            lambda: f"{cell_key(cell)}: realize after factor is not the identity",
+            back == cell,
+            lambda: f"{cell_key(cell)}: realize after factor is not the identity {diff_text(back, cell)}",
         )
+        again = hom_factor(pointed, back)
         report.check(
-            hom_factor(pointed, hom_realize(pointed, h)) == h,
-            lambda: f"{cell_key(cell)}: factor after realize is not the identity",
+            again == h,
+            lambda: f"{cell_key(cell)}: factor after realize is not the identity {diff_text(again, h)}",
         )
     c = pointed.computad
     id_x = identity_cell(c, c.var("x"))
@@ -397,24 +405,16 @@ def law_eh_identities(dims_upto: int = 3) -> LawReport:
     c = pointed.computad
     a, b = c.var("a"), c.var("b")
     w1, w2 = dimset([1]), dimset([2])
-    comp0 = lambda u, v: compose(c, u, 0, v)
-    comp1 = lambda u, v: compose(c, u, 1, v)
-    report.check(
-        op_cell(w1, comp0(a, b)) == comp0(b, a),
-        "reversing dimension 1 should swap a horizontal composite",
-    )
-    report.check(
-        op_cell(w2, comp0(a, b)) == comp0(a, b),
-        "reversing dimension 2 should fix a horizontal composite",
-    )
-    report.check(
-        op_cell(w1, comp1(a, b)) == comp1(a, b),
-        "reversing dimension 1 should fix a vertical composite",
-    )
-    report.check(
-        op_cell(w2, comp1(a, b)) == comp1(b, a),
-        "reversing dimension 2 should swap a vertical composite",
-    )
+    horizontal = {(u, v): compose(c, u, 0, v) for u, v in ((a, b), (b, a))}
+    vertical = {(u, v): compose(c, u, 1, v) for u, v in ((a, b), (b, a))}
+    for w, composites, want, message in (
+        (w1, horizontal, (b, a), "reversing dimension 1 should swap a horizontal composite"),
+        (w2, horizontal, (a, b), "reversing dimension 2 should fix a horizontal composite"),
+        (w1, vertical, (a, b), "reversing dimension 1 should fix a vertical composite"),
+        (w2, vertical, (b, a), "reversing dimension 2 should swap a vertical composite"),
+    ):
+        lhs, rhs = op_cell(w, composites[a, b]), composites[want]
+        report.check(lhs == rhs, lambda: f"{message} {diff_text(lhs, rhs)}")
     for w in all_dimsets(dims_upto):
         report.check(
             op_computad(w, c) == c,
@@ -453,7 +453,7 @@ def law_counit_squares(min_cells: int = 20) -> LawReport:
         rhs = suspend_cell(counit_eval(c, u, denote))
         report.check(
             lhs == rhs,
-            lambda: f"{cell_key(u)}: evaluation does not commute with suspension",
+            lambda: f"{cell_key(u)}: evaluation does not commute with suspension {diff_text(lhs, rhs)}",
         )
         report.check(
             is_well_typed(up_dbl, suspend_cell(u)) and is_well_typed(up, lhs),
@@ -467,7 +467,10 @@ def law_counit_squares(min_cells: int = 20) -> LawReport:
             rhs = op_cell(w, counit_eval(c, u, denote))
             report.check(
                 lhs == rhs,
-                lambda: f"{cell_key(u)} w={sorted(w)}: evaluation does not commute with opposites",
+                lambda: (
+                    f"{cell_key(u)} w={sorted(w)}: "
+                    f"evaluation does not commute with opposites {diff_text(lhs, rhs)}"
+                ),
             )
     return report
 

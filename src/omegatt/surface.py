@@ -17,6 +17,20 @@ letters x,y,z,u,v,w (dimension 0), f,g,h,k,l (dimension 1) and a,b,c,d,e
 canonical order, so the two-arrow composite can be written
 ``coh [[],[]] { x -> z } []``.  Printing always uses the canonical numeric
 position names; printing is deterministic and re-parses to the same terms.
+
+Shared form.  The cell of a ``let`` and each side of a generator's sphere
+may be followed by ``where { $1 = cell; @2 = cell; ... }``, which binds
+subterms that the cell (and later bindings) refer to as ``$k`` or ``@k``.
+A ``$`` binding is a cell over the computad, whose leaves are generators,
+and may stand in a substitution; an ``@`` binding is a cell of a coherence
+sphere, whose leaves are canonical position names, and may stand in a
+sphere.  Bindings refer only to earlier ones, and each is elaborated once,
+so the work is linear in the text however often a binding is used.
+:func:`cell_text` prints a cell in this form, each repeated subterm
+once, when it has more than :data:`omegatt.computads.SHARE_ABOVE` nodes
+unfolded (:func:`omegatt.computads.shared_subterms`); below that it prints
+the tree, as the goldens show.  ``where`` is a keyword only right after
+such a cell, so it can still name a generator or a cell.
 """
 
 from __future__ import annotations
@@ -26,6 +40,8 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Union
 
 from .computads import (
+    AMBIENT,
+    SCHEME,
     CellTerm,
     Coh,
     Computad,
@@ -35,6 +51,7 @@ from .computads import (
     boundary_at,
     is_template,
     pasting_computad,
+    shared_subterms,
     template_sub,
     typecheck_cell,
 )
@@ -68,7 +85,7 @@ class SurfaceError(Exception):
 # lexer
 
 class Token(NamedTuple):
-    kind: str  # ident | name | num | pos | punct | eof
+    kind: str  # ident | name | num | pos | share | punct | eof
     text: str
     location: SourceLocation
 
@@ -80,10 +97,13 @@ WORDS = ("ident", "name", "num", "pos")  # the kinds of a word token
 
 # One match per item: blanks, then a newline, a comment, a punctuation mark,
 # a word (dotted segments of word characters, e.g. an identifier, a number,
-# a position path 1.2.0 or a suspended name 1.x) or a stray character.
+# a position path 1.2.0 or a suspended name 1.x), a shared subterm ($ or @
+# and ASCII digits) or a stray character.
 # The search stops before trailing blanks, so every other blank starts a match.
-_TOKEN = re.compile(r"[ \t\r]*(?:(\n)|(#[^\n]*)|(=>|->|[{}\[\](),;:*=])|(\w+(?:\.\w+)*)|(.))")
-_NEWLINE, _COMMENT, _PUNCT, _WORD = 1, 2, 3, 4
+_TOKEN = re.compile(
+    r"[ \t\r]*(?:(\n)|(#[^\n]*)|(=>|->|[{}\[\](),;:*=])|(\w+(?:\.\w+)*)|([$@][0-9]+)|(.))"
+)
+_NEWLINE, _COMMENT, _PUNCT, _WORD, _SHARE = 1, 2, 3, 4, 5
 
 
 def tokenize(text: str) -> list[Token]:
@@ -107,6 +127,8 @@ def tokenize(text: str) -> list[Token]:
                     kind = "pos" if item.replace(".", "").isdigit() else "name"
                 else:
                     kind = "num" if item.isdigit() else "ident"
+            elif group == _SHARE:
+                kind = "share"
             else:
                 raise SurfaceError(location, f"unexpected character {item!r}")
             append(new(Token, (kind, item, location)))
@@ -160,7 +182,24 @@ class OpExpr:
     location: SourceLocation
 
 
-CellExpr = Union[RefExpr, CohExpr, CompExpr, UnaryExpr, OpExpr]
+@dataclass(frozen=True)
+class SharedRef:
+    """``$k`` or ``@k``: a subterm bound in the enclosing ``where``."""
+
+    name: str
+    location: SourceLocation
+
+
+@dataclass(frozen=True)
+class WhereExpr:
+    """A cell followed by ``where { name = cell; ... }``."""
+
+    body: "CellExpr"
+    bindings: tuple[tuple[str, "CellExpr", SourceLocation], ...]
+    location: SourceLocation
+
+
+CellExpr = Union[RefExpr, CohExpr, CompExpr, UnaryExpr, OpExpr, SharedRef, WhereExpr]
 
 
 @dataclass(frozen=True)
@@ -251,16 +290,42 @@ class _Parser:
         if self.at("*"):
             self.next()
             return GenDecl(name, None, tok.location)
-        src = self.cell_expr()
+        src = self.shared_cell()
         self.expect("->")
-        tgt = self.cell_expr()
+        tgt = self.shared_cell()
         return GenDecl(name, (src, tgt), tok.location)
 
     def let_decl(self) -> LetDecl:
         loc = self.expect("let").location
         name = self.ident("cell name")
         self.expect("=")
-        return LetDecl(name, self.cell_expr(), loc)
+        return LetDecl(name, self.shared_cell(), loc)
+
+    def shared_cell(self) -> CellExpr:
+        """A cell expression, with its ``where`` block if one follows.  Only
+        ``let``, ``computad``, ``->``, ``;`` or ``}`` can follow such a cell
+        otherwise, so ``where`` is a keyword here alone."""
+        expr = self.cell_expr()
+        if not self.at("where"):
+            return expr
+        loc = self.next().location
+        self.expect("{")
+        if self.at("}"):
+            raise SurfaceError(self.peek().location, "a where block binds at least one subterm")
+        bindings: dict[str, tuple[str, CellExpr, SourceLocation]] = {}
+        while True:
+            tok = self.next()
+            if tok.kind != "share":
+                raise SurfaceError(tok.location, f"expected a binding $k or @k, found {tok.text or 'end of input'!r}")
+            if tok.text in bindings:
+                raise SurfaceError(tok.location, f"{tok.text} is bound twice")
+            self.expect("=")
+            bindings[tok.text] = (tok.text, self.cell_expr(), tok.location)
+            if not self.at(";"):
+                break
+            self.next()
+        self.expect("}")
+        return WhereExpr(expr, tuple(bindings.values()), loc)
 
     def ident(self, what: str) -> str:
         return self.word(what, ("ident",))
@@ -276,6 +341,9 @@ class _Parser:
         if tok.kind in WORDS and tok.text not in KEYWORDS:
             self.next()
             return RefExpr(tok.text, tok.location)
+        if tok.kind == "share":
+            self.next()
+            return SharedRef(tok.text, tok.location)
         if tok.text == "coh":
             return self.coh_expr()
         if tok.text == "comp":
@@ -432,11 +500,36 @@ def _position_scope(tree: BataninTree) -> dict[str, str]:
     return scope
 
 
+_POSITION_NAME = re.compile(r"[0-9]+(?:\.[0-9]+)*")
+
+
+class _AnyPosition:
+    """The scope of an ``@`` binding: every canonical position name.  The
+    binding does not know the scheme it will be used over; typechecking
+    the coherence that uses it checks that its leaves are positions of
+    that scheme."""
+
+    @staticmethod
+    def get(name: str) -> str | None:
+        return name if _POSITION_NAME.fullmatch(name) else None
+
+
+class _Bindings:
+    """The bindings of the ``where`` block being elaborated: all their
+    names, the terms of those done so far and the one being elaborated."""
+
+    def __init__(self, names) -> None:
+        self.names = frozenset(names)
+        self.done: dict[str, CellTerm] = {}
+        self.current: str | None = None
+
+
 class Elaborator:
     def __init__(self) -> None:
         self.doc = ElabDocument()
         self.current: tuple[str, Computad] | None = None
         self.names: dict[str, ElabCell] = {}
+        self.bindings: _Bindings | None = None
 
     # --- document level ---
 
@@ -490,6 +583,9 @@ class Elaborator:
 
     def elab(self, expr: CellExpr) -> ElabCell:
         """Elaborate a top-level expression to a term plus its ambient."""
+        if isinstance(expr, WhereExpr):
+            ambient = self.current[1] if self.current else Computad.make([], {})
+            return self.where(expr, ambient, lambda: self.elab(expr.body))
         if isinstance(expr, UnaryExpr) and expr.op == "susp":
             inner = self._plain(expr.arg, expr.location)
             return ElabCell(
@@ -525,8 +621,50 @@ class Elaborator:
             raise SurfaceError(loc, "hom cells cannot be transformed further")
         return inner
 
+    def where(self, expr: WhereExpr, ambient: Computad, body):
+        """``body()`` with the bindings of ``expr`` in scope: each is
+        elaborated once, in order, ``$`` bindings over ``ambient`` and ``@``
+        bindings as sphere cells."""
+        self.bindings = bindings = _Bindings(name for name, _, _ in expr.bindings)
+        try:
+            for name, value, _ in expr.bindings:
+                bindings.current = name
+                if name[0] == AMBIENT:
+                    term = self.cell(value, ambient)
+                else:
+                    term = self.position_cell(value, _AnyPosition, None)
+                bindings.done[name] = term
+            bindings.current = None
+            return body()
+        finally:
+            self.bindings = None
+
+    def shared(self, expr: SharedRef, context: str) -> CellTerm:
+        """The subterm bound to ``$k`` or ``@k``, used in ``context``."""
+        bindings = self.bindings
+        if bindings is None:
+            raise SurfaceError(expr.location, f"{expr.name} is used outside a where block")
+        if expr.name[0] != context:
+            if context == AMBIENT:
+                what = f"{expr.name} is a sphere subterm and cannot stand for a cell over the computad"
+            else:
+                what = f"{expr.name} is a cell over the computad and cannot stand in a sphere"
+            raise SurfaceError(expr.location, what)
+        term = bindings.done.get(expr.name)
+        if term is not None:
+            return term
+        if expr.name == bindings.current:
+            raise SurfaceError(expr.location, f"{expr.name} refers to itself")
+        if expr.name in bindings.names:
+            raise SurfaceError(expr.location, f"{expr.name} refers to a later binding")
+        raise SurfaceError(expr.location, f"unknown binding {expr.name}")
+
     def cell(self, expr: CellExpr, ambient: Computad) -> CellTerm:
         """Elaborate an expression to a cell over the given computad."""
+        if isinstance(expr, SharedRef):
+            return self.shared(expr, AMBIENT)
+        if isinstance(expr, WhereExpr):  # a side of a generator's sphere
+            return self.where(expr, ambient, lambda: self.cell(expr.body, ambient))
         if isinstance(expr, RefExpr):
             if ambient.has_generator(expr.name):
                 return ambient.var(expr.name)
@@ -619,9 +757,13 @@ class Elaborator:
                     expr.location, f"{expr.name!r} is not a position of the scheme"
                 )
             return Var(p, pos_dim(p))
+        if isinstance(expr, SharedRef):
+            return self.shared(expr, SCHEME)
         if isinstance(expr, CohExpr):
             return self.coh(expr, lambda e: self.position_cell(e, scope, pc))
         if isinstance(expr, UnaryExpr) and expr.op == "id":
+            if pc is None:
+                raise SurfaceError(expr.location, "id(...) needs the scheme, which an @ binding does not know")
             inner = self.position_cell(expr.arg, scope, pc)
             return identity_cell(pc, inner)
         raise SurfaceError(
@@ -653,16 +795,37 @@ def tree_text(tree: BataninTree) -> str:
 
 
 def cell_text(term: CellTerm | HomCell) -> str:
-    if isinstance(term, Var):
-        return term.name
-    if isinstance(term, HomGenerator):
-        return f"homgen({cell_text(term.underlying)})"
-    sphere = f"{cell_text(term.sphere.src)} -> {cell_text(term.sphere.tgt)}"
-    if is_template(term):
-        entries = "[]"
-    else:
-        entries = "[" + ", ".join(f"{p} => {cell_text(v)}" for p, v in term.sub) + "]"
-    return f"coh {tree_text(term.tree)} {{ {sphere} }} {entries}"
+    """The text of a cell: the tree, or for a cell of more than
+    :data:`omegatt.computads.SHARE_ABOVE` nodes the shared form, the cell
+    followed by ``where { ... }`` with each subterm that recurs bound once,
+    in post-order.  A hom cell's ``homgen(...)`` is for display only."""
+    shared = shared_subterms(term)
+    names: dict[tuple, str] = {}
+
+    def text(node, context: str = AMBIENT) -> str:
+        if names:
+            name = names.get((node, context))
+            if name is not None:
+                return name
+        if isinstance(node, Var):
+            return node.name
+        if isinstance(node, HomGenerator):
+            return f"homgen({text(node.underlying, context)})"
+        sphere = f"{text(node.sphere.src, SCHEME)} -> {text(node.sphere.tgt, SCHEME)}"
+        if is_template(node):
+            entries = "[]"
+        else:
+            entries = "[" + ", ".join([f"{p} => {text(v, context)}" for p, v in node.sub]) + "]"
+        return f"coh {tree_text(node.tree)} {{ {sphere} }} {entries}"
+
+    if not shared:
+        return text(term)
+    bindings = []
+    for k, key in enumerate(shared, 1):
+        body = text(*key)
+        names[key] = name = f"{key[1]}{k}"
+        bindings.append(f"{name} = {body}")
+    return f"{text(term)} where {{ {'; '.join(bindings)} }}"
 
 
 def computad_text(name: str, c: Computad) -> str:

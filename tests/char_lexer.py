@@ -5,7 +5,8 @@ It walks the text one character at a time, counting lines and columns as
 it goes.  Its tokens, locations and errors are the specification: a comment
 does not advance the column (so the eof token after a trailing comment sits
 where the comment starts), and in ``1.`` the number lexes while the dot is a
-stray character.
+stray character.  ``$`` or ``@`` followed by ASCII digits is a shared
+subterm; alone, or before any other character, it is a stray character.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from omegatt.surface import SourceLocation, SurfaceError, Token
 
 _PUNCT2 = ("=>", "->")
 _PUNCT1 = "{}[](),;:*="
+_DIGITS = "0123456789"
 
 
 def tokenize(text: str) -> list[Token]:
@@ -65,6 +67,14 @@ def tokenize(text: str) -> list[Token]:
             else:
                 kind = "ident"
             tokens.append(Token(kind, word, loc))
+            col, i = col + (j - i), j
+            continue
+        if ch in "$@" and i + 1 < n and text[i + 1] in _DIGITS:
+            # a shared subterm: the sigil and ASCII digits
+            j = i + 1
+            while j < n and text[j] in _DIGITS:
+                j += 1
+            tokens.append(Token("share", text[i:j], loc))
             col, i = col + (j - i), j
             continue
         raise SurfaceError(loc, f"unexpected character {ch!r}")

@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
+import glob
 import json
+import time
 from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from omegatt import cli, laws
+from omegatt import cli, computads, laws
 from omegatt.cli import run_cli
 from omegatt.computads import TypecheckError
 from omegatt.homcat import HomFactorError
 from omegatt.metaops import NotASuspension
-from omegatt.oplib import BoundaryMismatch
-from omegatt.surface import SourceLocation, SurfaceError
+from omegatt.oplib import BoundaryMismatch, comp_cell
+from omegatt.surface import SourceLocation, SurfaceError, load_document
 from omegatt.trees import MAX_COMP_DIM
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -96,6 +98,73 @@ class TestRoundTrips:
         direct = load_document(Path("samples/eh.ctt").read_text())
         assert doc.computads == direct.computads
         assert [(n, e.term) for n, e in doc.cells] == [(n, e.term) for n, e in direct.cells]
+
+
+# The per-request limit on the tail of the benchmark's `deep` workload.
+TAIL_LIMIT_S = 2.0
+
+
+class TestSharedOutput:
+    """Large terms print in shared form; small ones print as they did."""
+
+    def test_tall_composite_prints_in_time_and_reads_back(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = invoke(capsys, "comp", "40", "0", "40")
+        assert time.perf_counter() - start < TAIL_LIMIT_S / 2
+        assert code == 0 and out.startswith("coh ")
+        assert load_document(f"let c = {out}").cells[0][1].term is comp_cell(40, 0, 40)
+
+    def test_output_grows_polynomially(self, capsys):
+        sizes = {}
+        for n in (10, 20, 40):
+            _, out, _ = invoke(capsys, "comp", str(n), "0", str(n))
+            sizes[n] = len(out)
+        assert sizes[40] < 8 * sizes[20] and sizes[20] < 8 * sizes[10]
+
+    @pytest.mark.parametrize("path", sorted(glob.glob("samples/*.ctt", root_dir=ROOT)))
+    def test_samples_print_as_trees(self, capsys, monkeypatch, path):
+        """check, susp, op and export give the same bytes as with sharing
+        switched off."""
+        verbs = [("check",), ("susp",), ("op", "--dims", "1"), ("op", "--dims", "1,2"), ("export",)]
+        default = [invoke(capsys, *verb, path) for verb in verbs]
+        monkeypatch.setattr(computads, "SHARE_ABOVE", float("inf"))
+        assert [invoke(capsys, *verb, path) for verb in verbs] == default
+
+
+WALKING_DOC = "computad c { x : * ; y : * ; f : x -> y ; }\n"
+
+
+@pytest.mark.parametrize(
+    "let,col,message",
+    [
+        ("let t = id($2) where { $1 = f }", 12, "unknown binding $2"),
+        ("let t = id($1) where { $1 = f; $1 = f }", 32, "$1 is bound twice"),
+        ("let t = id($1) where { $1 = id($1) }", 32, "$1 refers to itself"),
+        ("let t = id($1) where { $1 = id($2); $2 = f }", 32, "$2 refers to a later binding"),
+        ("let t = id($1)", 12, "$1 is used outside a where block"),
+        ("let t = id(f) where { }", 23, "a where block binds at least one subterm"),
+        (
+            "let t = id(@1) where { @1 = 0 }",
+            12,
+            "@1 is a sphere subterm and cannot stand for a cell over the computad",
+        ),
+        (
+            "let t = coh [[]] { $1 -> 1.0 } [] where { $1 = f }",
+            20,
+            "$1 is a cell over the computad and cannot stand in a sphere",
+        ),
+        ("let t = id(f) where { 1 = f }", 23, "expected a binding $k or @k, found '1'"),
+        ("let t = id($1) where $1", 22, "expected '{', found '$1'"),
+    ],
+    ids=[
+        "unknown", "twice", "itself", "later", "outside", "empty", "scheme-in-sub",
+        "ambient-in-sphere", "not-a-binding", "no-brace",
+    ],
+)
+def test_malformed_sharing_is_a_located_error(capsys, tmp_path, let, col, message):
+    source = tmp_path / "shared.ctt"
+    source.write_text(WALKING_DOC + let + "\n")
+    assert invoke(capsys, "check", str(source)) == (1, "", f"{source}:2:{col}: {message}\n")
 
 
 class TestExitCodes:

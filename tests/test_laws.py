@@ -5,7 +5,12 @@ from __future__ import annotations
 import hashlib
 
 from omegatt import homcat, laws
-from omegatt.metaops import op_cell
+from omegatt.metaops import op_cell, rename_cell
+
+
+def _swap_ab(cell):
+    """The cell with the generators a and b swapped."""
+    return rename_cell({"a": "b", "b": "a"}, cell)
 
 
 def _digest(messages: list[str]) -> str:
@@ -26,8 +31,9 @@ class TestRegistry:
 
 
 class TestFailureMessages:
-    """Messages are built only for failing checks; their text is pinned to
-    the bytes the harness printed when it built every message eagerly."""
+    """Messages are built only for failing checks.  A check that compares
+    two cells names the first subterm where they differ, with
+    ``term_diff``'s path, and both sides there."""
 
     def test_message_is_built_only_on_failure(self):
         calls = []
@@ -45,9 +51,11 @@ class TestFailureMessages:
         assert (report.checks, len(report.failures)) == (211, 61)
         assert report.failures[0] == (
             "coh[[], []]{0->2}(0:=0;1:=1;1.0:=1.0;2:=2;2.0:=2.0): "
-            "desuspension does not invert suspension"
+            "desuspension does not invert suspension at <root>: "
+            "coh[[[], []]]{1.0->1.2}(0:=0;1:=1;1.0:=1.0;1.1:=1.1;1.1.0:=1.1.0;1.2:=1.2;1.2.0:=1.2.0) "
+            "against coh[[], []]{0->2}(0:=0;1:=1;1.0:=1.0;2:=2;2.0:=2.0)"
         )
-        assert _digest(report.failures) == "db4e210b9534bd0e14f14c7b934692d59a398b5f6fbb8eceec4a45e6a65a738c"
+        assert _digest(report.failures) == "9d21028207af7a7c2b2d2caab0deda2a6d63525e0fbca6fe974aadc2ae6c437b"
 
     def test_seeded_cell_action_failure(self, monkeypatch):
         flip = frozenset({1})
@@ -56,9 +64,51 @@ class TestFailureMessages:
         assert (report.checks, len(report.failures)) == (1292, 816)
         assert report.failures[0] == (
             "coh[[], []]{0->2}(0:=0;1:=1;1.0:=1.0;2:=2;2.0:=2.0): "
-            "empty opposite moved the cell"
+            "empty opposite moved the cell at sub/0: 2 against 0"
         )
-        assert _digest(report.failures) == "4a278d2882b19b083b4272bc15158af146cb2ef42ebff69a4fb0281a98048c6a"
+        assert _digest(report.failures) == "fe7e64872964765b20682dbf800f554f6e1d51b44716ada3d5663696a69ac4f2"
+
+    def test_seeded_hom_roundtrip_failure_names_the_differing_subterm(self, monkeypatch):
+        """A mutant hom_realize that swaps a and b: both directions of the
+        round trip name where they differ."""
+        real = laws.hom_realize
+        monkeypatch.setattr(laws, "hom_realize", lambda c, h: _swap_ab(real(c, h)))
+        report = laws.law_hom_roundtrip()
+        key = "coh[[[]]]{1.1.0->1.1.0}(0:=x;1:=x;1.0:=coh[]{0->0}(0:=x);1.1:=coh[]{0->0}(0:=x);1.1.0:=a)"
+        assert f"{key}: realize after factor is not the identity at sub/1.1.0: b against a" in report.failures
+        assert (
+            f"{key}: factor after realize is not the identity at sub/1.0: HomGenerator(b) against HomGenerator(a)"
+            in report.failures
+        )
+
+    def test_seeded_eh_identities_failure_names_the_differing_subterm(self, monkeypatch):
+        """A mutant op_cell that also reverses dimension 2 breaks the two
+        vertical identities, at the factor that moved."""
+        monkeypatch.setattr(laws, "op_cell", lambda w, cell: op_cell(w ^ frozenset({2}), cell))
+        report = laws.law_eh_identities()
+        assert report.failures == [
+            "reversing dimension 1 should fix a vertical composite at sub/1.1.0: b against a",
+            "reversing dimension 2 should swap a vertical composite at sub/1.1.0: a against b",
+        ]
+
+    def test_seeded_counit_squares_failures_name_the_differing_subterm(self, monkeypatch):
+        """Mutants that swap a and b after evaluating, and after reversing:
+        each square names where its two sides differ."""
+        real = laws.counit_eval
+        monkeypatch.setattr(laws, "counit_eval", lambda c, cell, denote: _swap_ab(real(c, cell, denote)))
+        report = laws.law_counit_squares()
+        assert (
+            "coh[[[], []]]{1.0->1.2}(0:=x;1:=x;1.0:=coh[]{0->0}(0:=x);1.1:=coh[]{0->0}(0:=x);1.1.0:=a;"
+            "1.2:=coh[]{0->0}(0:=x);1.2.0:=a): evaluation does not commute with suspension "
+            "at sub/1.1.1.0: 1.a against 1.b"
+        ) in report.failures
+        monkeypatch.undo()
+        monkeypatch.setattr(laws, "op_cell", lambda w, cell: _swap_ab(op_cell(w, cell)))
+        report = laws.law_counit_squares()
+        assert (
+            "coh[[[]]]{1.1.0->1.1.0}(0:=x;1:=x;1.0:=coh[]{0->0}(0:=x);1.1:=coh[]{0->0}(0:=x);1.1.0:=a) "
+            "w=[]: evaluation does not commute with opposites at sub/1.1.0: a against b"
+        ) in report.failures
 
     def test_seeded_hom_transport_failure_names_the_differing_subterm(self, monkeypatch):
         """A mutant op_homcell that also reverses dimension 2: each failure

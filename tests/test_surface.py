@@ -84,15 +84,15 @@ def lexed(text: str, lexer=tokenize):
 
 # pieces of .ctt text, malformed ones included: blanks, line ends, comments,
 # every punctuation mark, dotted words, trailing dots, non-ASCII letters and
-# digits (² is a digit that int() does not read, ١ one that it does), and
-# characters that are no token
+# digits (² is a digit that int() does not read, ١ one that it does), shared
+# subterm names and their sigils, and characters that are no token
 FRAGMENTS = [
     " ", "\t", "\r", "\n", "\r\n", "# note", "#", "#x\n",
     "=>", "->", "=", "-", ">", "{", "}", "[", "]", "(", ")", ",", ";", ":", "*",
     ".", "x", "fg", "_", "let", "comp", "0", "12", "1.0", "1.2.0", "1.x", "a.b", "1.", "x..y",
-    "é", "²", "١", "1.²", "@", "?", "\x0b", "\u2028",
+    "é", "²", "١", "1.²", "@", "?", "\x0b", "\u2028", "$", "$1", "@23", "where",
 ]
-ODD_CHARS = " \t\r\n#=->{}[](),;:*._x1é²١@"
+ODD_CHARS = " \t\r\n#=->{}[](),;:*._x1é²١@$"
 
 
 class TestLexerAgainstReference:
