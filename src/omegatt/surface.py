@@ -24,8 +24,9 @@ subterms that the cell (and later bindings) refer to as ``$k`` or ``@k``.
 A ``$`` binding is a cell over the computad, whose leaves are generators,
 and may stand in a substitution; an ``@`` binding is a cell of a coherence
 sphere, whose leaves are canonical position names, and may stand in a
-sphere.  Bindings refer only to earlier ones, and each is elaborated once,
-so the work is linear in the text however often a binding is used.
+sphere.  Bindings refer only to earlier ones, each is elaborated once, so
+the work is linear in the text however often a binding is used, and each
+must be reached from the cell, whose typecheck then checks it.
 :func:`cell_text` prints a cell in this form, each repeated subterm
 once, when it has more than :data:`omegatt.computads.SHARE_ABOVE` nodes
 unfolded (:func:`omegatt.computads.shared_subterms`); below that it prints
@@ -516,12 +517,14 @@ class _AnyPosition:
 
 class _Bindings:
     """The bindings of the ``where`` block being elaborated: all their
-    names, the terms of those done so far and the one being elaborated."""
+    names, the terms of those done so far, the one being elaborated (None
+    for the cell itself) and the bindings that each of those refers to."""
 
     def __init__(self, names) -> None:
         self.names = frozenset(names)
         self.done: dict[str, CellTerm] = {}
         self.current: str | None = None
+        self.uses: dict[str | None, set[str]] = {}
 
 
 class Elaborator:
@@ -624,7 +627,8 @@ class Elaborator:
     def where(self, expr: WhereExpr, ambient: Computad, body):
         """``body()`` with the bindings of ``expr`` in scope: each is
         elaborated once, in order, ``$`` bindings over ``ambient`` and ``@``
-        bindings as sphere cells."""
+        bindings as sphere cells.  Every binding must be reached from the
+        cell, so that typechecking the cell checks it."""
         self.bindings = bindings = _Bindings(name for name, _, _ in expr.bindings)
         try:
             for name, value, _ in expr.bindings:
@@ -635,9 +639,17 @@ class Elaborator:
                     term = self.position_cell(value, _AnyPosition, None)
                 bindings.done[name] = term
             bindings.current = None
-            return body()
+            out = body()
         finally:
             self.bindings = None
+        reached = set(bindings.uses.get(None, ()))
+        for name, _, _ in reversed(expr.bindings):  # a binding refers only to earlier ones
+            if name in reached:
+                reached |= bindings.uses.get(name, set())
+        for name, _, location in expr.bindings:
+            if name not in reached:
+                raise SurfaceError(location, f"{name} is not used by the cell")
+        return out
 
     def shared(self, expr: SharedRef, context: str) -> CellTerm:
         """The subterm bound to ``$k`` or ``@k``, used in ``context``."""
@@ -652,6 +664,7 @@ class Elaborator:
             raise SurfaceError(expr.location, what)
         term = bindings.done.get(expr.name)
         if term is not None:
+            bindings.uses.setdefault(bindings.current, set()).add(expr.name)
             return term
         if expr.name == bindings.current:
             raise SurfaceError(expr.location, f"{expr.name} refers to itself")

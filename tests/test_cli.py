@@ -155,10 +155,16 @@ WALKING_DOC = "computad c { x : * ; y : * ; f : x -> y ; }\n"
         ),
         ("let t = id(f) where { 1 = f }", 23, "expected a binding $k or @k, found '1'"),
         ("let t = id($1) where $1", 22, "expected '{', found '$1'"),
+        ("let t = id($2) where { $1 = f; $2 = f }", 24, "$1 is not used by the cell"),
+        (
+            "let t = id(f) where { $1 = coh [[],[]] { 0 -> 0 } [0 => x, 1 => y, 1.0 => f, 2 => y, 2.0 => f] }",
+            23,
+            "$1 is not used by the cell",
+        ),
     ],
     ids=[
         "unknown", "twice", "itself", "later", "outside", "empty", "scheme-in-sub",
-        "ambient-in-sphere", "not-a-binding", "no-brace",
+        "ambient-in-sphere", "not-a-binding", "no-brace", "unused", "unused-and-ill-typed",
     ],
 )
 def test_malformed_sharing_is_a_located_error(capsys, tmp_path, let, col, message):
