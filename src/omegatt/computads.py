@@ -18,26 +18,21 @@ Terms are hash-consed (:mod:`omegatt.hashcons`): ``Var``, ``Sphere`` and
 ``Coh``, like ``BataninTree``, are interned in weak tables, so
 structurally equal terms are one object, ``==`` is ``is`` and the hash is
 O(1).  A term is therefore a DAG: a subterm that recurs is stored once.
-Pure traversals are memoised in a slot of the node they start from, and
-each memo lives as long as its node: the boundary of a coherence
-(:func:`cell_boundary`), :func:`cell_key`, and in :mod:`omegatt.metaops`
-the opposite per dimension set and, on a sphere, the reversed sphere of
-the coherences over it (the memos with keys go through
-:func:`omegatt.hashcons.cached`), and the unfolded node count
-(:func:`tree_size`).  The writers print and export a term above
-:data:`SHARE_ABOVE` nodes with each recurring subterm once, numbered by
-:func:`shared_subterms`, so their output grows with the DAG.  A
-traversal whose result depends on a
-computad as well is memoised on the computad: :func:`typecheck_cell`
-records the cells that passed, and :mod:`omegatt.homcat` keeps its hom
-factorizations there.  The other
-traversals whose result depends on more than the node (:func:`map_vars`
-and so :func:`apply_morphism` and :func:`counit_eval`, :func:`support`,
-suspension and desuspension) are walks (:func:`omegatt.hashcons.walker`)
-with a memo for one call, so they visit each node of the DAG once.  Maps
-that keep the keys of a substitution (:func:`map_values`) keep its
-canonical order and do not re-sort it; :func:`substitution` sorts, for
-callers that rename keys.
+Every traversal is a walk (:func:`omegatt.hashcons.walk`) that visits
+each node of the DAG once, through its :func:`children` when it needs them
+all.  Pure traversals are memoised in a slot of the node they start from:
+the boundary of a coherence (:func:`cell_boundary`), :func:`cell_key`, and
+in :mod:`omegatt.metaops` the opposite per dimension set.  The writers
+print and export a term above :data:`SHARE_ABOVE` nodes (its ``size``,
+computed when it is built) with each recurring subterm once
+(:func:`shared_subterms`), so their output grows with the DAG.  A traversal whose result depends on a computad
+as well is memoised on the computad: :func:`typecheck_cell` records the
+cells that passed, and :mod:`omegatt.homcat` keeps its hom factorizations
+there.  The other traversals (:func:`map_vars` and so
+:func:`apply_morphism` and :func:`counit_eval`, :func:`support`,
+suspension and desuspension) keep a memo for one call.  Maps that keep the
+keys of a substitution keep its canonical order and do not re-sort it;
+:func:`substitution` sorts, for callers that rename keys.
 
 Every computad is valid.  Computads are interned like terms, on their
 levels and attaching pairs.  :meth:`Computad.make` checks foreign data
@@ -54,11 +49,11 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Mapping, Union
 
 from .globular import FiniteGlobularSet, nat_key
-from .hashcons import HashConsed, remember, walker
+from .hashcons import HashConsed, gather, remember, walk
 from .trees import (
     BataninTree,
     pos_dim,
@@ -81,6 +76,7 @@ class Var(HashConsed):
     __match_args__ = ("name", "dim")
     name: str
     dim: int
+    size = 1  # one node, unfolded
 
     def __new__(cls, name: str, dim: int) -> "Var":
         if dim < 0:
@@ -95,7 +91,7 @@ class Var(HashConsed):
 class Sphere(HashConsed):
     """A parallel pair of cells; the boundary data for one dimension up.
 
-    Memo slot: ``_op`` (:func:`omegatt.metaops.op_sphere_over`, the
+    Memo slot: ``_op`` (:func:`omegatt.metaops.op_coh`, the
     sphere of the opposite of a coherence with this sphere, per dimension
     set and scheme)."""
 
@@ -134,13 +130,6 @@ def substitution(mapping: Mapping[str, "CellTerm"] | Iterable[tuple[str, "CellTe
     return out
 
 
-def map_values(sub: Substitution, fn: Callable[["CellTerm"], "CellTerm"]) -> Substitution:
-    """Apply ``fn`` to every cell of a substitution.  The keys do not
-    change, so the canonical order and their distinctness carry over and
-    nothing is re-sorted."""
-    return tuple([keep_pair(pair, pair[0], fn(pair[1])) for pair in sub])
-
-
 def keep_pair(pair: tuple[str, "CellTerm"], key: str, value: "CellTerm") -> tuple[str, "CellTerm"]:
     """``(key, value)``, reusing ``pair`` when it already is that binding:
     the substitutions of memoised images then share their unchanged
@@ -151,19 +140,20 @@ def keep_pair(pair: tuple[str, "CellTerm"], key: str, value: "CellTerm") -> tupl
 class Coh(HashConsed):
     """A coherence cell: scheme, full sphere over the scheme, substitution.
 
-    Interned like every term node.  Memo slots: ``_op`` (:func:`op_cell`
-    per dimension set, or :func:`omegatt.homcat.op_homcell` for a hom
-    cell), ``_boundary`` (:func:`cell_boundary`, which for a
-    coherence does not depend on the ambient computad), ``_key``
-    (:func:`cell_key`) and ``_size`` (:func:`tree_size`).
+    Interned like every term node, with its ``size``, the node count
+    unfolded as a tree, computed when it is built.  Memo slots: ``_op`` (:func:`op_cell` per dimension
+    set, or :func:`omegatt.homcat.op_homcell` for a hom cell),
+    ``_boundary`` (:func:`cell_boundary`, which for a coherence does not
+    depend on the ambient computad) and ``_key`` (:func:`cell_key`).
     """
 
-    __slots__ = ("tree", "sphere", "sub", "dim", "_op", "_boundary", "_key", "_size")
+    __slots__ = ("tree", "sphere", "sub", "dim", "size", "_op", "_boundary", "_key")
     __match_args__ = ("tree", "sphere", "sub")
     tree: BataninTree
     sphere: Sphere
     sub: Substitution
     dim: int
+    size: int
 
     def __new__(cls, tree: BataninTree, sphere: Sphere, sub: Substitution) -> "Coh":
         return cls.build(tree, sphere, sub)[0]
@@ -171,9 +161,14 @@ class Coh(HashConsed):
     @classmethod
     def build(cls, tree: BataninTree, sphere: Sphere, sub: Substitution) -> tuple["Coh", bool]:
         """``(cell, created)``: the interned coherence, and whether this
-        call built it (see :func:`omegatt.hashcons.cached`)."""
+        call built it (see :func:`omegatt.hashcons.store`)."""
         sub = tuple(sub)
-        return cls._cons((tree, sphere, sub), (tree, sphere, sub, sphere.dim + 1, None, None, None, None))
+        key = (tree, sphere, sub)
+        cell = cls._live(key)
+        if cell is not None:
+            return cell, False
+        size = 1 + sphere.src.size + sphere.tgt.size + sum([v.size for _, v in sub])
+        return cls._cons(key, (tree, sphere, sub, sphere.dim + 1, size, None, None, None))
 
     def __repr__(self) -> str:
         return f"Coh({self.tree!r}, {self.sphere!r}, <{len(self.sub)} positions>)"
@@ -224,7 +219,7 @@ class Computad(HashConsed):
         attach: Mapping[str, Sphere],
     ) -> tuple["Computad", bool]:
         """``(computad, created)``: what :meth:`make` returns, and whether
-        this call built and checked it (see :func:`omegatt.hashcons.cached`)
+        this call built and checked it (see :func:`omegatt.hashcons.store`)
         rather than finding it interned.  The spheres are checked bottom-up,
         each truncation interned once its level passes."""
         levels = [tuple(sorted(level, key=nat_key)) for level in generators_by_dim]
@@ -405,12 +400,16 @@ def map_vars(leaf: Callable[[Var], CellTerm], cell: CellTerm, memo: dict | None 
     to share it between calls with the same ``leaf``) holds each node
     already mapped, so a subterm shared in the DAG is mapped once."""
 
-    def step(cell: CellTerm, again) -> CellTerm:
-        if isinstance(cell, Var):
-            return leaf(cell)
-        return Coh(cell.tree, cell.sphere, map_values(cell.sub, again))
+    def step(cell: CellTerm):
+        return leaf(cell) if type(cell) is Var else mapped(cell)
 
-    return walker(step, {} if memo is None else memo)(cell)
+    def mapped(cell: Coh):
+        sub = []
+        for pair in cell.sub:
+            sub.append(keep_pair(pair, pair[0], (yield pair[1])))
+        return Coh(cell.tree, cell.sphere, tuple(sub))
+
+    return walk(step, {} if memo is None else memo, cell)
 
 
 def _morphism(sigma: Substitution) -> Callable[[Var], CellTerm]:
@@ -471,16 +470,21 @@ def support(c: Computad, cell: CellTerm) -> frozenset[str]:
     """Generators a cell depends on, including those of its boundary.
     Each node of the DAG is visited once per call."""
 
-    def step(cell: CellTerm, again) -> frozenset[str]:
-        if isinstance(cell, Var):
-            out = frozenset({cell.name})
-            if cell.dim > 0:
-                sphere = c.sphere_of(cell.name)
-                out |= again(sphere.src) | again(sphere.tgt)
-            return out
-        return frozenset().union(*[again(v) for _, v in cell.sub])
+    def step(cell: CellTerm):
+        if type(cell) is not Var:
+            return union([v for _, v in cell.sub], ())
+        if cell.dim == 0:
+            return frozenset({cell.name})
+        sphere = c.sphere_of(cell.name)
+        return union((sphere.src, sphere.tgt), (cell.name,))
 
-    return walker(step, {})(cell)
+    def union(kids, names):
+        sets = []
+        for kid in kids:
+            sets.append((yield kid))
+        return frozenset(names).union(*sets)
+
+    return walk(step, {}, cell)
 
 
 def is_full(b: BataninTree, a: Sphere) -> bool:
@@ -523,44 +527,57 @@ def typecheck_cell(c: Computad, cell: CellTerm, path: tuple[str, ...] = ()) -> N
     computad lives, wherever it recurs in the DAG and in later calls.  A
     failure is not recorded: a bad cell raises the same error, at the same
     path, on every call."""
-    _typecheck(c, cell, path)
+    try:
+        walk(_typecheck, {}, (c, cell))
+    except TypecheckError as err:
+        raise prefixed(err, path)
 
 
-def _typecheck(c: Computad, cell: CellTerm, path: tuple[str, ...]) -> None:
+def prefixed(err, path: tuple[str, ...]):
+    """``err``, an error with a path into a term, with ``path`` in front."""
+    err.path = path + err.path
+    return err
+
+
+def _typecheck(key: tuple[Computad, CellTerm]):
+    c, cell = key
     if isinstance(cell, Var):
         if not c.has_generator(cell.name):
-            raise TypecheckError("UnknownGenerator", path, f"no generator named {cell.name!r}")
+            raise TypecheckError("UnknownGenerator", (), f"no generator named {cell.name!r}")
         d = c.dim_of(cell.name)
         if d != cell.dim:
             raise TypecheckError(
                 "DimensionMismatch",
-                path,
+                (),
                 f"generator {cell.name!r} has dimension {d}, used at {cell.dim}",
             )
-        return
+        return True
     passed = c._passed
     if passed is None:
         passed = set()
         remember(c, "_passed", passed)
     elif cell in passed:
-        return
+        return True
+    return _typecheck_coh(c, cell, passed)
+
+
+def _typecheck_coh(c: Computad, cell: Coh, passed: set):
     if cell.tree.dim > cell.dim:
         raise TypecheckError(
             "DimensionMismatch",
-            path + ("tree",),
+            ("tree",),
             f"scheme of dimension {cell.tree.dim} in a {cell.dim}-cell",
         )
     pc = pasting_computad(cell.tree)
-    _typecheck(pc, cell.sphere.src, path + ("sphere", "src"))
-    _typecheck(pc, cell.sphere.tgt, path + ("sphere", "tgt"))
+    for side in ("src", "tgt"):
+        try:
+            yield pc, getattr(cell.sphere, side)
+        except TypecheckError as err:
+            raise prefixed(err, ("sphere", side))
     if not parallel(pc, cell.sphere.src, cell.sphere.tgt):
-        raise TypecheckError(
-            "NotParallel", path + ("sphere",), "coherence sphere cells are not parallel"
-        )
+        raise TypecheckError("NotParallel", ("sphere",), "coherence sphere cells are not parallel")
     if not is_full(cell.tree, cell.sphere):
-        raise TypecheckError(
-            "NotFull", path + ("sphere",), "coherence sphere is not full over its scheme"
-        )
+        raise TypecheckError("NotFull", ("sphere",), "coherence sphere is not full over its scheme")
     pos = positions(cell.tree).carrier
     want = {p for _, p in pos.all_cells()}
     got = {k for k, _ in cell.sub}
@@ -568,27 +585,31 @@ def _typecheck(c: Computad, cell: CellTerm, path: tuple[str, ...]) -> None:
         missing, extra = sorted(want - got, key=nat_key), sorted(got - want, key=nat_key)
         raise TypecheckError(
             "BadSubstitution",
-            path + ("sub",),
+            ("sub",),
             f"positions mismatch: missing {missing}, extra {extra}",
         )
     for p, v in cell.sub:
         if v.dim != pos_dim(p):
             raise TypecheckError(
                 "DimensionMismatch",
-                path + ("sub", p),
+                ("sub", p),
                 f"position {p} has dimension {pos_dim(p)}, assigned a {v.dim}-cell",
             )
-        _typecheck(c, v, path + ("sub", p))
+        try:
+            yield c, v
+        except TypecheckError as err:
+            raise prefixed(err, ("sub", p))
     bound = dict(cell.sub)
     for d in range(1, pos.ndim + 1):
         for (p, s), (_, t) in zip(pos.srcs[d], pos.tgts[d]):
             if cell_boundary(c, bound[p]) != Sphere(bound[s], bound[t]):
                 raise TypecheckError(
                     "BadSubstitution",
-                    path + ("sub", p),
+                    ("sub", p),
                     f"assignment at {p} does not match the boundaries of its sector",
                 )
     passed.add(cell)
+    return True
 
 
 def term_diff(a, b) -> tuple[str, ...] | None:
@@ -645,18 +666,22 @@ def cell_key(cell: CellTerm) -> str:
     cells), keeping those names deterministic and self-describing.
     Memoised on each coherence node.
     """
-    if isinstance(cell, Var):
+    if type(cell) is Var:
         return cell.name
-    key = cell._key
-    if key is None:
-        inner = ";".join(f"{p}:={cell_key(v)}" for p, v in cell.sub)
-        key = (
-            f"coh{tree_to_list(cell.tree)}"
-            f"{{{cell_key(cell.sphere.src)}->{cell_key(cell.sphere.tgt)}}}"
-            f"({inner})"
-        )
-        remember(cell, "_key", key)
-    return key
+    if cell._key:
+        return cell._key
+
+    def step(cell: CellTerm):
+        if type(cell) is Var:
+            return cell.name
+        return cell._key or gather([kid for kid, _ in children(cell)], partial(keyed, cell))
+
+    def keyed(cell: Coh, keys: list[str]) -> str:
+        inner = ";".join([f"{p}:={k}" for (p, _), k in zip(cell.sub, keys[2:])])
+        remember(cell, "_key", f"coh{tree_to_list(cell.tree)}{{{keys[0]}->{keys[1]}}}({inner})")
+        return cell._key
+
+    return walk(step, {}, cell)
 
 
 def double_computad(c: Computad, cells: Iterable[CellTerm]) -> tuple[Computad, dict[str, CellTerm]]:
@@ -666,30 +691,26 @@ def double_computad(c: Computad, cells: Iterable[CellTerm]) -> tuple[Computad, d
     the computad (generator names are :func:`cell_key` strings) and the
     denotation map sending each generator name back to the cell it names.
     """
-    todo = list(cells)
-    layers: dict[int, dict[str, CellTerm]] = {}
     denote: dict[str, CellTerm] = {}
-    while todo:
-        cell = todo.pop()
-        key = cell_key(cell)
-        if key in denote:
-            continue
-        denote[key] = cell
-        layers.setdefault(cell.dim, {})[key] = cell
-        if cell.dim > 0:
-            sphere = cell_boundary(c, cell)
-            todo.append(sphere.src)
-            todo.append(sphere.tgt)
-    ndim = max(layers) if layers else -1
-    cells_by_dim = [list(layers.get(d, {})) for d in range(ndim + 1)]
     src: dict[str, str] = {}
     tgt: dict[str, str] = {}
-    for d in range(1, ndim + 1):
-        for key, cell in layers.get(d, {}).items():
+
+    def step(cell: CellTerm):  # the name of a cell, once its boundary has one
+        key = cell_key(cell)
+        denote[key] = cell
+        if cell.dim > 0:
             sphere = cell_boundary(c, cell)
-            src[key] = cell_key(sphere.src)
-            tgt[key] = cell_key(sphere.tgt)
-    return free_computad(FiniteGlobularSet.make(cells_by_dim, src, tgt)), denote
+            src[key] = yield sphere.src
+            tgt[key] = yield sphere.tgt
+        return key
+
+    memo: dict = {}
+    for cell in cells:
+        walk(step, memo, cell)
+    levels: list[list[str]] = [[] for _ in range(max([cell.dim + 1 for cell in denote.values()], default=0))]
+    for key, cell in denote.items():
+        levels[cell.dim].append(key)
+    return free_computad(FiniteGlobularSet.make(levels, src, tgt)), denote
 
 
 def counit_eval(
@@ -709,7 +730,7 @@ def counit_eval(
 SHARE_ABOVE = 1000
 """The largest unfolded term that the writers (:func:`omegatt.surface.cell_text`
 and :func:`cell_to_json`) write as a tree.  A term with more nodes
-(:func:`tree_size`) is written in shared form, each subterm that recurs
+(``size``) is written in shared form, each subterm that recurs
 written once and referred to by number.  Every golden and sample is far
 below it (38 nodes at most); ``comp_cell(7, 0, 7)`` has 1,370 nodes."""
 
@@ -720,68 +741,42 @@ below it (38 nodes at most); ``comp_cell(7, 0, 7)`` has 1,370 nodes."""
 AMBIENT, SCHEME = "$", "@"
 
 
-def tree_size(term) -> int:
-    """The number of nodes of ``term`` unfolded as a tree: a variable is
-    one node; a coherence is one plus its sphere's two cells and its
-    substitution's values; a hom generator is one plus the cell it wraps.
-    Memoised in each coherence's ``_size`` slot, so it costs O(DAG) once
-    per node while it lives and O(1) after."""
-    if isinstance(term, Coh) and term._size is not None:
-        return term._size
-    return walker(_size_step, {})(term)
-
-
-def _size_step(node, again) -> int:
-    if isinstance(node, Var):
-        return 1
-    if not isinstance(node, Coh):  # a hom generator
-        return 1 + again(node.underlying)
-    size = node._size
-    if size is None:
-        size = 1 + again(node.sphere.src) + again(node.sphere.tgt) + sum([again(v) for _, v in node.sub])
-        remember(node, "_size", size)
-    return size
-
-
-def _children(node, context: str):
-    """The children of a coherence or hom generator written in ``context``
-    that are not variables, each with the context it is written in."""
-    if isinstance(node, Coh):
-        out = [(c, SCHEME) for c in (node.sphere.src, node.sphere.tgt) if not isinstance(c, Var)]
-        out += [(v, context) for _, v in node.sub if not isinstance(v, Var)]
-        return out
-    return [] if isinstance(node.underlying, Var) else [(node.underlying, context)]
+def children(node, context: str = AMBIENT) -> list[tuple]:
+    """The children of a term node written in ``context``, each with the
+    context it is written in: a coherence's sphere source and target (in
+    :data:`SCHEME`), then the cells its substitution binds (in
+    ``context``); the cell a hom generator wraps; none for a variable."""
+    if type(node) is Coh:
+        return [(node.sphere.src, SCHEME), (node.sphere.tgt, SCHEME), *[(v, context) for _, v in node.sub]]
+    return [] if type(node) is Var else [(node.underlying, context)]
 
 
 def shared_subterms(term) -> list[tuple[object, str]]:
     """The subterms that the shared form of ``term`` writes once, as
     ``(node, context)`` in post-order, so each comes after those it
     contains; empty when ``term`` is at most :data:`SHARE_ABOVE` nodes
-    (:func:`tree_size`), which the writers then write as a tree.
+    (``size``), which the writers then write as a tree.
 
     After the maximal sharing of van den Brand, de Jong, Klint & Olivier,
     *Efficient annotated terms* (SP&E 30(3), 2000), on top of the
     hash-consing: a coherence or hom generator is shared when it is a child
     of more than one node of the DAG, or twice a child of one, in the same
-    context.  One walk per context numbers the DAG; each node is visited
-    once."""
-    if isinstance(term, Var) or tree_size(term) <= SHARE_ABOVE:
+    context.  One walk over ``(node, context)`` pairs numbers the DAG;
+    each is visited once."""
+    if type(term) is Var or term.size <= SHARE_ABOVE:
         return []
     uses: dict[tuple, int] = {}
     order: list[tuple] = []
 
-    def visit(context: str):
-        def step(node, again) -> str:
-            for key in _children(node, context):
-                uses[key] = uses.get(key, 0) + 1
-                walks[key[1]](key[0])
-            order.append((node, context))
-            return context
+    def step(key: tuple):
+        for kid in children(*key):
+            if type(kid[0]) is not Var:
+                uses[kid] = uses.get(kid, 0) + 1
+                yield kid
+        order.append(key)
+        return True
 
-        return walker(step, {})
-
-    walks = {AMBIENT: visit(AMBIENT), SCHEME: visit(SCHEME)}
-    walks[AMBIENT](term)
+    walk(step, {}, (term, AMBIENT))
     return [key for key in order if uses.get(key, 0) > 1]
 
 
@@ -801,7 +796,7 @@ def shared_subterms(term) -> list[tuple[object, str]]:
 _TABLES = {SCHEME: "sphere_nodes", AMBIENT: "nodes"}
 
 
-def var_to_json(v: Var, encode=None) -> dict:
+def var_to_json(v: Var, inner=None) -> dict:
     return {"var": v.name}
 
 
@@ -812,36 +807,31 @@ def var_from_json(obj: Mapping, dim_of, decode=None) -> Var:
 def cell_to_json(cell: CellTerm, leaf=var_to_json) -> dict:
     """Encode a cell, in shared form when it has more than
     :data:`SHARE_ABOVE` nodes.  A variable is written by its name;
-    ``leaf(node, encode)`` encodes the other cells that are not coherences
-    (the hom generators of a hom cell, say), with ``encode`` for the cell
-    it wraps."""
-    refs: dict[tuple, dict] = {}
+    ``leaf(node, inner)`` encodes the other cells that are not coherences
+    (the hom generators of a hom cell, say), given the encoding ``inner``
+    of the cell it wraps."""
 
-    def encode(node, context: str = AMBIENT) -> dict:
-        ref = refs.get((node, context)) if refs else None
-        if ref is not None:
-            return ref
-        if isinstance(node, Var):
-            return var_to_json(node)
-        if not isinstance(node, Coh):
-            return leaf(node, encode)
-        return {
-            "coh": {
-                "tree": tree_to_list(node.tree),
-                "sphere": {"src": encode(node.sphere.src, SCHEME), "tgt": encode(node.sphere.tgt, SCHEME)},
-                "sub": {p: encode(v, context) for p, v in node.sub},
-            }
-        }
+    def step(key: tuple):
+        node = key[0]
+        return var_to_json(node) if type(node) is Var else gather(children(*key), partial(encoded, node))
 
+    def encoded(node, kids: list[dict]) -> dict:
+        if type(node) is not Coh:
+            return leaf(node, kids[0])
+        sub = {p: v for (p, _), v in zip(node.sub, kids[2:])}
+        return {"coh": {"tree": tree_to_list(node.tree), "sphere": {"src": kids[0], "tgt": kids[1]}, "sub": sub}}
+
+    memo: dict = {}
     shared = shared_subterms(cell)
     if not shared:
-        return encode(cell)
+        return walk(step, memo, (cell, AMBIENT))
     tables: dict[str, list] = {SCHEME: [], AMBIENT: []}
-    for node, context in shared:
-        table = tables[context]
-        table.append(encode(node, context))
-        refs[node, context] = {"ref": len(table) - 1}
-    return {_TABLES[SCHEME]: tables[SCHEME], _TABLES[AMBIENT]: tables[AMBIENT], "root": encode(cell)}
+    for key in shared:
+        table = tables[key[1]]
+        table.append(walk(step, memo, key))
+        memo[key] = {"ref": len(table) - 1}
+    root = walk(step, memo, (cell, AMBIENT))
+    return {_TABLES[SCHEME]: tables[SCHEME], _TABLES[AMBIENT]: tables[AMBIENT], "root": root}
 
 
 def cell_from_json(obj: Mapping, dim_of, leaf=var_from_json) -> CellTerm:
@@ -853,7 +843,8 @@ def cell_from_json(obj: Mapping, dim_of, leaf=var_from_json) -> CellTerm:
     not to an earlier node of its table raises ValueError."""
     tables: dict[str, list] = {SCHEME: [], AMBIENT: []}
 
-    def decode(obj: Mapping, context: str = AMBIENT):
+    def step(key: tuple):
+        obj, context = key
         if "ref" in obj:
             k, table = obj["ref"], tables[context]
             if type(k) is not int or not 0 <= k < len(table):
@@ -861,15 +852,20 @@ def cell_from_json(obj: Mapping, dim_of, leaf=var_from_json) -> CellTerm:
             return table[k]
         if "var" in obj:
             return var_from_json(obj, dim_of if context == AMBIENT else pos_dim)
-        if "coh" not in obj:
-            return leaf(obj, dim_of, decode)
-        body = obj["coh"]
+        return decoded(obj["coh"], context) if "coh" in obj else leaf(obj, dim_of, decode)
+
+    def decoded(body: Mapping, context: str):
         tree = tree_from_list(body["tree"])
-        sphere = Sphere(decode(body["sphere"]["src"], SCHEME), decode(body["sphere"]["tgt"], SCHEME))
-        sub = tuple([(p, decode(v, context)) for p, v in body["sub"].items()])
+        sphere = Sphere((yield body["sphere"]["src"], SCHEME), (yield body["sphere"]["tgt"], SCHEME))
+        sub = []
+        for p, v in body["sub"].items():
+            sub.append((p, (yield v, context)))
         if tuple(body["sub"]) != sorted_positions(tree):  # not as cell_to_json writes it
-            sub = substitution(sub)
-        return Coh(tree, sphere, sub)
+            return Coh(tree, sphere, substitution(sub))
+        return Coh(tree, sphere, tuple(sub))
+
+    def decode(obj: Mapping, context: str = AMBIENT):
+        return walk(step, None, (obj, context))
 
     if "root" not in obj:
         return decode(obj)

@@ -186,30 +186,23 @@ def disk(n: int) -> FiniteGlobularSet:
     return FiniteGlobularSet.make(cells, src, tgt)
 
 
-def shift_levels(x: FiniteGlobularSet, prefix: str, lo: str, hi: str) -> list[tuple]:
-    """The levels of ``x`` one dimension up, as ``(cells, srcs, tgts)`` for
-    dimensions 1, 2, ...: every name gains ``prefix`` and the old 0-cells
-    run from ``lo`` to ``hi``.  A common prefix keeps each level in
-    canonical order."""
-    out = []
-    renamed: dict[str, str] = {}  # so the pairs share the new name strings
-    for d, level in enumerate(x.cells):
-        cells = tuple([prefix + c for c in level])
-        if d == 0:
-            srcs, tgts = tuple([(c, lo) for c in cells]), tuple([(c, hi) for c in cells])
-        else:
-            srcs = tuple([(c, renamed[b]) for c, (_, b) in zip(cells, x.srcs[d])])
-            tgts = tuple([(c, renamed[b]) for c, (_, b) in zip(cells, x.tgts[d])])
-        renamed.update(zip(level, cells))
-        out.append((cells, srcs, tgts))
-    return out
-
-
 def suspend_glob(x: FiniteGlobularSet) -> BipointedGlobularSet:
     """Suspension: two fresh basepoints "0","1"; each d-cell c becomes the
-    (d+1)-cell "1."+c.  Old 0-cells get src/tgt the new basepoints."""
-    cells, srcs, tgts = zip((("0", "1"), (), ()), *shift_levels(x, "1.", "0", "1"))
-    return BipointedGlobularSet(FiniteGlobularSet(cells, srcs, tgts), ("0", "1"))
+    (d+1)-cell "1."+c.  Old 0-cells get src/tgt the new basepoints.  A
+    common prefix keeps each level in canonical order."""
+    cells, srcs, tgts = [("0", "1")], [()], [()]
+    renamed: dict[str, str] = {}  # so the pairs share the new name strings
+    for d, level in enumerate(x.cells):
+        up = tuple(["1." + c for c in level])
+        if d == 0:
+            srcs.append(tuple([(c, "0") for c in up]))
+            tgts.append(tuple([(c, "1") for c in up]))
+        else:
+            srcs.append(tuple([(c, renamed[b]) for c, (_, b) in zip(up, x.srcs[d])]))
+            tgts.append(tuple([(c, renamed[b]) for c, (_, b) in zip(up, x.tgts[d])]))
+        renamed.update(zip(level, up))
+        cells.append(up)
+    return BipointedGlobularSet(FiniteGlobularSet(tuple(cells), tuple(srcs), tuple(tgts)), ("0", "1"))
 
 
 def hom_glob(x: BipointedGlobularSet) -> FiniteGlobularSet:

@@ -6,72 +6,68 @@ fields; child nodes are interned already, so they compare by identity) to
 a weak reference to the node.  Building a node whose key is in the table
 returns the node that is there, so structurally equal nodes are one
 object: equality is identity and the hash is the identity hash, both O(1)
-whatever the size of the term.
+whatever the size of the term.  A node that nothing else refers to is
+freed, and its entry leaves the table with it.
 
-The table holds its nodes weakly.  A node that nothing else refers to is
-freed, and its entry leaves the table with it, so a table never holds more
-than the live nodes.  Memos of pure traversals are stored in slots of the
-node they start from, so each lives exactly as long as its node.
-
-Two helpers hold the memo rules.  :func:`cached` keeps a memo dict in a
-slot of a term or computad, made on first use.  Where it maps a cell to
-another cell of the same dimension (its opposite, say), it holds the
-result strongly only when the call that made the entry also built the
+Memos of pure traversals are stored in slots of the node they start from,
+so each lives exactly as long as its node.  :func:`recall` and
+:func:`store` keep a memo dict in a slot, made on first use.  Where it maps
+a cell to another cell of the same dimension (its opposite, say), it holds
+the result strongly only when the call that made the entry also built the
 result, and weakly otherwise.  Strong entries then always point from an
 older node to a younger one, so the memos never close a reference cycle
-among cells, and reference counting alone frees a dropped term: no
-garbage waits for the cycle collector.  :func:`walker` walks a DAG once,
-with its memo for one call or in a slot.
+among cells, and reference counting alone frees a dropped term.
+:func:`walk` drives every traversal whose depth follows its input, with
+its memo for one call or in a slot, and takes no Python frame per level.
 
-The memo slots, and what bounds each one's lifetime:
+The memo slots and tables, and what bounds each one:
 
 * ``BataninTree._op`` (:func:`omegatt.trees.op_tree` per dimension set),
   ``._boundary`` (:func:`omegatt.trees.boundary_tree` per dimension) and
-  ``._names`` (:func:`omegatt.trees.sorted_positions`): a tree lives
-  as long as the position caches of :mod:`omegatt.trees` hold it, which
-  is the life of the process for every tree they have seen.  The first
-  two are dicts made with the tree and read directly, without
-  :func:`cached`: they are on the hot path of the tree laws.
+  ``._names`` (:func:`omegatt.trees.sorted_positions`): a tree lives as
+  long as the tables below hold it.  The first two are dicts made with the
+  tree and read directly: they are on the hot path of the tree laws.
 * ``Coh._op`` (:func:`omegatt.metaops.op_cell` per dimension set),
   ``._boundary`` (:func:`omegatt.computads.cell_boundary`), ``._key``
-  (:func:`omegatt.computads.cell_key`) and ``._size`` (the unfolded node
-  count, :func:`omegatt.computads.tree_size`), ``HomGenerator._op``
-  (:func:`omegatt.homcat.op_homcell` per dimension set) and
-  ``Sphere._op`` (the reversed sphere of a coherence,
-  :func:`omegatt.metaops.op_sphere_over`, per dimension set and scheme):
-  they die with their node, so they are bounded by the live terms.  The
-  ``_op`` entries are held as described above; a node's ``_op`` dict
-  holds at most one entry per dimension set asked for, and a sphere's at
-  most one per dimension set and scheme it is reversed over.
-* ``Computad._dims`` and ``._spheres`` (name tables), ``._op``,
-  ``._susp`` and ``._desusp`` (its opposites, suspension and
-  desuspension, held as ``Coh._op`` holds its entries), ``._hom``
-  (:func:`omegatt.homcat.hom_factor` and
-  :func:`omegatt.homcat.hom_realize` per basepoint pair, with the
-  suspended sphere cells of the latter) and
-  ``._passed`` (the cells that passed
-  :func:`omegatt.computads.typecheck_cell` over it): they die with their
-  computad.  ``_hom`` and ``_passed`` hold cells strongly; cells never
-  refer to computads, so those entries close no cycle, and they are
-  bounded by the cells checked or factored over the computad while it
-  lives.  ``_hom`` keeps, per basepoint pair, the two walks with their
-  memos.  The pasting computads that
-  :func:`omegatt.computads.pasting_computad` caches live for the process,
-  so their ``_passed`` sets keep the sphere cells checked over each scheme
-  seen.
+  (:func:`omegatt.computads.cell_key`), ``HomGenerator._op``
+  (:func:`omegatt.homcat.op_homcell` per dimension set) and ``Sphere._op``
+  (the reversed sphere of a coherence, per dimension set and scheme): they
+  die with their node, and an ``_op`` dict holds one entry per dimension
+  set (and scheme) asked for.
+* ``Computad._dims`` and ``._spheres`` (name tables), ``._op``, ``._susp``
+  and ``._desusp`` (its opposites, suspension and desuspension), ``._hom``
+  (the memos of :func:`omegatt.homcat.hom_factor` and
+  :func:`omegatt.homcat.hom_realize` per basepoint pair) and ``._passed``
+  (the cells that passed :func:`omegatt.computads.typecheck_cell` over
+  it): they die with their computad.  ``_hom`` and ``_passed`` hold cells
+  strongly; cells never refer to computads, so they close no cycle.
 
-No memo records a failure: a call that raises stores nothing for the
-node it failed on, so it raises again on the next call.
+The ``lru_cache`` tables live for the process.  Each is keyed by interned
+trees or by a composite's (n, k, m), and an entry costs about what
+building its tree or template did, so each grows with the trees and
+composites the process has met:
 
-Nodes are immutable; their slots are written only while a node is built
-and, for memo slots, through :func:`remember`.  ``BataninTree.dim`` is an
-attribute computed at construction, not a memo.  The tables take no lock:
-build terms from one thread at a time.
+* :func:`omegatt.trees.positions` (tree);
+* :func:`omegatt.trees.src_inclusion`, :func:`omegatt.trees.tgt_inclusion`
+  (dimension, tree);
+* :func:`omegatt.trees.op_positions_iso`, :func:`omegatt.trees.op_sub_order`
+  (dimension set, tree);
+* :func:`omegatt.computads.pasting_computad` (tree), whose ``_passed``
+  keeps the sphere cells checked over the scheme;
+* :func:`omegatt.computads.template_sub` (tree);
+* :func:`omegatt.oplib.comp_template` ((n, k, m)), filled bottom-up along
+  the chain of templates below it.
+
+No memo records a failure: a call that raises stores nothing for the node
+it failed on.  Nodes are immutable; their slots are written only while a
+node is built and, for memo slots, through :func:`remember`.  The tables
+take no lock: build terms from one thread at a time.
 """
 
 from __future__ import annotations
 
 import weakref
+from types import GeneratorType
 
 remember = object.__setattr__  # write a memo slot of a node
 
@@ -130,50 +126,72 @@ class HashConsed:
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
-def cached(node, slot: str, key, build, *args):
-    """The value under ``key`` in the memo dict in ``node``'s ``slot``; on
-    a miss ``build(*args)`` gives ``(value, created)``, and ``value`` is
-    stored strongly when ``created`` (the call built it, so it is younger
-    than ``node``) and weakly otherwise.  A freed weak entry is built
-    again; a ``build`` that raises stores nothing."""
+def recall(node, slot: str, key):
+    """The value under ``key`` in the memo dict in ``node``'s ``slot``, or None."""
     memo = getattr(node, slot)
-    if memo is not None:
-        out = memo.get(key)
-        if type(out) is weakref.ref:
-            out = out()
-        if out is not None:
-            return out
-    out, created = build(*args)
-    memo = getattr(node, slot)  # made by now if ``build`` came back here
+    out = None if memo is None else memo.get(key)
+    return out() if type(out) is weakref.ref else out
+
+
+def store(node, slot: str, key, value, created: bool):
+    """Keep ``value`` under ``key`` in the memo dict in ``node``'s ``slot``:
+    strongly when ``created`` (the caller built it), weakly otherwise."""
+    memo = getattr(node, slot)
     if memo is None:
         memo = {}
         remember(node, slot, memo)
-    memo[key] = out if created else weakref.ref(out)
-    return out
+    memo[key] = value if created else weakref.ref(value)
+    return value
 
 
-def walker(step, memo: dict):
-    """A memoised walk over a DAG: ``again(node, *args)`` returns the value
-    ``memo`` holds for ``node``, or stores and returns
-    ``step(node, again, *args)``, where ``step`` calls ``again`` on the
-    children it needs.  The arguments reach only the first visit of a node
-    (an error path, say); the value must not depend on them."""
-    return _Walk(step, memo).again
+def walk(step, memo, root):
+    """The value of ``root`` in a memoised walk over a DAG.
 
-
-class _Walk:
-    """``again`` is a bound method: a closure that passed itself on would
-    refer to itself, a cycle that keeps ``memo`` until the cycle collector
-    runs."""
-
-    __slots__ = ("step", "memo")
-
-    def __init__(self, step, memo: dict) -> None:
-        self.step, self.memo = step, memo
-
-    def again(self, node, *args):
-        out = self.memo.get(node)
-        if out is None:
-            step = self.step  # a call without star-arguments is the faster one
-            out = self.memo[node] = step(node, self.again, *args) if args else step(node, self.again)
+    ``step(node)`` gives a node's value, or a generator that yields each
+    child it needs, is sent the child's value and returns its own; pending
+    generators wait on a list, not on Python's stack.  ``memo`` (None keeps
+    nothing) maps each node to its value once its step completes.  A
+    child's exception is thrown into its parent at the ``yield``, so checks
+    fail in the order a recursion would run them."""
+    out = None if memo is None else memo.get(root)
+    if out is not None:
         return out
+    gen = step(root)
+    if type(gen) is not GeneratorType:
+        if memo is not None:
+            memo[root] = gen
+        return gen
+    node, stack, out, error = root, [], None, None  # stack: the parents of node
+    while True:
+        try:
+            child, error = gen.send(out) if error is None else gen.throw(error), None
+            out = None if memo is None else memo.get(child)
+            if out is None:
+                out = step(child)
+                if type(out) is GeneratorType:
+                    stack.append((node, gen))
+                    node, gen, out = child, out, None
+                elif memo is not None:
+                    memo[child] = out
+        except StopIteration as done:
+            out, error = done.value, None
+            if memo is not None:
+                memo[node] = out
+            if not stack:
+                return out
+            node, gen = stack.pop()
+        except Exception as err:
+            error = err
+            if gen.gi_frame is None:  # raised by gen itself, not by a child's step
+                if not stack:
+                    error = None  # the traceback holds this frame: no cycle through it
+                    raise
+                node, gen = stack.pop()
+
+
+def gather(children, combine):
+    """A step that yields each of ``children`` and returns ``combine`` of their values."""
+    values = []
+    for child in children:
+        values.append((yield child))
+    return combine(values)

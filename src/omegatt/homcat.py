@@ -26,9 +26,8 @@ root sectors to the basepoints, and its sphere is a suspension.
 
 The three traversals keep their memos on what they are about, as
 :func:`omegatt.metaops.op_cell` does: ``hom_factor`` and ``hom_realize``
-on the ambient computad, one pair of walks (:func:`omegatt.hashcons.walker`)
-with their memos per basepoint pair, and ``op_homcell`` on each hom-cell
-node per dimension set.  Each node is factored, played back or reversed
+on the ambient computad per basepoint pair, and ``op_homcell`` on each
+hom-cell node per dimension set.  Each node is factored, played back or reversed
 once for as long as its computad or node lives.  A failure is never
 memoised.
 """
@@ -36,6 +35,7 @@ memoised.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Union
 
 from .computads import (
@@ -48,7 +48,7 @@ from .computads import (
     term_diff,
 )
 from .globular import DimSet, canonical_dimset, dimset_down
-from .hashcons import HashConsed, cached, walker
+from .hashcons import HashConsed, recall, store, walk
 from .metaops import (
     BipointedComputad,
     NotASuspension,
@@ -57,7 +57,6 @@ from .metaops import (
     op_cell,
     op_coh,
     suspend_coh,
-    suspender,
     unsuspend_sub,
 )
 from .trees import tree_to_list
@@ -68,10 +67,11 @@ class HomGenerator(HashConsed):
 
     Memo slot: ``_op`` (:func:`op_homcell` per dimension set)."""
 
-    __slots__ = ("underlying", "dim", "_op")
+    __slots__ = ("underlying", "dim", "size", "_op")
     __match_args__ = ("underlying",)
     underlying: CellTerm
     dim: int
+    size: int
 
     def __new__(cls, underlying: CellTerm) -> "HomGenerator":
         return cls.build(underlying)[0]
@@ -79,7 +79,7 @@ class HomGenerator(HashConsed):
     @classmethod
     def build(cls, underlying: CellTerm) -> tuple["HomGenerator", bool]:
         """``(generator, created)``, as :meth:`Coh.build`."""
-        return cls._cons(underlying, (underlying, underlying.dim - 1, None))
+        return cls._cons(underlying, (underlying, underlying.dim - 1, underlying.size + 1, None))
 
     def __repr__(self) -> str:
         return f"HomGenerator({self.underlying!r})"
@@ -117,7 +117,7 @@ def _unsuspended(c: BipointedComputad, cell: CellTerm):
     if not isinstance(cell, Coh):
         return None
     try:
-        return unsuspend_sub(cell, c.base, ()), desuspend_sphere(cell.sphere)
+        return unsuspend_sub(cell, c.base), desuspend_sphere(cell.sphere)
     except NotASuspension:
         return None
 
@@ -128,34 +128,20 @@ def is_indecomposable(c: BipointedComputad, cell: CellTerm) -> bool:
     return _unsuspended(c, cell) is None
 
 
-def _walks(c: BipointedComputad) -> tuple:
-    """The factor and realize walks of ``c``, kept with their memos in the
-    ``_hom`` slot of its computad per basepoint pair.  Neither walk refers
-    to the computad, and cells never refer to computads, so these strong
-    entries close no reference cycle; they die with the computad."""
-    return cached(c.computad, "_hom", c.base, _fresh_walks, c.base)
-
-
-def _fresh_walks(base: tuple[CellTerm, CellTerm]) -> tuple[tuple, bool]:
-    memo: dict = {}
-    suspend = suspender(memo)  # the suspended sphere cells share the memo
-
-    def realize(h: HomCell, again) -> CellTerm:
-        if isinstance(h, HomGenerator):
-            return h.underlying
-        return suspend_coh(h, base, again, suspend)
-
-    return (walker(_hom_factor_node, {}), walker(realize, memo)), True
+def _memos(c: BipointedComputad) -> tuple[dict, dict]:
+    """The memos of the factor and realize walks of ``c``, per basepoint pair."""
+    return recall(c.computad, "_hom", c.base) or store(c.computad, "_hom", c.base, ({}, {}), True)
 
 
 def hom_factor(c: BipointedComputad, cell: CellTerm) -> HomCell:
     """Rewrite a loop cell as a cell over the hom computad (the inverse of
     the structure bijection).  Each node of the DAG is factored once per
-    computad and basepoint pair (see :func:`_walks`)."""
-    return _walks(c)[0](cell, c)
+    computad and basepoint pair (see :func:`_memos`)."""
+    memo = _memos(c)[0]
+    return memo.get(cell) or walk(partial(_hom_factor_node, c), memo, cell)
 
 
-def _hom_factor_node(cell: CellTerm, again, c: BipointedComputad) -> HomCell:
+def _hom_factor_node(c: BipointedComputad, cell: CellTerm):
     if not is_loop_cell(c, cell):
         raise ValueError("only loop cells factor through the hom computad")
     shape = _unsuspended(c, cell)
@@ -167,19 +153,27 @@ def _hom_factor_node(cell: CellTerm, again, c: BipointedComputad) -> HomCell:
         raise HomFactorError(
             ("sphere",), "desuspended sphere is not full over the desuspended scheme"
         )
-    # stripping the prefix keeps the canonical order (see suspend_coh)
-    sub = tuple([(p[2:], again(v, c)) for p, v in entries])
-    return Coh(tree, sphere, sub)
+    sub = []
+    for p, v in entries:
+        sub.append((p[2:], (yield v)))  # keeps the canonical order (see suspend_coh)
+    return Coh(tree, sphere, tuple(sub))
 
 
 def hom_realize(c: BipointedComputad, h: HomCell) -> CellTerm:
     """Play a hom cell back as a loop cell of the ambient computad: the
     suspension with the basepoints of ``c`` at the root sectors and the
     counit at the leaves.  Each node of the DAG is played back once per
-    computad and basepoint pair (see :func:`_walks`).  The memo is not
-    seeded by :func:`hom_factor`, so the round trip is computed both
+    computad and basepoint pair, with the suspended sphere cells.  The memo
+    is not seeded by :func:`hom_factor`, so the round trip is computed both
     ways."""
-    return _walks(c)[1](h)
+    memo = _memos(c)[1]
+
+    def realize(h: HomCell):
+        if type(h) is HomGenerator:
+            return h.underlying
+        return suspend_coh(h, c.base, memo)
+
+    return memo.get(h) or walk(realize, memo, h)
 
 
 def op_homcell(w: DimSet, h: HomCell) -> HomCell:
@@ -189,13 +183,17 @@ def op_homcell(w: DimSet, h: HomCell) -> HomCell:
     :func:`omegatt.metaops.op_cell` holds its own.  Hom cells have
     ``HomGenerator`` leaves and cells have ``Var`` leaves, so the two
     never share a node's ``_op`` entry."""
-    return _op_homcell(canonical_dimset(w), h)
+    w = canonical_dimset(w)
+    return recall(h, "_op", w) or walk(partial(_op_hom_step, w), {}, h)
 
 
-def _op_homcell(w: DimSet, h: HomCell) -> HomCell:
-    if isinstance(h, HomGenerator):
-        return cached(h, "_op", w, lambda: HomGenerator.build(op_cell(w, h.underlying)))
-    return cached(h, "_op", w, lambda: op_coh(dimset_down(w), h, _op_homcell, w))
+def _op_hom_step(w: DimSet, h: HomCell):
+    out = recall(h, "_op", w)
+    if out is not None:
+        return out
+    if type(h) is HomGenerator:
+        return store(h, "_op", w, *HomGenerator.build(op_cell(w, h.underlying)))
+    return op_coh(dimset_down(w), h, w, False)
 
 
 def op_hom_transport(w: DimSet, c: BipointedComputad, cell: CellTerm) -> tuple[bool, str]:
@@ -238,10 +236,10 @@ def _text(h) -> str:
 # JSON
 
 
-def homgen_to_json(h: HomGenerator, encode) -> dict:
-    """The JSON leaf of a hom cell (see :func:`cell_to_json`), with
-    ``encode`` for the wrapped cell."""
-    return {"homgen": encode(h.underlying)}
+def homgen_to_json(h: HomGenerator, inner: dict) -> dict:
+    """The JSON leaf of a hom cell (see :func:`cell_to_json`), given the
+    encoding ``inner`` of the wrapped cell."""
+    return {"homgen": inner}
 
 
 def homgen_from_json(obj: Mapping, dim_of, decode) -> HomGenerator:

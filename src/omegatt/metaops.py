@@ -15,17 +15,18 @@ plain term equalities:
 Desuspension inverts suspension on its image and reports the first
 obstruction path when a term is not a suspension.
 
-The coherence case of each operation is written once, with the action on
-the cells of the substitution passed in (:func:`op_coh`,
-:func:`suspend_coh`, :func:`unsuspend_sub`): cells here have ``Var``
-leaves, and the hom cells of :mod:`omegatt.homcat`, whose leaves are
-``HomGenerator`` nodes, go through the same code.
+The coherence case of each operation is written once (:func:`op_coh`,
+:func:`suspend_coh`, :func:`unsuspend_sub`), as a step of a walk that
+yields the cells of the substitution: cells here have ``Var`` leaves, and
+the hom cells of :mod:`omegatt.homcat`, whose leaves are ``HomGenerator``
+nodes, go through the same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from functools import partial
+from typing import Mapping
 
 from .computads import (
     CellTerm,
@@ -35,9 +36,10 @@ from .computads import (
     Var,
     keep_pair,
     map_vars,
+    prefixed,
 )
 from .globular import DimSet, canonical_dimset
-from .hashcons import cached, walker
+from .hashcons import recall, store, walk
 from .trees import BataninTree, op_positions_iso, op_sub_order, op_tree, suspend_tree
 
 BASE_MINUS = "0"
@@ -74,43 +76,37 @@ def suspend_cell(cell: CellTerm) -> CellTerm:
     """Suspend a cell: generators shift to their ``1.``-names one dimension
     up; coherence substitutions additionally send the two fresh root sectors
     to the basepoints.  Each node of the DAG is suspended once per call."""
-    return suspender({})(cell)
+    return walk(_suspend, {}, cell)
 
 
-def suspender(memo: dict) -> Callable[[CellTerm], CellTerm]:
-    """Suspension of cells through ``memo``: one walk over the DAG that
-    can be continued on further cells."""
-    return walker(_suspend, memo)
-
-
-def _suspend(cell: CellTerm, again) -> CellTerm:
-    if isinstance(cell, Var):
+def _suspend(cell: CellTerm):
+    if type(cell) is Var:
         return Var(f"1.{cell.name}", cell.dim + 1)
-    return suspend_coh(cell, _BASEPOINTS, again, again)
+    return suspend_coh(cell, _BASEPOINTS, None)
 
 
-def suspend_coh(
-    cell: Coh, base: tuple[CellTerm, CellTerm], value: Callable, suspend: Callable
-) -> Coh:
-    """The coherence case of suspension, with the leaf action passed in: the
-    scheme and the sphere go one dimension up, the two fresh root sectors go
-    to ``base`` and every other position ``p`` becomes ``1.p``, bound to
-    ``value`` of its cell.  Under ``nat_key`` the basepoints come before
-    every ``1.``-name and the prefix keeps the order of the rest, so the
-    substitution comes out in canonical order with no sort.  The sphere
-    lives over the scheme, so its cells go through ``suspend``, a
-    :func:`suspender` that the calling traversal keeps; sphere cells have
-    ``Var`` leaves, so they never collide with the keys of a caller whose
-    leaves are of another kind."""
+def suspend_coh(cell: Coh, base: tuple[CellTerm, CellTerm], memo: dict | None):
+    """The coherence case of suspension: the scheme and the sphere go one
+    dimension up, the two fresh root sectors go to ``base`` and every other
+    position ``p`` becomes ``1.p``.  Under ``nat_key`` the basepoints come
+    before every ``1.``-name and the prefix keeps the order of the rest, so
+    the substitution comes out in canonical order with no sort.  The sphere
+    cells are yielded too when ``memo`` is None, else suspended through
+    ``memo`` for a walk whose leaves are of another kind."""
     sub = [(BASE_MINUS, base[0]), (BASE_PLUS, base[1])]
-    sub += [(f"1.{p}", value(v)) for p, v in cell.sub]
-    sphere = Sphere(suspend(cell.sphere.src), suspend(cell.sphere.tgt))
-    return Coh(suspend_tree(cell.tree), sphere, tuple(sub))
+    for p, v in cell.sub:
+        sub.append((f"1.{p}", (yield v)))
+    if memo is None:
+        src = yield cell.sphere.src
+        tgt = yield cell.sphere.tgt
+    else:
+        src, tgt = walk(_suspend, memo, cell.sphere.src), walk(_suspend, memo, cell.sphere.tgt)
+    return Coh(suspend_tree(cell.tree), Sphere(src, tgt), tuple(sub))
 
 
 def suspend_sphere(sphere: Sphere) -> Sphere:
-    suspend = suspender({})
-    return Sphere(suspend(sphere.src), suspend(sphere.tgt))
+    memo: dict = {}
+    return Sphere(walk(_suspend, memo, sphere.src), walk(_suspend, memo, sphere.tgt))
 
 
 def suspend_computad(c: Computad) -> BipointedComputad:
@@ -118,7 +114,7 @@ def suspend_computad(c: Computad) -> BipointedComputad:
     generators with suspended attaching spheres.  The suspended computad is
     memoised on ``c`` (under the key None), held as :func:`op_computad`
     holds its results."""
-    return BipointedComputad(cached(c, "_susp", None, _suspended, c), _BASEPOINTS)
+    return BipointedComputad(recall(c, "_susp", None) or store(c, "_susp", None, *_suspended(c)), _BASEPOINTS)
 
 
 def _suspended(c: Computad) -> tuple[Computad, bool]:
@@ -154,52 +150,54 @@ class NotASuspension(Exception):
 def desuspend_cell(cell: CellTerm, path: tuple[str, ...] = ()) -> CellTerm:
     """Invert :func:`suspend_cell` on its image; raises NotASuspension off it.
     Each node of the DAG is desuspended once per call."""
-    return walker(_desuspend, {})(cell, path)
+    try:
+        return walk(_desuspend, {}, cell)
+    except NotASuspension as err:
+        raise prefixed(err, path)
 
 
-def _desuspend(cell: CellTerm, again, path: tuple[str, ...]) -> CellTerm:
-    if isinstance(cell, Var):
+def _desuspend(cell: CellTerm):
+    if type(cell) is Var:
         if cell.dim >= 1 and cell.name.startswith("1."):
             return Var(cell.name[2:], cell.dim - 1)
         reason = "a basepoint 0-cell" if cell.dim == 0 else f"generator {cell.name!r} is not shifted"
-        raise NotASuspension(path, reason)
-    # stripping the prefix keeps the canonical order (see suspend_coh)
-    entries = unsuspend_sub(cell, _BASEPOINTS, path)
-    sub = tuple([(p[2:], again(v, path + ("sub", p))) for p, v in entries])
-    sphere = _desuspend_sphere(cell.sphere, path + ("sphere",), again)
-    return Coh(cell.tree.children[0], sphere, sub)
+        raise NotASuspension((), reason)
+    sub, at = [], ()  # at: the step to the child being desuspended
+    try:
+        for p, v in unsuspend_sub(cell, _BASEPOINTS):
+            at = ("sub", p)
+            sub.append((p[2:], (yield v)))  # keeps the canonical order (see suspend_coh)
+        at = ("sphere", "src")
+        src = yield cell.sphere.src
+        at = ("sphere", "tgt")
+        sphere = Sphere(src, (yield cell.sphere.tgt))
+    except NotASuspension as err:
+        raise prefixed(err, at)
+    return Coh(cell.tree.children[0], sphere, tuple(sub))
 
 
-def unsuspend_sub(
-    cell: Coh, base: tuple[CellTerm, CellTerm], path: tuple[str, ...]
-) -> list[tuple[str, CellTerm]]:
+def unsuspend_sub(cell: Coh, base: tuple[CellTerm, CellTerm]) -> list[tuple[str, CellTerm]]:
     """The shape test of desuspension on a coherence: its scheme has one
     branch and its substitution sends the two root sectors to ``base``.
     Returns the other bindings, still under their ``1.``-names; raises
     NotASuspension at the first obstruction."""
     if len(cell.tree.children) != 1:
-        raise NotASuspension(
-            path + ("tree",), f"scheme has {len(cell.tree.children)} branches, want 1"
-        )
+        raise NotASuspension(("tree",), f"scheme has {len(cell.tree.children)} branches, want 1")
     bound = dict(cell.sub)
     if bound.get(BASE_MINUS) != base[0] or bound.get(BASE_PLUS) != base[1]:
-        raise NotASuspension(path + ("sub",), "root sectors are not sent to the basepoints")
+        raise NotASuspension(("sub",), "root sectors are not sent to the basepoints")
     return [(p, v) for p, v in cell.sub if p not in (BASE_MINUS, BASE_PLUS)]
 
 
-def _desuspend_sphere(sphere: Sphere, path: tuple[str, ...], desuspend) -> Sphere:
-    return Sphere(desuspend(sphere.src, path + ("src",)), desuspend(sphere.tgt, path + ("tgt",)))
-
-
 def desuspend_sphere(sphere: Sphere, path: tuple[str, ...] = ()) -> Sphere:
-    return _desuspend_sphere(sphere, path, walker(_desuspend, {}))
+    return Sphere(desuspend_cell(sphere.src, path + ("src",)), desuspend_cell(sphere.tgt, path + ("tgt",)))
 
 
 def desuspend_computad(c: Computad) -> Computad:
     """Invert :func:`suspend_computad`; raises NotASuspension off its image.
     The result is memoised on ``c`` as :func:`suspend_computad` memoises
     its own; a failure is not, so it is raised again on every call."""
-    return cached(c, "_desusp", None, _desuspended, c)
+    return recall(c, "_desusp", None) or store(c, "_desusp", None, *_desuspended(c))
 
 
 def _desuspended(c: Computad) -> tuple[Computad, bool]:
@@ -240,63 +238,67 @@ def _renaming(rename: Mapping[str, str]):
 
 def op_cell(w: DimSet, cell: CellTerm) -> CellTerm:
     """The image of a cell under op_w : cells of C -> cells of op_w(C).
-    Generators are preserved; a coherence goes through :func:`op_coh`,
-    with this function as the action on the cells it binds.  The result
-    is memoised on the coherence node, per dimension set."""
-    if isinstance(cell, Var):
+    Generators are preserved; a coherence goes through :func:`op_coh`.
+    The result is memoised on the coherence node, per dimension set."""
+    if type(cell) is Var:
         return cell
-    return cached(cell, "_op", w, op_coh, w, cell, op_cell, w)
+    return recall(cell, "_op", w) or walk(partial(_op_step, w), {}, cell)
 
 
-def op_coh(w: DimSet, cell: Coh, value: Callable, arg) -> tuple[Coh, bool]:
-    """The coherence case of the opposite at ``w``, with the leaf action
-    passed in: the coherence moves to the opposite scheme with the sphere
-    :func:`op_sphere_over` gives, and its substitution precomposes with the
-    canonical position bijection, binding ``value(arg, v)`` of each cell
-    ``v`` that is not a ``Var`` (a generator is its own opposite, so a
-    ``Var`` binding is kept as it is).  Only the substitution depends on
-    the cell: it is gathered in the order
+def _op_step(w: DimSet, cell: CellTerm):
+    if type(cell) is Var:
+        return cell
+    return recall(cell, "_op", w) or op_coh(w, cell, w, True)
+
+
+def op_coh(w: DimSet, cell: Coh, key, walk_sphere: bool):
+    """The coherence case of the opposite at ``w``: the coherence moves to
+    the opposite scheme, and its substitution precomposes with the
+    canonical position bijection, in the order
     :func:`omegatt.trees.op_sub_order` computes once per dimension set and
-    scheme, which relies on every substitution being stored in canonical
-    order.  Returns :meth:`Coh.build`'s ``(cell, created)``."""
+    scheme (every substitution is stored in canonical order).  It yields
+    each bound cell that is not a ``Var`` (a generator is its own opposite)
+    and has no opposite under ``key`` yet.  The opposite sphere is
+    memoised on the sphere per dimension set and scheme; on a miss its
+    cells are yielded too when ``walk_sphere``, else reversed by
+    :func:`op_cell`.  The result is kept under ``key`` in ``_op``."""
     sub = cell.sub
     out = []
     for p, i in op_sub_order(w, cell.tree):
         pair = sub[i]
         if type(pair[1]) is not Var:
-            pair = keep_pair(pair, p, value(arg, pair[1]))
+            pair = keep_pair(pair, p, recall(pair[1], "_op", key) or (yield pair[1]))
         elif pair[0] != p:
             pair = (p, pair[1])
         out.append(pair)
-    sphere = op_sphere_over(w, cell.tree, cell.sphere)
-    return Coh.build(op_tree(w, cell.tree), sphere, tuple(out))
+    sphere_key = (canonical_dimset(w), cell.tree)
+    sphere = recall(cell.sphere, "_op", sphere_key)
+    if sphere is None:
+        src, tgt = cell.sphere.src, cell.sphere.tgt
+        if walk_sphere:
+            src = yield src
+            tgt = yield tgt
+        else:
+            src, tgt = op_cell(w, src), op_cell(w, tgt)
+        sphere = store(cell.sphere, "_op", sphere_key, *_op_sphere(w, cell.tree, cell.sphere, src, tgt))
+    return store(cell, "_op", key, *Coh.build(op_tree(w, cell.tree), sphere, tuple(out)))
 
 
-def op_sphere_over(w: DimSet, tree: BataninTree, sphere: Sphere) -> Sphere:
-    """The sphere of the opposite of a coherence with scheme ``tree`` and
-    sphere ``sphere``: :func:`op_sphere`, renamed through the inverse of
-    the canonical position bijection so that it lives over
-    ``op_tree(w, tree)``.  It does not depend on the coherence's
-    substitution, so it is memoised on ``sphere`` per dimension set and
-    scheme, held as :func:`op_cell` holds its results."""
-    return cached(sphere, "_op", (canonical_dimset(w), tree), _op_sphere_over, w, tree, sphere)
-
-
-def _op_sphere_over(w: DimSet, tree: BataninTree, sphere: Sphere) -> tuple[Sphere, bool]:
-    leaf = _renaming({q: p for p, q in op_positions_iso(w, tree).items()})
-    reversed_sphere, renamed = op_sphere(w, sphere), {}
-    return Sphere.build(
-        map_vars(leaf, reversed_sphere.src, renamed), map_vars(leaf, reversed_sphere.tgt, renamed)
-    )
+def _op_sphere(w: DimSet, tree: BataninTree, sphere: Sphere, src, tgt) -> tuple[Sphere, bool]:
+    """:func:`op_sphere`, given the opposites of the sphere's cells, renamed
+    through the inverse of the canonical position bijection so that it
+    lives over ``op_tree(w, tree)``."""
+    if sphere.dim + 1 in w:
+        src, tgt = tgt, src
+    leaf, renamed = _renaming({q: p for p, q in op_positions_iso(w, tree).items()}), {}
+    return Sphere.build(map_vars(leaf, src, renamed), map_vars(leaf, tgt, renamed))
 
 
 def op_sphere(w: DimSet, sphere: Sphere) -> Sphere:
     """Boundary data for a (dim+1)-cell: the two cells swap exactly when
     that dimension is reversed."""
     src, tgt = op_cell(w, sphere.src), op_cell(w, sphere.tgt)
-    if sphere.dim + 1 in w:
-        src, tgt = tgt, src
-    return Sphere(src, tgt)
+    return Sphere(tgt, src) if sphere.dim + 1 in w else Sphere(src, tgt)
 
 
 def op_computad(w: DimSet, c: Computad) -> Computad:
@@ -307,7 +309,8 @@ def op_computad(w: DimSet, c: Computad) -> Computad:
     is checked through :meth:`Computad.build`.  The inverse entry is never
     seeded: ``op_computad(w, op_computad(w, c)) is c`` holds because the
     opposite of the opposite is built again and is ``c``, interned."""
-    return cached(c, "_op", canonical_dimset(w), lambda: Computad.build(
+    key = canonical_dimset(w)
+    return recall(c, "_op", key) or store(c, "_op", key, *Computad.build(
         [list(level) for level in c.generators], {v: op_sphere(w, s) for v, s in c.attach}
     ))
 

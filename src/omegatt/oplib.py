@@ -4,8 +4,8 @@ the Eckmann-Hilton computad.
 ``comp_cell(n, k, m)`` is the generic k-composite of an n-cell with an
 m-cell, a coherence over ``comp_tree(n, k, m)`` with the identity
 substitution; ``compose`` instantiates it on actual cells.  Templates are
-built by the triple recursion on (n, k, m): the codimension-one square case
-reads its sphere off the boundary-disk inclusions, and every other case
+built along the chain of (n, k, m) down to the codimension-one square case,
+which reads its sphere off the boundary-disk inclusions; every other case
 lifts the template one dimension down through the source/target inclusions
 of the scheme.
 """
@@ -54,7 +54,13 @@ def comp_template(n: int, k: int, m: int) -> CompTemplate:
     if not (0 <= k < min(n, m)):
         raise ValueError(f"comp_cell: need 0 <= k < min(n, m), got ({n}, {k}, {m})")
     b = comp_tree(n, k, m)
-    if n == m == k + 1:
+    chain = [(n, k, m)]  # down to the square case, each lifting the next
+    while chain[-1] != (k + 1, k, k + 1):
+        a, _, c = chain[-1]
+        chain.append((a - (a >= c), k, c - (c >= a)))  # the larger of a, c (both when equal) one less
+    for key in chain[:0:-1]:  # bottom-up, so each finds the one below cached
+        comp_template(*key)
+    if len(chain) == 1:
         # square case: the scheme's k-boundary is the k-disk, and the sphere
         # is the pair of images of its top cell under the two inclusions.
         assert boundary_tree(k, b) == disk_tree(k)
@@ -63,12 +69,7 @@ def comp_template(n: int, k: int, m: int) -> CompTemplate:
             Var(src_inclusion(k, b)[top], k), Var(tgt_inclusion(k, b)[top], k)
         )
     else:
-        if n == m:
-            prev = comp_cell(n - 1, k, m - 1)
-        elif n > m:
-            prev = comp_cell(n - 1, k, m)
-        else:
-            prev = comp_cell(n, k, m - 1)
+        prev = comp_cell(*chain[1])
         d = max(n, m) - 1
         assert boundary_tree(d, b) == prev.tree
         sphere = Sphere(

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple, Union
 
 from .computads import (
@@ -50,6 +51,7 @@ from .computads import (
     TypecheckError,
     Var,
     boundary_at,
+    children,
     is_template,
     pasting_computad,
     shared_subterms,
@@ -57,6 +59,7 @@ from .computads import (
     typecheck_cell,
 )
 from .globular import dimset
+from .hashcons import gather, walk
 from .homcat import HomCell, HomGenerator, hom_factor
 from .metaops import BipointedComputad, op_cell, op_computad, suspend_cell, suspend_computad
 from .oplib import BoundaryMismatch, comp_cell, compose, identity_cell
@@ -338,6 +341,11 @@ class _Parser:
         return tok.text
 
     def cell_expr(self) -> CellExpr:
+        """A cell expression, read by a walk whose steps yield the depth of
+        each inner one: past MAX_COMP_DIM, an error at its keyword."""
+        return walk(self._cell_step, None, 1)
+
+    def _cell_step(self, depth: int):
         tok = self.peek()
         if tok.kind in WORDS and tok.text not in KEYWORDS:
             self.next()
@@ -345,44 +353,44 @@ class _Parser:
         if tok.kind == "share":
             self.next()
             return SharedRef(tok.text, tok.location)
+        if tok.text not in ("coh", "comp", "id", "susp", "homfactor", "op"):
+            raise SurfaceError(tok.location, f"expected a cell expression, found {tok.text or 'end of input'!r}")
+        if depth > MAX_COMP_DIM:
+            raise SurfaceError(tok.location, f"cell expression nested more than {MAX_COMP_DIM} deep")
+        return self._compound(tok, depth)
+
+    def _compound(self, tok: Token, depth: int):
         if tok.text == "coh":
-            return self.coh_expr()
+            return (yield from self.coh_expr(depth + 1))
         if tok.text == "comp":
-            return self.comp_expr()
-        if tok.text in ("id", "susp", "homfactor"):
-            self.next()
-            self.expect("(")
-            arg = self.cell_expr()
-            self.expect(")")
-            return UnaryExpr(tok.text, arg, tok.location)
+            return (yield from self.comp_expr(depth + 1))
+        self.next()
         if tok.text == "op":
-            self.next()
             self.expect("{")
             dims = [self.number("a dimension")]
             while self.at(","):
                 self.next()
                 dims.append(self.number("a dimension"))
             self.expect("}")
-            self.expect("(")
-            arg = self.cell_expr()
-            self.expect(")")
-            return OpExpr(tuple(dims), arg, tok.location)
-        raise SurfaceError(tok.location, f"expected a cell expression, found {tok.text or 'end of input'!r}")
+        self.expect("(")
+        arg = yield depth + 1
+        self.expect(")")
+        return OpExpr(tuple(dims), arg, tok.location) if tok.text == "op" else UnaryExpr(tok.text, arg, tok.location)
 
-    def coh_expr(self) -> CohExpr:
+    def coh_expr(self, inner: int):
         loc = self.expect("coh").location
         tree = self.tree_literal()
         self.expect("{")
-        src = self.cell_expr()
+        src = yield inner
         self.expect("->")
-        tgt = self.cell_expr()
+        tgt = yield inner
         self.expect("}")
-        entries = self.substitution_entries()
+        entries = yield from self.substitution_entries(inner)
         if entries is None:
             raise SurfaceError(loc, "a coherence takes keyed entries or an empty '[]'")
         return CohExpr(tree, src, tgt, entries, loc)
 
-    def comp_expr(self) -> CompExpr:
+    def comp_expr(self, inner: int):
         loc = self.expect("comp").location
         self.expect("(")
         n = self.number("n")
@@ -391,13 +399,13 @@ class _Parser:
         self.expect(",")
         m = self.number("m")
         self.expect(")")
-        entries = self.substitution_entries()
+        entries = yield from self.substitution_entries(inner)
         if entries is not None:
             return CompExpr(n, k, m, entries, None, loc)
-        args = [self.cell_expr()]
+        args = [(yield inner)]
         while self.at(","):
             self.next()
-            args.append(self.cell_expr())
+            args.append((yield inner))
         self.expect("]")
         return CompExpr(n, k, m, None, tuple(args), loc)
 
@@ -411,35 +419,22 @@ class _Parser:
         raise SurfaceError(tok.location, f"expected {what} (a number), found {tok.text!r}")
 
     def tree_literal(self) -> BataninTree:
-        """``[t1, ..., tn]``, read with an explicit stack holding the
-        children read so far under each open bracket, so that its depth
-        is bounded by MAX_COMP_DIM and not by Python's recursion limit."""
-        stack: list[list[BataninTree]] = []
-        while True:
-            tok = self.expect("[")
-            if len(stack) == MAX_COMP_DIM:
-                raise SurfaceError(tok.location, f"tree literal nested more than {MAX_COMP_DIM} deep")
-            stack.append([])
-            if not self.at("]"):
-                continue  # the first child opens
-            while True:  # close brackets until a ',' opens the next child
-                self.expect("]")
-                tree = BataninTree(tuple(stack.pop()))
-                if not stack:
-                    return tree
-                stack[-1].append(tree)
-                if self.at(","):
-                    self.next()
-                    break
+        """``[t1, ..., tn]``, read by a walk whose steps yield the depth of
+        the next child, so that its nesting is bounded by MAX_COMP_DIM."""
+        return walk(self._tree_step, None, 1)
 
-    def _entry(self) -> tuple[str, CellExpr, SourceLocation]:
-        tok = self.next()
-        if tok.kind not in WORDS:
-            raise SurfaceError(tok.location, f"expected a position, found {tok.text!r}")
-        self.expect("=>")
-        return tok.text, self.cell_expr(), tok.location
+    def _tree_step(self, depth: int):
+        tok = self.expect("[")
+        if depth > MAX_COMP_DIM:
+            raise SurfaceError(tok.location, f"tree literal nested more than {MAX_COMP_DIM} deep")
+        children = [] if self.at("]") else [(yield depth + 1)]
+        while children and self.at(","):
+            self.next()
+            children.append((yield depth + 1))
+        self.expect("]")
+        return BataninTree(children)
 
-    def substitution_entries(self) -> tuple[tuple[str, CellExpr, SourceLocation], ...] | None:
+    def substitution_entries(self, inner: int):
         """``[p => cell, ...]`` or ``[]``; None, having read only the ``[``,
         when the bracket holds plain cells."""
         self.expect("[")
@@ -449,10 +444,16 @@ class _Parser:
         # a word is never the last token, so the one after it exists
         if not (self.peek().kind in WORDS and self.tokens[self.pos + 1].text == "=>"):
             return None
-        entries = [self._entry()]
-        while self.at(","):
+        entries = []
+        while True:
+            tok = self.next()
+            if tok.kind not in WORDS:
+                raise SurfaceError(tok.location, f"expected a position, found {tok.text!r}")
+            self.expect("=>")
+            entries.append((tok.text, (yield inner), tok.location))
+            if not self.at(","):
+                break
             self.next()
-            entries.append(self._entry())
         self.expect("]")
         return tuple(entries)
 
@@ -553,8 +554,8 @@ class Elaborator:
                 raise SurfaceError(decl.location, f"generator {decl.name!r} is already declared")
             sphere = None
             if decl.sphere is not None:
-                src = self.cell(decl.sphere[0], partial)
-                tgt = self.cell(decl.sphere[1], partial)
+                src = self.value(self.cell, decl.sphere[0], partial)
+                tgt = self.value(self.cell, decl.sphere[1], partial)
                 if src.dim != tgt.dim:
                     raise SurfaceError(
                         decl.location,
@@ -573,7 +574,7 @@ class Elaborator:
             self.current is not None and self.current[1].has_generator(decl.name)
         ):
             raise SurfaceError(decl.location, f"name {decl.name!r} is already defined")
-        elab = self.elab(decl.expr)
+        elab = self.value(self.elab, decl.expr)
         if elab.kind == "cell":
             try:
                 typecheck_cell(elab.ambient, elab.term)
@@ -584,45 +585,36 @@ class Elaborator:
 
     # --- expressions ---
 
-    def elab(self, expr: CellExpr) -> ElabCell:
+    def value(self, *key):
+        """``key[0](*key[1:])``, by a walk of the expression methods."""
+        return walk(lambda key: key[0](*key[1:]), None, key)
+
+    def elab(self, expr: CellExpr):
         """Elaborate a top-level expression to a term plus its ambient."""
+        ambient = self.current[1] if self.current else Computad.make([], {})
         if isinstance(expr, WhereExpr):
-            ambient = self.current[1] if self.current else Computad.make([], {})
-            return self.where(expr, ambient, lambda: self.elab(expr.body))
-        if isinstance(expr, UnaryExpr) and expr.op == "susp":
-            inner = self._plain(expr.arg, expr.location)
-            return ElabCell(
-                "cell",
-                suspend_computad(inner.ambient).computad,
-                suspend_cell(inner.term),
-                None,
-            )
-        if isinstance(expr, UnaryExpr) and expr.op == "homfactor":
-            inner = self._plain(expr.arg, expr.location)
-            if inner.term.dim < 1:
-                raise SurfaceError(expr.location, "homfactor needs a cell of dimension >= 1")
-            ends = boundary_at(inner.ambient, inner.term, 0)
-            pointed = BipointedComputad(inner.ambient, (ends.src, ends.tgt))
-            return ElabCell("homcell", inner.ambient, hom_factor(pointed, inner.term), inner.over)
+            return self.where(expr, ambient, lambda: self.value(self.elab, expr.body))
+        if not isinstance(expr, OpExpr) and getattr(expr, "op", "id") == "id":
+            term = yield self.cell, expr, ambient
+            if isinstance(expr, (CohExpr, CompExpr)) and is_template(term):
+                return ElabCell("cell", pasting_computad(term.tree), term, None)
+            return ElabCell("cell", ambient, term, self.current[0] if self.current else None)
+        inner = yield self.elab, expr.arg
+        if inner.kind != "cell":
+            raise SurfaceError(expr.location, "hom cells cannot be transformed further")
         if isinstance(expr, OpExpr):
-            inner = self._plain(expr.arg, expr.location)
             try:
                 w = dimset(expr.dims)
             except ValueError as err:
                 raise SurfaceError(expr.location, str(err)) from err
             return ElabCell("cell", op_computad(w, inner.ambient), op_cell(w, inner.term), None)
-        ambient = self.current[1] if self.current else Computad.make([], {})
-        over = self.current[0] if self.current else None
-        term = self.cell(expr, ambient)
-        if isinstance(expr, (CohExpr, CompExpr)) and is_template(term):
-            return ElabCell("cell", pasting_computad(term.tree), term, None)
-        return ElabCell("cell", ambient, term, over)
-
-    def _plain(self, expr: CellExpr, loc: SourceLocation) -> ElabCell:
-        inner = self.elab(expr)
-        if inner.kind != "cell":
-            raise SurfaceError(loc, "hom cells cannot be transformed further")
-        return inner
+        if expr.op == "susp":
+            return ElabCell("cell", suspend_computad(inner.ambient).computad, suspend_cell(inner.term), None)
+        if inner.term.dim < 1:
+            raise SurfaceError(expr.location, "homfactor needs a cell of dimension >= 1")
+        ends = boundary_at(inner.ambient, inner.term, 0)
+        pointed = BipointedComputad(inner.ambient, (ends.src, ends.tgt))
+        return ElabCell("homcell", inner.ambient, hom_factor(pointed, inner.term), inner.over)
 
     def where(self, expr: WhereExpr, ambient: Computad, body):
         """``body()`` with the bindings of ``expr`` in scope: each is
@@ -634,9 +626,9 @@ class Elaborator:
             for name, value, _ in expr.bindings:
                 bindings.current = name
                 if name[0] == AMBIENT:
-                    term = self.cell(value, ambient)
+                    term = self.value(self.cell, value, ambient)
                 else:
-                    term = self.position_cell(value, _AnyPosition, None)
+                    term = self.value(self.position_cell, value, _AnyPosition, None)
                 bindings.done[name] = term
             bindings.current = None
             out = body()
@@ -672,12 +664,12 @@ class Elaborator:
             raise SurfaceError(expr.location, f"{expr.name} refers to a later binding")
         raise SurfaceError(expr.location, f"unknown binding {expr.name}")
 
-    def cell(self, expr: CellExpr, ambient: Computad) -> CellTerm:
+    def cell(self, expr: CellExpr, ambient: Computad):
         """Elaborate an expression to a cell over the given computad."""
         if isinstance(expr, SharedRef):
             return self.shared(expr, AMBIENT)
         if isinstance(expr, WhereExpr):  # a side of a generator's sphere
-            return self.where(expr, ambient, lambda: self.cell(expr.body, ambient))
+            return self.where(expr, ambient, lambda: self.value(self.cell, expr.body, ambient))
         if isinstance(expr, RefExpr):
             if ambient.has_generator(expr.name):
                 return ambient.var(expr.name)
@@ -692,12 +684,11 @@ class Elaborator:
                 return bound.term
             raise SurfaceError(expr.location, f"unknown cell {expr.name!r}")
         if isinstance(expr, CohExpr):
-            return self.coh(expr, lambda e: self.cell(e, ambient))
+            return self.coh(expr, lambda e: (self.cell, e, ambient))
         if isinstance(expr, CompExpr):
             return self.comp(expr, ambient)
         if isinstance(expr, UnaryExpr) and expr.op == "id":
-            inner = self.cell(expr.arg, ambient)
-            return identity_cell(ambient, inner)
+            return gather([(self.cell, expr.arg, ambient)], lambda arg: identity_cell(ambient, arg[0]))
         if isinstance(expr, (UnaryExpr, OpExpr)):
             raise SurfaceError(
                 expr.location,
@@ -705,19 +696,19 @@ class Elaborator:
             )
         raise SurfaceError(expr.location, "expected a cell expression")
 
-    def coh(self, expr: CohExpr, value: Callable[[CellExpr], CellTerm]) -> CellTerm:
-        """An explicit coherence; ``value`` elaborates the cells that its
-        substitution assigns."""
+    def coh(self, expr: CohExpr, value: Callable[[CellExpr], tuple]):
+        """An explicit coherence; ``value`` gives the key that elaborates a
+        cell its substitution assigns."""
         scope = _position_scope(expr.tree)
         pc = pasting_computad(expr.tree)
-        src = self.position_cell(expr.src, scope, pc)
-        tgt = self.position_cell(expr.tgt, scope, pc)
+        src = yield self.position_cell, expr.src, scope, pc
+        tgt = yield self.position_cell, expr.tgt, scope, pc
         sphere = self._mk_sphere(src, tgt, expr.location)
         if not expr.entries:
             return Coh(expr.tree, sphere, template_sub(expr.tree))
-        return Coh(expr.tree, sphere, self.entries_sub(expr.entries, expr.tree, scope, value))
+        return Coh(expr.tree, sphere, (yield from self.entries_sub(expr.entries, expr.tree, scope, value)))
 
-    def comp(self, expr: CompExpr, ambient: Computad) -> CellTerm:
+    def comp(self, expr: CompExpr, ambient: Computad):
         try:
             template = comp_cell(expr.n, expr.k, expr.m)
         except ValueError as err:
@@ -727,8 +718,8 @@ class Elaborator:
                 raise SurfaceError(
                     expr.location, f"comp takes two cells, found {len(expr.args)}"
                 )
-            x = self.cell(expr.args[0], ambient)
-            y = self.cell(expr.args[1], ambient)
+            x = yield self.cell, expr.args[0], ambient
+            y = yield self.cell, expr.args[1], ambient
             if (x.dim, y.dim) != (expr.n, expr.m):
                 raise SurfaceError(
                     expr.location,
@@ -742,7 +733,7 @@ class Elaborator:
         if not expr.entries:
             return template
         scope = _position_scope(template.tree)
-        sub = self.entries_sub(expr.entries, template.tree, scope, lambda e: self.cell(e, ambient))
+        sub = yield from self.entries_sub(expr.entries, template.tree, scope, lambda e: (self.cell, e, ambient))
         return Coh(template.tree, template.sphere, sub)
 
     def entries_sub(self, entries, tree, scope, value):
@@ -753,14 +744,14 @@ class Elaborator:
                 raise SurfaceError(loc, f"{key!r} is not a position of the scheme")
             if p in assignment:
                 raise SurfaceError(loc, f"position {p} is assigned twice")
-            assignment[p] = value(value_expr)
+            assignment[p] = yield value(value_expr)
         names = sorted_positions(tree)
         missing = [p for p in names if p not in assignment]
         if missing:
             raise SurfaceError(entries[0][2], f"substitution misses positions {missing}")
         return tuple([(p, assignment[p]) for p in names])
 
-    def position_cell(self, expr, scope, pc) -> CellTerm:
+    def position_cell(self, expr, scope, pc):
         """Elaborate a sphere-side expression, where identifiers refer to the
         positions of the scheme itself."""
         if isinstance(expr, RefExpr):
@@ -773,12 +764,11 @@ class Elaborator:
         if isinstance(expr, SharedRef):
             return self.shared(expr, SCHEME)
         if isinstance(expr, CohExpr):
-            return self.coh(expr, lambda e: self.position_cell(e, scope, pc))
+            return self.coh(expr, lambda e: (self.position_cell, e, scope, pc))
         if isinstance(expr, UnaryExpr) and expr.op == "id":
             if pc is None:
                 raise SurfaceError(expr.location, "id(...) needs the scheme, which an @ binding does not know")
-            inner = self.position_cell(expr.arg, scope, pc)
-            return identity_cell(pc, inner)
+            return gather([(self.position_cell, expr.arg, scope, pc)], lambda arg: identity_cell(pc, arg[0]))
         raise SurfaceError(
             expr.location, "only positions, coherences and id(...) may appear in a sphere"
         )
@@ -804,7 +794,7 @@ def load_document(text: str) -> ElabDocument:
 
 
 def tree_text(tree: BataninTree) -> str:
-    return "[" + ",".join(tree_text(c) for c in tree.children) + "]"
+    return walk(lambda t: gather(t.children, lambda kids: "[" + ",".join(kids) + "]"), {}, tree)
 
 
 def cell_text(term: CellTerm | HomCell) -> str:
@@ -812,33 +802,28 @@ def cell_text(term: CellTerm | HomCell) -> str:
     :data:`omegatt.computads.SHARE_ABOVE` nodes the shared form, the cell
     followed by ``where { ... }`` with each subterm that recurs bound once,
     in post-order.  A hom cell's ``homgen(...)`` is for display only."""
-    shared = shared_subterms(term)
-    names: dict[tuple, str] = {}
 
-    def text(node, context: str = AMBIENT) -> str:
-        if names:
-            name = names.get((node, context))
-            if name is not None:
-                return name
-        if isinstance(node, Var):
-            return node.name
+    def step(key: tuple):
+        node = key[0]
+        return node.name if type(node) is Var else gather(children(*key), partial(written, node))
+
+    def written(node, kids: list[str]) -> str:
         if isinstance(node, HomGenerator):
-            return f"homgen({text(node.underlying, context)})"
-        sphere = f"{text(node.sphere.src, SCHEME)} -> {text(node.sphere.tgt, SCHEME)}"
+            return f"homgen({kids[0]})"
         if is_template(node):
             entries = "[]"
         else:
-            entries = "[" + ", ".join([f"{p} => {text(v, context)}" for p, v in node.sub]) + "]"
-        return f"coh {tree_text(node.tree)} {{ {sphere} }} {entries}"
+            entries = "[" + ", ".join([f"{p} => {t}" for (p, _), t in zip(node.sub, kids[2:])]) + "]"
+        return f"coh {tree_text(node.tree)} {{ {kids[0]} -> {kids[1]} }} {entries}"
 
-    if not shared:
-        return text(term)
+    memo: dict = {}  # the text of each (node, context), or its shared name
     bindings = []
-    for k, key in enumerate(shared, 1):
-        body = text(*key)
-        names[key] = name = f"{key[1]}{k}"
+    for k, key in enumerate(shared_subterms(term), 1):
+        body = walk(step, memo, key)
+        memo[key] = name = f"{key[1]}{k}"
         bindings.append(f"{name} = {body}")
-    return f"{text(term)} where {{ {'; '.join(bindings)} }}"
+    text = walk(step, memo, (term, AMBIENT))
+    return f"{text} where {{ {'; '.join(bindings)} }}" if bindings else text
 
 
 def computad_text(name: str, c: Computad) -> str:

@@ -17,24 +17,19 @@ sectors, then branch by branch), so no position set is ever sorted.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterator, Mapping, Sequence
 
-from .globular import (
-    BipointedGlobularSet,
-    DimSet,
-    FiniteGlobularSet,
-    dimset_down,
-    shift_levels,
-)
-from .hashcons import HashConsed, remember
+from .globular import BipointedGlobularSet, DimSet, FiniteGlobularSet, dimset_down
+from .hashcons import HashConsed, gather, remember, walk
 
 
 class BataninTree(HashConsed):
     """A finite rooted planar tree; children ordered left to right.
 
     Interned: structurally equal trees are one object.  ``dim`` is the
-    height, computed from the children when the tree is first built.
+    height and ``nodes`` the node count, computed from the children when
+    the tree is first built.
     ``_op`` memoises :func:`op_tree` per dimension set, ``_boundary``
     :func:`boundary_tree` per dimension and ``_names``
     :func:`sorted_positions`.  The ``_op`` and ``_boundary`` dicts come
@@ -45,17 +40,19 @@ class BataninTree(HashConsed):
     costs nothing.
     """
 
-    __slots__ = ("children", "dim", "_op", "_boundary", "_names")
+    __slots__ = ("children", "dim", "nodes", "_op", "_boundary", "_names")
     __match_args__ = ("children",)
     children: tuple["BataninTree", ...]
     dim: int
+    nodes: int
 
     def __new__(cls, children: tuple["BataninTree", ...] = ()) -> "BataninTree":
         children = tuple(children)
         tree = cls._live(children)
         if tree is None:
             dim = 1 + max([c.dim for c in children]) if children else 0
-            tree = cls._cons(children, (children, dim, {}, {}, None))[0]
+            nodes = 1 + sum([c.nodes for c in children])
+            tree = cls._cons(children, (children, dim, nodes, {}, {}, None))[0]
         return tree
 
     def __repr__(self) -> str:
@@ -67,11 +64,17 @@ def br(*children: BataninTree) -> BataninTree:
 
 
 def tree_to_list(t: BataninTree) -> list:
-    return [tree_to_list(c) for c in t.children]
+    return walk(lambda t: gather(t.children, list), None, t)
 
 
 def tree_from_list(data: Sequence) -> BataninTree:
-    return BataninTree(tuple(tree_from_list(c) for c in data))
+    return walk(_from_list, None, data)
+
+
+def _from_list(data):
+    if not isinstance(data, (list, tuple)):
+        raise ValueError(f"a tree is a list of trees, not {data!r}")
+    return gather(data, BataninTree)
 
 
 def dim_tree(t: BataninTree) -> int:
@@ -94,19 +97,22 @@ def boundary_tree(k: int, t: BataninTree) -> BataninTree:
     on ``t`` per ``k``."""
     if k < 0:
         raise ValueError(f"boundary_tree: negative dimension {k}")
-    out = t._boundary.get(k)
-    if out is None:
-        out = br() if k == 0 else BataninTree(tuple([boundary_tree(k - 1, c) for c in t.children]))
-        t._boundary[k] = out
-    return out
+    return t._boundary.get(k) or walk(_boundary_step, {}, (k, t))
+
+
+def _boundary_step(key: tuple[int, BataninTree]):
+    k, t = key
+    return t._boundary.get(k) or gather(
+        [(k - 1, c) for c in t.children] if k else [], lambda kids: t._boundary.setdefault(k, BataninTree(kids))
+    )
 
 
 def suspend_tree(t: BataninTree) -> BataninTree:
     return br(t)
 
 
-# The largest n and m of a composite: a mistyped number is an error, not a
-# disk that high.  Above about 350, templates still exceed the recursion limit.
+# The largest n and m of a composite and the deepest nesting of a literal:
+# a mistyped number is an error, not a disk that high.
 MAX_COMP_DIM = 1000
 
 
@@ -121,32 +127,36 @@ def comp_tree(n: int, k: int, m: int) -> BataninTree:
         raise ValueError(
             f"comp_tree: need 0 <= k < min(n, m) and max(n, m) <= {MAX_COMP_DIM}, got ({n}, {k}, {m})"
         )
-    if k == 0:
-        return br(disk_tree(n - 1), disk_tree(m - 1))
-    return br(comp_tree(n - 1, k - 1, m - 1))
+    t = br(disk_tree(n - k - 1), disk_tree(m - k - 1))
+    for _ in range(k):
+        t = br(t)
+    return t
 
 
 @lru_cache(maxsize=None)
 def positions(t: BataninTree) -> BipointedGlobularSet:
     """The globular set of positions (sectors) of ``t``.
 
-    Bipointed by the leftmost and rightmost root sectors.  Source and
-    target of a sector one dimension up are the two root sectors it sits
-    between, pushed through the child's own position set.  Branch by
-    branch in index order, every level comes out in canonical order.
+    Bipointed by the leftmost and rightmost root sectors.  Sector j of the
+    node at branches ``i1, ..., id`` is the d-position ``"i1.….id.j"``,
+    running from sector ``id - 1`` to sector ``id`` of the node above.
+    Depth first, children in order, each level comes out in canonical order.
     """
-    n = len(t.children)
-    sectors = [str(i) for i in range(n + 1)]
-    levels: list[list[list]] = [[sectors, [], []]]
-    for i, child in enumerate(t.children, start=1):
-        shifted = shift_levels(positions(child).carrier, f"{i}.", sectors[i - 1], sectors[i])
-        for d, parts in enumerate(shifted, start=1):
-            if len(levels) == d:
-                levels.append([[], [], []])
-            for whole, part in zip(levels[d], parts):
-                whole += part
+    levels: list[tuple[list, list, list]] = []
+    todo = [(t, 0, "", "", "")]  # node, depth, name prefix, the sectors above it runs between
+    while todo:
+        node, d, prefix, lo, hi = todo.pop()
+        if len(levels) == d:
+            levels.append(([], [], []))
+        cells, srcs, tgts = levels[d]
+        names = [f"{prefix}{j}" for j in range(len(node.children) + 1)]
+        cells += names
+        if d:
+            srcs += [(x, lo) for x in names]
+            tgts += [(x, hi) for x in names]
+        todo += [(c, d + 1, f"{prefix}{i}.", names[i - 1], names[i]) for i, c in enumerate(node.children, 1)][::-1]
     cells, srcs, tgts = (tuple(map(tuple, side)) for side in zip(*levels))
-    return BipointedGlobularSet(FiniteGlobularSet(cells, srcs, tgts), (sectors[0], sectors[n]))
+    return BipointedGlobularSet(FiniteGlobularSet(cells, srcs, tgts), (cells[0][0], cells[0][-1]))
 
 
 def pos_dim(p: str) -> int:
@@ -158,30 +168,28 @@ def pos_dim(p: str) -> int:
 def src_inclusion(k: int, t: BataninTree) -> Mapping[str, str]:
     """Positions of ``boundary_tree(k, t)`` -> positions of ``t``, source side.
 
-    Picks the leftmost root sector at the pruned depth; the identity
-    everywhere below.  Returned as a plain name map.
+    Picks the leftmost root sector at the pruned depth, which has the same
+    name in both: the identity on the boundary's positions, as a name map.
     """
-    return _inclusion(k, t, src_inclusion, "0")
+    if k < 0:
+        raise ValueError(f"src_inclusion: negative dimension {k}")
+    return {p: p for p in sorted_positions(boundary_tree(k, t))}
 
 
 @lru_cache(maxsize=None)
 def tgt_inclusion(k: int, t: BataninTree) -> Mapping[str, str]:
-    """Positions of ``boundary_tree(k, t)`` -> positions of ``t``, target side."""
-    return _inclusion(k, t, tgt_inclusion, str(len(t.children)))
+    """Positions of ``boundary_tree(k, t)`` -> positions of ``t``, target side.
 
-
-def _inclusion(k: int, t: BataninTree, side, end: str) -> dict[str, str]:
-    """The two boundary inclusions differ only at ``k = 0``, where the point
-    goes to the root sector ``end``; above it each branch recurses on its
-    ``side``."""
+    The sector ``p.0`` of each node ``p`` at the pruned depth goes to the
+    rightmost sector of that node in ``t``; the identity everywhere below.
+    """
     if k < 0:
-        raise ValueError(f"{side.__name__}: negative dimension {k}")
-    if k == 0:
-        return {"0": end}
-    out: dict[str, str] = {str(j): str(j) for j in range(len(t.children) + 1)}
-    for i, child in enumerate(t.children, start=1):
-        for p, q in side(k - 1, child).items():
-            out[f"{i}.{p}"] = f"{i}.{q}"
+        raise ValueError(f"tgt_inclusion: negative dimension {k}")
+    out = dict(src_inclusion(k, t))
+    for p in out:
+        if p.count(".") == k:
+            node = reduce(lambda node, i: node.children[int(i) - 1], p.split(".")[:-1], t)
+            out[p] = p[:-1] + str(len(node.children))
     return out
 
 
@@ -189,32 +197,37 @@ def op_tree(w: DimSet, t: BataninTree) -> BataninTree:
     """Reverse the scheme in the dimensions listed in ``w``.
 
     Reversing dimension 1 flips the order of the root's children; the
-    set shifts down by one for the recursion into each child.
+    set shifts down by one for each child.  Memoised on ``t`` per ``w``.
     """
-    out = t._op.get(w)
-    if out is None:
-        down = dimset_down(w)
-        kids = tuple(op_tree(down, c) for c in t.children)
-        out = t._op[w] = BataninTree(kids[::-1] if 1 in w else kids)
-    return out
+    return t._op.get(w) or walk(_op_step, {}, (w, t))
+
+
+def _op_step(key: tuple[DimSet, BataninTree]):
+    w, t = key
+    return t._op.get(w) or gather(
+        [(dimset_down(w), c) for c in t.children],
+        lambda kids: t._op.setdefault(w, BataninTree(kids[::-1] if 1 in w else kids)),
+    )
 
 
 @lru_cache(maxsize=None)
 def op_positions_iso(w: DimSet, t: BataninTree) -> Mapping[str, str]:
     """Position rename ``positions(op_tree(w, t)) -> positions(t)``.
 
-    When dimension 1 is reversed, root sector j of the opposite scheme
-    is sector n - j of the original, and branch i is branch n + 1 - i;
-    otherwise branches keep their index.  Recurses with the shifted set.
+    Depth first: at depth d, where ``w`` reverses dimension d + 1, sector
+    j of a node with n branches is sector n - j of the original and branch
+    i is branch n + 1 - i; otherwise indices stay.
     """
-    n = len(t.children)
-    down = dimset_down(w)
-    flip = 1 in w
-    out: dict[str, str] = {str(j): str(n - j if flip else j) for j in range(n + 1)}
-    for i in range(1, n + 1):
-        k = n + 1 - i if flip else i
-        for p, q in op_positions_iso(down, t.children[k - 1]).items():
-            out[f"{i}.{p}"] = f"{k}.{q}"
+    out: dict[str, str] = {}
+    todo = [(t, 0, "", "")]  # node, depth, its name prefix in the opposite and in t
+    while todo:
+        node, d, p, q = todo.pop()
+        n, flip = len(node.children), d + 1 in w
+        for j in range(n + 1):
+            out[f"{p}{j}"] = f"{q}{n - j if flip else j}"
+        for i in range(n, 0, -1):
+            k = n + 1 - i if flip else i
+            todo.append((node.children[k - 1], d + 1, f"{p}{i}.", f"{q}{k}."))
     return out
 
 
@@ -232,31 +245,17 @@ def op_sub_order(w: DimSet, t: BataninTree) -> tuple[tuple[str, int], ...]:
     return tuple([(p, index[iso[p]]) for p in sorted_positions(op_tree(w, t))])
 
 
-def node_count(t: BataninTree) -> int:
-    return 1 + sum(node_count(c) for c in t.children)
-
-
 def trees_with_nodes(n: int) -> Iterator[BataninTree]:
-    """All planar rooted trees with exactly n nodes, in a stable order."""
-    if n <= 0:
-        return
-    if n == 1:
-        yield br()
-        return
-    # Distribute the remaining n-1 nodes among an ordered forest.
-    for forest in _forests_with_nodes(n - 1):
-        yield BataninTree(forest)
-
-
-def _forests_with_nodes(n: int) -> Iterator[tuple[BataninTree, ...]]:
-    """All ordered forests with exactly n >= 1 nodes in total."""
-    for first in range(1, n + 1):
-        for head in trees_with_nodes(first):
-            if first == n:
-                yield (head,)
-            else:
-                for tail in _forests_with_nodes(n - first):
-                    yield (head,) + tail
+    """All planar rooted trees with exactly n nodes, in a stable order: a
+    root over each ordered forest of the other n - 1 nodes."""
+    forests: list[list[tuple]] = [[()]]  # the ordered forests of 0, 1, ... nodes
+    for k in range(1, n):
+        forests.append([
+            (BataninTree(head),) + tail
+            for first in range(1, k + 1) for head in forests[first - 1] for tail in forests[k - first]
+        ])
+    if n > 0:
+        yield from map(BataninTree, forests[n - 1])
 
 
 def all_trees(max_nodes: int) -> Iterator[BataninTree]:
@@ -267,13 +266,18 @@ def all_trees(max_nodes: int) -> Iterator[BataninTree]:
 
 def sorted_positions(t: BataninTree) -> tuple[str, ...]:
     """All position names of ``t`` in canonical (natural-key) order: the
-    key order of every substitution over ``t``.  Memoised on ``t``."""
-    names = t._names
-    if names is None:
-        names = ["0"]
-        for i, child in enumerate(t.children, start=1):
-            names.append(str(i))
-            names += [f"{i}.{p}" for p in sorted_positions(child)]
-        names = tuple(names)
-        remember(t, "_names", names)
-    return names
+    key order of every substitution over ``t``: a node's sector ``i``
+    comes right before its branch ``i``.  Memoised on ``t``."""
+    if t._names is None:
+        names, todo = [], [(t, "")]  # a name, or a node with its name prefix
+        while todo:
+            item = todo.pop()
+            if type(item) is str:
+                names.append(item)
+                continue
+            node, prefix = item
+            names.append(f"{prefix}0")
+            for i in range(len(node.children), 0, -1):
+                todo += [(node.children[i - 1], f"{prefix}{i}."), f"{prefix}{i}"]
+        remember(t, "_names", tuple(names))
+    return t._names

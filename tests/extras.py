@@ -14,7 +14,6 @@ from omegatt.computads import (
     TypecheckError,
     apply_morphism,
     cell_boundary,
-    map_values,
     map_vars,
     typecheck_cell,
 )
@@ -25,7 +24,7 @@ from omegatt.metaops import BASE_MINUS, BASE_PLUS, rename_cell
 def compose_morphisms(sigma, tau):
     """sigma after tau, as an action on tau's keys."""
     images, memo = dict(sigma), {}
-    return map_values(tau, lambda v: map_vars(lambda x: images[x.name], v, memo))
+    return tuple([(p, map_vars(lambda x: images[x.name], v, memo)) for p, v in tau])
 
 
 def typecheck_morphism(dom, cod, sigma) -> None:

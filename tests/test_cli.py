@@ -248,6 +248,16 @@ class TestExitCodes:
             1, "", f"{source}:1:{at}: tree literal nested more than {MAX_COMP_DIM} deep\n"
         )
 
+    @pytest.mark.parametrize("opener", ["id(", "susp("])
+    def test_cell_expression_beyond_the_bound(self, capsys, tmp_path, opener):
+        source = tmp_path / "nested.ctt"
+        depth = MAX_COMP_DIM + 1
+        source.write_text(f"let t = {opener * depth}x{')' * depth}\n")
+        at = len("let t = ") + len(opener) * MAX_COMP_DIM + 1  # the first opener too many
+        assert invoke(capsys, "check", str(source)) == (
+            1, "", f"{source}:1:{at}: cell expression nested more than {MAX_COMP_DIM} deep\n"
+        )
+
     def test_tall_tree_literal_is_a_located_error(self, capsys, tmp_path):
         source = tmp_path / "tall.ctt"
         source.write_text(f"let t = coh {'[' * 330}{']' * 330} {{ x -> x }} []\n")

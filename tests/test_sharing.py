@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import dimsets
 from omegatt import computads
-from omegatt.computads import Var, cell_from_json, cell_to_json, pasting_computad, shared_subterms, tree_size
+from omegatt.computads import Var, cell_from_json, cell_to_json, pasting_computad, shared_subterms
 from omegatt.export import LEAVES, document_from_json, document_to_json
 from omegatt.homcat import hom_factor
 from omegatt.laws import cell_corpus, loop_corpus
@@ -134,19 +134,19 @@ class TestRoundTrips:
 class TestWhenToShare:
     def test_small_terms_print_as_trees(self):
         cell = comp_cell(6, 0, 6)
-        assert tree_size(cell) <= computads.SHARE_ABOVE
+        assert cell.size <= computads.SHARE_ABOVE
         assert shared_subterms(cell) == []
         assert "where" not in cell_text(cell) and "root" not in cell_to_json(cell)
 
     def test_large_terms_share(self):
         cell = comp_cell(7, 0, 7)
-        assert tree_size(cell) == 1370 > computads.SHARE_ABOVE
+        assert cell.size == 1370 > computads.SHARE_ABOVE
         assert " where { @1 = " in cell_text(cell)
         assert set(cell_to_json(cell)) == {"sphere_nodes", "nodes", "root"}
 
     def test_sizes(self):
-        assert tree_size(Var("x", 0)) == 1
-        assert tree_size(comp_cell(10, 0, 10)) == 11214
+        assert Var("x", 0).size == 1
+        assert comp_cell(10, 0, 10).size == 11214
         assert len(shared_subterms(comp_cell(10, 0, 10))) < 60  # distinct nodes
 
     def test_a_subterm_repeated_in_both_contexts_is_bound_in_each(self, share_all):

@@ -17,7 +17,6 @@ from omegatt.trees import (
     comp_tree,
     dim_tree,
     disk_tree,
-    node_count,
     op_positions_iso,
     op_tree,
     pos_dim,
@@ -51,8 +50,8 @@ class TestBasics:
         assert repr(T_COMP2) == "br[br[br[], br[]]]"
 
     def test_node_count(self):
-        assert node_count(br()) == 1
-        assert node_count(T_WHISKER) == 5
+        assert br().nodes == 1
+        assert T_WHISKER.nodes == 5
 
 
 class TestBoundary:
@@ -212,7 +211,7 @@ class TestOpTree:
     @given(trees(6), dimsets(3))
     def test_preserves_dim_and_nodes(self, t, w):
         assert dim_tree(op_tree(w, t)) == dim_tree(t)
-        assert node_count(op_tree(w, t)) == node_count(t)
+        assert op_tree(w, t).nodes == t.nodes
 
 
 class TestOpPositionsIso:
@@ -262,7 +261,7 @@ class TestEnumeration:
 
     def test_all_have_right_node_count(self):
         for n in range(1, 7):
-            assert all(node_count(t) == n for t in trees_with_nodes(n))
+            assert all(t.nodes == n for t in trees_with_nodes(n))
 
     def test_no_duplicates(self):
         seen = list(trees_with_nodes(6))
