@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import functools
 import io
-import json
 import sys
 
 from .computads import boundary_at, is_well_typed
-from .export import document_to_dot, document_to_json
+from .export import document_to_dot, document_to_json, json_text
 from .globular import DimSet, dimset
 from .homcat import hom_factor, op_homcell
 from .laws import format_reports, reports_to_json, timed_laws
@@ -130,7 +129,13 @@ def _print_transformed(args: argparse.Namespace, *actions) -> int:
 
 
 def cmd_susp(args: argparse.Namespace) -> int:
-    return _print_transformed(args, "suspend", lambda c: suspend_computad(c).computad, suspend_cell)
+    doc = _load(args.file)
+    try:
+        out = _transform_document(doc, "suspend", lambda c: suspend_computad(c).computad, suspend_cell)
+    except ValueError as err:  # a scheme nested past the bound
+        return _fail(str(err))
+    print(document_text(out), end="")
+    return 0
 
 
 def cmd_desusp(args: argparse.Namespace) -> int:
@@ -214,7 +219,7 @@ def cmd_hom(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     doc = _load(args.file)
     if args.format == "json":
-        print(json.dumps(document_to_json(doc), indent=2))
+        print(json_text(document_to_json(doc)))
     else:
         print(document_to_dot(doc), end="")
     return 0
@@ -223,7 +228,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 def cmd_laws(args: argparse.Namespace) -> int:
     timed = timed_laws(max_nodes=args.max_nodes, dims_upto=args.dims_upto)
     reports = [report for report, _ in timed]
-    print(json.dumps(reports_to_json(timed), indent=2) if args.json else format_reports(reports))
+    print(json_text(reports_to_json(timed)) if args.json else format_reports(reports))
     return 0 if all(r.ok for r in reports) else 1
 
 

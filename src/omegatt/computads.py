@@ -15,21 +15,22 @@ generator names being unique across dimensions, which ``Computad.make``
 enforces.
 
 Terms are hash-consed (:mod:`omegatt.hashcons`): ``Var``, ``Sphere`` and
-``Coh``, like ``BataninTree``, are interned in weak tables, so
-structurally equal terms are one object, ``==`` is ``is`` and the hash is
-O(1).  A term is therefore a DAG: a subterm that recurs is stored once.
-Every traversal is a walk (:func:`omegatt.hashcons.walk`) that visits
-each node of the DAG once, through its :func:`children` when it needs them
-all.  Pure traversals are memoised in a slot of the node they start from:
-the boundary of a coherence (:func:`cell_boundary`), :func:`cell_key`, and
-in :mod:`omegatt.metaops` the opposite per dimension set.  The writers
-print and export a term above :data:`SHARE_ABOVE` nodes (its ``size``,
-computed when it is built) with each recurring subterm once
-(:func:`shared_subterms`), so their output grows with the DAG.  A traversal whose result depends on a computad
-as well is memoised on the computad: :func:`typecheck_cell` records the
-cells that passed, and :mod:`omegatt.homcat` keeps its hom factorizations
-there.  The other traversals (:func:`map_vars` and so
-:func:`apply_morphism` and :func:`counit_eval`, :func:`support`,
+``Coh``, like ``BataninTree``, are interned in weak tables, so structurally
+equal terms are one object, ``==`` is ``is`` and the hash is O(1).  A term
+is therefore a DAG: a subterm that recurs is stored once.  A traversal
+visits each node of the DAG once: a walk (:func:`omegatt.hashcons.walk`,
+through :func:`children` when it needs them all) where values flow up, a
+plain work-list where it only collects (:func:`support`,
+:func:`double_computad`).  Pure traversals are memoised in a slot of the
+node they start from: the boundary of a coherence (:func:`cell_boundary`),
+:func:`cell_key`, and in :mod:`omegatt.metaops` the opposite per dimension
+set.  The writers print and export a term above :data:`SHARE_ABOVE` nodes
+(its ``size``, computed when it is built) with each recurring subterm once
+(:func:`shared_subterms`), so their output grows with the DAG.  A traversal
+whose result depends on a computad as well is memoised on the computad:
+:func:`typecheck_cell` records the cells that passed, and
+:mod:`omegatt.homcat` keeps its hom factorizations there.  The other walks
+(:func:`map_vars` and so :func:`apply_morphism` and :func:`counit_eval`,
 suspension and desuspension) keep a memo for one call.  Maps that keep the
 keys of a substitution keep its canonical order and do not re-sort it;
 :func:`substitution` sorts, for callers that rename keys.
@@ -467,24 +468,22 @@ def parallel(c: Computad, a: CellTerm, b: CellTerm) -> bool:
 
 
 def support(c: Computad, cell: CellTerm) -> frozenset[str]:
-    """Generators a cell depends on, including those of its boundary.
-    Each node of the DAG is visited once per call."""
-
-    def step(cell: CellTerm):
+    """Generators a cell depends on, including those of its boundary: its
+    closure under bindings and attaching spheres, one pass over the DAG."""
+    names, seen, todo = set(), set(), [cell]
+    while todo:
+        cell = todo.pop()
+        if cell in seen:
+            continue
+        seen.add(cell)
         if type(cell) is not Var:
-            return union([v for _, v in cell.sub], ())
-        if cell.dim == 0:
-            return frozenset({cell.name})
-        sphere = c.sphere_of(cell.name)
-        return union((sphere.src, sphere.tgt), (cell.name,))
-
-    def union(kids, names):
-        sets = []
-        for kid in kids:
-            sets.append((yield kid))
-        return frozenset(names).union(*sets)
-
-    return walk(step, {}, cell)
+            todo += [v for _, v in cell.sub]
+        else:
+            names.add(cell.name)
+            if cell.dim:
+                sphere = c.sphere_of(cell.name)
+                todo += (sphere.src, sphere.tgt)
+    return frozenset(names)
 
 
 def is_full(b: BataninTree, a: Sphere) -> bool:
@@ -694,19 +693,16 @@ def double_computad(c: Computad, cells: Iterable[CellTerm]) -> tuple[Computad, d
     denote: dict[str, CellTerm] = {}
     src: dict[str, str] = {}
     tgt: dict[str, str] = {}
-
-    def step(cell: CellTerm):  # the name of a cell, once its boundary has one
+    todo = list(cells)
+    while todo:
+        cell = todo.pop()
         key = cell_key(cell)
-        denote[key] = cell
-        if cell.dim > 0:
-            sphere = cell_boundary(c, cell)
-            src[key] = yield sphere.src
-            tgt[key] = yield sphere.tgt
-        return key
-
-    memo: dict = {}
-    for cell in cells:
-        walk(step, memo, cell)
+        if key not in denote:
+            denote[key] = cell
+            if cell.dim > 0:
+                sphere = cell_boundary(c, cell)
+                src[key], tgt[key] = cell_key(sphere.src), cell_key(sphere.tgt)
+                todo += (sphere.src, sphere.tgt)
     levels: list[list[str]] = [[] for _ in range(max([cell.dim + 1 for cell in denote.values()], default=0))]
     for key, cell in denote.items():
         levels[cell.dim].append(key)

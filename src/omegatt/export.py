@@ -11,6 +11,7 @@ one-way rendering with one ``digraph`` per computad and dimension: the
 
 from __future__ import annotations
 
+import json
 from typing import Mapping
 
 from .computads import (
@@ -24,6 +25,7 @@ from .computads import (
     var_from_json,
     var_to_json,
 )
+from .hashcons import walk
 from .homcat import homgen_from_json, homgen_to_json
 from .surface import ElabCell, ElabDocument, cell_text
 from .trees import pos_dim
@@ -39,6 +41,32 @@ def document_to_json(doc: ElabDocument) -> dict:
         term = cell_to_json(elab.term, LEAVES[elab.kind][0])
         cells.append({"name": name, "over": elab.over, "kind": elab.kind, "term": term})
     return {"computads": computads, "cells": cells}
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for an object of
+    string-keyed dicts, lists and scalars, written by a walk: no Python
+    frame per level of nesting, where the encoder takes one."""
+    out: list[str] = []
+
+    def step(item):  # a non-empty dict or list, and its depth
+        value, depth = item
+        keyed = isinstance(value, dict)
+        out.append("{" if keyed else "[")
+        lead = inner = "\n" + "  " * (depth + 1)
+        for key, v in value.items() if keyed else enumerate(value):
+            out.append(f"{lead}{json.dumps(key)}: " if keyed else lead)
+            lead = "," + inner
+            if isinstance(v, (dict, list, tuple)) and v:
+                yield v, depth + 1
+            else:
+                out.append(json.dumps(v))
+        out.append("\n" + "  " * depth + ("}" if keyed else "]"))
+
+    if not (isinstance(obj, (dict, list, tuple)) and obj):
+        return json.dumps(obj)
+    walk(step, None, (obj, 0))
+    return "".join(out)
 
 
 def document_from_json(obj: Mapping) -> ElabDocument:

@@ -17,8 +17,10 @@ the result strongly only when the call that made the entry also built the
 result, and weakly otherwise.  Strong entries then always point from an
 older node to a younger one, so the memos never close a reference cycle
 among cells, and reference counting alone frees a dropped term.
-:func:`walk` drives every traversal whose depth follows its input, with
-its memo for one call or in a slot, and takes no Python frame per level.
+:func:`walk` drives every deep traversal that finishes a node after its
+children (to use their values, or to write after them), with its memo for
+one call or in a slot, and takes no Python frame per level; a pass that
+only collects is a plain work-list instead.
 
 The memo slots and tables, and what bounds each one:
 

@@ -609,7 +609,10 @@ class Elaborator:
                 raise SurfaceError(expr.location, str(err)) from err
             return ElabCell("cell", op_computad(w, inner.ambient), op_cell(w, inner.term), None)
         if expr.op == "susp":
-            return ElabCell("cell", suspend_computad(inner.ambient).computad, suspend_cell(inner.term), None)
+            try:
+                return ElabCell("cell", suspend_computad(inner.ambient).computad, suspend_cell(inner.term), None)
+            except ValueError as err:  # a scheme nested past the bound
+                raise SurfaceError(expr.location, str(err)) from err
         if inner.term.dim < 1:
             raise SurfaceError(expr.location, "homfactor needs a cell of dimension >= 1")
         ends = boundary_at(inner.ambient, inner.term, 0)

@@ -108,6 +108,10 @@ def _boundary_step(key: tuple[int, BataninTree]):
 
 
 def suspend_tree(t: BataninTree) -> BataninTree:
+    """``br(t)``, one level deeper: no suspension nests deeper than a tree
+    literal may (MAX_COMP_DIM, the literal of ``t`` being ``t.dim + 1`` deep)."""
+    if t.dim + 2 > MAX_COMP_DIM:
+        raise ValueError(f"cannot suspend a scheme of dimension {t.dim}: it would nest more than {MAX_COMP_DIM} deep")
     return br(t)
 
 

@@ -13,6 +13,7 @@ import pytest
 from omegatt import cli, computads, laws
 from omegatt.cli import run_cli
 from omegatt.computads import TypecheckError
+from omegatt.export import document_to_json
 from omegatt.homcat import HomFactorError
 from omegatt.metaops import NotASuspension
 from omegatt.oplib import BoundaryMismatch, comp_cell
@@ -33,6 +34,13 @@ def invoke(capsys, *argv: str) -> tuple[int, str, str]:
     code = run_cli(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _disk_identity(depth: int) -> str:
+    """A document whose one cell is the identity coherence on the disk
+    written as a tree literal ``depth`` deep."""
+    top = ".".join(["1"] * (depth - 1) + ["0"])
+    return f"let t = coh {'[' * depth}{']' * depth} {{ {top} -> {top} }} []\n"
 
 
 GOLDEN_CASES = [
@@ -257,6 +265,41 @@ class TestExitCodes:
         assert invoke(capsys, "check", str(source)) == (
             1, "", f"{source}:1:{at}: cell expression nested more than {MAX_COMP_DIM} deep\n"
         )
+
+    def test_json_export_of_a_disk_at_the_bound(self, capsys, tmp_path):
+        source = tmp_path / "disk.ctt"
+        source.write_text(_disk_identity(MAX_COMP_DIM))
+        code, out, err = invoke(capsys, "export", "--format", "json", str(source))
+        assert (code, err) == (0, "")
+        assert out.startswith('{\n  "computads": [],\n  "cells": [') and out.endswith("\n  ]\n}\n")
+
+    def test_json_export_writes_what_the_encoder_writes(self, capsys, tmp_path):
+        source = tmp_path / "disk.ctt"
+        source.write_text(_disk_identity(900))  # deep, yet within the encoder's recursion
+        code, out, _ = invoke(capsys, "export", "--format", "json", str(source))
+        assert (code, out) == (0, json.dumps(document_to_json(load_document(source.read_text())), indent=2) + "\n")
+
+    def test_suspension_past_the_bound(self, capsys, tmp_path):
+        source = tmp_path / "disk.ctt"
+        source.write_text(_disk_identity(MAX_COMP_DIM))
+        code, out, err = invoke(capsys, "susp", str(source))
+        assert (code, out) == (1, "")
+        assert err.startswith("omegatt: cannot suspend") and f"more than {MAX_COMP_DIM} deep" in err
+
+    def test_suspension_in_a_let_past_the_bound(self, capsys, tmp_path):
+        source = tmp_path / "disk.ctt"
+        source.write_text(_disk_identity(MAX_COMP_DIM).replace("= coh", "= susp(coh").replace("[]\n", "[])\n"))
+        code, out, err = invoke(capsys, "check", str(source))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"{source}:1:9: cannot suspend") and f"more than {MAX_COMP_DIM} deep" in err
+
+    def test_suspension_up_to_the_bound_checks_again(self, capsys, tmp_path):
+        source, suspended = tmp_path / "disk.ctt", tmp_path / "susp.ctt"
+        source.write_text(_disk_identity(MAX_COMP_DIM - 1))
+        code, out, _ = invoke(capsys, "susp", str(source))
+        assert code == 0 and out.startswith(f"let t = coh {'[' * MAX_COMP_DIM}]")
+        suspended.write_text(out)
+        assert invoke(capsys, "check", str(suspended)) == (0, f"ok let t ({MAX_COMP_DIM}-cell)\n", "")
 
     def test_tall_tree_literal_is_a_located_error(self, capsys, tmp_path):
         source = tmp_path / "tall.ctt"

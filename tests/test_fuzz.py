@@ -1,9 +1,12 @@
 """A grammar fuzzer for the front end: generated ``.ctt`` text, well formed
-or damaged, through ``check`` and ``op --dims 1``.
+or damaged, through ``check``, ``op --dims 1``, ``export --format json``
+and ``susp``.
 
 Every run must end in exit 0, 1 or 2, every exit-1 message must be
-located (``FILE:LINE:COL: ...``), and nothing may escape ``run_cli`` as an
-exception, which the command line would print as a traceback.
+located (``FILE:LINE:COL: ...``, or for ``susp`` a hom cell it cannot
+suspend), and nothing may escape ``run_cli`` as an exception, which the
+command line would print as a traceback.  What ``susp`` prints checks
+again with exit 0.
 """
 
 from __future__ import annotations
@@ -57,15 +60,27 @@ DAMAGED = st.tuples(DOCUMENT, st.integers(0, 400), st.integers(0, 8), STRAY).map
 SLOW_OK = [HealthCheck.function_scoped_fixture, HealthCheck.too_slow]
 
 
+def _run(argv: list[str], text: str) -> tuple[int, str]:
+    """Exit code and stdout of one verb on the file named last in ``argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    assert code in (0, 1, 2), (argv, text)
+    if code == 1:  # located, or a hom cell that susp has no action on
+        message = re.escape(argv[-1]) + r":\d+:\d+: \S" + ("|omegatt: cannot suspend " if argv[0] == "susp" else "")
+        assert re.match(message, err.getvalue()), (argv, text, err.getvalue())
+    return code, out.getvalue()
+
+
 @settings(max_examples=80, deadline=None, suppress_health_check=SLOW_OK)
 @given(st.one_of(DOCUMENT, DAMAGED))
 def test_front_end_never_crashes(tmp_path, text):
     path = tmp_path / "fuzz.ctt"
     path.write_text(text, encoding="utf-8")
-    for argv in (["check", str(path)], ["op", "--dims", "1", str(path)]):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run_cli(argv)
-        assert code in (0, 1, 2), (argv, text)
-        if code == 1:
-            assert re.match(rf"{re.escape(str(path))}:\d+:\d+: \S", err.getvalue()), (argv, text, err.getvalue())
+    for argv in (["check", str(path)], ["op", "--dims", "1", str(path)], ["export", "--format", "json", str(path)]):
+        _run(argv, text)
+    code, suspended = _run(["susp", str(path)], text)
+    if code == 0:
+        again = tmp_path / "susp.ctt"
+        again.write_text(suspended, encoding="utf-8")
+        assert _run(["check", str(again)], suspended)[0] == 0, (text, suspended)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import dimsets
 from omegatt import computads
 from omegatt.computads import Var, cell_from_json, cell_to_json, pasting_computad, shared_subterms
-from omegatt.export import LEAVES, document_from_json, document_to_json
+from omegatt.export import LEAVES, document_from_json, document_to_json, json_text
 from omegatt.homcat import hom_factor
 from omegatt.laws import cell_corpus, loop_corpus
 from omegatt.metaops import op_cell, op_computad, suspend_cell, suspend_computad
@@ -97,6 +97,15 @@ class TestRoundTrips:
         with sharing_all():
             obj = json.loads(json.dumps(cell_to_json(cell)))
         assert cell_from_json(obj, dim_of(ambient)) is cell
+
+    @settings(max_examples=100, deadline=None)
+    @given(cases)
+    def test_json_text_is_what_the_encoder_writes(self, data):
+        _, cell = pick(data)
+        with sharing_all():
+            shared = cell_to_json(cell)
+        for obj in (shared, cell_to_json(cell), {"cells": [{"term": shared}], "none": [], "empty": {}}):
+            assert json_text(obj) == json.dumps(obj, indent=2)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(loop_corpus()), dimsets())

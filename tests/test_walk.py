@@ -5,6 +5,8 @@
 * Typechecking and desuspension against the plain recursions of
   ``typecheck_reference``, on Hypothesis mutants of the law corpus: the
   same first error, with the same code, path and message, or the same pass.
+* Support and the double computad, which collect without a walk, against
+  the walks of ``walk_reference``: the same sets and the same computad.
 * Depth: the CLI under a recursion limit of 150 gives the bytes it gives
   at the default limit, on inputs that a recursion per level could not
   walk.
@@ -25,11 +27,23 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import typecheck_reference as reference
+import walk_reference
 from omegatt.cli import run_cli
-from omegatt.computads import Coh, Sphere, TypecheckError, Var, typecheck_cell
+from omegatt.computads import (
+    Coh,
+    Sphere,
+    TypecheckError,
+    Var,
+    double_computad,
+    pasting_computad,
+    support,
+    typecheck_cell,
+)
+from omegatt.globular import dimset
 from omegatt.hashcons import walk
-from omegatt.laws import cell_corpus
-from omegatt.metaops import NotASuspension, desuspend_cell, suspend_cell
+from omegatt.laws import cell_corpus, eh_closure
+from omegatt.metaops import NotASuspension, desuspend_cell, op_cell, op_computad, suspend_cell, suspend_computad
+from omegatt.oplib import comp_cell, eh_computad
 
 CORPUS = cell_corpus()
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -175,6 +189,49 @@ class TestAgainstTheRecursion:
             assert desuspend_cell(suspend_cell(cell)) is reference.desuspend(suspend_cell(cell)) is cell
 
 
+COMPOSITES = st.integers(1, 10).map(lambda n: comp_cell(n, 0, n)).map(lambda c: (pasting_computad(c.tree), c))
+
+
+@st.composite
+def corpus_images(draw) -> tuple:
+    """A cell of the law corpus with its ambient computad, or its opposite or
+    suspension over the opposite or suspended computad; in place of a
+    coherence, perhaps a cell of its sphere over the scheme's computad."""
+    ambient, cell = draw(st.sampled_from(CORPUS))
+    how = draw(st.sampled_from(["as is", "op", "susp"]))
+    if how == "op":
+        w = dimset(draw(st.sets(st.integers(1, 4), min_size=1)))
+        ambient, cell = op_computad(w, ambient), op_cell(w, cell)
+    elif how == "susp":
+        ambient, cell = suspend_computad(ambient).computad, suspend_cell(cell)
+    if isinstance(cell, Coh) and draw(st.booleans()):
+        ambient, cell = pasting_computad(cell.tree), draw(st.sampled_from([cell.sphere.src, cell.sphere.tgt]))
+    return ambient, cell
+
+
+class TestClosureAgainstTheWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(COMPOSITES, corpus_images()))
+    def test_support_is_the_walked_union(self, drawn):
+        ambient, cell = drawn
+        assert support(ambient, cell) == walk_reference.support(ambient, cell)
+
+    def test_an_unknown_generator_is_a_key_error_in_both(self):
+        ambient = eh_computad().computad
+        for find in (support, walk_reference.support):
+            with pytest.raises(KeyError):
+                find(ambient, Var("nowhere", 1))
+        assert support(ambient, Var("nowhere", 0)) == walk_reference.support(ambient, Var("nowhere", 0))
+
+    def test_double_computad_is_the_walked_one(self):
+        c, cells = eh_computad().computad, eh_closure(1)
+        families = [(c, cells), (c, cells[::-1]), *((ambient, [cell]) for ambient, cell in CORPUS)]
+        for ambient, family in families:  # the corpus has cells whose source and target differ
+            dbl, denote = double_computad(ambient, family)
+            want, want_denote = walk_reference.double_computad(ambient, family)
+            assert dbl is want and denote == want_denote
+
+
 # the CLI under a lowered recursion limit, each case as it runs at the default
 DEPTH_CASES = [
     ["check", "id100.ctt"],
@@ -183,6 +240,7 @@ DEPTH_CASES = [
     ["op", "--dims", "1", "id100.ctt"],
     ["export", "--format", "json", "id100.ctt"],
     ["check", "tree300.ctt"],
+    ["export", "--format", "json", "disk300.ctt"],
     ["comp", "120", "0", "1"],
 ]
 UNDER_LIMIT = """
@@ -204,6 +262,8 @@ def test_deep_inputs_need_no_recursion_limit(tmp_path, monkeypatch):
     ids = f"{'id(' * depth}f{')' * depth}"
     Path("id100.ctt").write_text(f"computad c {{\n  x : * ;\n  y : * ;\n  f : x -> y ;\n}}\n\nlet t = {ids}\n")
     Path("tree300.ctt").write_text(f"let t = coh {'[' * 300}{']' * 300} {{ x -> x }} []\n")
+    top = ".".join(["1"] * 299 + ["0"])  # the identity on the 299-disk
+    Path("disk300.ctt").write_text(f"let t = coh {'[' * 300}{']' * 300} {{ {top} -> {top} }} []\n")
     run = subprocess.run(
         [sys.executable, "-c", UNDER_LIMIT, json.dumps(DEPTH_CASES)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
@@ -213,4 +273,6 @@ def test_deep_inputs_need_no_recursion_limit(tmp_path, monkeypatch):
         with contextlib.redirect_stdout(here), contextlib.redirect_stderr(there):
             want = run_cli(argv)
         assert (code, out, err) == (want, here.getvalue(), there.getvalue()), argv
-    assert json.loads(run.stdout)[0] == [0, "ok computad c\nok let t (101-cell)\n", ""]
+    outcomes = json.loads(run.stdout)
+    assert outcomes[0] == [0, "ok computad c\nok let t (101-cell)\n", ""]
+    assert outcomes[DEPTH_CASES.index(["export", "--format", "json", "disk300.ctt"])][0] == 0
