@@ -35,20 +35,25 @@ suspension and desuspension) keep a memo for one call.  Maps that keep the
 keys of a substitution keep its canonical order and do not re-sort it;
 :func:`substitution` sorts, for callers that rename keys.
 
-Every computad is valid.  Computads are interned like terms, on their
-levels and attaching pairs.  :meth:`Computad.make` checks foreign data
-once, before interning; on data it has seen it returns the interned
-object unchecked.  The constructor, ``copy`` and ``pickle`` go through
-``make``.  :meth:`Computad.truncate`, :func:`pasting_computad` and
-:meth:`Computad.extend` (which checks only the sphere it adds, typing
-being monotone under adding generators) intern results that are valid by
-construction.  The opposites and the suspension of a computad
-(:mod:`omegatt.metaops`) are memoised on it.
+Every computad is valid.  A computad is its generator table, each name
+with its dimension and attaching sphere, as in Dean, Finster, Markakis,
+Reutter & Vicary, *Computads for weak omega-categories as an inductive
+type* (arXiv 2208.08719): an earlier computad plus new generators.  It is
+interned like a term, on the set of its table's entries, so the order in
+which generators came does not matter; the canonical order lives only in
+the views the printers and JSON read.  :meth:`Computad.extend` is the one
+checked step: it checks only the sphere it adds, typing being monotone
+under adding generators.  :meth:`Computad.make` checks the shape of
+foreign data and folds ``extend`` over it; on data it has seen it returns
+the interned object unchecked.  The constructor, ``copy`` and ``pickle``
+go through ``make``.  :meth:`Computad.truncate` and
+:func:`pasting_computad` intern results that are valid by construction.
+The opposites and the suspension of a computad (:mod:`omegatt.metaops`)
+are memoised on it.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Mapping, Union
@@ -183,13 +188,17 @@ CellTerm = Union[Var, Coh]
 
 
 class Computad(HashConsed):
-    """Generator names per dimension with attaching spheres; always valid.
+    """A finite computad: its generator table; always valid.
 
-    ``generators[d]`` is the tuple of d-generator names in canonical order;
-    ``attach`` binds each generator of positive dimension to its sphere,
-    level by level in that order.  Interned on these two fields, so equal
-    computads are one object.  Other slots: the name tables ``_dims`` and
-    ``_spheres``, filled on first lookup, and the memos ``_op``
+    ``table`` maps each generator name to its entry ``(dim, sphere)``, the
+    sphere None for a 0-generator.  A computad is interned on the frozenset
+    of its table's entries (``key``), so equal computads are one object
+    whatever order their generators came in.  ``generators`` and ``attach``
+    are views in canonical order, sorted on first use (slot ``_views``):
+    ``generators[d]`` is the tuple of d-generator names, and ``attach``
+    binds each generator of positive dimension to its sphere, level by
+    level.  The constructor takes these two views, so copying and pickling
+    rebuild through :meth:`make`.  Memo slots: ``_op``
     (:func:`omegatt.metaops.op_computad` per dimension set), ``_susp``
     (:func:`omegatt.metaops.suspend_computad`), ``_desusp``
     (:func:`omegatt.metaops.desuspend_computad`), ``_hom``
@@ -198,12 +207,10 @@ class Computad(HashConsed):
     ``_passed`` (the cells that passed :func:`typecheck_cell` over it).
     """
 
-    __slots__ = (
-        "generators", "attach", "_dims", "_spheres", "_op", "_susp", "_desusp", "_hom", "_passed"
-    )
+    __slots__ = ("table", "key", "_views", "_op", "_susp", "_desusp", "_hom", "_passed")
     __match_args__ = ("generators", "attach")
-    generators: tuple[tuple[str, ...], ...]
-    attach: tuple[tuple[str, Sphere], ...]
+    table: dict[str, tuple[int, Sphere | None]]
+    key: frozenset
 
     def __new__(cls, generators: Iterable[Iterable[str]], attach) -> "Computad":
         return cls.make(generators, dict(attach))
@@ -211,89 +218,101 @@ class Computad(HashConsed):
     @staticmethod
     def make(generators_by_dim: Iterable[Iterable[str]], attach: Mapping[str, Sphere]) -> "Computad":
         """The computad on these generators and spheres, checked the first
-        time its data are seen: the same object for equal data."""
-        return Computad.build(generators_by_dim, attach)[0]
-
-    @staticmethod
-    def build(
-        generators_by_dim: Iterable[Iterable[str]],
-        attach: Mapping[str, Sphere],
-    ) -> tuple["Computad", bool]:
-        """``(computad, created)``: what :meth:`make` returns, and whether
-        this call built and checked it (see :func:`omegatt.hashcons.store`)
-        rather than finding it interned.  The spheres are checked bottom-up,
-        each truncation interned once its level passes."""
-        levels = [tuple(sorted(level, key=nat_key)) for level in generators_by_dim]
-        while levels and not levels[-1]:
-            levels.pop()
-        seen: set[str] = set()
-        for level in levels:
+        time its data are seen: the same object for equal data.  Foreign
+        data are checked for duplicate names, then for missing spheres, then
+        for stray ones, before :meth:`build` checks the spheres."""
+        levels = [sorted(level, key=nat_key) for level in generators_by_dim]
+        table: dict[str, tuple[int, Sphere | None]] = {}
+        for d, level in enumerate(levels):
             for v in level:
-                if v in seen:
+                if v in table:
                     raise ValueError(f"duplicate generator name {v!r}")
-                seen.add(v)
-        pairs: list[tuple[str, Sphere]] = []
-        for d in range(1, len(levels)):
-            for v in levels[d]:
+                table[v] = (d, None)
+        for d, level in enumerate(levels[1:], 1):
+            for v in level:
                 if v not in attach:
                     raise ValueError(f"generator {v!r} has no attaching sphere")
-                pairs.append((v, attach[v]))
-        if len(pairs) != len(attach):
-            attached = {v for v, _ in pairs}
-            stray = next(v for v in attach if v not in attached)
-            raise ValueError(f"sphere attached to {stray!r}, not a generator of positive dimension")
-        levels, pairs = tuple(levels), tuple(pairs)
-        c = Computad._live((levels, pairs))
+                table[v] = (d, attach[v])
+        for v in attach:
+            if v not in table or not table[v][0]:
+                raise ValueError(f"sphere attached to {v!r}, not a generator of positive dimension")
+        return Computad.build(table)[0]
+
+    @staticmethod
+    def build(table: Mapping[str, tuple[int, Sphere | None]]) -> tuple["Computad", bool]:
+        """``(computad, created)``: the computad on a generator table, and
+        whether this call built and checked it (see
+        :func:`omegatt.hashcons.store`) rather than finding it interned.
+        It is :meth:`extend` folded over the generators in canonical order."""
+        c = Computad._live(frozenset(table.items()))
         if c is not None:
             return c, False
-        c = Computad._intern((), ())
-        for d, level in enumerate(levels):
-            if level:
-                start = len(c.attach)
-                end = start + len(level) if d else 0
-                for v, sphere in pairs[start:end]:
-                    _check_attachment(c, v, sphere, d)
-                c = Computad._intern(levels[: d + 1], pairs[:end])
+        c = Computad._intern({})
+        for v in _in_order(table):
+            d, sphere = table[v]
+            if d and sphere.dim != d - 1:
+                raise ValueError(f"attaching sphere of {v!r} has dimension {sphere.dim}, want {d - 1}")
+            c = c.extend(v, sphere)
         return c, True
 
     @classmethod
-    def _intern(cls, levels: tuple, pairs: tuple) -> "Computad":
-        """The computad on data known to be valid, in the form :meth:`make`
-        gives it: levels in canonical order with no empty last level, pairs
-        level by level."""
-        return cls._cons((levels, pairs), (levels, pairs) + (None,) * 7)[0]
+    def _intern(cls, table: dict) -> "Computad":
+        """The computad on a table known to be valid, unchecked."""
+        key = frozenset(table.items())
+        return cls._cons(key, (table, key) + (None,) * 6)[0]
 
     def extend(self, name: str, sphere: Sphere | None) -> "Computad":
         """This computad with one more generator: a 0-generator when
         ``sphere`` is None, else one attached along ``sphere``.
 
-        Only the new sphere is checked, against ``self.truncate(d - 1)``:
-        typing is monotone under adding generators, so the old spheres
-        still check and the result is the object :meth:`make` returns on
-        the same data, with the same error when the new sphere fails."""
-        if self.has_generator(name):
+        The table and key are copied from this computad's, and only the new
+        sphere is checked: typing is monotone under adding generators, so
+        the old spheres still check.  A cell of the sphere types over this
+        computad exactly when it types over its generators below the
+        sphere's, those it is checked over in :meth:`build`; a failure is
+        reported over the latter, so both give the same error."""
+        if name in self.table:
             raise ValueError(f"duplicate generator name {name!r}")
-        d = 0 if sphere is None else sphere.dim + 1
-        levels = list(self.generators) + [()] * (d + 1 - len(self.generators))
-        # each level is sorted and the attaching pairs go level by level, so
-        # the new name and pair go in by bisection and slicing, with no sort
-        level = levels[d]
-        at = bisect.bisect_right(level, nat_key(name), key=nat_key)
-        levels[d] = level[:at] + (name,) + level[at:]
-        pairs = self.attach
-        if sphere is not None:
-            at += sum(map(len, levels[1:d]))
-            pairs = pairs[:at] + ((name, sphere),) + pairs[at:]
-        levels = tuple(levels)
-        c = Computad._live((levels, pairs))
+        entry = (0, None) if sphere is None else (sphere.dim + 1, sphere)
+        key = self.key | {(name, entry)}
+        c = Computad._live(key)
         if c is None:
             if sphere is not None:
-                _check_attachment(self.truncate(d - 1), name, sphere, d)
-            c = Computad._intern(levels, pairs)
+                for cell in (sphere.src, sphere.tgt):
+                    try:
+                        typecheck_cell(self, cell)
+                    except TypecheckError:
+                        typecheck_cell(self.truncate(sphere.dim), cell)
+                        raise
+                if not parallel(self, sphere.src, sphere.tgt):
+                    raise ValueError(f"attaching sphere of {name!r} is not parallel")
+            table = self.table.copy()
+            table[name] = entry
+            c = Computad._cons(key, (table, key) + (None,) * 6)[0]
         return c
 
     def __repr__(self) -> str:
         return f"Computad(generators={self.generators!r}, attach={self.attach!r})"
+
+    def _sorted(self) -> tuple:
+        views = self._views
+        if views is None:
+            table, levels = self.table, []
+            for v in _in_order(table):
+                d = table[v][0]
+                levels += [[] for _ in range(d + 1 - len(levels))]
+                levels[d].append(v)
+            views = tuple(map(tuple, levels)), tuple([(v, table[v][1]) for level in levels[1:] for v in level])
+            remember(self, "_views", views)
+        return views
+
+    @property
+    def generators(self) -> tuple[tuple[str, ...], ...]:
+        return self._sorted()[0]
+
+    @property
+    def attach(self) -> tuple[tuple[str, Sphere], ...]:
+        return self._sorted()[1]
 
     @property
     def bound(self) -> int:
@@ -303,74 +322,52 @@ class Computad(HashConsed):
     def generators_at(self, d: int) -> tuple[str, ...]:
         return self.generators[d] if 0 <= d <= self.bound else ()
 
-    def _names(self) -> dict[str, int]:
-        dims = self._dims
-        if dims is None:
-            dims = {v: d for d, level in enumerate(self.generators) for v in level}
-            remember(self, "_dims", dims)
-        return dims
-
     def has_generator(self, name: str) -> bool:
-        return name in self._names()
+        return name in self.table
 
     def dim_of(self, name: str) -> int:
-        return self._names()[name]
+        return self.table[name][0]
 
-    def sphere_of(self, name: str) -> Sphere:
-        spheres = self._spheres
-        if spheres is None:
-            spheres = dict(self.attach)
-            remember(self, "_spheres", spheres)
-        return spheres[name]
+    def sphere_of(self, name: str) -> Sphere | None:
+        return self.table[name][1]
 
     def var(self, name: str) -> Var:
-        return Var(name, self.dim_of(name))
+        return Var(name, self.table[name][0])
 
     def truncate(self, d: int) -> "Computad":
-        """The generators up to dimension ``d``: this computad itself when
-        ``d`` reaches its bound, else the interned truncation, sliced from
-        this computad's data (a truncation of a valid computad is valid)."""
-        if d >= self.bound:
-            return self
-        levels = self.generators[: max(d + 1, 0)]
-        while levels and not levels[-1]:
-            levels = levels[:-1]
-        return Computad._intern(levels, self.attach[: sum(map(len, levels[1:]))])
+        """The generators up to dimension ``d``, interned unchecked: a
+        truncation of a valid computad is valid (this computad itself when
+        none is above ``d``)."""
+        return Computad._intern({v: entry for v, entry in self.table.items() if entry[0] <= d})
 
 
-def _check_attachment(lower: Computad, v: str, sphere: Sphere, d: int) -> None:
-    """Validate the sphere attaching the d-generator ``v`` over the
-    computad ``lower`` of its generators below dimension d."""
-    if sphere.dim != d - 1:
-        raise ValueError(f"attaching sphere of {v!r} has dimension {sphere.dim}, want {d - 1}")
-    typecheck_cell(lower, sphere.src)
-    typecheck_cell(lower, sphere.tgt)
-    if not parallel(lower, sphere.src, sphere.tgt):
-        raise ValueError(f"attaching sphere of {v!r} is not parallel")
+def _in_order(table: Mapping[str, tuple]) -> list[str]:
+    """The names of a generator table in canonical order: by dimension,
+    then by :func:`nat_key` (then by the name, for names it equates)."""
+    return sorted(table, key=lambda v: (table[v][0], nat_key(v), v))
 
 
-def _disk_attachments(x: FiniteGlobularSet) -> tuple[tuple[str, Sphere], ...]:
-    """Each cell of ``x`` of positive dimension with the sphere of its two
-    boundary cells, level by level in the order of ``x``."""
-    return tuple([
-        (c, Sphere(Var(s, d - 1), Var(t, d - 1)))
-        for d in range(1, x.ndim + 1)
-        for (c, s), (_, t) in zip(x.srcs[d], x.tgts[d])
-    ])
+def _disk_table(x: FiniteGlobularSet) -> dict[str, tuple[int, Sphere | None]]:
+    """The generator table with one generator per cell of ``x``, each of
+    positive dimension attached along the sphere of its two boundary cells."""
+    table = dict.fromkeys(x.cells[0] if x.cells else (), (0, None))
+    for d in range(1, x.ndim + 1):
+        for (c, s), (_, t) in zip(x.srcs[d], x.tgts[d]):
+            table[c] = (d, Sphere(Var(s, d - 1), Var(t, d - 1)))
+    return table
 
 
 def free_computad(x: FiniteGlobularSet) -> Computad:
     """The computad with one generator per cell of ``x``, disk attachments."""
-    return Computad.make(x.cells, dict(_disk_attachments(x)))
+    return Computad.build(_disk_table(x))[0]
 
 
 @lru_cache(maxsize=None)
 def pasting_computad(t: BataninTree) -> Computad:
     """Free computad on the positions of a pasting scheme (cached).  The
-    positions are a valid globular set listed in canonical order, so their
-    free computad is interned as it stands, without :meth:`Computad.make`."""
-    x = positions(t).carrier
-    return Computad._intern(x.cells, _disk_attachments(x))
+    positions are a valid globular set, so their free computad is interned
+    as it stands, without :meth:`Computad.build`'s checks."""
+    return Computad._intern(_disk_table(positions(t).carrier))
 
 
 def identity_sub(c: Computad) -> Substitution:
@@ -541,9 +538,10 @@ def prefixed(err, path: tuple[str, ...]):
 def _typecheck(key: tuple[Computad, CellTerm]):
     c, cell = key
     if isinstance(cell, Var):
-        if not c.has_generator(cell.name):
+        entry = c.table.get(cell.name)
+        if entry is None:
             raise TypecheckError("UnknownGenerator", (), f"no generator named {cell.name!r}")
-        d = c.dim_of(cell.name)
+        d = entry[0]
         if d != cell.dim:
             raise TypecheckError(
                 "DimensionMismatch",
@@ -691,22 +689,21 @@ def double_computad(c: Computad, cells: Iterable[CellTerm]) -> tuple[Computad, d
     denotation map sending each generator name back to the cell it names.
     """
     denote: dict[str, CellTerm] = {}
-    src: dict[str, str] = {}
-    tgt: dict[str, str] = {}
+    table: dict[str, tuple[int, Sphere | None]] = {}
     todo = list(cells)
     while todo:
         cell = todo.pop()
         key = cell_key(cell)
         if key not in denote:
             denote[key] = cell
+            sphere = None
             if cell.dim > 0:
-                sphere = cell_boundary(c, cell)
-                src[key], tgt[key] = cell_key(sphere.src), cell_key(sphere.tgt)
-                todo += (sphere.src, sphere.tgt)
-    levels: list[list[str]] = [[] for _ in range(max([cell.dim + 1 for cell in denote.values()], default=0))]
-    for key, cell in denote.items():
-        levels[cell.dim].append(key)
-    return free_computad(FiniteGlobularSet.make(levels, src, tgt)), denote
+                boundary = cell_boundary(c, cell)
+                todo += (boundary.src, boundary.tgt)
+                d = cell.dim - 1
+                sphere = Sphere(Var(cell_key(boundary.src), d), Var(cell_key(boundary.tgt), d))
+            table[key] = (cell.dim, sphere)
+    return Computad.build(table)[0], denote
 
 
 def counit_eval(

@@ -36,8 +36,9 @@ The memo slots and tables, and what bounds each one:
   (the reversed sphere of a coherence, per dimension set and scheme): they
   die with their node, and an ``_op`` dict holds one entry per dimension
   set (and scheme) asked for.
-* ``Computad._dims`` and ``._spheres`` (name tables), ``._op``, ``._susp``
-  and ``._desusp`` (its opposites, suspension and desuspension), ``._hom``
+* ``Computad._views`` (its generators in canonical order), ``._op``,
+  ``._susp`` and ``._desusp`` (its opposites, suspension and
+  desuspension), ``._hom``
   (the memos of :func:`omegatt.homcat.hom_factor` and
   :func:`omegatt.homcat.hom_realize` per basepoint pair) and ``._passed``
   (the cells that passed :func:`omegatt.computads.typecheck_cell` over
@@ -77,9 +78,11 @@ remember = object.__setattr__  # write a memo slot of a node
 class HashConsed:
     """Base of the interned node classes.
 
-    A subclass lists its slots in ``__slots__`` with the constructor's
-    arguments first and names those arguments in ``__match_args__``; its
-    ``__new__`` builds the node through :meth:`_cons`.
+    A subclass names its constructor's arguments in ``__match_args__``,
+    which copying and pickling read back, and builds a node through
+    :meth:`_cons`, which fills ``__slots__`` in order.  For the term nodes
+    the arguments are the first slots; a ``Computad`` is built from its
+    generator table, and its arguments are views of it.
     """
 
     __slots__ = ("__weakref__",)

@@ -118,16 +118,11 @@ def suspend_computad(c: Computad) -> BipointedComputad:
 
 
 def _suspended(c: Computad) -> tuple[Computad, bool]:
-    gens: list[list[str]] = [[BASE_MINUS, BASE_PLUS]]
-    attach: dict[str, Sphere] = {}
-    for d in range(c.bound + 1):
-        gens.append([f"1.{v}" for v in c.generators_at(d)])
-        for v in c.generators_at(d):
-            if d == 0:
-                attach[f"1.{v}"] = Sphere(*_BASEPOINTS)
-            else:
-                attach[f"1.{v}"] = suspend_sphere(c.sphere_of(v))
-    return Computad.build(gens, attach)
+    table: dict[str, tuple[int, Sphere | None]] = {BASE_MINUS: (0, None), BASE_PLUS: (0, None)}
+    for d, level in enumerate(c.generators):
+        for v in level:
+            table[f"1.{v}"] = (d + 1, suspend_sphere(c.sphere_of(v)) if d else Sphere(*_BASEPOINTS))
+    return Computad.build(table)
 
 
 # ---------------------------------------------------------------------------
@@ -203,22 +198,17 @@ def desuspend_computad(c: Computad) -> Computad:
 def _desuspended(c: Computad) -> tuple[Computad, bool]:
     if c.generators_at(0) != (BASE_MINUS, BASE_PLUS):
         raise NotASuspension((), "0-generators are not exactly the two basepoints")
-    gens: list[list[str]] = []
-    attach: dict[str, Sphere] = {}
-    for d in range(1, c.bound + 1):
-        level = []
-        for v in c.generators_at(d):
-            if not v.startswith("1."):
-                raise NotASuspension((v,), "generator is not shifted")
-            name = v[2:]
-            level.append(name)
-            if d == 1:
-                if c.sphere_of(v) != Sphere(*_BASEPOINTS):
-                    raise NotASuspension((v,), "1-generator not attached to the basepoints")
-            else:
-                attach[name] = desuspend_sphere(c.sphere_of(v), (v,))
-        gens.append(level)
-    return Computad.build(gens, attach)
+    table: dict[str, tuple[int, Sphere | None]] = {}
+    for v, sphere in c.attach:
+        if not v.startswith("1."):
+            raise NotASuspension((v,), "generator is not shifted")
+        if sphere.dim:
+            table[v[2:]] = (sphere.dim, desuspend_sphere(sphere, (v,)))
+        elif sphere == Sphere(*_BASEPOINTS):
+            table[v[2:]] = (0, None)
+        else:
+            raise NotASuspension((v,), "1-generator not attached to the basepoints")
+    return Computad.build(table)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +301,7 @@ def op_computad(w: DimSet, c: Computad) -> Computad:
     opposite of the opposite is built again and is ``c``, interned."""
     key = canonical_dimset(w)
     return recall(c, "_op", key) or store(c, "_op", key, *Computad.build(
-        [list(level) for level in c.generators], {v: op_sphere(w, s) for v, s in c.attach}
+        {v: (d, op_sphere(w, s) if d else None) for v, (d, s) in c.table.items()}
     ))
 
 

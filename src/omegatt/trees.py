@@ -123,13 +123,15 @@ MAX_COMP_DIM = 1000
 def comp_tree(n: int, k: int, m: int) -> BataninTree:
     """The scheme for composing an n-cell with an m-cell along a k-cell.
 
-    Requires 0 <= k < min(n, m) and max(n, m) <= MAX_COMP_DIM.  For k = 0
-    this is two branches, the disks of heights n-1 and m-1 side by side;
-    higher k wraps that in k more unary levels.
+    Requires 0 <= k < min(n, m) and max(n, m) < MAX_COMP_DIM: the scheme
+    has dimension max(n, m), so its literal nests one deeper, and no
+    literal may nest deeper than MAX_COMP_DIM.  For k = 0 this is two
+    branches, the disks of heights n-1 and m-1 side by side; higher k
+    wraps that in k more unary levels.
     """
-    if not (0 <= k < min(n, m) and max(n, m) <= MAX_COMP_DIM):
+    if not (0 <= k < min(n, m) and max(n, m) <= MAX_COMP_DIM - 1):
         raise ValueError(
-            f"comp_tree: need 0 <= k < min(n, m) and max(n, m) <= {MAX_COMP_DIM}, got ({n}, {k}, {m})"
+            f"comp_tree: need 0 <= k < min(n, m) and max(n, m) <= {MAX_COMP_DIM - 1}, got ({n}, {k}, {m})"
         )
     t = br(disk_tree(n - k - 1), disk_tree(m - k - 1))
     for _ in range(k):

@@ -17,8 +17,8 @@ from omegatt.export import document_to_json
 from omegatt.homcat import HomFactorError
 from omegatt.metaops import NotASuspension
 from omegatt.oplib import BoundaryMismatch, comp_cell
-from omegatt.surface import SourceLocation, SurfaceError, load_document
-from omegatt.trees import MAX_COMP_DIM
+from omegatt.surface import SourceLocation, SurfaceError, load_document, parse, tree_text
+from omegatt.trees import MAX_COMP_DIM, comp_tree
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
@@ -246,7 +246,20 @@ class TestExitCodes:
         assert err.startswith(f"{source}:1:9: comp_tree: ")
         code, _, err = invoke(capsys, "comp", "99999999999", "0", "1")
         assert code == 2
-        assert f"max(n, m) <= {MAX_COMP_DIM}" in err
+        assert f"max(n, m) <= {MAX_COMP_DIM - 1}" in err
+
+    def test_composite_whose_literal_would_nest_past_the_bound(self, capsys, tmp_path):
+        code, out, err = invoke(capsys, "comp", str(MAX_COMP_DIM), "0", "1")
+        assert (code, out) == (2, "") and f"max(n, m) <= {MAX_COMP_DIM - 1}" in err
+        source = tmp_path / "comp.ctt"
+        source.write_text(f"let c = comp({MAX_COMP_DIM},0,1)[]\n")
+        code, out, err = invoke(capsys, "check", str(source))
+        assert (code, out) == (1, "") and err.startswith(f"{source}:1:9: comp_tree: ")
+
+    def test_literal_of_the_largest_composite_reads_back(self):
+        t = comp_tree(MAX_COMP_DIM - 1, 0, 1)
+        (let,) = parse(f"let c = coh {tree_text(t)} {{ 0 -> 0 }} []\n").items
+        assert let.expr.tree is t
 
     def test_tree_literal_beyond_the_bound(self, capsys, tmp_path):
         source = tmp_path / "deep.ctt"
@@ -327,6 +340,104 @@ class TestExitCodes:
         )
         assert code == 1
         assert "runs" in err
+
+
+EH_DOC = "computad eh {\n  x : * ;\n  a : id(x) -> id(x) ;\n  b : id(x) -> id(x) ;\n}\n"
+LOOP_DOC = "computad c { x : * ; f : x -> x ; }\n"
+
+# Errors of the elaborator and of the verbs: the arguments before the file,
+# the document (None: no file), the exit code and the whole of stderr, in
+# which {file} stands for the document's path.
+ERROR_PATHS = [
+    pytest.param(
+        ["check"], "computad c { x : * ; }\ncomputad c { y : * ; }\n",
+        1, "{file}:2:1: computad 'c' is already defined", id="computad-twice",
+    ),
+    pytest.param(
+        ["check"], "computad c { x : * ; f : x -> x ; g : x -> f ; }\n",
+        1, "{file}:1:35: boundary cells have dimensions 0 and 1", id="boundary-dims",
+    ),
+    pytest.param(
+        ["check"], EH_DOC + "let v = homfactor(homfactor(comp(2,1,2)[a, b]))\n",
+        1, "{file}:6:9: hom cells cannot be transformed further", id="hom-of-hom",
+    ),
+    pytest.param(
+        ["check"], LOOP_DOC + "let a = comp(1,0,1)[f, f, f]\n",
+        1, "{file}:2:9: comp takes two cells, found 3", id="comp-three-cells",
+    ),
+    pytest.param(
+        ["check"], LOOP_DOC + "let a = comp(2,0,2)[f, f]\n",
+        1, "{file}:2:9: comp(2,0,2) applied to cells of dimensions 1 and 1", id="comp-dims",
+    ),
+    pytest.param(
+        ["check"], LOOP_DOC + "let a = id(susp(x))\n",
+        1, "{file}:2:12: susp(...) is only available at the top of a 'let'", id="inner-susp",
+    ),
+    pytest.param(
+        ["check"], "computad c { x : * y : * }\n",
+        1, "{file}:1:20: expected ';' or '}' after a generator", id="generator-separator",
+    ),
+    pytest.param(
+        ["check"], LOOP_DOC + "let t = coh [] { 0 -> 0 } [x]\n",
+        1, "{file}:2:9: a coherence takes keyed entries or an empty '[]'", id="coh-plain-cells",
+    ),
+    pytest.param(
+        ["check"], LOOP_DOC + "let t = coh [] { 0 -> 0 } [0 => x, (]\n",
+        1, "{file}:2:36: expected a position, found '('", id="position",
+    ),
+    pytest.param(
+        # the two computads differ: equal ones are one object
+        ["check"], "computad a { x : * ; }\nlet p = x\ncomputad b { y : * ; }\nlet q = id(p)\n",
+        1, "{file}:4:12: 'p' lives over a different computad", id="other-computad",
+    ),
+    pytest.param(["id", "zz"], LOOP_DOC, 1, "omegatt: unknown cell 'zz'", id="id-unknown"),
+    pytest.param(
+        ["id", "v"], EH_DOC + "let v = homfactor(comp(2,1,2)[a, b])\n",
+        1, "omegatt: 'v' is a hom cell", id="id-hom-cell",
+    ),
+    pytest.param(
+        ["eh", "--check", "h"], None,
+        1, "omegatt: --check needs a file to read the candidate cell from", id="eh-no-file",
+    ),
+    pytest.param(["eh", "--check", "zz"], EH_DOC, 1, "omegatt: unknown cell 'zz'", id="eh-unknown"),
+    pytest.param(
+        ["eh", "--check", "f"], LOOP_DOC,
+        1, "omegatt: 'f' is not a cell over the Eckmann-Hilton computad", id="eh-not-over-eh",
+    ),
+    pytest.param(
+        ["eh", "--check", "v"], EH_DOC + "let v = a\n",
+        1, "omegatt: op1 of v(a,b) differs from op2 of v(b,a)", id="eh-differs",
+    ),
+    pytest.param(
+        ["hom", "--src", "x", "--tgt", "zz", "factor", "a"], EH_DOC,
+        1, "omegatt: unknown cell 'zz'", id="hom-unknown",
+    ),
+    pytest.param(
+        ["hom", "--src", "x", "--tgt", "x", "factor", "v"], EH_DOC + "let v = homfactor(comp(2,1,2)[a, b])\n",
+        1, "omegatt: 'v' is already a hom cell", id="hom-of-hom-cell",
+    ),
+    pytest.param(
+        ["hom", "--src", "f", "--tgt", "x", "factor", "f"], LOOP_DOC,
+        1, "omegatt: --src and --tgt must name 0-cells", id="hom-ends-not-points",
+    ),
+    pytest.param(
+        ["hom", "--src", "x", "--tgt", "x", "factor", "x"], LOOP_DOC,
+        1, "omegatt: 'x' has dimension 0, nothing to factor", id="hom-of-point",
+    ),
+    pytest.param(
+        ["hom", "--src", "x", "--tgt", "y", "factor", "f"], "computad c { x : * ; y : * ; f : x -> x ; }\n",
+        1, "omegatt: 'f' runs x -> x, not x -> y", id="hom-wrong-ends",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,text,code,err", ERROR_PATHS)
+def test_error_path(capsys, tmp_path, argv, text, code, err):
+    if text is not None:
+        source = tmp_path / "doc.ctt"
+        source.write_text(text)
+        argv = [*argv, str(source)]
+    assert invoke(capsys, *argv) == (code, "", err.replace("{file}", argv[-1]) + "\n")
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,8 @@ import copy
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import trees
 from extras import compose_morphisms, typecheck_morphism
@@ -38,8 +39,8 @@ from omegatt.computads import (
     term_diff,
     typecheck_cell,
 )
-from omegatt.globular import dimset
-from omegatt.metaops import op_computad, suspend_computad
+from omegatt.globular import dimset, nat_key
+from omegatt.metaops import desuspend_computad, op_computad, suspend_computad
 from omegatt.oplib import compose, eh_computad, identity_cell
 from omegatt.trees import all_trees, br, comp_tree, disk_tree, pos_dim, positions
 
@@ -136,10 +137,7 @@ class TestValidateOnce:
         for _ in range(2):
             with pytest.raises(ValueError, match="not parallel"):
                 Computad.make(levels, attach)
-        key = (
-            (("x", "y", "z"), ("f", "g"), ("q",)),
-            (*c.attach, ("q", attach["q"])),
-        )
+        key = c.key | {("q", (2, attach["q"]))}
         assert key not in Computad._table
 
     def test_constructor_is_make(self):
@@ -187,6 +185,91 @@ class TestValidateOnce:
             c.extend("f", None)
         with pytest.raises(TypecheckError, match="UnknownGenerator"):
             c.extend("h", Sphere(Var("x", 0), Var("w", 0)))
+
+
+# names whose natural order is not their string order
+NAMES = [f"x{i}" for i in range(12)] + ["a.2", "a.10"]
+
+
+@st.composite
+def generator_lists(draw) -> tuple[Computad, list[tuple[str, Sphere | None]]]:
+    """A small valid computad and its generators, each after the ones its
+    sphere uses: 0-generators, 1-generators between them, then 2- and
+    3-generators between parallel cells, some of them coherences."""
+    names = draw(st.permutations(NAMES))
+    c, gens = Computad.make([], {}), []
+
+    def add(sphere: Sphere | None) -> None:
+        nonlocal c
+        name = names[len(gens)]
+        c = c.extend(name, sphere)
+        gens.append((name, sphere))
+
+    for _ in range(draw(st.integers(1, 3))):
+        add(None)
+    for _ in range(draw(st.integers(0, 4))):
+        add(Sphere(*[c.var(draw(st.sampled_from(c.generators[0]))) for _ in "st"]))
+    for d in (2, 3):
+        for _ in range(draw(st.integers(0, 3))):
+            below = [c.var(v) for v in c.generators_at(d - 1)]
+            if d == 2:
+                below += [identity_cell(c, c.var(v)) for v in c.generators[0]]
+                below += [compose(c, f, 0, g) for f in below[:3] for g in below[:3]
+                          if cell_boundary(c, f).tgt == cell_boundary(c, g).src]
+            pairs = [(a, b) for a in below for b in below if parallel(c, a, b)]
+            if pairs:
+                add(Sphere(*draw(st.sampled_from(pairs))))
+    return c, gens
+
+
+class TestGeneratedComputads:
+    @settings(max_examples=60, deadline=None)
+    @given(generator_lists(), st.randoms(use_true_random=False))
+    def test_one_object_whatever_the_order(self, built, rng):
+        c, gens = built
+        levels = [list(level) for level in c.generators]
+        for level in levels:
+            rng.shuffle(level)
+        attach = [(v, s) for v, s in gens if s is not None]
+        rng.shuffle(attach)
+        assert Computad.make(levels, dict(attach)) is c
+        # extend in a random order in which each sphere's generators come first
+        todo, partial = list(gens), Computad.make([], {})
+        while todo:
+            ready = [g for g in todo if g[1] is None or all(
+                partial.has_generator(v) for v in support(c, g[1].src) | support(c, g[1].tgt))]
+            name, sphere = rng.choice(ready)
+            todo.remove((name, sphere))
+            partial = partial.extend(name, sphere)
+        assert partial is c
+        assert computad_from_json(computad_to_json(c)) is c
+        assert pickle.loads(pickle.dumps(c)) is c
+
+    @settings(max_examples=60, deadline=None)
+    @given(generator_lists())
+    def test_views_truncations_and_suspension(self, built):
+        c, gens = built
+        assert c.generators and c.generators[-1]
+        for level in c.generators:
+            assert list(level) == sorted(level, key=nat_key)
+        assert [v for v, _ in c.attach] == [v for level in c.generators[1:] for v in level]
+        assert sorted(c.table.items()) == sorted((v, (c.dim_of(v), s)) for v, s in gens)
+        for d in range(-1, c.bound + 1):
+            kept = dict((v, s) for v, s in c.attach if c.dim_of(v) <= d)
+            assert c.truncate(d) is Computad.make(c.generators[: d + 1], kept)
+        assert desuspend_computad(suspend_computad(c).computad) is c
+
+    def test_duplicates_are_reported_before_missing_spheres(self):
+        loop = Sphere(Var("f", 1), Var("f", 1))
+        with pytest.raises(ValueError) as err:
+            Computad.make([["x"], ["f"], ["a", "a"]], {"a": loop})
+        assert str(err.value) == "duplicate generator name 'a'"
+
+    def test_extend_reports_over_the_generators_below(self):
+        c = Computad.make([["x"], ["f"]], {"f": Sphere(Var("x", 0), Var("x", 0))})
+        with pytest.raises(TypecheckError) as err:
+            c.extend("g", Sphere(Var("f", 0), Var("x", 0)))
+        assert str(err.value) == "UnknownGenerator at <root>: no generator named 'f'"
 
 
 class TestPastingComputad:

@@ -41,7 +41,7 @@ from omegatt.metaops import (
     suspend_sphere,
 )
 from omegatt.oplib import comp_cell, compose, eh_computad, identity_cell
-from omegatt.trees import comp_tree, op_positions_iso
+from omegatt.trees import comp_tree, disk_tree, op_positions_iso
 
 W1 = dimset([1])
 W2 = dimset([2])
@@ -201,6 +201,23 @@ class TestOpReference:
         for cell in loop_corpus():
             h = hom_factor(pointed, cell)
             assert op_homcell(w, h) is op_reference.op_homcell(w, h)
+
+    def test_hom_cells_whose_sphere_memos_are_cold(self):
+        """op_homcell reverses a coherence's sphere itself when no opposite
+        is memoised on it yet: here the sphere of a left unitor, which no
+        other opposite has met, over generators with fresh names."""
+        c = Computad.make([["cold-x", "cold-y"], ["cold-f"]], {"cold-f": Sphere(Var("cold-x", 0), Var("cold-y", 0))})
+        disk = pasting_computad(disk_tree(1))
+        whiskered = compose(disk, identity_cell(disk, Var("0", 0)), 0, Var("1.0", 1))
+        sub = substitution({"0": c.var("cold-x"), "1": c.var("cold-y"), "1.0": c.var("cold-f")})
+        unitor = Coh(disk_tree(1), Sphere(whiskered, Var("1.0", 1)), sub)
+        assert is_well_typed(c, unitor)
+        pointed = suspend_computad(c)
+        homcells = [hom_factor(pointed, suspend_cell(cell)) for cell in (unitor, identity_cell(c, unitor))]
+        assert unitor.sphere._op is None
+        for w in all_dimsets(3):
+            for h in homcells:
+                assert op_homcell(w, h) is op_reference.op_homcell(w, h)
 
 
 class TestOpSuspensionInterplay:

@@ -11,8 +11,8 @@ import pytest
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
-import run  # noqa: E402
-import spans  # noqa: E402
+import run
+import spans
 
 LIBRARY_SPANS = [span for span in run.SPANS if not span.startswith("cli.")]
 
@@ -29,3 +29,23 @@ def test_reported_cache_has_counters(name):
 
 def test_reported_caches_match_the_metric_list():
     assert sorted(spans.CACHES) == sorted(run.CACHES)
+
+
+def test_one_rung_of_the_deep_ladder_passes(tmp_path):
+    """Every step and check of one rung of the `deep` ladder, which reads
+    the kernel's fields (``Computad.generators``, say) by name."""
+    import gen
+    import verify
+    import workloads
+    from omegatt.cli import run_cli
+    from omegatt.globular import dimset
+
+    depth = 1
+    id_doc = tmp_path / f"id{depth}.ctt"
+    id_doc.write_text(gen.id_nest_text(depth), encoding="utf-8")
+    (tmp_path / f"id{depth}.dual.ctt").write_text(gen.id_nest_text(depth, dual=True), encoding="utf-8")
+    requests = workloads.Rung(2, dimset([1])).requests(str(id_doc), depth, str(tmp_path / "scratch.ctt"))
+    outcomes = workloads.run_session(requests, spans.Plain(), run_cli)
+    failures = [(req.name, verify.failure(outcome, req.check)) for req, outcome in zip(requests, outcomes)]
+    assert [f for f in failures if f[1] is not None] == []
+    assert len(requests) == 16

@@ -145,7 +145,7 @@ class TestNumbers:
         with pytest.raises(SurfaceError) as err:
             load_document(f"let t = comp({MAX_COMP_DIM + 1},0,1)[]")
         assert err.value.location == SourceLocation(1, 9)
-        assert f"max(n, m) <= {MAX_COMP_DIM}" in err.value.message
+        assert f"max(n, m) <= {MAX_COMP_DIM - 1}" in err.value.message
 
 
 class TestParseErrors:

@@ -97,11 +97,12 @@ class TestCompTree:
             comp_tree(1, 1, 1)
         with pytest.raises(ValueError):
             comp_tree(0, 0, 1)
-        with pytest.raises(ValueError, match=f"max\\(n, m\\) <= {MAX_COMP_DIM}"):
-            comp_tree(1, 0, MAX_COMP_DIM + 1)
+        with pytest.raises(ValueError, match=f"max\\(n, m\\) <= {MAX_COMP_DIM - 1}"):
+            comp_tree(1, 0, MAX_COMP_DIM)
 
     def test_dimension_bound_is_inclusive(self):
-        assert comp_tree(MAX_COMP_DIM, 0, 1) == br(disk_tree(MAX_COMP_DIM - 1), br())
+        # the literal of a scheme nests one deeper than its dimension
+        assert comp_tree(MAX_COMP_DIM - 1, 0, 1) == br(disk_tree(MAX_COMP_DIM - 2), br())
 
 
 class TestPositions:
