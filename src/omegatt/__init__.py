@@ -30,10 +30,7 @@ from .globular import (
     FiniteGlobularSet,
     dimset,
     disk,
-    hom_glob,
     op_glob,
-    suspend_glob,
-    wedge,
 )
 from .homcat import (
     HomGenerator,
@@ -103,7 +100,6 @@ __all__ = [
     "eh_computad",
     "free_computad",
     "hom_factor",
-    "hom_glob",
     "hom_realize",
     "identity_cell",
     "identity_sub",
@@ -125,11 +121,9 @@ __all__ = [
     "support",
     "suspend_cell",
     "suspend_computad",
-    "suspend_glob",
     "suspend_tree",
     "tgt_inclusion",
     "typecheck_cell",
-    "wedge",
 ]
 
 __version__ = "0.1.0"

@@ -41,11 +41,12 @@ Reutter & Vicary, *Computads for weak omega-categories as an inductive
 type* (arXiv 2208.08719): an earlier computad plus new generators.  It is
 interned like a term, on the set of its table's entries, so the order in
 which generators came does not matter; the canonical order lives only in
-the views the printers and JSON read.  :meth:`Computad.extend` is the one
-checked step: it checks only the sphere it adds, typing being monotone
-under adding generators.  :meth:`Computad.make` checks the shape of
-foreign data and folds ``extend`` over it; on data it has seen it returns
-the interned object unchecked.  The constructor, ``copy`` and ``pickle``
+the views the printers and JSON read.  :meth:`Computad.extend` adds one
+generator and checks only its sphere, typing being monotone under adding
+generators.  :meth:`Computad.build` checks a whole table one dimension at a
+time, each sphere over the truncation below it, and :meth:`Computad.make`
+checks the shape of foreign data before it; on data they have seen they
+return the interned object unchecked.  The constructor, ``copy`` and ``pickle``
 go through ``make``.  :meth:`Computad.truncate` and
 :func:`pasting_computad` intern results that are valid by construction.
 The opposites and the suspension of a computad (:mod:`omegatt.metaops`)
@@ -56,6 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import groupby
 from typing import Callable, Iterable, Mapping, Union
 
 from .globular import FiniteGlobularSet, nat_key
@@ -243,16 +245,26 @@ class Computad(HashConsed):
         """``(computad, created)``: the computad on a generator table, and
         whether this call built and checked it (see
         :func:`omegatt.hashcons.store`) rather than finding it interned.
-        It is :meth:`extend` folded over the generators in canonical order."""
+
+        It goes one dimension at a time: each d-generator's sphere, in
+        canonical order, is checked over the truncation to dimension d - 1
+        interned just before it, since a (d-1)-cell reaches only generators
+        below d.  So it interns one computad per dimension, and the checks
+        and their errors are those of :meth:`extend` folded over the
+        generators in canonical order."""
         c = Computad._live(frozenset(table.items()))
         if c is not None:
             return c, False
-        c = Computad._intern({})
-        for v in _in_order(table):
-            d, sphere = table[v]
-            if d and sphere.dim != d - 1:
-                raise ValueError(f"attaching sphere of {v!r} has dimension {sphere.dim}, want {d - 1}")
-            c = c.extend(v, sphere)
+        c, below = Computad._intern({}), {}
+        for d, level in groupby(_in_order(table), lambda v: table[v][0]):
+            for v in level:
+                sphere = table[v][1]
+                if d:
+                    if sphere.dim != d - 1:
+                        raise ValueError(f"attaching sphere of {v!r} has dimension {sphere.dim}, want {d - 1}")
+                    c._check_sphere(v, sphere)
+                below[v] = table[v]
+            c = Computad._intern(dict(below))
         return c, True
 
     @classmethod
@@ -267,10 +279,7 @@ class Computad(HashConsed):
 
         The table and key are copied from this computad's, and only the new
         sphere is checked: typing is monotone under adding generators, so
-        the old spheres still check.  A cell of the sphere types over this
-        computad exactly when it types over its generators below the
-        sphere's, those it is checked over in :meth:`build`; a failure is
-        reported over the latter, so both give the same error."""
+        the old spheres still check."""
         if name in self.table:
             raise ValueError(f"duplicate generator name {name!r}")
         entry = (0, None) if sphere is None else (sphere.dim + 1, sphere)
@@ -278,18 +287,27 @@ class Computad(HashConsed):
         c = Computad._live(key)
         if c is None:
             if sphere is not None:
-                for cell in (sphere.src, sphere.tgt):
-                    try:
-                        typecheck_cell(self, cell)
-                    except TypecheckError:
-                        typecheck_cell(self.truncate(sphere.dim), cell)
-                        raise
-                if not parallel(self, sphere.src, sphere.tgt):
-                    raise ValueError(f"attaching sphere of {name!r} is not parallel")
+                self._check_sphere(name, sphere)
             table = self.table.copy()
             table[name] = entry
             c = Computad._cons(key, (table, key) + (None,) * 6)[0]
         return c
+
+    def _check_sphere(self, name: str, sphere: Sphere) -> None:
+        """Check ``sphere`` as the attaching sphere of a new generator
+        ``name``: both cells typecheck over this computad and are parallel.
+        A cell of the sphere types over this computad exactly when it types
+        over the truncation to the sphere's dimension, which :meth:`build`
+        checks it over; a failure is reported over the truncation, so both
+        give the same error."""
+        for cell in (sphere.src, sphere.tgt):
+            try:
+                typecheck_cell(self, cell)
+            except TypecheckError:
+                typecheck_cell(self.truncate(sphere.dim), cell)
+                raise
+        if not parallel(self, sphere.src, sphere.tgt):
+            raise ValueError(f"attaching sphere of {name!r} is not parallel")
 
     def __repr__(self) -> str:
         return f"Computad(generators={self.generators!r}, attach={self.attach!r})"

@@ -10,12 +10,12 @@ names that are unique across *all* dimensions, which lets substitutions and
 morphisms elsewhere be flat name-keyed maps; every `FiniteGlobularSet` checks
 this when it is built.
 
-Bipointed globular sets carry two distinguished 0-cells (x_minus, x_plus) and
-support wedge sums, suspension and the hom (loop) construction.  Suspension
-follows a fixed naming discipline: the fresh basepoints are named "0" and "1"
-and every cell x of the input becomes "1."+x one dimension up.  This makes
-suspension of pasting-scheme position sets literally equal to the position set
-of the suspended tree, and makes hom-after-suspension the identity on the nose.
+Bipointed globular sets carry two distinguished 0-cells (x_minus, x_plus):
+the positions of a pasting scheme are one, pointed by its outer root sectors,
+and an opposite swaps the two when it reverses dimension 1.  The wedge sum,
+suspension and hom (loop) construction of globular sets are kept in
+``tests/extras.py``, where they are the independent oracle for the position
+sets of trees.
 """
 
 from __future__ import annotations
@@ -41,10 +41,11 @@ class FiniteGlobularSet:
     ``tgts[d]`` (for d >= 1) are tuples of (cell, boundary) pairs in the same
     order.  Every construction validates, in one pass over those pairs.
     :meth:`make` sorts its levels by :func:`nat_key` and hands them to
-    :meth:`ordered`, which takes levels already in canonical order; code
-    that has the pairs in that order already (positions, suspensions)
-    calls the constructor itself.  :func:`op_glob` alone builds through
-    :meth:`_trusted`, which skips the check.
+    :meth:`ordered`, which takes levels already in canonical order.
+    Tables valid by construction, the positions of a tree
+    (:func:`omegatt.trees.positions`) and the opposites of a valid set
+    (:func:`op_glob`), build through :meth:`_trusted`, which skips the
+    check.
     """
 
     cells: tuple[tuple[str, ...], ...]
@@ -79,8 +80,9 @@ class FiniteGlobularSet:
     @classmethod
     def _trusted(cls, cells: tuple, srcs: tuple, tgts: tuple) -> "FiniteGlobularSet":
         """The globular set on these tables, unchecked: only for tables
-        that a valid set gives by swapping its boundary tables at some
-        dimensions, which keeps the names, the boundaries and globularity."""
+        valid by construction, as the positions of a tree are, or that a
+        valid set gives by swapping its boundary tables at some dimensions,
+        which keeps the names, the boundaries and globularity."""
         x = object.__new__(cls)
         object.__setattr__(x, "cells", cells)
         object.__setattr__(x, "srcs", srcs)
@@ -184,115 +186,6 @@ def disk(n: int) -> FiniteGlobularSet:
         src["top"] = f"s{n-1}"
         tgt["top"] = f"t{n-1}"
     return FiniteGlobularSet.make(cells, src, tgt)
-
-
-def suspend_glob(x: FiniteGlobularSet) -> BipointedGlobularSet:
-    """Suspension: two fresh basepoints "0","1"; each d-cell c becomes the
-    (d+1)-cell "1."+c.  Old 0-cells get src/tgt the new basepoints.  A
-    common prefix keeps each level in canonical order."""
-    cells, srcs, tgts = [("0", "1")], [()], [()]
-    renamed: dict[str, str] = {}  # so the pairs share the new name strings
-    for d, level in enumerate(x.cells):
-        up = tuple(["1." + c for c in level])
-        if d == 0:
-            srcs.append(tuple([(c, "0") for c in up]))
-            tgts.append(tuple([(c, "1") for c in up]))
-        else:
-            srcs.append(tuple([(c, renamed[b]) for c, (_, b) in zip(up, x.srcs[d])]))
-            tgts.append(tuple([(c, renamed[b]) for c, (_, b) in zip(up, x.tgts[d])]))
-        renamed.update(zip(level, up))
-        cells.append(up)
-    return BipointedGlobularSet(FiniteGlobularSet(tuple(cells), tuple(srcs), tuple(tgts)), ("0", "1"))
-
-
-def hom_glob(x: BipointedGlobularSet) -> FiniteGlobularSet:
-    """Loop construction: the (n+1)-cells whose 0-source is x_minus and
-    0-target is x_plus become n-cells.
-
-    When every selected cell carries the suspension prefix "1." it is
-    stripped, so that hom_glob(suspend_glob(X)) == X exactly.
-    """
-    g = x.carrier
-    # the iterated source and target of each cell down to a 0-cell
-    lo = {c: c for c in g.cells_at(0)}
-    hi = dict(lo)
-    selected: list[list[str]] = []
-    src: dict[str, str] = {}
-    tgt: dict[str, str] = {}
-    for d in range(1, g.ndim + 1):
-        level = []
-        for (c, s), (_, t) in zip(g.srcs[d], g.tgts[d]):
-            lo[c], hi[c] = lo[s], hi[t]
-            if lo[c] == x.base_minus and hi[c] == x.base_plus:
-                level.append(c)
-                src[c], tgt[c] = s, t
-        selected.append(level)
-    names = [c for level in selected for c in level]
-    strip = bool(names) and all(c.startswith("1.") for c in names)
-    rename = (lambda c: c[2:]) if strip else (lambda c: c)
-    # stripping the common prefix keeps each level in canonical order
-    return FiniteGlobularSet.ordered(
-        [[rename(c) for c in level] for level in selected],
-        {rename(c): rename(s) for c, s in src.items()},
-        {rename(c): rename(t) for c, t in tgt.items()},
-    )
-
-
-def wedge(parts: Sequence[BipointedGlobularSet]) -> BipointedGlobularSet:
-    """Wedge sum along the basepoint chain.
-
-    Part i's x_plus is identified with part i+1's x_minus.  The chain nodes
-    are named by integers 0..n (collapsed classes take the minimal index);
-    every other cell of part i is tagged "i."  The empty wedge is the 0-disk
-    pointed at itself (the unit) and a single part is returned unchanged, so
-    the nullary/unary cospan-composition laws hold on the nose.
-    """
-    n = len(parts)
-    if n == 0:
-        return BipointedGlobularSet(disk(0), ("top", "top"))
-    if n == 1:
-        return parts[0]
-    # Union-find over chain nodes 0..n; part i (1-based) glues node i-1 to i
-    # when its two basepoints coincide.
-    parent = list(range(n + 1))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, part in enumerate(parts, start=1):
-        if part.base_minus == part.base_plus:
-            a, b = find(i - 1), find(i)
-            parent[max(a, b)] = min(a, b)
-
-    def node(i: int) -> str:
-        return str(find(i))
-
-    cells: list[list[str]] = [list({node(i) for i in range(n + 1)})]
-    src: dict[str, str] = {}
-    tgt: dict[str, str] = {}
-    for i, part in enumerate(parts, start=1):
-        g = part.carrier
-        basepoints = {part.base_minus, part.base_plus}
-
-        def tag(d: int, c: str) -> str:
-            if d == 0 and c == part.base_minus:
-                return node(i - 1)
-            if d == 0 and c == part.base_plus:
-                return node(i)
-            return f"{i}.{c}"
-
-        cells[0] += [tag(0, c) for c in g.cells_at(0) if c not in basepoints]
-        for d in range(1, g.ndim + 1):
-            if len(cells) == d:
-                cells.append([])
-            for (c, s), (_, t) in zip(g.srcs[d], g.tgts[d]):
-                cells[d].append(tag(d, c))
-                src[tag(d, c)], tgt[tag(d, c)] = tag(d - 1, s), tag(d - 1, t)
-    carrier = FiniteGlobularSet.make(cells, src, tgt)
-    return BipointedGlobularSet(carrier, (node(0), node(n)))
 
 
 DimSet = frozenset

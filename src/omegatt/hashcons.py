@@ -26,9 +26,11 @@ The memo slots and tables, and what bounds each one:
 
 * ``BataninTree._op`` (:func:`omegatt.trees.op_tree` per dimension set),
   ``._boundary`` (:func:`omegatt.trees.boundary_tree` per dimension) and
-  ``._names`` (:func:`omegatt.trees.sorted_positions`): a tree lives as
-  long as the tables below hold it.  The first two are dicts made with the
-  tree and read directly: they are on the hot path of the tree laws.
+  ``._names`` (:func:`omegatt.trees.sorted_positions`, the one tuple of
+  the tree's position names, which every table below shares): a tree
+  lives as long as the tables below hold it.  The first two are dicts
+  made with the tree and read directly: they are on the hot path of the
+  tree laws.
 * ``Coh._op`` (:func:`omegatt.metaops.op_cell` per dimension set),
   ``._boundary`` (:func:`omegatt.computads.cell_boundary`), ``._key``
   (:func:`omegatt.computads.cell_key`), ``HomGenerator._op``
@@ -46,15 +48,20 @@ The memo slots and tables, and what bounds each one:
   strongly; cells never refer to computads, so they close no cycle.
 
 The ``lru_cache`` tables live for the process.  Each is keyed by interned
-trees or by a composite's (n, k, m), and an entry costs about what
-building its tree or template did, so each grows with the trees and
-composites the process has met:
+trees or by a composite's (n, k, m), so each grows with the trees and
+composites the process has met.  The tree tables make no strings: their
+names are those of ``_names``, and an entry holds containers of them.
 
-* :func:`omegatt.trees.positions` (tree);
-* :func:`omegatt.trees.src_inclusion`, :func:`omegatt.trees.tgt_inclusion`
-  (dimension, tree);
-* :func:`omegatt.trees.op_positions_iso`, :func:`omegatt.trees.op_sub_order`
-  (dimension set, tree);
+* :func:`omegatt.trees.positions` (tree): per dimension a tuple of the
+  names and tuples of (name, boundary name) pairs;
+* :func:`omegatt.trees.src_inclusion` (dimension, tree): the identity dict
+  on the boundary's names, one dict shared by every tree with that
+  boundary; :func:`omegatt.trees.tgt_inclusion` (dimension, tree): a dict
+  from the boundary's names to the tree's;
+* :func:`omegatt.trees.op_positions_iso` (dimension set, tree): a dict from
+  the opposite's names to the tree's, and
+  :func:`omegatt.trees.op_sub_order` (dimension set, tree): a tuple of
+  (opposite's name, index) pairs, both from one permutation;
 * :func:`omegatt.computads.pasting_computad` (tree), whose ``_passed``
   keeps the sphere cells checked over the scheme;
 * :func:`omegatt.computads.template_sub` (tree);

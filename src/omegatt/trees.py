@@ -13,11 +13,17 @@ So the dimension of a position is the number of dots in its name, and
 lexicographic-with-numeric-segments order is the source-to-target sweep.
 Positions are emitted in that canonical order by construction (root
 sectors, then branch by branch), so no position set is ever sorted.
+
+The names of a tree are formatted once, by :func:`sorted_positions`, and
+kept on the tree.  Every other table (the positions, the boundary
+inclusions, the opposite's renaming) is built from that tuple, by the
+dimension and the place of each name in canonical order, so the tables of a
+tree hold one string per position.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from .globular import BipointedGlobularSet, DimSet, FiniteGlobularSet, dimset_down
@@ -146,23 +152,23 @@ def positions(t: BataninTree) -> BipointedGlobularSet:
     Bipointed by the leftmost and rightmost root sectors.  Sector j of the
     node at branches ``i1, ..., id`` is the d-position ``"i1.….id.j"``,
     running from sector ``id - 1`` to sector ``id`` of the node above.
-    Depth first, children in order, each level comes out in canonical order.
+    In canonical order, those two are the last two (d-1)-positions before
+    it, and each level comes out in canonical order.  The tables are valid
+    by construction, so they are not checked.
     """
-    levels: list[tuple[list, list, list]] = []
-    todo = [(t, 0, "", "", "")]  # node, depth, name prefix, the sectors above it runs between
-    while todo:
-        node, d, prefix, lo, hi = todo.pop()
-        if len(levels) == d:
-            levels.append(([], [], []))
+    levels: list[tuple[list, list, list]] = [([], [], []) for _ in range(t.dim + 1)]
+    last = [(None, None)] * (t.dim + 1)  # the last two positions met, per dimension
+    for x in sorted_positions(t):
+        d = x.count(".")
         cells, srcs, tgts = levels[d]
-        names = [f"{prefix}{j}" for j in range(len(node.children) + 1)]
-        cells += names
+        cells.append(x)
         if d:
-            srcs += [(x, lo) for x in names]
-            tgts += [(x, hi) for x in names]
-        todo += [(c, d + 1, f"{prefix}{i}.", names[i - 1], names[i]) for i, c in enumerate(node.children, 1)][::-1]
+            lo, hi = last[d - 1]
+            srcs.append((x, lo))
+            tgts.append((x, hi))
+        last[d] = (last[d][1], x)
     cells, srcs, tgts = (tuple(map(tuple, side)) for side in zip(*levels))
-    return BipointedGlobularSet(FiniteGlobularSet(cells, srcs, tgts), (cells[0][0], cells[0][-1]))
+    return BipointedGlobularSet(FiniteGlobularSet._trusted(cells, srcs, tgts), (cells[0][0], cells[0][-1]))
 
 
 def pos_dim(p: str) -> int:
@@ -175,11 +181,13 @@ def src_inclusion(k: int, t: BataninTree) -> Mapping[str, str]:
     """Positions of ``boundary_tree(k, t)`` -> positions of ``t``, source side.
 
     Picks the leftmost root sector at the pruned depth, which has the same
-    name in both: the identity on the boundary's positions, as a name map.
+    name in both: the identity on the boundary's positions, as a name map,
+    one dict for every tree with that boundary.
     """
     if k < 0:
         raise ValueError(f"src_inclusion: negative dimension {k}")
-    return {p: p for p in sorted_positions(boundary_tree(k, t))}
+    b = boundary_tree(k, t)
+    return {p: p for p in sorted_positions(t)} if b is t else src_inclusion(k, b)
 
 
 @lru_cache(maxsize=None)
@@ -191,11 +199,16 @@ def tgt_inclusion(k: int, t: BataninTree) -> Mapping[str, str]:
     """
     if k < 0:
         raise ValueError(f"tgt_inclusion: negative dimension {k}")
-    out = dict(src_inclusion(k, t))
-    for p in out:
-        if p.count(".") == k:
-            node = reduce(lambda node, i: node.children[int(i) - 1], p.split(".")[:-1], t)
-            out[p] = p[:-1] + str(len(node.children))
+    names, out, prev = iter(sorted_positions(boundary_tree(k, t))), {}, -1
+    for x in sorted_positions(t):
+        d = x.count(".")
+        if d < k:
+            out[next(names)] = x
+        elif d == k:
+            if prev < k:  # sector 0 of its node, right after a sector of the node above
+                p = next(names)
+            out[p] = x  # the node's last sector wins
+        prev = d
     return out
 
 
@@ -216,25 +229,42 @@ def _op_step(key: tuple[DimSet, BataninTree]):
     )
 
 
+def _op_index(w: DimSet, t: BataninTree) -> list[int]:
+    """For each position of ``op_tree(w, t)``, in canonical order, the
+    index in ``sorted_positions(t)`` of the position it renames to.
+
+    At depth d, where ``w`` reverses dimension d + 1, sector j of a node
+    with n branches is sector n - j of the original and branch i is branch
+    n + 1 - i; otherwise indices stay.  In canonical order a node's sector
+    i is followed by its branch i, which holds 2 * nodes - 1 positions.
+    """
+    index, todo = [], [(t, 0, 0)]  # an index, or a node of t with its depth and the index of its sector 0
+    while todo:
+        item = todo.pop()
+        if type(item) is int:
+            index.append(item)
+            continue
+        node, d, o = item
+        sectors, branches = [o], []
+        for c in node.children:
+            o += 1
+            sectors.append(o)
+            branches.append((c, d + 1, o + 1))
+            o += 2 * c.nodes - 1
+        if d + 1 in w:
+            sectors.reverse()
+            branches.reverse()
+        index.append(sectors[0])
+        for i in range(len(branches), 0, -1):
+            todo += [branches[i - 1], sectors[i]]
+    return index
+
+
 @lru_cache(maxsize=None)
 def op_positions_iso(w: DimSet, t: BataninTree) -> Mapping[str, str]:
-    """Position rename ``positions(op_tree(w, t)) -> positions(t)``.
-
-    Depth first: at depth d, where ``w`` reverses dimension d + 1, sector
-    j of a node with n branches is sector n - j of the original and branch
-    i is branch n + 1 - i; otherwise indices stay.
-    """
-    out: dict[str, str] = {}
-    todo = [(t, 0, "", "")]  # node, depth, its name prefix in the opposite and in t
-    while todo:
-        node, d, p, q = todo.pop()
-        n, flip = len(node.children), d + 1 in w
-        for j in range(n + 1):
-            out[f"{p}{j}"] = f"{q}{n - j if flip else j}"
-        for i in range(n, 0, -1):
-            k = n + 1 - i if flip else i
-            todo.append((node.children[k - 1], d + 1, f"{p}{i}.", f"{q}{k}."))
-    return out
+    """Position rename ``positions(op_tree(w, t)) -> positions(t)``."""
+    names = sorted_positions(t)
+    return dict(zip(sorted_positions(op_tree(w, t)), [names[i] for i in _op_index(w, t)]))
 
 
 @lru_cache(maxsize=None)
@@ -246,9 +276,7 @@ def op_sub_order(w: DimSet, t: BataninTree) -> tuple[tuple[str, int], ...]:
     ``op_positions_iso(w, t)`` sends it to.  A substitution over ``t`` is
     stored in that order, so its opposite is a gather by these indices.
     """
-    index = {q: i for i, q in enumerate(sorted_positions(t))}
-    iso = op_positions_iso(w, t)
-    return tuple([(p, index[iso[p]]) for p in sorted_positions(op_tree(w, t))])
+    return tuple(zip(sorted_positions(op_tree(w, t)), _op_index(w, t)))
 
 
 def trees_with_nodes(n: int) -> Iterator[BataninTree]:

@@ -154,6 +154,32 @@ class TestValidateOnce:
         for again in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
             assert again is c and suspend_computad(again).computad is up
 
+    def test_build_interns_one_computad_per_dimension(self, monkeypatch):
+        # a chain of n points with an arrow, two 2-cells and a 3-cell over
+        # each step: its truncations, not a partial computad per generator
+        n, added = 20, []
+        empty = Computad.make([], {})  # held, as an elaborator holds it
+        cons = Computad._cons.__func__
+
+        def counting(cls, key, values):
+            node, created = cons(cls, key, values)
+            if created:
+                added.append(node)
+            return node, created
+
+        monkeypatch.setattr(Computad, "_cons", classmethod(counting))
+        attach = {}
+        for i in range(1, n + 1):
+            attach[f"f{i}"] = Sphere(Var(f"p{i - 1}", 0), Var(f"p{i}", 0))
+            attach[f"a{i}"] = attach[f"b{i}"] = Sphere(Var(f"f{i}", 1), Var(f"f{i}", 1))
+            attach[f"c{i}"] = Sphere(Var(f"a{i}", 2), Var(f"b{i}", 2))
+        steps = range(1, n + 1)
+        levels = [[f"p{i}" for i in range(n + 1)], [f"f{i}" for i in steps],
+                  [f"{x}{i}" for i in steps for x in "ab"], [f"c{i}" for i in steps]]
+        c = Computad.make(levels, attach)
+        assert len(c.table) == 5 * n + 1 and c.bound == 3
+        assert 0 < len(added) <= c.bound + 1 and empty not in added
+
     def test_extend_step_by_step_is_the_batch_make(self):
         c = walking_composite()
         partial = Computad.make([], {})

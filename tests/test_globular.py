@@ -7,18 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import dimsets, trees
-from extras import glob_from_json, src_of, tgt_of
+from extras import glob_from_json, hom_glob, src_of, suspend_glob, tgt_of, wedge
 from omegatt import globular
 from omegatt.globular import (
     BipointedGlobularSet,
     FiniteGlobularSet,
     disk,
-    hom_glob,
     nat_key,
     op_glob,
     op_glob_bipointed,
-    suspend_glob,
-    wedge,
 )
 from omegatt.laws import all_dimsets
 from omegatt.trees import all_trees, br, disk_tree, positions, sorted_positions

@@ -27,6 +27,37 @@ def test_reported_cache_has_counters(name):
     assert callable(spans.CACHES[name].cache_info)
 
 
+def _fresh_call(name):
+    """A call of a reported cache on arguments that no other test builds
+    (each cache its own tree), so its first call misses in any test order."""
+    from omegatt.globular import dimset
+    from omegatt.trees import br, disk_tree
+
+    t = br(disk_tree(4), br(br(), br(), br()), disk_tree(2 + sorted(spans.CACHES).index(name)))
+    args = {
+        "trees.positions": (t,),
+        "trees.src_inclusion": (2, t),
+        "trees.tgt_inclusion": (2, t),
+        "trees.op_positions_iso": (dimset([1, 3]), t),
+        "computads.pasting_computad": (t,),
+        "oplib.comp_template": (9, 4, 7),
+    }[name]
+    return lambda: spans.CACHES[name](*args)
+
+
+@pytest.mark.parametrize("name", sorted(spans.CACHES))
+def test_reported_cache_counts_a_miss_then_a_hit(name):
+    """The traced run reads these counters; a cache that kept ``cache_info``
+    but stopped counting would report a wrong hit ratio silently."""
+    call = _fresh_call(name)
+    misses = spans.cache_counts()[name][1]
+    call()
+    hits, after = spans.cache_counts()[name][:2]
+    assert after > misses
+    call()
+    assert spans.cache_counts()[name][:2] == (hits + 1, after)
+
+
 def test_reported_caches_match_the_metric_list():
     assert sorted(spans.CACHES) == sorted(run.CACHES)
 

@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import dimsets, trees
-from extras import src_of, tgt_of
-from omegatt.globular import dimset, op_glob_bipointed, suspend_glob, wedge
+from extras import src_of, suspend_glob, tgt_of, wedge
+from omegatt.globular import dimset, op_glob_bipointed
 from omegatt.trees import (
     MAX_COMP_DIM,
     BataninTree,
