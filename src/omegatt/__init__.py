@@ -16,7 +16,6 @@ from .computads import (
     boundary_at,
     cell_boundary,
     double_computad,
-    free_computad,
     identity_sub,
     is_full,
     is_well_typed,
@@ -29,7 +28,6 @@ from .globular import (
     BipointedGlobularSet,
     FiniteGlobularSet,
     dimset,
-    disk,
     op_glob,
 )
 from .homcat import (
@@ -93,12 +91,10 @@ __all__ = [
     "desuspend_computad",
     "dim_tree",
     "dimset",
-    "disk",
     "disk_tree",
     "document_text",
     "double_computad",
     "eh_computad",
-    "free_computad",
     "hom_factor",
     "hom_realize",
     "identity_cell",

@@ -60,12 +60,12 @@ from functools import lru_cache, partial
 from itertools import groupby
 from typing import Callable, Iterable, Mapping, Union
 
-from .globular import FiniteGlobularSet, nat_key
+from .globular import nat_key
 from .hashcons import HashConsed, gather, remember, walk
 from .trees import (
     BataninTree,
     pos_dim,
-    positions,
+    position_levels,
     sorted_positions,
     src_inclusion,
     tgt_inclusion,
@@ -365,27 +365,22 @@ def _in_order(table: Mapping[str, tuple]) -> list[str]:
     return sorted(table, key=lambda v: (table[v][0], nat_key(v), v))
 
 
-def _disk_table(x: FiniteGlobularSet) -> dict[str, tuple[int, Sphere | None]]:
-    """The generator table with one generator per cell of ``x``, each of
-    positive dimension attached along the sphere of its two boundary cells."""
-    table = dict.fromkeys(x.cells[0] if x.cells else (), (0, None))
-    for d in range(1, x.ndim + 1):
-        for (c, s), (_, t) in zip(x.srcs[d], x.tgts[d]):
-            table[c] = (d, Sphere(Var(s, d - 1), Var(t, d - 1)))
-    return table
-
-
-def free_computad(x: FiniteGlobularSet) -> Computad:
-    """The computad with one generator per cell of ``x``, disk attachments."""
-    return Computad.build(_disk_table(x))[0]
-
-
 @lru_cache(maxsize=None)
 def pasting_computad(t: BataninTree) -> Computad:
-    """Free computad on the positions of a pasting scheme (cached).  The
-    positions are a valid globular set, so their free computad is interned
-    as it stands, without :meth:`Computad.build`'s checks."""
-    return Computad._intern(_disk_table(positions(t).carrier))
+    """The free computad of a pasting scheme (cached), the one shape of a
+    scheme that the kernel reads: each position attached along the two it
+    runs between (:func:`omegatt.trees.position_levels`).  Valid by
+    construction, it is interned unchecked, with its views from that pass."""
+    levels = position_levels(t)
+    attach = tuple([
+        (x, Sphere(Var(lo, d - 1), Var(hi, d - 1))) for d, level in enumerate(levels[1:], 1) for x, lo, hi in level
+    ])
+    table = dict.fromkeys([x for x, _, _ in levels[0]], (0, None))
+    table.update([(x, (sphere.dim + 1, sphere)) for x, sphere in attach])
+    pc = Computad._intern(table)
+    if pc._views is None:
+        remember(pc, "_views", (tuple([tuple([x for x, _, _ in level]) for level in levels]), attach))
+    return pc
 
 
 def identity_sub(c: Computad) -> Substitution:
@@ -577,6 +572,9 @@ def _typecheck(key: tuple[Computad, CellTerm]):
 
 
 def _typecheck_coh(c: Computad, cell: Coh, passed: set):
+    """Check a coherence over the pasting computad of its scheme: sphere,
+    keys, each binding, then each sector in ``attach`` order (level by
+    level, canonical within a level, whatever order the table came in)."""
     if cell.tree.dim > cell.dim:
         raise TypecheckError(
             "DimensionMismatch",
@@ -593,9 +591,7 @@ def _typecheck_coh(c: Computad, cell: Coh, passed: set):
         raise TypecheckError("NotParallel", ("sphere",), "coherence sphere cells are not parallel")
     if not is_full(cell.tree, cell.sphere):
         raise TypecheckError("NotFull", ("sphere",), "coherence sphere is not full over its scheme")
-    pos = positions(cell.tree).carrier
-    want = {p for _, p in pos.all_cells()}
-    got = {k for k, _ in cell.sub}
+    want, got = pc.table.keys(), {k for k, _ in cell.sub}
     if want != got:
         missing, extra = sorted(want - got, key=nat_key), sorted(got - want, key=nat_key)
         raise TypecheckError(
@@ -604,25 +600,25 @@ def _typecheck_coh(c: Computad, cell: Coh, passed: set):
             f"positions mismatch: missing {missing}, extra {extra}",
         )
     for p, v in cell.sub:
-        if v.dim != pos_dim(p):
+        d = pc.table[p][0]
+        if v.dim != d:
             raise TypecheckError(
                 "DimensionMismatch",
                 ("sub", p),
-                f"position {p} has dimension {pos_dim(p)}, assigned a {v.dim}-cell",
+                f"position {p} has dimension {d}, assigned a {v.dim}-cell",
             )
         try:
             yield c, v
         except TypecheckError as err:
             raise prefixed(err, ("sub", p))
     bound = dict(cell.sub)
-    for d in range(1, pos.ndim + 1):
-        for (p, s), (_, t) in zip(pos.srcs[d], pos.tgts[d]):
-            if cell_boundary(c, bound[p]) != Sphere(bound[s], bound[t]):
-                raise TypecheckError(
-                    "BadSubstitution",
-                    ("sub", p),
-                    f"assignment at {p} does not match the boundaries of its sector",
-                )
+    for p, sector in pc.attach:
+        if cell_boundary(c, bound[p]) != Sphere(bound[sector.src.name], bound[sector.tgt.name]):
+            raise TypecheckError(
+                "BadSubstitution",
+                ("sub", p),
+                f"assignment at {p} does not match the boundaries of its sector",
+            )
     passed.add(cell)
     return True
 
@@ -730,7 +726,7 @@ def counit_eval(
     """Evaluate a cell over a free computad whose generators denote cells of
     ``c``: each Var becomes the cell it names, coherences evaluate their
     substitutions.  ``denote`` defaults to the generators of ``c`` itself,
-    which makes this the counit on free_computad(underlying globular set)."""
+    which makes this the counit on the generators of ``c`` itself."""
     leaf = (lambda v: c.var(v.name)) if denote is None else (lambda v: denote[v.name])
     return map_vars(leaf, cell)
 

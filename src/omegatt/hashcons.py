@@ -52,8 +52,8 @@ trees or by a composite's (n, k, m), so each grows with the trees and
 composites the process has met.  The tree tables make no strings: their
 names are those of ``_names``, and an entry holds containers of them.
 
-* :func:`omegatt.trees.positions` (tree): per dimension a tuple of the
-  names and tuples of (name, boundary name) pairs;
+* :func:`omegatt.trees.positions` (tree), which only the tree laws read:
+  per dimension a tuple of the names and tuples of (name, boundary) pairs;
 * :func:`omegatt.trees.src_inclusion` (dimension, tree): the identity dict
   on the boundary's names, one dict shared by every tree with that
   boundary; :func:`omegatt.trees.tgt_inclusion` (dimension, tree): a dict
@@ -62,8 +62,9 @@ names are those of ``_names``, and an entry holds containers of them.
   the opposite's names to the tree's, and
   :func:`omegatt.trees.op_sub_order` (dimension set, tree): a tuple of
   (opposite's name, index) pairs, both from one permutation;
-* :func:`omegatt.computads.pasting_computad` (tree), whose ``_passed``
-  keeps the sphere cells checked over the scheme;
+* :func:`omegatt.computads.pasting_computad` (tree), the shape of a scheme
+  that the kernel reads, whose ``_passed`` keeps the sphere cells checked
+  over the scheme;
 * :func:`omegatt.computads.template_sub` (tree);
 * :func:`omegatt.oplib.comp_template` ((n, k, m)), filled bottom-up along
   the chain of templates below it.

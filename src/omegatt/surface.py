@@ -63,7 +63,7 @@ from .hashcons import gather, walk
 from .homcat import HomCell, HomGenerator, hom_factor
 from .metaops import BipointedComputad, op_cell, op_computad, suspend_cell, suspend_computad
 from .oplib import BoundaryMismatch, comp_cell, compose, identity_cell
-from .trees import MAX_COMP_DIM, BataninTree, pos_dim, positions, sorted_positions
+from .trees import MAX_COMP_DIM, BataninTree, pos_dim, sorted_positions
 
 POSITION_ALIASES = {0: "xyzuvw", 1: "fghkl", 2: "abcde"}
 
@@ -492,9 +492,7 @@ def _position_scope(tree: BataninTree) -> dict[str, str]:
     """Names usable for positions of a scheme: canonical names plus the
     per-dimension letter aliases in canonical order."""
     scope: dict[str, str] = {}
-    carrier = positions(tree).carrier
-    for d in range(carrier.ndim + 1):
-        level = carrier.cells_at(d)  # in canonical order
+    for d, level in enumerate(pasting_computad(tree).generators):  # each level in canonical order
         for p in level:
             scope[p] = p
         for alias, p in zip(POSITION_ALIASES.get(d, ""), level):
@@ -615,6 +613,10 @@ class Elaborator:
                 raise SurfaceError(expr.location, str(err)) from err
         if inner.term.dim < 1:
             raise SurfaceError(expr.location, "homfactor needs a cell of dimension >= 1")
+        try:  # a hom cell is not typechecked by its 'let'
+            typecheck_cell(inner.ambient, inner.term)
+        except TypecheckError as err:
+            raise SurfaceError(expr.location, str(err)) from err
         ends = boundary_at(inner.ambient, inner.term, 0)
         pointed = BipointedComputad(inner.ambient, (ends.src, ends.tgt))
         return ElabCell("homcell", inner.ambient, hom_factor(pointed, inner.term), inner.over)

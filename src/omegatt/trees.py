@@ -15,10 +15,10 @@ Positions are emitted in that canonical order by construction (root
 sectors, then branch by branch), so no position set is ever sorted.
 
 The names of a tree are formatted once, by :func:`sorted_positions`, and
-kept on the tree.  Every other table (the positions, the boundary
-inclusions, the opposite's renaming) is built from that tuple, by the
-dimension and the place of each name in canonical order, so the tables of a
-tree hold one string per position.
+kept on the tree.  Every other table (the positions and their sectors, the
+boundary inclusions, the opposite's renaming) is built from that tuple, by
+the dimension and the place of each name in canonical order, so the tables
+of a tree hold one string per position.
 """
 
 from __future__ import annotations
@@ -145,30 +145,30 @@ def comp_tree(n: int, k: int, m: int) -> BataninTree:
     return t
 
 
-@lru_cache(maxsize=None)
-def positions(t: BataninTree) -> BipointedGlobularSet:
-    """The globular set of positions (sectors) of ``t``.
-
-    Bipointed by the leftmost and rightmost root sectors.  Sector j of the
-    node at branches ``i1, ..., id`` is the d-position ``"i1.….id.j"``,
-    running from sector ``id - 1`` to sector ``id`` of the node above.
-    In canonical order, those two are the last two (d-1)-positions before
-    it, and each level comes out in canonical order.  The tables are valid
-    by construction, so they are not checked.
-    """
-    levels: list[tuple[list, list, list]] = [([], [], []) for _ in range(t.dim + 1)]
-    last = [(None, None)] * (t.dim + 1)  # the last two positions met, per dimension
+def position_levels(t: BataninTree) -> list[list[tuple[str, str | None, str | None]]]:
+    """The positions of ``t`` level by level in canonical order, each
+    d-position as ``(x, lo, hi)``: sector j of the node at branches ``i1,
+    ..., id`` is ``x = "i1.….id.j"``, running from ``lo``, sector ``id - 1``
+    of the node above, to ``hi``, sector ``id`` (None at dimension 0).  In
+    canonical order, those two are the last two (d-1)-positions before it."""
+    levels: list[list[tuple]] = [[] for _ in range(t.dim + 1)]
+    last = [(None, None)] * (t.dim + 2)  # the last two positions met per dimension; last[-1] stays empty
     for x in sorted_positions(t):
         d = x.count(".")
-        cells, srcs, tgts = levels[d]
-        cells.append(x)
-        if d:
-            lo, hi = last[d - 1]
-            srcs.append((x, lo))
-            tgts.append((x, hi))
+        levels[d].append((x, *last[d - 1]))
         last[d] = (last[d][1], x)
-    cells, srcs, tgts = (tuple(map(tuple, side)) for side in zip(*levels))
-    return BipointedGlobularSet(FiniteGlobularSet._trusted(cells, srcs, tgts), (cells[0][0], cells[0][-1]))
+    return levels
+
+
+@lru_cache(maxsize=None)
+def positions(t: BataninTree) -> BipointedGlobularSet:
+    """The globular set of positions of ``t`` (:func:`position_levels`),
+    bipointed by its outer root sectors: read by the tree laws only."""
+    levels = position_levels(t)
+    cells = tuple([tuple([x for x, _, _ in level]) for level in levels])
+    srcs = ((),) + tuple([tuple([(x, lo) for x, lo, _ in level]) for level in levels[1:]])
+    tgts = ((),) + tuple([tuple([(x, hi) for x, _, hi in level]) for level in levels[1:]])
+    return BipointedGlobularSet(FiniteGlobularSet(cells, srcs, tgts), (cells[0][0], cells[0][-1]))
 
 
 def pos_dim(p: str) -> int:
@@ -186,8 +186,7 @@ def src_inclusion(k: int, t: BataninTree) -> Mapping[str, str]:
     """
     if k < 0:
         raise ValueError(f"src_inclusion: negative dimension {k}")
-    b = boundary_tree(k, t)
-    return {p: p for p in sorted_positions(t)} if b is t else src_inclusion(k, b)
+    return {p: p for p in sorted_positions(t)} if k >= t.dim else src_inclusion(k, boundary_tree(k, t))
 
 
 @lru_cache(maxsize=None)
@@ -262,7 +261,11 @@ def _op_index(w: DimSet, t: BataninTree) -> list[int]:
 
 @lru_cache(maxsize=None)
 def op_positions_iso(w: DimSet, t: BataninTree) -> Mapping[str, str]:
-    """Position rename ``positions(op_tree(w, t)) -> positions(t)``."""
+    """Position rename ``positions(op_tree(w, t)) -> positions(t)``.  When
+    ``w`` reverses no dimension of ``t`` it is the identity, the one
+    identity dict of ``t``."""
+    if min(w, default=t.dim + 1) > t.dim:
+        return src_inclusion(t.dim, t)
     names = sorted_positions(t)
     return dict(zip(sorted_positions(op_tree(w, t)), [names[i] for i in _op_index(w, t)]))
 

@@ -2,10 +2,11 @@
 
 Each is a plain function over the kernel's public data: morphisms of
 computads (composition and typechecking), the basepoint swap that compares
-the opposite of a suspension with the suspension of the opposite, the
-tagged JSON reader of globular sets, single boundary lookups in a globular
-set, the size of an interning table, and the suspension, hom (loop) and
-wedge of globular sets, the independent oracle for the positions of trees.
+the opposite of a suspension with the suspension of the opposite, single
+boundary lookups in a globular set, the size of an interning table, the
+disks, suspension, hom (loop) and wedge of globular sets, the independent
+oracle for the positions of trees, and the free computad of a globular set,
+built with every sphere checked.
 
 Suspension follows a fixed naming discipline: the fresh basepoints are named
 "0" and "1" and every cell x of the input becomes "1."+x one dimension up.
@@ -18,15 +19,19 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from shape_reference import checked_pointed, make, ordered
+
 from omegatt.computads import (
+    Computad,
     Sphere,
     TypecheckError,
+    Var,
     apply_morphism,
     cell_boundary,
     map_vars,
     typecheck_cell,
 )
-from omegatt.globular import BipointedGlobularSet, FiniteGlobularSet, disk
+from omegatt.globular import BipointedGlobularSet, FiniteGlobularSet
 from omegatt.metaops import BASE_MINUS, BASE_PLUS, rename_cell
 
 
@@ -65,11 +70,41 @@ def swap_basepoints(cell):
     return rename_cell({BASE_MINUS: BASE_PLUS, BASE_PLUS: BASE_MINUS}, cell)
 
 
-def glob_from_json(obj):
-    """A globular set from its JSON, bipointed when the object has a base."""
-    if "base" in obj:
-        return BipointedGlobularSet.from_json(obj)
-    return FiniteGlobularSet.from_json(obj)
+def disk(n: int) -> FiniteGlobularSet:
+    """The n-disk: two cells in each dimension below n, one cell at n.
+
+    The d-cells below the top are named "s{d}"/"t{d}" (the d-source and
+    d-target of the unique top cell "top").
+    """
+    if n < 0:
+        raise ValueError("disk dimension must be >= 0")
+    cells: list[list[str]] = [[f"s{d}", f"t{d}"] for d in range(n)]
+    cells.append(["top"])
+    src: dict[str, str] = {}
+    tgt: dict[str, str] = {}
+    for d in range(1, n):
+        src[f"s{d}"] = src[f"t{d}"] = f"s{d-1}"
+        tgt[f"s{d}"] = tgt[f"t{d}"] = f"t{d-1}"
+    if n >= 1:
+        src["top"] = f"s{n-1}"
+        tgt["top"] = f"t{n-1}"
+    return make(cells, src, tgt)
+
+
+def disk_table(x: FiniteGlobularSet) -> dict:
+    """The generator table with one generator per cell of ``x``, each of
+    positive dimension attached along the sphere of its two boundary cells."""
+    table = dict.fromkeys(x.cells[0] if x.cells else (), (0, None))
+    for d in range(1, x.ndim + 1):
+        for (c, s), (_, t) in zip(x.srcs[d], x.tgts[d]):
+            table[c] = (d, Sphere(Var(s, d - 1), Var(t, d - 1)))
+    return table
+
+
+def free_computad(x: FiniteGlobularSet) -> Computad:
+    """The computad with one generator per cell of ``x``, disk attachments,
+    through ``Computad.build``."""
+    return Computad.build(disk_table(x))[0]
 
 
 def _boundary_of(pairs, level, x: str) -> str:
@@ -109,7 +144,7 @@ def suspend_glob(x: FiniteGlobularSet) -> BipointedGlobularSet:
             tgts.append(tuple([(c, renamed[b]) for c, (_, b) in zip(up, x.tgts[d])]))
         renamed.update(zip(level, up))
         cells.append(up)
-    return BipointedGlobularSet(FiniteGlobularSet(tuple(cells), tuple(srcs), tuple(tgts)), ("0", "1"))
+    return checked_pointed(FiniteGlobularSet(tuple(cells), tuple(srcs), tuple(tgts)), ("0", "1"))
 
 
 def hom_glob(x: BipointedGlobularSet) -> FiniteGlobularSet:
@@ -138,7 +173,7 @@ def hom_glob(x: BipointedGlobularSet) -> FiniteGlobularSet:
     strip = bool(names) and all(c.startswith("1.") for c in names)
     rename = (lambda c: c[2:]) if strip else (lambda c: c)
     # stripping the common prefix keeps each level in canonical order
-    return FiniteGlobularSet.ordered(
+    return ordered(
         [[rename(c) for c in level] for level in selected],
         {rename(c): rename(s) for c, s in src.items()},
         {rename(c): rename(t) for c, t in tgt.items()},
@@ -156,7 +191,7 @@ def wedge(parts: Sequence[BipointedGlobularSet]) -> BipointedGlobularSet:
     """
     n = len(parts)
     if n == 0:
-        return BipointedGlobularSet(disk(0), ("top", "top"))
+        return checked_pointed(disk(0), ("top", "top"))
     if n == 1:
         return parts[0]
     # Union-find over chain nodes 0..n; part i (1-based) glues node i-1 to i
@@ -198,5 +233,4 @@ def wedge(parts: Sequence[BipointedGlobularSet]) -> BipointedGlobularSet:
             for (c, s), (_, t) in zip(g.srcs[d], g.tgts[d]):
                 cells[d].append(tag(d, c))
                 src[tag(d, c)], tgt[tag(d, c)] = tag(d - 1, s), tag(d - 1, t)
-    carrier = FiniteGlobularSet.make(cells, src, tgt)
-    return BipointedGlobularSet(carrier, (node(0), node(n)))
+    return checked_pointed(make(cells, src, tgt), (node(0), node(n)))

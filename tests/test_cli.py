@@ -362,6 +362,21 @@ ERROR_PATHS = [
         1, "{file}:6:9: hom cells cannot be transformed further", id="hom-of-hom",
     ),
     pytest.param(
+        # typechecked before it is factored, as a plain coherence is by its let
+        ["check"],
+        "computad c { x : * ; y : * ; f : x -> y ; g : x -> y ; h : x -> y ; a : f -> g ; b : g -> h ; }\n"
+        "let t = homfactor(coh [[[],[]]] { 1.1.0 -> 1.1.0 }"
+        " [0 => x, 1 => y, 1.0 => f, 1.1 => g, 1.2 => h, 1.1.0 => a, 1.2.0 => b])\n",
+        1, "{file}:2:9: NotFull at sphere: coherence sphere is not full over its scheme", id="homfactor-not-full",
+    ),
+    pytest.param(
+        ["check"],
+        "computad c { x : * ; y : * ; f : y -> x ; }\n"
+        "let t = homfactor(coh [[]] { 1.0 -> 1.0 } [0 => x, 1 => y, 1.0 => f])\n",
+        1, "{file}:2:9: BadSubstitution at sub/1.0: assignment at 1.0 does not match the boundaries of its sector",
+        id="homfactor-bad-substitution",
+    ),
+    pytest.param(
         ["check"], LOOP_DOC + "let a = comp(1,0,1)[f, f, f]\n",
         1, "{file}:2:9: comp takes two cells, found 3", id="comp-three-cells",
     ),

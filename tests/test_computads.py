@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shape_reference
 from conftest import trees
-from extras import compose_morphisms, typecheck_morphism
+from extras import compose_morphisms, disk_table, free_computad, typecheck_morphism
+from omegatt import computads
 from omegatt.computads import (
     Coh,
     Computad,
@@ -27,7 +29,6 @@ from omegatt.computads import (
     computad_to_json,
     counit_eval,
     double_computad,
-    free_computad,
     identity_sub,
     is_full,
     is_well_typed,
@@ -41,7 +42,8 @@ from omegatt.computads import (
 )
 from omegatt.globular import dimset, nat_key
 from omegatt.metaops import desuspend_computad, op_computad, suspend_computad
-from omegatt.oplib import compose, eh_computad, identity_cell
+from omegatt.oplib import comp_cell, compose, eh_computad, identity_cell
+from omegatt.surface import SurfaceError, _position_scope, load_document
 from omegatt.trees import all_trees, br, comp_tree, disk_tree, pos_dim, positions
 
 TWO_ARROWS = comp_tree(1, 0, 1)
@@ -188,11 +190,8 @@ class TestValidateOnce:
         assert partial is c
 
     def test_extend_rebuilds_pasting_computads(self):
-        # make and extend check every sphere: the independent check of the
-        # pasting computads, which are interned without those checks
         for t in all_trees(7):
             pc = pasting_computad(t)
-            assert free_computad(positions(t).carrier) is pc
             partial = Computad.make([], {})
             for d in range(pc.bound + 1):
                 for name in reversed(pc.generators_at(d)):
@@ -307,7 +306,41 @@ class TestPastingComputad:
 
     @given(trees(5))
     def test_free_on_positions(self, t):
-        assert pasting_computad(t) == free_computad(positions(t).carrier)
+        assert pasting_computad(t) is free_computad(positions(t).carrier)
+
+    def test_tables_and_views_match_the_reference(self):
+        for t in all_trees(7):
+            pc = pasting_computad(t)
+            want = disk_table(shape_reference.positions(t).carrier)
+            assert pc.table == want
+            levels = [[v for v in want if want[v][0] == d] for d in range(t.dim + 1)]
+            assert pc.generators == tuple(tuple(sorted(level, key=nat_key)) for level in levels)
+            assert pc.attach == tuple((v, want[v][1]) for level in pc.generators[1:] for v in level)
+
+    def test_every_sphere_checks_over_its_truncation(self):
+        # pasting computads are interned without Computad.build's checks,
+        # and build or extend would find them interned and check nothing:
+        # check each sphere here, over the generators below it
+        for t in all_trees(7):
+            pc = pasting_computad(t)
+            for name, sphere in pc.attach:
+                below = pc.truncate(sphere.dim)
+                assert pc.dim_of(name) == sphere.dim + 1 and not below.has_generator(name)
+                typecheck_cell(below, sphere.src)
+                typecheck_cell(below, sphere.tgt)
+                assert parallel(below, sphere.src, sphere.tgt)
+
+    def test_no_pasting_computad_is_sorted(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(computads, "nat_key", lambda name: calls.append(name))
+        # trees no other test builds, so their pasting computads are built here
+        fresh = [br(*(disk_tree(k % 5) for k in range(11))), br(disk_tree(6), br(br(), br(br(br()))))]
+        for t in fresh:
+            assert t._names is None
+            pc = pasting_computad(t)
+            assert [v for v, _ in pc.attach] == [v for level in pc.generators[1:] for v in level]
+            assert set(_position_scope(t).values()) == set(pc.table)
+        assert calls == []
 
 
 class TestBoundary:
@@ -403,6 +436,56 @@ class TestTypecheck:
             typecheck_cell(c, broken)
         assert err.value.code == "BadSubstitution"
         assert err.value.path == ("sub", "2.0")
+
+    def test_sectors_are_checked_level_by_level(self):
+        # over [[[]],[]] both 1.1.0 (dimension 2) and 2.0 (dimension 1) are
+        # bound to cells of the right dimension with the wrong boundary
+        c = Computad.make(
+            [["x", "y", "z"], ["f", "g", "h", "k"], ["a", "b"]],
+            {
+                "f": Sphere(Var("x", 0), Var("y", 0)),
+                "g": Sphere(Var("x", 0), Var("y", 0)),
+                "h": Sphere(Var("y", 0), Var("z", 0)),
+                "k": Sphere(Var("x", 0), Var("z", 0)),
+                "a": Sphere(Var("f", 1), Var("g", 1)),
+                "b": Sphere(Var("g", 1), Var("f", 1)),
+            },
+        )
+        template = comp_cell(2, 0, 1)
+        assert template.tree == br(br(br()), br())
+        bound = {"0": "x", "1": "y", "1.0": "f", "1.1": "g", "1.1.0": "a", "2": "z", "2.0": "h"}
+        typecheck_cell(c, Coh(template.tree, template.sphere, tuple((p, c.var(bound[p])) for p, _ in template.sub)))
+        bound.update({"1.1.0": "b", "2.0": "k"})
+        bad = Coh(template.tree, template.sphere, tuple((p, c.var(bound[p])) for p, _ in template.sub))
+        with pytest.raises(TypecheckError) as err:
+            typecheck_cell(c, bad)
+        assert str(err.value) == "BadSubstitution at sub/2.0: assignment at 2.0 does not match the boundaries of its sector"
+
+    def test_sector_order_does_not_follow_the_generator_table(self):
+        # the block p declares the positions of [[[]],[],[],[],[],[]] with 6
+        # first (so no part of it is a pasting computad interned before),
+        # then depth first, so the pasting computad of that scheme is p, with
+        # p's table order; 1.1.0 and 2.0 are bound wrongly, as in the test above
+        t = br(br(br()), *[br()] * 5)
+        assert t._names is None  # no other test builds this scheme
+        arrows = range(2, 7)
+        p = "6 : * ; 0 : * ; 1 : * ; 1.0 : 0 -> 1 ; 1.1 : 0 -> 1 ; 1.1.0 : 1.0 -> 1.1 ;"
+        p += "".join(f" {i} : * ;" * (i < 6) + f" {i}.0 : {i - 1} -> {i} ;" for i in arrows)
+        c = " ".join(f"x{i} : * ;" for i in range(7)) + " f : x0 -> x1 ; g : x0 -> x1 ; b : g -> f ; k : x0 -> x2 ;"
+        c += "".join(f" e{i} : x{i - 1} -> x{i} ;" for i in range(3, 7))
+        points = ", ".join(f"{i} => {i}" for i in range(7))
+        composite = [
+            f"coh [{'[],' * 5}[]] {{ 0 -> 6 }} [{points}, 1.0 => 1.{j}, " + ", ".join(f"{i}.0 => {i}.0" for i in arrows) + "]"
+            for j in (0, 1)
+        ]
+        sub = ", ".join(f"{i} => x{i}" for i in range(7)) + ", 1.0 => f, 1.1 => g, 1.1.0 => b, 2.0 => k, "
+        sub += ", ".join(f"{i}.0 => e{i}" for i in range(3, 7))
+        text = f"computad p {{ {p} }}\ncomputad c {{ {c} }}\nlet t = coh [[[]],{'[],' * 4}[]] {{ {composite[0]} -> {composite[1]} }} [{sub}]\n"
+        with pytest.raises(SurfaceError) as err:
+            load_document(text)
+        table = list(pasting_computad(t).table)
+        assert table.index("1.1.0") < table.index("2.0")
+        assert str(err.value) == "3:1: BadSubstitution at sub/2.0: assignment at 2.0 does not match the boundaries of its sector"
 
     def test_failure_repeats_after_a_sibling_was_memoised(self):
         pointed = eh_computad()

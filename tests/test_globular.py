@@ -1,4 +1,5 @@
-"""Globular sets: construction, disks, wedge, suspension, hom, opposites."""
+"""Globular sets: the checked constructor, disks, wedge, suspension, hom,
+opposites."""
 
 from __future__ import annotations
 
@@ -7,12 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import dimsets, trees
-from extras import glob_from_json, hom_glob, src_of, suspend_glob, tgt_of, wedge
+from extras import disk, hom_glob, src_of, suspend_glob, tgt_of, wedge
+from shape_reference import checked, make
 from omegatt import globular
 from omegatt.globular import (
     BipointedGlobularSet,
     FiniteGlobularSet,
-    disk,
     nat_key,
     op_glob,
     op_glob_bipointed,
@@ -22,25 +23,25 @@ from omegatt.trees import all_trees, br, disk_tree, positions, sorted_positions
 
 
 def point(name: str = "p") -> FiniteGlobularSet:
-    return FiniteGlobularSet.make([[name]], {}, {})
+    return make([[name]], {}, {})
 
 
-EMPTY = FiniteGlobularSet.make([], {}, {})
+EMPTY = make([], {}, {})
 
 
 class TestMake:
     def test_rejects_duplicate_names_across_dimensions(self):
         with pytest.raises(ValueError, match="duplicate"):
-            FiniteGlobularSet.make([["x"], ["x"]], {"x": "x"}, {"x": "x"})
+            make([["x"], ["x"]], {"x": "x"}, {"x": "x"})
 
     def test_rejects_dangling_boundary(self):
         with pytest.raises(ValueError, match="dangling"):
-            FiniteGlobularSet.make([["a"], ["f"]], {"f": "a"}, {"f": "b"})
+            make([["a"], ["f"]], {"f": "a"}, {"f": "b"})
 
     def test_rejects_globularity_failure(self):
         # two parallel arrows, then a 2-cell between non-parallel ones
         with pytest.raises(ValueError, match="globularity"):
-            FiniteGlobularSet.make(
+            make(
                 [["a", "b", "c"], ["f", "g"], ["m"]],
                 {"f": "a", "g": "b", "m": "f"},
                 {"f": "b", "g": "c", "m": "g"},
@@ -69,19 +70,19 @@ class TestMake:
     )
     def test_each_defect_raises_its_exact_message(self, cells, src, tgt, message):
         with pytest.raises(ValueError) as err:
-            FiniteGlobularSet.make(cells, src, tgt)
+            make(cells, src, tgt)
         assert str(err.value) == message
-        # the constructor on pairs validates as make does
+        # the check of a record on pairs finds what make finds
         srcs, tgts = (
             ((),) + tuple(tuple((x, side[x]) for x in level) for level in cells[1:])
             for side in (src, tgt)
         )
         with pytest.raises(ValueError) as err:
-            FiniteGlobularSet(tuple(map(tuple, cells)), srcs, tgts)
+            checked(FiniteGlobularSet(tuple(map(tuple, cells)), srcs, tgts))
         assert str(err.value) == message
 
     def test_trailing_empty_dimensions_dropped(self):
-        g = FiniteGlobularSet.make([["a"], []], {}, {})
+        g = make([["a"], []], {}, {})
         assert g.ndim == 0
 
 
@@ -104,7 +105,7 @@ class TestDisk:
                for d in range(1, p.ndim + 1) for c in p.cells_at(d)}
         tgt = {rename[c]: rename[tgt_of(p, d, c)]
                for d in range(1, p.ndim + 1) for c in p.cells_at(d)}
-        assert FiniteGlobularSet.make(cells, src, tgt) == disk(3)
+        assert make(cells, src, tgt) == disk(3)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -194,21 +195,6 @@ class TestOp:
         assert op_glob_bipointed(w, op_glob_bipointed(w, x)) == x
 
 
-class TestJson:
-    @given(trees(5))
-    def test_round_trip(self, t):
-        x = positions(t)
-        assert glob_from_json(x.to_json()) == x
-        assert glob_from_json(x.carrier.to_json()) == x.carrier
-
-    def test_field_shape(self):
-        obj = suspend_glob(point()).to_json()
-        assert list(obj) == ["dims", "src", "tgt", "base"]
-        assert obj["dims"] == [["0", "1"], ["1.p"]]
-        assert obj["src"] == {"1.p": "0"}
-        assert obj["base"] == ["0", "1"]
-
-
 # every tree with up to 7 nodes, and one whose branch indices run past 9
 SHAPES = list(all_trees(7)) + [br(*[br()] * 5, disk_tree(2), *[br()] * 5)]
 
@@ -228,7 +214,7 @@ class TestOrderedConstructions:
         for t in SHAPES:
             x = positions(t).carrier
             shuffled = [level[::-1] for level in x.cells]
-            assert x == FiniteGlobularSet.make(shuffled, *maps(x)), t
+            assert x == make(shuffled, *maps(x)), t
 
     def test_sorted_positions_are_the_natural_sort(self):
         for t in SHAPES:
@@ -243,23 +229,8 @@ class TestOrderedConstructions:
                 swapped = {c for d in w if d <= x.ndim for c in x.cells[d]}
                 op_src = {c: (tgt if c in swapped else src)[c] for c in src}
                 op_tgt = {c: (src if c in swapped else tgt)[c] for c in src}
-                assert op_glob(w, x) == FiniteGlobularSet.make(x.cells, op_src, op_tgt)
+                assert op_glob(w, x) == make(x.cells, op_src, op_tgt)
                 assert op_glob(w, op_glob(w, x)) == x
-
-    def test_opposites_are_valid_without_a_second_check(self, monkeypatch):
-        """op_glob skips validation: each result equals the set the
-        validating constructor builds on the same tables."""
-        checks = []
-        check = FiniteGlobularSet.__post_init__
-        monkeypatch.setattr(FiniteGlobularSet, "__post_init__", lambda x: checks.append(x) or check(x))
-        for t in all_trees(7):
-            x = positions(t).carrier
-            for w in all_dimsets(3):
-                checks.clear()
-                y = op_glob(w, x)
-                assert checks == []
-                assert y == FiniteGlobularSet(y.cells, y.srcs, y.tgts)
-                assert len(checks) == 1
 
     def test_no_sort_and_no_scan_on_the_ordered_paths(self, monkeypatch):
         calls = []

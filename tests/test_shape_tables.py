@@ -4,8 +4,8 @@ The kernel formats the position names of a tree once, in
 ``sorted_positions``, and builds the other tables from that tuple by index.
 Exhaustively over every tree with at most 7 nodes, every dimension set
 within {1, 2, 3} and every boundary dimension, the tables must equal those
-that the reference builds by formatting names, the unchecked position
-carrier must pass the validating constructor, and every name in a table
+that the reference builds by formatting names, the position carrier must
+pass the reference's check, and every name in a table
 must be one of the name objects of its tree.
 """
 
@@ -16,7 +16,7 @@ import itertools
 import pytest
 
 import shape_reference
-from omegatt.globular import FiniteGlobularSet, dimset, nat_key
+from omegatt.globular import dimset, nat_key
 from omegatt.trees import (
     all_trees,
     boundary_tree,
@@ -51,7 +51,7 @@ def test_positions_match_the_reference(n):
         assert got == want
         assert sorted([p for level in want.carrier.cells for p in level], key=nat_key) == list(sorted_positions(t))
         carrier = got.carrier
-        assert FiniteGlobularSet(carrier.cells, carrier.srcs, carrier.tgts) == carrier
+        shape_reference.checked(carrier)
         pairs = [pair for side in (carrier.srcs, carrier.tgts) for level in side for pair in level]
         assert owned([p for level in carrier.cells for p in level], t)
         assert owned([p for pair in pairs for p in pair], t) and owned(got.base, t)
@@ -84,3 +84,5 @@ def test_opposites_match_the_reference(w):
         assert owned([p for p, _ in order], opt)
         names = sorted_positions(t)
         assert all(names[i] is iso[p] for p, i in order)
+        if [i for _, i in order] == list(range(len(names))):  # an identity is the tree's one identity dict
+            assert iso is src_inclusion(t.dim, t)

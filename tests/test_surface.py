@@ -24,7 +24,7 @@ from omegatt.surface import (
     parse,
     tokenize,
 )
-from omegatt.trees import MAX_COMP_DIM
+from omegatt.trees import MAX_COMP_DIM, positions
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -219,6 +219,16 @@ class TestElaboration:
         doc = load_document(EH_SOURCE + "let i = id(a)")
         c = doc.computad("eh")
         assert dict(doc.cells)["i"].term == identity_cell(c, c.var("a"))
+
+    def test_nested_id_reads_no_globular_set(self):
+        # elaborating reads each scheme through its pasting computad; the
+        # globular set of positions is for the tree laws alone
+        depth = 37  # a depth no other test uses
+        before = positions.cache_info()
+        doc = load_document(f"computad c {{ x : * ; y : * ; f : x -> y ; }}\nlet t = {'id(' * depth}f{')' * depth}")
+        assert dict(doc.cells)["t"].term.dim == depth + 1
+        after = positions.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
     def test_susp_form(self):
         doc = load_document(EH_SOURCE + "let s = susp(a)")

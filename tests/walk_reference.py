@@ -11,8 +11,10 @@ a plain work-list closure; the two must agree on every result and on the
 
 from __future__ import annotations
 
-from omegatt.computads import Var, cell_boundary, cell_key, free_computad
-from omegatt.globular import FiniteGlobularSet
+from extras import free_computad
+from shape_reference import make
+
+from omegatt.computads import Var, cell_boundary, cell_key
 from omegatt.hashcons import walk
 
 
@@ -52,4 +54,4 @@ def double_computad(c, cells):
     levels = [[] for _ in range(max([cell.dim + 1 for cell in denote.values()], default=0))]
     for key, cell in denote.items():
         levels[cell.dim].append(key)
-    return free_computad(FiniteGlobularSet.make(levels, src, tgt)), denote
+    return free_computad(make(levels, src, tgt)), denote
