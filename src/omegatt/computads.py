@@ -35,29 +35,29 @@ suspension and desuspension) keep a memo for one call.  Maps that keep the
 keys of a substitution keep its canonical order and do not re-sort it;
 :func:`substitution` sorts, for callers that rename keys.
 
-Every computad is valid.  A computad is its generator table, each name
-with its dimension and attaching sphere, as in Dean, Finster, Markakis,
-Reutter & Vicary, *Computads for weak omega-categories as an inductive
-type* (arXiv 2208.08719): an earlier computad plus new generators.  It is
-interned like a term, on the set of its table's entries, so the order in
-which generators came does not matter; the canonical order lives only in
-the views the printers and JSON read.  :meth:`Computad.extend` adds one
-generator and checks only its sphere, typing being monotone under adding
-generators.  :meth:`Computad.build` checks a whole table one dimension at a
-time, each sphere over the truncation below it, and :meth:`Computad.make`
-checks the shape of foreign data before it; on data they have seen they
-return the interned object unchecked.  The constructor, ``copy`` and ``pickle``
-go through ``make``.  :meth:`Computad.truncate` and
-:func:`pasting_computad` intern results that are valid by construction.
-The opposites and the suspension of a computad (:mod:`omegatt.metaops`)
-are memoised on it.
+Every computad is valid.  A computad is its generator table, each name with
+its dimension and attaching sphere, as in Dean, Finster, Markakis, Reutter
+& Vicary, *Computads for weak omega-categories as an inductive type* (arXiv
+2208.08719): an earlier computad plus new generators.  It is interned like
+a term, on the set of its table's entries, so the order in which generators
+came does not matter; the canonical order lives only in the views the
+printers and JSON read.  One checked path adds generators:
+:meth:`Computad.add` puts one in a :meth:`Computad.draft`, which is not
+interned, and checks only its sphere (typing being monotone under adding
+generators); :meth:`Computad.done` interns the draft.  The elaborator grows
+a draft per block, and :meth:`Computad.build` one per table, in canonical
+order, after :meth:`Computad.make` checks the shape of foreign data; on
+data they have seen they return the interned object unchecked.  The
+constructor, ``copy`` and ``pickle`` go through ``make``.
+:meth:`Computad.truncate` and :func:`pasting_computad` intern results that
+are valid by construction.  The opposites and the suspension of a computad
+(:mod:`omegatt.metaops`) are memoised on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import groupby
 from typing import Callable, Iterable, Mapping, Union
 
 from .globular import nat_key
@@ -245,27 +245,18 @@ class Computad(HashConsed):
         """``(computad, created)``: the computad on a generator table, and
         whether this call built and checked it (see
         :func:`omegatt.hashcons.store`) rather than finding it interned.
-
-        It goes one dimension at a time: each d-generator's sphere, in
-        canonical order, is checked over the truncation to dimension d - 1
-        interned just before it, since a (d-1)-cell reaches only generators
-        below d.  So it interns one computad per dimension, and the checks
-        and their errors are those of :meth:`extend` folded over the
-        generators in canonical order."""
+        It adds the generators to a :meth:`draft` in canonical order and
+        interns only the result."""
         c = Computad._live(frozenset(table.items()))
         if c is not None:
             return c, False
-        c, below = Computad._intern({}), {}
-        for d, level in groupby(_in_order(table), lambda v: table[v][0]):
-            for v in level:
-                sphere = table[v][1]
-                if d:
-                    if sphere.dim != d - 1:
-                        raise ValueError(f"attaching sphere of {v!r} has dimension {sphere.dim}, want {d - 1}")
-                    c._check_sphere(v, sphere)
-                below[v] = table[v]
-            c = Computad._intern(dict(below))
-        return c, True
+        draft = Computad.draft()
+        for v in _in_order(table):
+            d, sphere = table[v]
+            if d and sphere.dim != d - 1:
+                raise ValueError(f"attaching sphere of {v!r} has dimension {sphere.dim}, want {d - 1}")
+            draft.add(v, sphere)
+        return draft.done(), True
 
     @classmethod
     def _intern(cls, table: dict) -> "Computad":
@@ -273,41 +264,37 @@ class Computad(HashConsed):
         key = frozenset(table.items())
         return cls._cons(key, (table, key) + (None,) * 6)[0]
 
-    def extend(self, name: str, sphere: Sphere | None) -> "Computad":
-        """This computad with one more generator: a 0-generator when
-        ``sphere`` is None, else one attached along ``sphere``.
+    @classmethod
+    def draft(cls) -> "Computad":
+        """An empty computad, not interned, to grow by :meth:`add` and
+        intern by :meth:`done`.  Its table grows, so a view of it goes stale."""
+        draft = object.__new__(cls)
+        for name, value in zip(cls.__slots__, ({},) + (None,) * 7):
+            remember(draft, name, value)
+        return draft
 
-        The table and key are copied from this computad's, and only the new
-        sphere is checked: typing is monotone under adding generators, so
-        the old spheres still check."""
-        if name in self.table:
-            raise ValueError(f"duplicate generator name {name!r}")
-        entry = (0, None) if sphere is None else (sphere.dim + 1, sphere)
-        key = self.key | {(name, entry)}
-        c = Computad._live(key)
-        if c is None:
-            if sphere is not None:
-                self._check_sphere(name, sphere)
-            table = self.table.copy()
-            table[name] = entry
-            c = Computad._cons(key, (table, key) + (None,) * 6)[0]
-        return c
+    def add(self, name: str, sphere: Sphere | None) -> None:
+        """Add a generator whose name is new to this draft: a 0-generator
+        when ``sphere`` is None, else one attached along ``sphere``, once
+        both its cells typecheck over the draft and are parallel.  A cell
+        types over the draft exactly when it types over the truncation to
+        its dimension, and a failure is reported over the truncation, so
+        the error does not depend on the generators added above it."""
+        if sphere is not None:
+            for cell in (sphere.src, sphere.tgt):
+                try:
+                    typecheck_cell(self, cell)
+                except TypecheckError:
+                    typecheck_cell(self.truncate(sphere.dim), cell)
+                    raise
+            if not parallel(self, sphere.src, sphere.tgt):
+                raise ValueError(f"attaching sphere of {name!r} is not parallel")
+        self.table[name] = (0, None) if sphere is None else (sphere.dim + 1, sphere)
 
-    def _check_sphere(self, name: str, sphere: Sphere) -> None:
-        """Check ``sphere`` as the attaching sphere of a new generator
-        ``name``: both cells typecheck over this computad and are parallel.
-        A cell of the sphere types over this computad exactly when it types
-        over the truncation to the sphere's dimension, which :meth:`build`
-        checks it over; a failure is reported over the truncation, so both
-        give the same error."""
-        for cell in (sphere.src, sphere.tgt):
-            try:
-                typecheck_cell(self, cell)
-            except TypecheckError:
-                typecheck_cell(self.truncate(sphere.dim), cell)
-                raise
-        if not parallel(self, sphere.src, sphere.tgt):
-            raise ValueError(f"attaching sphere of {name!r} is not parallel")
+    def done(self) -> "Computad":
+        """The computad on this draft's table, interned unchecked, since
+        :meth:`add` checked each sphere.  The draft is spent."""
+        return Computad._intern(self.table)
 
     def __repr__(self) -> str:
         return f"Computad(generators={self.generators!r}, attach={self.attach!r})"

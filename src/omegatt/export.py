@@ -110,8 +110,8 @@ def _layer_dot(name: str, c: Computad, d: int) -> str:
         node(src)
         node(tgt)
         edges.append(f"  {_quote(src)} -> {_quote(tgt)} [label={_quote(v)}];")
-    lines.extend(f"  {_quote(text)};" for text in nodes)
-    lines.extend(edges)
+    lines += [f"  {_quote(text)};" for text in nodes]
+    lines += edges
     lines.append("}")
     return "\n".join(lines)
 

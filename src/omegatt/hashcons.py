@@ -66,13 +66,15 @@ names are those of ``_names``, and an entry holds containers of them.
   that the kernel reads, whose ``_passed`` keeps the sphere cells checked
   over the scheme;
 * :func:`omegatt.computads.template_sub` (tree);
-* :func:`omegatt.oplib.comp_template` ((n, k, m)), filled bottom-up along
-  the chain of templates below it.
+* :func:`omegatt.oplib.comp_template` ((n, k, m)): the template
+  coherence, filled bottom-up along the chain of templates below it.
 
 No memo records a failure: a call that raises stores nothing for the node
 it failed on.  Nodes are immutable; their slots are written only while a
-node is built and, for memo slots, through :func:`remember`.  The tables
-take no lock: build terms from one thread at a time.
+node is built and, for memo slots, through :func:`remember`.  The one
+exception, a computad draft, is in no table: its table grows by ``add``
+until ``done`` interns it.  The tables take no lock: build terms from one
+thread at a time.
 """
 
 from __future__ import annotations
@@ -186,8 +188,8 @@ def walk(step, memo, root):
                     node, gen, out = child, out, None
                 elif memo is not None:
                     memo[child] = out
-        except StopIteration as done:
-            out, error = done.value, None
+        except StopIteration as stop:
+            out, error = stop.value, None
             if memo is not None:
                 memo[node] = out
             if not stack:

@@ -138,7 +138,7 @@ def cell_corpus() -> list[tuple[Computad, CellTerm]]:
     for ambient, cell in template_corpus():
         out.append((ambient, identity_cell(ambient, cell)))
     c = eh_computad().computad
-    out.extend((c, cell) for cell in eh_closure(1))
+    out += [(c, cell) for cell in eh_closure(1)]
     return out
 
 
@@ -517,7 +517,7 @@ def format_reports(reports: list[LawReport]) -> str:
             lines.append(
                 f"{report.name}: {len(report.failures)} of {report.checks} checks FAILED"
             )
-            lines.extend(f"  {message}" for message in report.failures[:5])
+            lines += [f"  {message}" for message in report.failures[:5]]
             if len(report.failures) > 5:
                 lines.append(f"  ... {len(report.failures) - 5} more")
     total = sum(r.checks for r in reports)

@@ -39,18 +39,9 @@ def _disk_top(k: int) -> str:
     return "1." * k + "0"
 
 
-@dataclass(frozen=True)
-class CompTemplate:
-    """The generic k-composite of an n-cell with an m-cell."""
-
-    n: int
-    k: int
-    m: int
-    cell: CellTerm
-
-
 @lru_cache(maxsize=None)
-def comp_template(n: int, k: int, m: int) -> CompTemplate:
+def comp_template(n: int, k: int, m: int) -> Coh:
+    """The generic k-composite of an n-cell with an m-cell (cached)."""
     if not (0 <= k < min(n, m)):
         raise ValueError(f"comp_cell: need 0 <= k < min(n, m), got ({n}, {k}, {m})")
     b = comp_tree(n, k, m)
@@ -76,12 +67,11 @@ def comp_template(n: int, k: int, m: int) -> CompTemplate:
             rename_cell(src_inclusion(d, b), prev),
             rename_cell(tgt_inclusion(d, b), prev),
         )
-    cell = Coh(b, sphere, template_sub(b))
-    return CompTemplate(n, k, m, cell)
+    return Coh(b, sphere, template_sub(b))
 
 
-def comp_cell(n: int, k: int, m: int) -> CellTerm:
-    return comp_template(n, k, m).cell
+def comp_cell(n: int, k: int, m: int) -> Coh:
+    return comp_template(n, k, m)
 
 
 def identity_cell(c: Computad, cell: CellTerm) -> CellTerm:

@@ -546,26 +546,23 @@ class Elaborator:
     def block(self, block: ComputadBlock) -> None:
         if any(n == block.name for n, _ in self.doc.computads):
             raise SurfaceError(block.location, f"computad {block.name!r} is already defined")
-        partial = Computad.make([], {})
+        draft = Computad.draft()
         for decl in block.decls:
-            if partial.has_generator(decl.name):
+            if draft.has_generator(decl.name):
                 raise SurfaceError(decl.location, f"generator {decl.name!r} is already declared")
             sphere = None
             if decl.sphere is not None:
-                src = self.value(self.cell, decl.sphere[0], partial)
-                tgt = self.value(self.cell, decl.sphere[1], partial)
+                src = self.value(self.cell, decl.sphere[0], draft)
+                tgt = self.value(self.cell, decl.sphere[1], draft)
                 if src.dim != tgt.dim:
-                    raise SurfaceError(
-                        decl.location,
-                        f"boundary cells have dimensions {src.dim} and {tgt.dim}",
-                    )
+                    raise SurfaceError(decl.location, f"boundary cells have dimensions {src.dim} and {tgt.dim}")
                 sphere = Sphere(src, tgt)
             try:
-                partial = partial.extend(decl.name, sphere)
+                draft.add(decl.name, sphere)
             except (ValueError, TypecheckError) as err:
                 raise SurfaceError(decl.location, str(err)) from err
-        self.doc.computads.append((block.name, partial))
-        self.current = (block.name, partial)
+        self.current = (block.name, draft.done())
+        self.doc.computads.append(self.current)
 
     def let(self, decl: LetDecl) -> None:
         if decl.name in self.names or (
@@ -682,7 +679,8 @@ class Elaborator:
             if bound is not None:
                 if bound.kind != "cell":
                     raise SurfaceError(expr.location, f"{expr.name!r} is a hom cell")
-                if bound.ambient != ambient:
+                # a block's draft is not interned: one computad is one table
+                if bound.ambient is not ambient and bound.ambient.table != ambient.table:
                     raise SurfaceError(
                         expr.location, f"{expr.name!r} lives over a different computad"
                     )

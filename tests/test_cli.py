@@ -187,6 +187,12 @@ class TestExitCodes:
         assert code == 2
         assert "nope.ctt" in err
 
+    def test_a_block_reads_a_let_over_the_generators_so_far(self, capsys, tmp_path):
+        # d's generators so far are c's, so i lives over them (see other-computad)
+        source = tmp_path / "doc.ctt"
+        source.write_text("computad c { x : * ; }\nlet i = id(x)\ncomputad d { x : * ; f : i -> i ; }\n")
+        assert invoke(capsys, "check", str(source)) == (0, "ok computad c\nok computad d\nok let i (1-cell)\n", "")
+
     def test_bad_verb_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             run_cli(["frobnicate"])
@@ -399,6 +405,20 @@ ERROR_PATHS = [
     pytest.param(
         ["check"], LOOP_DOC + "let t = coh [] { 0 -> 0 } [0 => x, (]\n",
         1, "{file}:2:36: expected a position, found '('", id="position",
+    ),
+    pytest.param(
+        ["check"], "computad c { x : * ; f : x -> x ; f : x -> x ; }\n",
+        1, "{file}:1:35: generator 'f' is already declared", id="generator-twice",
+    ),
+    pytest.param(
+        ["check"], "computad c { x : * ; y : * ; f : x -> y ; g : y -> x ; a : f -> g ; }\n",
+        1, "{file}:1:56: attaching sphere of 'a' is not parallel", id="generator-not-parallel",
+    ),
+    pytest.param(
+        ["check"],
+        "computad c { x : * ; f : x -> x ;"
+        " a : coh [[],[]] { x -> x } [0 => x, 1 => x, 1.0 => f, 2 => x, 2.0 => f] -> f ; }\n",
+        1, "{file}:1:35: NotFull at sphere: coherence sphere is not full over its scheme", id="generator-not-full",
     ),
     pytest.param(
         # the two computads differ: equal ones are one object

@@ -156,20 +156,10 @@ class TestValidateOnce:
         for again in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
             assert again is c and suspend_computad(again).computad is up
 
-    def test_build_interns_one_computad_per_dimension(self, monkeypatch):
+    def test_build_interns_only_its_result(self, monkeypatch):
         # a chain of n points with an arrow, two 2-cells and a 3-cell over
-        # each step: its truncations, not a partial computad per generator
-        n, added = 20, []
-        empty = Computad.make([], {})  # held, as an elaborator holds it
-        cons = Computad._cons.__func__
-
-        def counting(cls, key, values):
-            node, created = cons(cls, key, values)
-            if created:
-                added.append(node)
-            return node, created
-
-        monkeypatch.setattr(Computad, "_cons", classmethod(counting))
+        # each step: neither its truncations nor a computad per generator
+        n, added = 20, interned_computads(monkeypatch)
         attach = {}
         for i in range(1, n + 1):
             attach[f"f{i}"] = Sphere(Var(f"p{i - 1}", 0), Var(f"p{i}", 0))
@@ -180,36 +170,70 @@ class TestValidateOnce:
                   [f"{x}{i}" for i in steps for x in "ab"], [f"c{i}" for i in steps]]
         c = Computad.make(levels, attach)
         assert len(c.table) == 5 * n + 1 and c.bound == 3
-        assert 0 < len(added) <= c.bound + 1 and empty not in added
+        assert added == [c]
 
     def test_extend_step_by_step_is_the_batch_make(self):
         c = walking_composite()
-        partial = Computad.make([], {})
+        draft = Computad.draft()
         for name in ("y", "x", "f", "z", "g"):
-            partial = partial.extend(name, dict(c.attach).get(name))
-        assert partial is c
+            draft.add(name, dict(c.attach).get(name))
+        assert draft.done() is c
 
     def test_extend_rebuilds_pasting_computads(self):
         for t in all_trees(7):
             pc = pasting_computad(t)
-            partial = Computad.make([], {})
+            draft = Computad.draft()
             for d in range(pc.bound + 1):
                 for name in reversed(pc.generators_at(d)):
-                    partial = partial.extend(name, pc.sphere_of(name) if d else None)
-            assert partial is pc
+                    draft.add(name, pc.sphere_of(name) if d else None)
+            assert draft.done() is pc
 
     def test_extend_reports_what_make_reports(self):
         c = walking_composite()
         bad = Sphere(Var("f", 1), Var("g", 1))
         with pytest.raises(ValueError) as by_make:
             Computad.make([["x", "y", "z"], ["f", "g"], ["q"]], {**dict(c.attach), "q": bad})
-        with pytest.raises(ValueError) as by_extend:
-            c.extend("q", bad)
-        assert str(by_extend.value) == str(by_make.value)
-        with pytest.raises(ValueError, match="duplicate generator name 'f'"):
-            c.extend("f", None)
+        with pytest.raises(ValueError) as by_add:
+            draft_of(c).add("q", bad)
+        assert str(by_add.value) == str(by_make.value)
         with pytest.raises(TypecheckError, match="UnknownGenerator"):
-            c.extend("h", Sphere(Var("x", 0), Var("w", 0)))
+            draft_of(c).add("h", Sphere(Var("x", 0), Var("w", 0)))
+
+    def test_a_block_interns_its_computad_once(self, monkeypatch):
+        # 200 declarations: points, arrows and a 2-cell between composites
+        n, decls = 50, ["p0 : *"]
+        for i in range(1, n + 1):
+            decls += [f"p{i} : *", f"f{i} : p{i - 1} -> p{i}", f"g{i} : p{i - 1} -> p{i}"]
+        decls += [f"a{i} : comp(1,0,1)[f{i}, f{i + 1}] -> comp(1,0,1)[g{i}, g{i + 1}]" for i in range(1, n - 1)]
+        decls.append("b : id(p0) -> id(p0)")
+        assert len(decls) == 200
+        added = interned_computads(monkeypatch)
+        c = load_document("computad c { " + " ; ".join(decls) + " ; }\n").computad("c")
+        assert len(c.table) == 200 and c in added
+        assert len(added) <= 4  # the block, and pasting computads of the schemes its spheres use
+
+
+def interned_computads(monkeypatch) -> list[Computad]:
+    """The list of computads interned from now on in this test."""
+    added, cons = [], Computad._cons.__func__
+
+    def counting(cls, key, values):
+        node, created = cons(cls, key, values)
+        if created:
+            added.append(node)
+        return node, created
+
+    monkeypatch.setattr(Computad, "_cons", classmethod(counting))
+    return added
+
+
+def draft_of(c: Computad) -> Computad:
+    """A draft holding the generators of ``c``, added in canonical order."""
+    draft = Computad.draft()
+    for d, level in enumerate(c.generators):
+        for name in level:
+            draft.add(name, c.sphere_of(name) if d else None)
+    return draft
 
 
 # names whose natural order is not their string order
@@ -222,29 +246,29 @@ def generator_lists(draw) -> tuple[Computad, list[tuple[str, Sphere | None]]]:
     sphere uses: 0-generators, 1-generators between them, then 2- and
     3-generators between parallel cells, some of them coherences."""
     names = draw(st.permutations(NAMES))
-    c, gens = Computad.make([], {}), []
+    c, gens, levels = Computad.draft(), [], [[], [], [], []]  # a draft has no views
 
     def add(sphere: Sphere | None) -> None:
-        nonlocal c
         name = names[len(gens)]
-        c = c.extend(name, sphere)
+        c.add(name, sphere)
         gens.append((name, sphere))
+        levels[0 if sphere is None else sphere.dim + 1].append(name)
 
     for _ in range(draw(st.integers(1, 3))):
         add(None)
     for _ in range(draw(st.integers(0, 4))):
-        add(Sphere(*[c.var(draw(st.sampled_from(c.generators[0]))) for _ in "st"]))
+        add(Sphere(*[c.var(draw(st.sampled_from(levels[0]))) for _ in "st"]))
     for d in (2, 3):
         for _ in range(draw(st.integers(0, 3))):
-            below = [c.var(v) for v in c.generators_at(d - 1)]
+            below = [c.var(v) for v in levels[d - 1]]
             if d == 2:
-                below += [identity_cell(c, c.var(v)) for v in c.generators[0]]
+                below += [identity_cell(c, c.var(v)) for v in levels[0]]
                 below += [compose(c, f, 0, g) for f in below[:3] for g in below[:3]
                           if cell_boundary(c, f).tgt == cell_boundary(c, g).src]
             pairs = [(a, b) for a in below for b in below if parallel(c, a, b)]
             if pairs:
                 add(Sphere(*draw(st.sampled_from(pairs))))
-    return c, gens
+    return c.done(), gens
 
 
 class TestGeneratedComputads:
@@ -258,15 +282,15 @@ class TestGeneratedComputads:
         attach = [(v, s) for v, s in gens if s is not None]
         rng.shuffle(attach)
         assert Computad.make(levels, dict(attach)) is c
-        # extend in a random order in which each sphere's generators come first
-        todo, partial = list(gens), Computad.make([], {})
+        # a draft in a random order in which each sphere's generators come first
+        todo, draft = list(gens), Computad.draft()
         while todo:
             ready = [g for g in todo if g[1] is None or all(
-                partial.has_generator(v) for v in support(c, g[1].src) | support(c, g[1].tgt))]
+                draft.has_generator(v) for v in support(c, g[1].src) | support(c, g[1].tgt))]
             name, sphere = rng.choice(ready)
             todo.remove((name, sphere))
-            partial = partial.extend(name, sphere)
-        assert partial is c
+            draft.add(name, sphere)
+        assert draft.done() is c
         assert computad_from_json(computad_to_json(c)) is c
         assert pickle.loads(pickle.dumps(c)) is c
 
@@ -293,8 +317,11 @@ class TestGeneratedComputads:
     def test_extend_reports_over_the_generators_below(self):
         c = Computad.make([["x"], ["f"]], {"f": Sphere(Var("x", 0), Var("x", 0))})
         with pytest.raises(TypecheckError) as err:
-            c.extend("g", Sphere(Var("f", 0), Var("x", 0)))
+            draft_of(c).add("g", Sphere(Var("f", 0), Var("x", 0)))
         assert str(err.value) == "UnknownGenerator at <root>: no generator named 'f'"
+        with pytest.raises(TypecheckError) as by_make:
+            Computad.make([["x"], ["f", "g"]], {"f": c.sphere_of("f"), "g": Sphere(Var("f", 0), Var("x", 0))})
+        assert by_make.value == err.value
 
 
 class TestPastingComputad:

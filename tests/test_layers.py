@@ -9,6 +9,10 @@ from all of them and is not a layer.
 The kernel reads the shape of a scheme through its pasting computad, so
 the globular sets are named only where they are defined (``globular``),
 built (``trees``) and checked as laws (``laws``).
+
+A computad draft's table grows, so a view read from it would go stale:
+only ``computads``, which defines it, and the elaborator in ``surface``
+name a draft's methods.  Generators are added through the draft alone.
 """
 
 from __future__ import annotations
@@ -26,6 +30,9 @@ RANK = {module: rank for rank, layer in enumerate(LAYERS) for module in layer}
 
 GLOBULAR_NAMES = {"positions", "FiniteGlobularSet", "BipointedGlobularSet", "op_glob", "op_glob_bipointed"}
 NAMED_BY = {"globular", "trees", "laws"}
+
+DRAFT_NAMES = {"draft", "add", "done"}
+DRAFTED_BY = {"computads", "surface"}
 
 
 def tree_of(module: str) -> ast.Module:
@@ -76,3 +83,13 @@ def test_imports_only_from_layers_below(module):
 @pytest.mark.parametrize("module", sorted(set(RANK) - NAMED_BY))
 def test_globular_sets_stay_with_the_tree_laws(module):
     assert names(module) & GLOBULAR_NAMES == set()
+
+
+@pytest.mark.parametrize("module", sorted(set(RANK) - DRAFTED_BY))
+def test_drafts_stay_with_the_computads_and_the_elaborator(module):
+    assert names(module) & DRAFT_NAMES == set()
+
+
+@pytest.mark.parametrize("module", sorted(RANK))
+def test_one_checked_path_adds_generators(module):
+    assert names(module) & {"extend", "_check_sphere"} == set()
