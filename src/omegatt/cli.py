@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import math
 import sys
 
 from .computads import boundary_at, is_well_typed
@@ -78,13 +79,15 @@ def _dims(text: str) -> DimSet:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
-def _at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
+def _count(low: int, high: int):
+    """An argparse type: an integer from ``low`` to ``high``."""
 
     def count(text: str) -> int:
         value = int(text)  # argparse reports a ValueError as "invalid count value"
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return count
@@ -225,7 +228,15 @@ def cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+# The bounds of a law sweep: each argument's, for what the count misses (12 nodes
+# take 15 s and 510 MB), and the tree-action instances, trees times dimension-set pairs.
+MAX_NODES, MAX_DIMS, MAX_SWEEP = 11, 7, 300_000
+
+
 def cmd_laws(args: argparse.Namespace) -> int:
+    trees, pairs = sum(math.comb(2 * n - 2, n - 1) // n for n in range(1, args.max_nodes + 1)), 4**args.dims_upto
+    if trees * pairs > MAX_SWEEP:  # the trees of up to max_nodes nodes (Catalan numbers) times (w, v) pairs
+        raise ValueError(f"laws: {trees:,} trees times {pairs:,} dimension-set pairs is over {MAX_SWEEP:,}")
     timed = timed_laws(max_nodes=args.max_nodes, dims_upto=args.dims_upto)
     reports = [report for report, _ in timed]
     print(json_text(reports_to_json(timed)) if args.json else format_reports(reports))
@@ -285,9 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(run=cmd_export)
 
-    p = sub.add_parser("laws", help="run the law harness on enumerated instances")
-    p.add_argument("--max-nodes", type=_at_least(1), default=5)
-    p.add_argument("--dims-upto", type=_at_least(0), default=3)
+    p = sub.add_parser(
+        "laws",
+        help="run the law harness on enumerated instances",
+        description=f"Run the law harness: at most {MAX_SWEEP:,} trees times pairs of dimension sets.",
+    )
+    p.add_argument("--max-nodes", type=_count(1, MAX_NODES), default=5, help="at most 11: 7 s, 162 MB at dims 1")
+    p.add_argument("--dims-upto", type=_count(0, MAX_DIMS), default=3, help="at most 7: 8 s, 30 MB at 1 node")
     p.add_argument(
         "--json", action="store_true", help="print each family's checks, failures and seconds as JSON"
     )

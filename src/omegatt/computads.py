@@ -50,20 +50,21 @@ order, after :meth:`Computad.make` checks the shape of foreign data; on
 data they have seen they return the interned object unchecked.  The
 constructor, ``copy`` and ``pickle`` go through ``make``.
 :meth:`Computad.truncate` and :func:`pasting_computad` intern results that
-are valid by construction.  The opposites and the suspension of a computad
-(:mod:`omegatt.metaops`) are memoised on it.
+are valid by construction, the latter from one shared entry per position
+name.  The opposites and suspension of a computad are memoised on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Collection, Iterable, Mapping, Union
 
 from .globular import nat_key
 from .hashcons import HashConsed, gather, remember, walk
 from .trees import (
     BataninTree,
+    POSITIONS,
     pos_dim,
     position_levels,
     sorted_positions,
@@ -259,10 +260,10 @@ class Computad(HashConsed):
         return draft.done(), True
 
     @classmethod
-    def _intern(cls, table: dict) -> "Computad":
-        """The computad on a table known to be valid, unchecked."""
-        key = frozenset(table.items())
-        return cls._cons(key, (table, key) + (None,) * 6)[0]
+    def _intern(cls, items: Collection[tuple[str, tuple]]) -> "Computad":
+        """The computad on the items of a table known to be valid, unchecked."""
+        key = frozenset(items)
+        return cls._cons(key, (dict(items), key) + (None,) * 6)[0]
 
     @classmethod
     def draft(cls) -> "Computad":
@@ -294,7 +295,7 @@ class Computad(HashConsed):
     def done(self) -> "Computad":
         """The computad on this draft's table, interned unchecked, since
         :meth:`add` checked each sphere.  The draft is spent."""
-        return Computad._intern(self.table)
+        return Computad._intern(self.table.items())
 
     def __repr__(self) -> str:
         return f"Computad(generators={self.generators!r}, attach={self.attach!r})"
@@ -343,7 +344,7 @@ class Computad(HashConsed):
         """The generators up to dimension ``d``, interned unchecked: a
         truncation of a valid computad is valid (this computad itself when
         none is above ``d``)."""
-        return Computad._intern({v: entry for v, entry in self.table.items() if entry[0] <= d})
+        return Computad._intern([item for item in self.table.items() if item[1][0] <= d])
 
 
 def _in_order(table: Mapping[str, tuple]) -> list[str]:
@@ -356,18 +357,29 @@ def _in_order(table: Mapping[str, tuple]) -> list[str]:
 def pasting_computad(t: BataninTree) -> Computad:
     """The free computad of a pasting scheme (cached), the one shape of a
     scheme that the kernel reads: each position attached along the two it
-    runs between (:func:`omegatt.trees.position_levels`).  Valid by
-    construction, it is interned unchecked, with its views from that pass."""
-    levels = position_levels(t)
-    attach = tuple([
-        (x, Sphere(Var(lo, d - 1), Var(hi, d - 1))) for d, level in enumerate(levels[1:], 1) for x, lo, hi in level
-    ])
-    table = dict.fromkeys([x for x, _, _ in levels[0]], (0, None))
-    table.update([(x, (sphere.dim + 1, sphere)) for x, sphere in attach])
-    pc = Computad._intern(table)
+    runs between.  Valid by construction, it is interned unchecked, on the
+    shared items of :func:`_pasted`, with its views from that pass."""
+    levels = [[_pasted(pos.name) for pos in level] for level in position_levels(t)]
+    items = [item for level in levels for item, _, _ in level]
+    pc = Computad._intern(items)
     if pc._views is None:
-        remember(pc, "_views", (tuple([tuple([x for x, _, _ in level]) for level in levels]), attach))
+        views = tuple([tuple([item[0] for item, _, _ in level]) for level in levels])
+        remember(pc, "_views", (views, tuple([pair for level in levels[1:] for _, pair, _ in level])))
     return pc
+
+
+# Each position name met -> what pasting computads hold of it, fixed by the
+# name: its table item (name, (dim, sphere)), its attach pair (name, sphere)
+# and its binding (name, Var) in a template substitution.
+_PASTED: dict[str, tuple] = {}
+
+
+def _pasted(x: str) -> tuple:
+    if x not in _PASTED:
+        d, lo, hi = POSITIONS[x][1:4]
+        sphere = Sphere(Var(lo, d - 1), Var(hi, d - 1)) if d else None
+        _PASTED[x] = ((x, (d, sphere)), (x, sphere), (x, Var(x, d)))
+    return _PASTED[x]
 
 
 def identity_sub(c: Computad) -> Substitution:
@@ -377,8 +389,8 @@ def identity_sub(c: Computad) -> Substitution:
 @lru_cache(maxsize=None)
 def template_sub(t: BataninTree) -> Substitution:
     """The identity substitution on the positions of a scheme, which is
-    ``identity_sub(pasting_computad(t))`` (cached)."""
-    return tuple([(p, Var(p, pos_dim(p))) for p in sorted_positions(t)])
+    ``identity_sub(pasting_computad(t))`` (cached), of shared bindings."""
+    return tuple([_pasted(p)[2] for p in sorted_positions(t)])
 
 
 def is_template(cell: CellTerm) -> bool:

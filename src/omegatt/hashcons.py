@@ -47,10 +47,14 @@ The memo slots and tables, and what bounds each one:
   it): they die with their computad.  ``_hom`` and ``_passed`` hold cells
   strongly; cells never refer to computads, so they close no cycle.
 
-The ``lru_cache`` tables live for the process.  Each is keyed by interned
-trees or by a composite's (n, k, m), so each grows with the trees and
-composites the process has met.  The tree tables make no strings: their
-names are those of ``_names``, and an entry holds containers of them.
+Two dicts keyed by position name live for the process, each bounded by the
+distinct names met: :data:`omegatt.trees.POSITIONS` (each name's record:
+dimension, ``lo``/``hi``, (name, boundary) pairs, sector names) and
+``omegatt.computads._PASTED`` (each name's pasting-computad item, attach
+pair and template binding).  The ``lru_cache`` tables live for the process
+too.  Each is keyed by interned trees or by a composite's (n, k, m), so each
+grows with the trees and composites the process has met.  The tree tables
+make no strings or pairs: an entry holds containers of the shared ones.
 
 * :func:`omegatt.trees.positions` (tree), which only the tree laws read:
   per dimension a tuple of the names and tuples of (name, boundary) pairs;
@@ -64,8 +68,7 @@ names are those of ``_names``, and an entry holds containers of them.
   (opposite's name, index) pairs, both from one permutation;
 * :func:`omegatt.computads.pasting_computad` (tree), the shape of a scheme
   that the kernel reads, whose ``_passed`` keeps the sphere cells checked
-  over the scheme;
-* :func:`omegatt.computads.template_sub` (tree);
+  over the scheme, and :func:`omegatt.computads.template_sub` (tree);
 * :func:`omegatt.oplib.comp_template` ((n, k, m)): the template
   coherence, filled bottom-up along the chain of templates below it.
 

@@ -85,6 +85,12 @@ def all_dimsets(dims_upto: int) -> list[DimSet]:
     ]
 
 
+def action_triples(dims_upto: int) -> list[tuple[DimSet, DimSet, DimSet]]:
+    """Each pair ``(w, v)`` of dimension sets with ``w ^ v``, made once per sweep."""
+    subsets = all_dimsets(dims_upto)
+    return [(w, v, dimset(w ^ v)) for w, v in itertools.product(subsets, subsets)]
+
+
 def comp_triples(nm_max: int) -> list[tuple[int, int, int]]:
     return [
         (n, k, m)
@@ -187,7 +193,7 @@ def law_tree_action(max_nodes: int, dims_upto: int) -> LawReport:
     """The dimension sets act on trees and their pasting schemes: the empty
     set acts trivially and composition is symmetric difference."""
     report = LawReport("tree-action")
-    subsets = all_dimsets(dims_upto)
+    triples = action_triples(dims_upto)
     for t in all_trees(max_nodes):
         report.check(op_tree(dimset([]), t) == t, lambda: f"{t}: empty opposite moved the tree")
         report.check(
@@ -195,8 +201,7 @@ def law_tree_action(max_nodes: int, dims_upto: int) -> LawReport:
             lambda: f"{t}: empty opposite moved positions",
         )
         scheme = positions(t)
-        for w, v in itertools.product(subsets, subsets):
-            wv = dimset(w ^ v)
+        for w, v, wv in triples:
             report.check(
                 op_tree(w, op_tree(v, t)) == op_tree(wv, t),
                 lambda: f"{t} w={sorted(w)} v={sorted(v)}: tree action is not symmetric difference",
@@ -206,8 +211,7 @@ def law_tree_action(max_nodes: int, dims_upto: int) -> LawReport:
                 == op_glob_bipointed(wv, scheme),
                 lambda: f"{t} w={sorted(w)} v={sorted(v)}: scheme action is not symmetric difference",
             )
-        for w, v in itertools.product(subsets, subsets):
-            wv = dimset(w ^ v)
+        for w, v, wv in triples:
             iso_v = op_positions_iso(v, t)
             iso_w = op_positions_iso(w, op_tree(v, t))
             composite = {q: iso_v[iso_w[q]] for q in iso_w}
@@ -320,14 +324,14 @@ def law_cell_action(dims_upto: int = 3) -> LawReport:
     """The dimension sets act on cells and computads: empty set trivially,
     composition by symmetric difference."""
     report = LawReport("cell-action")
-    subsets = all_dimsets(dims_upto)
+    triples = action_triples(dims_upto)
     corpus = cell_corpus()
     computads = [eh_computad().computad] + [a for a, _ in template_corpus()]
     for c in computads:
         report.check(op_computad(dimset([]), c) == c, "empty opposite moved a computad")
-        for w, v in itertools.product(subsets, subsets):
+        for w, v, wv in triples:
             report.check(
-                op_computad(w, op_computad(v, c)) == op_computad(dimset(w ^ v), c),
+                op_computad(w, op_computad(v, c)) == op_computad(wv, c),
                 lambda: f"w={sorted(w)} v={sorted(v)}: computad action is not symmetric difference",
             )
     for _, cell in corpus:
@@ -336,8 +340,8 @@ def law_cell_action(dims_upto: int = 3) -> LawReport:
             moved == cell,
             lambda: f"{cell_key(cell)}: empty opposite moved the cell {diff_text(moved, cell)}",
         )
-        for w, v in itertools.product(subsets, subsets):
-            lhs, rhs = op_cell(w, op_cell(v, cell)), op_cell(dimset(w ^ v), cell)
+        for w, v, wv in triples:
+            lhs, rhs = op_cell(w, op_cell(v, cell)), op_cell(wv, cell)
             report.check(
                 lhs == rhs,
                 lambda: (

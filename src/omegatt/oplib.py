@@ -29,14 +29,10 @@ from .trees import (
     boundary_tree,
     comp_tree,
     disk_tree,
+    sorted_positions,
     src_inclusion,
     tgt_inclusion,
 )
-
-
-def _disk_top(k: int) -> str:
-    """The unique top-dimensional position of the k-disk scheme."""
-    return "1." * k + "0"
 
 
 @lru_cache(maxsize=None)
@@ -55,10 +51,8 @@ def comp_template(n: int, k: int, m: int) -> Coh:
         # square case: the scheme's k-boundary is the k-disk, and the sphere
         # is the pair of images of its top cell under the two inclusions.
         assert boundary_tree(k, b) == disk_tree(k)
-        top = _disk_top(k)
-        sphere = Sphere(
-            Var(src_inclusion(k, b)[top], k), Var(tgt_inclusion(k, b)[top], k)
-        )
+        top = sorted_positions(disk_tree(k))[-1]  # the k-disk's one k-position, last in canonical order
+        sphere = Sphere(Var(src_inclusion(k, b)[top], k), Var(tgt_inclusion(k, b)[top], k))
     else:
         prev = comp_cell(*chain[1])
         d = max(n, m) - 1
@@ -77,21 +71,16 @@ def comp_cell(n: int, k: int, m: int) -> Coh:
 def identity_cell(c: Computad, cell: CellTerm) -> CellTerm:
     """The identity coherence on a cell: the disk scheme filled by the cell
     and its iterated boundaries, with the degenerate full sphere on top."""
-    n = cell.dim
-    top = _disk_top(n)
-    sub = _disk_sub("", boundaries(c, cell), cell)
-    return Coh(disk_tree(n), Sphere(Var(top, n), Var(top, n)), tuple(sub))
+    n, b = cell.dim, disk_tree(cell.dim)
+    names = sorted_positions(b)  # the top position last
+    cells = _disk_cells(boundaries(c, cell), cell)
+    return Coh(b, Sphere(Var(names[-1], n), Var(names[-1], n)), tuple(zip(names, cells)))
 
 
-def _disk_sub(prefix: str, spheres: list[Sphere], top: CellTerm) -> list[tuple[str, CellTerm]]:
-    """The bindings of a disk branch at ``prefix`` in canonical order: the
-    source and target sectors of each dimension, bound to the cells of
-    ``spheres``, then the top sector, bound to ``top``."""
-    sub = []
-    for d, sphere in enumerate(spheres):
-        sub += [(f"{prefix}{'1.' * d}0", sphere.src), (f"{prefix}{'1.' * d}1", sphere.tgt)]
-    sub.append((prefix + _disk_top(len(spheres)), top))
-    return sub
+def _disk_cells(spheres: list[Sphere], top: CellTerm) -> list[CellTerm]:
+    """The cells bound to the positions of a disk branch in canonical order:
+    the source and target of each of ``spheres``, then ``top``."""
+    return [cell for sphere in spheres for cell in (sphere.src, sphere.tgt)] + [top]
 
 
 @dataclass(unsafe_hash=True)
@@ -115,14 +104,10 @@ def compose(c: Computad, x: CellTerm, k: int, y: CellTerm) -> CellTerm:
         raise BoundaryMismatch(k, "k-target of the first is not the k-source of the second")
     # canonical order: the sectors below dimension k and the k-source,
     # then for each cell its k-target sector and its own branch
-    middle = "1." * k
-    sub = _disk_sub("", xs[:k], xs[k].src)
-    sub.append((middle + "1", xs[k].tgt))
-    sub += _disk_sub(middle + "1.", xs[k + 1 :], x)
-    sub.append((middle + "2", ys[k].tgt))
-    sub += _disk_sub(middle + "2.", ys[k + 1 :], y)
+    cells = _disk_cells(xs[:k], xs[k].src) + [xs[k].tgt] + _disk_cells(xs[k + 1 :], x)
+    cells += [ys[k].tgt] + _disk_cells(ys[k + 1 :], y)
     template = comp_cell(n, k, m)
-    return Coh(template.tree, template.sphere, tuple(sub))
+    return Coh(template.tree, template.sphere, tuple(zip(sorted_positions(template.tree), cells)))
 
 
 def eh_computad() -> BipointedComputad:

@@ -14,15 +14,17 @@ lexicographic-with-numeric-segments order is the source-to-target sweep.
 Positions are emitted in that canonical order by construction (root
 sectors, then branch by branch), so no position set is ever sorted.
 
-The names of a tree are formatted once, by :func:`sorted_positions`, and
-kept on the tree.  Every other table (the positions and their sectors, the
-boundary inclusions, the opposite's renaming) is built from that tuple, by
-the dimension and the place of each name in canonical order, so the tables
-of a tree hold one string per position.
+A position's name fixes its dimension and the two positions it runs
+between, so each name met is formatted once per process, with one record
+(:data:`POSITIONS`), whatever trees it is in.  :func:`sorted_positions`
+keeps a tree's tuple of those names on the tree, and every other table
+(the positions and their sectors, the boundary inclusions, the opposite's
+renaming) is built from that tuple and the records.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
@@ -145,18 +147,11 @@ def comp_tree(n: int, k: int, m: int) -> BataninTree:
     return t
 
 
-def position_levels(t: BataninTree) -> list[list[tuple[str, str | None, str | None]]]:
-    """The positions of ``t`` level by level in canonical order, each
-    d-position as ``(x, lo, hi)``: sector j of the node at branches ``i1,
-    ..., id`` is ``x = "i1.….id.j"``, running from ``lo``, sector ``id - 1``
-    of the node above, to ``hi``, sector ``id`` (None at dimension 0).  In
-    canonical order, those two are the last two (d-1)-positions before it."""
-    levels: list[list[tuple]] = [[] for _ in range(t.dim + 1)]
-    last = [(None, None)] * (t.dim + 2)  # the last two positions met per dimension; last[-1] stays empty
-    for x in sorted_positions(t):
-        d = x.count(".")
-        levels[d].append((x, *last[d - 1]))
-        last[d] = (last[d][1], x)
+def position_levels(t: BataninTree) -> list[list[Position]]:
+    """The records of the positions of ``t``, level by level in canonical order."""
+    levels: list[list[Position]] = [[] for _ in range(t.dim + 1)]
+    for pos in map(POSITIONS.__getitem__, sorted_positions(t)):
+        levels[pos.dim].append(pos)
     return levels
 
 
@@ -165,9 +160,9 @@ def positions(t: BataninTree) -> BipointedGlobularSet:
     """The globular set of positions of ``t`` (:func:`position_levels`),
     bipointed by its outer root sectors: read by the tree laws only."""
     levels = position_levels(t)
-    cells = tuple([tuple([x for x, _, _ in level]) for level in levels])
-    srcs = ((),) + tuple([tuple([(x, lo) for x, lo, _ in level]) for level in levels[1:]])
-    tgts = ((),) + tuple([tuple([(x, hi) for x, _, hi in level]) for level in levels[1:]])
+    cells = tuple([tuple([pos.name for pos in level]) for level in levels])
+    srcs = ((),) + tuple([tuple([pos.src for pos in level]) for level in levels[1:]])
+    tgts = ((),) + tuple([tuple([pos.tgt for pos in level]) for level in levels[1:]])
     return BipointedGlobularSet(FiniteGlobularSet(cells, srcs, tgts), (cells[0][0], cells[0][-1]))
 
 
@@ -198,17 +193,8 @@ def tgt_inclusion(k: int, t: BataninTree) -> Mapping[str, str]:
     """
     if k < 0:
         raise ValueError(f"tgt_inclusion: negative dimension {k}")
-    names, out, prev = iter(sorted_positions(boundary_tree(k, t))), {}, -1
-    for x in sorted_positions(t):
-        d = x.count(".")
-        if d < k:
-            out[next(names)] = x
-        elif d == k:
-            if prev < k:  # sector 0 of its node, right after a sector of the node above
-                p = next(names)
-            out[p] = x  # the node's last sector wins
-        prev = d
-    return out
+    last = {pos.hi: pos.name for pos in position_levels(t)[k]} if k <= t.dim else {}  # rightmost sector per k-node
+    return {p: last[POSITIONS[p].hi] if POSITIONS[p].dim == k else p for p in sorted_positions(boundary_tree(k, t))}
 
 
 def op_tree(w: DimSet, t: BataninTree) -> BataninTree:
@@ -304,17 +290,37 @@ def all_trees(max_nodes: int) -> Iterator[BataninTree]:
 def sorted_positions(t: BataninTree) -> tuple[str, ...]:
     """All position names of ``t`` in canonical (natural-key) order: the
     key order of every substitution over ``t``: a node's sector ``i``
-    comes right before its branch ``i``.  Memoised on ``t``."""
+    comes right before its branch ``i``.  Memoised on ``t``; each name is
+    the shared one of :data:`POSITIONS`."""
     if t._names is None:
-        names, todo = [], [(t, "")]  # a name, or a node with its name prefix
+        names, todo = [], [(t, None, None, 0)]  # a name, or a node with the two sectors above it and its depth
         while todo:
             item = todo.pop()
             if type(item) is str:
                 names.append(item)
                 continue
-            node, prefix = item
-            names.append(f"{prefix}0")
+            node, lo, hi, d = item
+            sectors = _sectors(lo, hi, d, len(node.children) + 1)
+            names.append(sectors[0])
             for i in range(len(node.children), 0, -1):
-                todo += [(node.children[i - 1], f"{prefix}{i}."), f"{prefix}{i}"]
+                todo += [(node.children[i - 1], sectors[i - 1], sectors[i], d + 1), sectors[i]]
         remember(t, "_names", tuple(names))
     return t._names
+
+
+# A position's record, all fixed by its name "i1.….id.j" (sector j at branches i1, ..., id): its dimension d,
+# the (d-1)-positions lo = "i1.….i(d-1).(id-1)" and hi = "i1.….id" it runs between, its pairs (name, lo) and
+# (name, hi) (all four None at d = 0), and the names met so far of the sectors "name.0", ... of a node below it.
+Position = namedtuple("Position", "name dim lo hi src tgt sectors")
+POSITIONS: dict[str, Position] = {}  # each position name met -> its one record
+_ROOT_SECTORS: list[str] = []  # the names met of the root sectors "0", "1", ...
+
+
+def _sectors(lo: str | None, hi: str | None, d: int, n: int) -> list[str]:
+    """The names, each with its record, of the first ``n`` (or more) sectors of a d-node from ``lo`` to ``hi``."""
+    known = _ROOT_SECTORS if hi is None else POSITIONS[hi].sectors
+    for j in range(len(known), n):
+        x = f"{hi}.{j}" if d else str(j)
+        POSITIONS[x] = Position(x, d, lo, hi, (x, lo) if d else None, (x, hi) if d else None, [])
+        known.append(x)
+    return known

@@ -529,6 +529,15 @@ class TestLawsVerb:
         assert code == 0
         assert out.splitlines()[-1].endswith("checks passed")
 
+    @pytest.fixture
+    def no_sweep(self, monkeypatch):
+        """Fails a test that would start a law sweep."""
+
+        def sweep(**bounds):
+            raise AssertionError(f"a sweep started at {bounds}")
+
+        monkeypatch.setattr(cli, "timed_laws", sweep)
+
     @pytest.mark.parametrize(
         "argv,flag",
         [
@@ -536,15 +545,35 @@ class TestLawsVerb:
             (("--max-nodes", "0"), "--max-nodes"),
             (("--dims-upto", "-1"), "--dims-upto"),
             (("--max-nodes", "two"), "--max-nodes"),
+            # each of these two ran until it was killed: 290,512 trees, or 2^50 pairs of dimension sets
+            (("--max-nodes", "13", "--dims-upto", "0"), "--max-nodes"),
+            (("--max-nodes", "1", "--dims-upto", "25"), "--dims-upto"),
         ],
     )
-    def test_bounds_out_of_range_are_usage_errors(self, capsys, argv, flag):
+    def test_bounds_out_of_range_are_usage_errors(self, capsys, no_sweep, argv, flag):
         with pytest.raises(SystemExit) as err:
             run_cli(["laws", *argv])
         assert err.value.code == 2
         usage = capsys.readouterr().err
         assert usage.startswith("usage: omegatt laws")
         assert f"argument {flag}:" in usage
+
+    @pytest.mark.parametrize("bounds", [("11", "2"), ("5", "7"), ("6", "7")])
+    def test_a_sweep_over_the_instance_bound_is_a_usage_error(self, capsys, no_sweep, bounds):
+        """Each bound is in range, but trees times pairs of dimension sets
+        passes ``MAX_SWEEP``: rejected before a tree is built."""
+        code, out, err = invoke(capsys, "laws", "--max-nodes", bounds[0], "--dims-upto", bounds[1])
+        assert (code, out) == (2, "")
+        assert err.startswith("omegatt: laws: ") and err.endswith(f" is over {cli.MAX_SWEEP:,}\n")
+
+    def test_the_largest_sweeps_in_bounds_start(self, capsys, monkeypatch):
+        """The limits are the largest values that run, each at the least of
+        the other, and 11 nodes at --dims-upto 1 is within the instance bound."""
+        started = []
+        monkeypatch.setattr(cli, "timed_laws", lambda **bounds: started.append(bounds) or [])
+        for argv in (("11", "1"), ("11", "0"), ("1", "7"), ("4", "7")):
+            assert invoke(capsys, "laws", "--max-nodes", argv[0], "--dims-upto", argv[1])[0] == 0
+        assert [(b["max_nodes"], b["dims_upto"]) for b in started] == [(11, 1), (11, 0), (1, 7), (4, 7)]
 
     def test_json_report_matches_the_text_report(self, capsys):
         argv = ("laws", "--max-nodes", "3", "--dims-upto", "1")
