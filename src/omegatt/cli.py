@@ -49,13 +49,14 @@ def _fail(message: str) -> int:
 
 
 def _load(path: str) -> ElabDocument:
-    """Elaborate a UTF-8 file; as in text mode, any line ending reads as a newline."""
+    """Elaborate a UTF-8 file, after its byte-order mark if it has one; as in
+    text mode, any line ending reads as a newline."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as err:  # located at the first bad byte
-        before = io.StringIO(data[: err.start].decode("utf-8"), newline=None).read()
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as err:  # located at the first bad byte of the text after the mark
+        before = io.StringIO(err.object[: err.start].decode("utf-8"), newline=None).read()
         where = SourceLocation(before.count("\n") + 1, len(before) - before.rfind("\n"))
         raise SurfaceError(where, "not UTF-8 text") from None
     return load_document(io.StringIO(text, newline=None).read())

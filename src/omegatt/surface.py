@@ -37,8 +37,10 @@ such a cell, so it can still name a generator or a cell.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from typing import Callable, NamedTuple, Union
 
 from .computads import (
@@ -78,7 +80,11 @@ class SourceLocation(NamedTuple):
 
 @dataclass(unsafe_hash=True)
 class SurfaceError(Exception):
-    location: SourceLocation
+    """An error in a source text.  Inside this module ``location`` is a token
+    index of :func:`lex`, which becomes a :class:`SourceLocation` as the
+    error leaves :func:`tokenize`, :func:`parse` or :func:`elaborate`."""
+
+    location: SourceLocation | int
     message: str
 
     def __str__(self) -> str:
@@ -94,188 +100,196 @@ class Token(NamedTuple):
     location: SourceLocation
 
 
-KEYWORDS = frozenset(
-    {"computad", "let", "coh", "comp", "id", "susp", "op", "homfactor"}
-)
+KEYWORDS = frozenset({"computad", "let", "coh", "comp", "id", "susp", "op", "homfactor"})
 WORDS = ("ident", "name", "num", "pos")  # the kinds of a word token
+PUNCT = frozenset({"=>", "->", *"{}[](),;:*="})
 
-# One match per item: blanks, then a newline, a comment, a punctuation mark,
-# a word (dotted segments of word characters, e.g. an identifier, a number,
-# a position path 1.2.0 or a suspended name 1.x), a shared subterm ($ or @
-# and ASCII digits) or a stray character.
-# The search stops before trailing blanks, so every other blank starts a match.
-_TOKEN = re.compile(
-    r"[ \t\r]*(?:(\n)|(#[^\n]*)|(=>|->|[{}\[\](),;:*=])|(\w+(?:\.\w+)*)|([$@][0-9]+)|(.))"
-)
-_NEWLINE, _COMMENT, _PUNCT, _WORD, _SHARE = 1, 2, 3, 4, 5
+# One match per token: the blanks, newlines and comments before it, then a
+# punctuation mark, a word (dotted word characters: an identifier, a number,
+# a position 1.2.0 or a suspended name 1.x), a shared subterm ($ or @ and
+# ASCII digits), the eof token "" (at the end, or where a comment ending the
+# text starts) or a stray character, which takes the rest of the text.
+_TOKEN = re.compile(r"(?:[ \t\r\n]+|#[^\n]*\n)*(=>|->|[{}\[\](),;:*=]|\w+(?:\.\w+)*|[$@][0-9]+|(?=#|\Z)|[\s\S]+)")
 
 
-def tokenize(text: str) -> list[Token]:
-    """The tokens of ``text``, ending in an eof token.  Columns count
-    characters from 1; a comment does not advance the column, so the eof
-    token after a trailing comment sits where the comment starts."""
-    tokens: list[Token] = []
-    append = tokens.append
-    new = tuple.__new__  # builds a token or location without a Python frame
-    line, before_line = 1, -1  # before_line: offset of the newline that opened the line
-    match = None
-    for match in _TOKEN.finditer(text, 0, len(text.rstrip(" \t\r"))):
-        group = match.lastindex
-        if group >= _PUNCT:  # a token or a stray character
-            item = match[group]
-            location = new(SourceLocation, (line, match.start(group) - before_line))
-            if group == _PUNCT:
-                kind = "punct"
-            elif group == _WORD:
-                if "." in item:
-                    kind = "pos" if item.replace(".", "").isdigit() else "name"
-                else:
-                    kind = "num" if item.isdigit() else "ident"
-            elif group == _SHARE:
-                kind = "share"
-            else:
-                raise SurfaceError(location, f"unexpected character {item!r}")
-            append(new(Token, (kind, item, location)))
-        elif group == _NEWLINE:
-            line, before_line = line + 1, match.end() - 1
-    end = match.start(_COMMENT) if match is not None and match.lastindex == _COMMENT else len(text)
-    append(new(Token, ("eof", "", new(SourceLocation, (line, end - before_line)))))
+def token_kind(token: str) -> str:
+    """The kind of a token of :func:`lex`, read from its text: ``eof`` for
+    the empty text, and ``stray`` for a character that starts no token."""
+    if token in PUNCT:
+        return "punct"
+    head = token[:1]
+    if head.isalnum() or head == "_":
+        if "." in token:
+            return "pos" if token.replace(".", "").isdigit() else "name"
+        return "num" if token.isdigit() else "ident"
+    if head in ("$", "@") and "0" <= token[1:2] <= "9":
+        return "share"
+    return "stray" if token else "eof"
+
+
+def lex(text: str) -> list[str]:
+    """The texts of the tokens of ``text``, ending in the eof token ``""``,
+    from one call of the compiled pattern.  A character that starts no token
+    is an error, raised before anything is parsed."""
+    tokens = _TOKEN.findall(text)
+    del tokens[tokens.index("") + 1 :]  # past an eof token at a final comment, findall goes on
+    if len(tokens) > 1 and token_kind(tokens[-2]) == "stray":
+        raise SurfaceError(len(tokens) - 2, f"unexpected character {tokens[-2][0]!r}")
     return tokens
 
 
+def _locations(text: str):
+    """The location of each token of :func:`lex`, in one pass, counting the
+    newlines before it.  Columns count characters from 1."""
+    line, newline = 1, -1  # newline: the offset of the newline that opened the line
+    for match in _TOKEN.finditer(text):
+        before, start = match.start(), match.start(1)
+        count = text.count("\n", before, start)
+        if count:
+            line, newline = line + count, text.rfind("\n", before, start)
+        yield SourceLocation(line, start - newline)
+        if not match[1]:  # the eof token
+            return
+
+
+@contextmanager
+def _located(text: str):
+    """A SurfaceError raised inside, with its token index replaced by that
+    token's location in ``text``."""
+    try:
+        yield
+    except SurfaceError as err:
+        err.location = next(islice(_locations(text), err.location, None))
+        raise
+
+
+def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text`` with their kinds and locations, ending in an
+    eof token: the located view of :func:`lex`."""
+    with _located(text):
+        tokens = lex(text)
+    return [Token(token_kind(token), token, location) for token, location in zip(tokens, _locations(text))]
+
+
 # ---------------------------------------------------------------------------
-# syntax trees
+# syntax trees: each ``location`` is the index of a token of :func:`lex`
 
 
-@dataclass(frozen=True)
-class RefExpr:
+class RefExpr(NamedTuple):
     name: str
-    location: SourceLocation
+    location: int
 
 
-@dataclass(frozen=True)
-class CohExpr:
+class CohExpr(NamedTuple):
     tree: BataninTree
     src: "CellExpr"
     tgt: "CellExpr"
-    entries: tuple[tuple[str, "CellExpr", SourceLocation], ...]
-    location: SourceLocation
+    entries: tuple[tuple[str, "CellExpr", int], ...]
+    location: int
 
 
-@dataclass(frozen=True)
-class CompExpr:
+class CompExpr(NamedTuple):
     n: int
     k: int
     m: int
-    entries: tuple[tuple[str, "CellExpr", SourceLocation], ...] | None
+    entries: tuple[tuple[str, "CellExpr", int], ...] | None
     args: tuple["CellExpr", ...] | None  # binary sugar
-    location: SourceLocation
+    location: int
 
 
-@dataclass(frozen=True)
-class UnaryExpr:
-    op: str  # id | susp | homfactor
+class UnaryExpr(NamedTuple):
+    op: str  # id | susp | op | homfactor
     arg: "CellExpr"
-    location: SourceLocation
+    location: int
+    dims: tuple[int, ...] = ()  # of op{...}
 
 
-@dataclass(frozen=True)
-class OpExpr:
-    dims: tuple[int, ...]
-    arg: "CellExpr"
-    location: SourceLocation
-
-
-@dataclass(frozen=True)
-class SharedRef:
+class SharedRef(NamedTuple):
     """``$k`` or ``@k``: a subterm bound in the enclosing ``where``."""
 
     name: str
-    location: SourceLocation
+    location: int
 
 
-@dataclass(frozen=True)
-class WhereExpr:
+class WhereExpr(NamedTuple):
     """A cell followed by ``where { name = cell; ... }``."""
 
     body: "CellExpr"
-    bindings: tuple[tuple[str, "CellExpr", SourceLocation], ...]
-    location: SourceLocation
+    bindings: tuple[tuple[str, "CellExpr", int], ...]
+    location: int
 
 
-CellExpr = Union[RefExpr, CohExpr, CompExpr, UnaryExpr, OpExpr, SharedRef, WhereExpr]
+CellExpr = Union[RefExpr, CohExpr, CompExpr, UnaryExpr, SharedRef, WhereExpr]
 
 
-@dataclass(frozen=True)
-class GenDecl:
+class GenDecl(NamedTuple):
     name: str
     sphere: tuple[CellExpr, CellExpr] | None  # None for 0-generators (": *")
-    location: SourceLocation
+    location: int
 
 
-@dataclass(frozen=True)
-class ComputadBlock:
+class ComputadBlock(NamedTuple):
     name: str
     decls: tuple[GenDecl, ...]
-    location: SourceLocation
+    location: int
 
 
-@dataclass(frozen=True)
-class LetDecl:
+class LetDecl(NamedTuple):
     name: str
     expr: CellExpr
-    location: SourceLocation
+    location: int
 
 
 Declaration = Union[ComputadBlock, LetDecl]
 
 
-@dataclass(frozen=True)
-class SourceFile:
+class SourceFile(NamedTuple):
     items: tuple[Declaration, ...]
+    text: str  # locates the elaborator's errors
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    """Reads the token texts of :func:`lex`; ``pos`` indexes the next one,
+    and a syntax tree or an error is located by such an index."""
+
+    def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]  # the eof token ends the list and is never consumed
+    def peek(self) -> str:
+        return self.tokens[self.pos]  # the eof token "" ends the list; a read that takes it fails
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.text != text:  # never the eof token, whose text is empty
-            raise SurfaceError(tok.location, f"expected {text!r}, found {tok.text or 'end of input'!r}")
+    def next(self) -> str:
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
+
+    def expect(self, text: str) -> int:
+        """Read ``text``, and give its location."""
+        pos = self.pos
+        if self.tokens[pos] != text:  # never the eof token, whose text is empty
+            raise SurfaceError(pos, f"expected {text!r}, found {self.tokens[pos] or 'end of input'!r}")
+        self.pos = pos + 1
+        return pos
 
     def at(self, text: str) -> bool:
-        return self.tokens[self.pos].text == text
+        return self.tokens[self.pos] == text
 
     # --- grammar ---
 
-    def document(self) -> SourceFile:
+    def document(self) -> tuple[Declaration, ...]:
         items: list[Declaration] = []
-        while self.peek().kind != "eof":
-            tok = self.peek()
-            if tok.text == "computad":
+        while tok := self.peek():
+            if tok == "computad":
                 items.append(self.computad_block())
-            elif tok.text == "let":
+            elif tok == "let":
                 items.append(self.let_decl())
             else:
-                raise SurfaceError(tok.location, f"expected 'computad' or 'let', found {tok.text!r}")
-        return SourceFile(tuple(items))
+                raise SurfaceError(self.pos, f"expected 'computad' or 'let', found {tok!r}")
+        return tuple(items)
 
     def computad_block(self) -> ComputadBlock:
-        loc = self.expect("computad").location
-        name = self.ident("computad name")
+        loc = self.expect("computad")
+        name = self.word("computad name", ("ident",))
         self.expect("{")
         decls: list[GenDecl] = []
         while not self.at("}"):
@@ -283,25 +297,25 @@ class _Parser:
             if self.at(";"):
                 self.next()
             elif not self.at("}"):
-                raise SurfaceError(self.peek().location, "expected ';' or '}' after a generator")
+                raise SurfaceError(self.pos, "expected ';' or '}' after a generator")
         self.expect("}")
         return ComputadBlock(name, tuple(decls), loc)
 
     def gen_decl(self) -> GenDecl:
-        tok = self.peek()
+        loc = self.pos
         name = self.word("generator name")
         self.expect(":")
         if self.at("*"):
             self.next()
-            return GenDecl(name, None, tok.location)
+            return GenDecl(name, None, loc)
         src = self.shared_cell()
         self.expect("->")
         tgt = self.shared_cell()
-        return GenDecl(name, (src, tgt), tok.location)
+        return GenDecl(name, (src, tgt), loc)
 
     def let_decl(self) -> LetDecl:
-        loc = self.expect("let").location
-        name = self.ident("cell name")
+        loc = self.expect("let")
+        name = self.word("cell name", ("ident",))
         self.expect("=")
         return LetDecl(name, self.shared_cell(), loc)
 
@@ -312,33 +326,31 @@ class _Parser:
         expr = self.cell_expr()
         if not self.at("where"):
             return expr
-        loc = self.next().location
+        loc = self.expect("where")
         self.expect("{")
         if self.at("}"):
-            raise SurfaceError(self.peek().location, "a where block binds at least one subterm")
-        bindings: dict[str, tuple[str, CellExpr, SourceLocation]] = {}
+            raise SurfaceError(self.pos, "a where block binds at least one subterm")
+        bindings: dict[str, tuple[str, CellExpr, int]] = {}
         while True:
+            at = self.pos
             tok = self.next()
-            if tok.kind != "share":
-                raise SurfaceError(tok.location, f"expected a binding $k or @k, found {tok.text or 'end of input'!r}")
-            if tok.text in bindings:
-                raise SurfaceError(tok.location, f"{tok.text} is bound twice")
+            if token_kind(tok) != "share":
+                raise SurfaceError(at, f"expected a binding $k or @k, found {tok or 'end of input'!r}")
+            if tok in bindings:
+                raise SurfaceError(at, f"{tok} is bound twice")
             self.expect("=")
-            bindings[tok.text] = (tok.text, self.cell_expr(), tok.location)
+            bindings[tok] = (tok, self.cell_expr(), at)
             if not self.at(";"):
                 break
             self.next()
         self.expect("}")
         return WhereExpr(expr, tuple(bindings.values()), loc)
 
-    def ident(self, what: str) -> str:
-        return self.word(what, ("ident",))
-
     def word(self, what: str, kinds: tuple[str, ...] = WORDS) -> str:
         tok = self.next()
-        if tok.kind not in kinds or tok.text in KEYWORDS:
-            raise SurfaceError(tok.location, f"expected {what}, found {tok.text or 'end of input'!r}")
-        return tok.text
+        if token_kind(tok) not in kinds or tok in KEYWORDS:
+            raise SurfaceError(self.pos - 1, f"expected {what}, found {tok or 'end of input'!r}")
+        return tok
 
     def cell_expr(self) -> CellExpr:
         """A cell expression, read by a walk whose steps yield the depth of
@@ -346,28 +358,28 @@ class _Parser:
         return walk(self._cell_step, None, 1)
 
     def _cell_step(self, depth: int):
-        tok = self.peek()
-        if tok.kind in WORDS and tok.text not in KEYWORDS:
-            self.next()
-            return RefExpr(tok.text, tok.location)
-        if tok.kind == "share":
-            self.next()
-            return SharedRef(tok.text, tok.location)
-        if tok.text not in ("coh", "comp", "id", "susp", "homfactor", "op"):
-            raise SurfaceError(tok.location, f"expected a cell expression, found {tok.text or 'end of input'!r}")
+        at = self.pos
+        tok = self.tokens[at]
+        kind = token_kind(tok)
+        if kind == "share" or kind in WORDS and tok not in KEYWORDS:
+            self.pos = at + 1
+            return (SharedRef if kind == "share" else RefExpr)(tok, at)
+        if tok not in ("coh", "comp", "id", "susp", "homfactor", "op"):
+            raise SurfaceError(at, f"expected a cell expression, found {tok or 'end of input'!r}")
         if depth > MAX_COMP_DIM:
-            raise SurfaceError(tok.location, f"cell expression nested more than {MAX_COMP_DIM} deep")
+            raise SurfaceError(at, f"cell expression nested more than {MAX_COMP_DIM} deep")
         return self._compound(tok, depth)
 
-    def _compound(self, tok: Token, depth: int):
-        if tok.text == "coh":
+    def _compound(self, tok: str, depth: int):
+        if tok == "coh":
             return (yield from self.coh_expr(depth + 1))
-        if tok.text == "comp":
+        if tok == "comp":
             return (yield from self.comp_expr(depth + 1))
-        self.next()
-        if tok.text == "op":
+        loc = self.expect(tok)
+        dims = []
+        if tok == "op":
             self.expect("{")
-            dims = [self.number("a dimension")]
+            dims.append(self.number("a dimension"))
             while self.at(","):
                 self.next()
                 dims.append(self.number("a dimension"))
@@ -375,10 +387,10 @@ class _Parser:
         self.expect("(")
         arg = yield depth + 1
         self.expect(")")
-        return OpExpr(tuple(dims), arg, tok.location) if tok.text == "op" else UnaryExpr(tok.text, arg, tok.location)
+        return UnaryExpr(tok, arg, loc, tuple(dims))
 
     def coh_expr(self, inner: int):
-        loc = self.expect("coh").location
+        loc = self.expect("coh")
         tree = self.tree_literal()
         self.expect("{")
         src = yield inner
@@ -391,7 +403,7 @@ class _Parser:
         return CohExpr(tree, src, tgt, entries, loc)
 
     def comp_expr(self, inner: int):
-        loc = self.expect("comp").location
+        loc = self.expect("comp")
         self.expect("(")
         n = self.number("n")
         self.expect(",")
@@ -411,12 +423,12 @@ class _Parser:
 
     def number(self, what: str) -> int:
         tok = self.next()
-        if tok.kind == "num":
+        if token_kind(tok) == "num":
             try:
-                return int(tok.text)
+                return int(tok)
             except ValueError:  # a digit that int() does not read, such as '²'
                 pass
-        raise SurfaceError(tok.location, f"expected {what} (a number), found {tok.text!r}")
+        raise SurfaceError(self.pos - 1, f"expected {what} (a number), found {tok!r}")
 
     def tree_literal(self) -> BataninTree:
         """``[t1, ..., tn]``, read by a walk whose steps yield the depth of
@@ -424,9 +436,9 @@ class _Parser:
         return walk(self._tree_step, None, 1)
 
     def _tree_step(self, depth: int):
-        tok = self.expect("[")
+        loc = self.expect("[")
         if depth > MAX_COMP_DIM:
-            raise SurfaceError(tok.location, f"tree literal nested more than {MAX_COMP_DIM} deep")
+            raise SurfaceError(loc, f"tree literal nested more than {MAX_COMP_DIM} deep")
         children = [] if self.at("]") else [(yield depth + 1)]
         while children and self.at(","):
             self.next()
@@ -442,15 +454,16 @@ class _Parser:
             self.next()
             return ()
         # a word is never the last token, so the one after it exists
-        if not (self.peek().kind in WORDS and self.tokens[self.pos + 1].text == "=>"):
+        if not (token_kind(self.peek()) in WORDS and self.tokens[self.pos + 1] == "=>"):
             return None
         entries = []
         while True:
+            at = self.pos
             tok = self.next()
-            if tok.kind not in WORDS:
-                raise SurfaceError(tok.location, f"expected a position, found {tok.text!r}")
+            if token_kind(tok) not in WORDS:
+                raise SurfaceError(at, f"expected a position, found {tok!r}")
             self.expect("=>")
-            entries.append((tok.text, (yield inner), tok.location))
+            entries.append((tok, (yield inner), at))
             if not self.at(","):
                 break
             self.next()
@@ -459,15 +472,15 @@ class _Parser:
 
 
 def parse(text: str) -> SourceFile:
-    return _Parser(tokenize(text)).document()
+    with _located(text):
+        return SourceFile(_Parser(lex(text)).document(), text)
 
 
 # ---------------------------------------------------------------------------
 # elaboration
 
 
-@dataclass(frozen=True)
-class ElabCell:
+class ElabCell(NamedTuple):
     """An elaborated binding: the term plus the computad it lives over."""
 
     kind: str  # "cell" | "homcell"
@@ -476,10 +489,12 @@ class ElabCell:
     over: str | None  # name of the source block, if the ambient is one
 
 
-@dataclass
 class ElabDocument:
-    computads: list[tuple[str, Computad]] = field(default_factory=list)
-    cells: list[tuple[str, ElabCell]] = field(default_factory=list)
+    __slots__ = ("computads", "cells")
+
+    def __init__(self) -> None:
+        self.computads: list[tuple[str, Computad]] = []
+        self.cells: list[tuple[str, ElabCell]] = []
 
     def computad(self, name: str) -> Computad:
         for n, c in self.computads:
@@ -565,9 +580,7 @@ class Elaborator:
         self.doc.computads.append(self.current)
 
     def let(self, decl: LetDecl) -> None:
-        if decl.name in self.names or (
-            self.current is not None and self.current[1].has_generator(decl.name)
-        ):
+        if decl.name in self.names or (self.current is not None and self.current[1].has_generator(decl.name)):
             raise SurfaceError(decl.location, f"name {decl.name!r} is already defined")
         elab = self.value(self.elab, decl.expr)
         if elab.kind == "cell":
@@ -589,7 +602,7 @@ class Elaborator:
         ambient = self.current[1] if self.current else Computad.make([], {})
         if isinstance(expr, WhereExpr):
             return self.where(expr, ambient, lambda: self.value(self.elab, expr.body))
-        if not isinstance(expr, OpExpr) and getattr(expr, "op", "id") == "id":
+        if getattr(expr, "op", "id") == "id":
             term = yield self.cell, expr, ambient
             if isinstance(expr, (CohExpr, CompExpr)) and is_template(term):
                 return ElabCell("cell", pasting_computad(term.tree), term, None)
@@ -597,7 +610,7 @@ class Elaborator:
         inner = yield self.elab, expr.arg
         if inner.kind != "cell":
             raise SurfaceError(expr.location, "hom cells cannot be transformed further")
-        if isinstance(expr, OpExpr):
+        if expr.op == "op":
             try:
                 w = dimset(expr.dims)
             except ValueError as err:
@@ -681,9 +694,7 @@ class Elaborator:
                     raise SurfaceError(expr.location, f"{expr.name!r} is a hom cell")
                 # a block's draft is not interned: one computad is one table
                 if bound.ambient is not ambient and bound.ambient.table != ambient.table:
-                    raise SurfaceError(
-                        expr.location, f"{expr.name!r} lives over a different computad"
-                    )
+                    raise SurfaceError(expr.location, f"{expr.name!r} lives over a different computad")
                 return bound.term
             raise SurfaceError(expr.location, f"unknown cell {expr.name!r}")
         if isinstance(expr, CohExpr):
@@ -692,11 +703,8 @@ class Elaborator:
             return self.comp(expr, ambient)
         if isinstance(expr, UnaryExpr) and expr.op == "id":
             return gather([(self.cell, expr.arg, ambient)], lambda arg: identity_cell(ambient, arg[0]))
-        if isinstance(expr, (UnaryExpr, OpExpr)):
-            raise SurfaceError(
-                expr.location,
-                f"{getattr(expr, 'op', 'op')}(...) is only available at the top of a 'let'",
-            )
+        if isinstance(expr, UnaryExpr):
+            raise SurfaceError(expr.location, f"{expr.op}(...) is only available at the top of a 'let'")
         raise SurfaceError(expr.location, "expected a cell expression")
 
     def coh(self, expr: CohExpr, value: Callable[[CellExpr], tuple]):
@@ -706,7 +714,10 @@ class Elaborator:
         pc = pasting_computad(expr.tree)
         src = yield self.position_cell, expr.src, scope, pc
         tgt = yield self.position_cell, expr.tgt, scope, pc
-        sphere = self._mk_sphere(src, tgt, expr.location)
+        try:
+            sphere = Sphere(src, tgt)
+        except ValueError as err:
+            raise SurfaceError(expr.location, str(err)) from err
         if not expr.entries:
             return Coh(expr.tree, sphere, template_sub(expr.tree))
         return Coh(expr.tree, sphere, (yield from self.entries_sub(expr.entries, expr.tree, scope, value)))
@@ -718,17 +729,12 @@ class Elaborator:
             raise SurfaceError(expr.location, str(err)) from err
         if expr.args is not None:
             if len(expr.args) != 2:
-                raise SurfaceError(
-                    expr.location, f"comp takes two cells, found {len(expr.args)}"
-                )
+                raise SurfaceError(expr.location, f"comp takes two cells, found {len(expr.args)}")
             x = yield self.cell, expr.args[0], ambient
             y = yield self.cell, expr.args[1], ambient
             if (x.dim, y.dim) != (expr.n, expr.m):
-                raise SurfaceError(
-                    expr.location,
-                    f"comp({expr.n},{expr.k},{expr.m}) applied to cells of "
-                    f"dimensions {x.dim} and {y.dim}",
-                )
+                what = f"comp({expr.n},{expr.k},{expr.m}) applied to cells of dimensions {x.dim} and {y.dim}"
+                raise SurfaceError(expr.location, what)
             try:
                 return compose(ambient, x, expr.k, y)
             except BoundaryMismatch as err:
@@ -760,9 +766,7 @@ class Elaborator:
         if isinstance(expr, RefExpr):
             p = scope.get(expr.name)
             if p is None:
-                raise SurfaceError(
-                    expr.location, f"{expr.name!r} is not a position of the scheme"
-                )
+                raise SurfaceError(expr.location, f"{expr.name!r} is not a position of the scheme")
             return Var(p, pos_dim(p))
         if isinstance(expr, SharedRef):
             return self.shared(expr, SCHEME)
@@ -772,20 +776,12 @@ class Elaborator:
             if pc is None:
                 raise SurfaceError(expr.location, "id(...) needs the scheme, which an @ binding does not know")
             return gather([(self.position_cell, expr.arg, scope, pc)], lambda arg: identity_cell(pc, arg[0]))
-        raise SurfaceError(
-            expr.location, "only positions, coherences and id(...) may appear in a sphere"
-        )
-
-    @staticmethod
-    def _mk_sphere(src: CellTerm, tgt: CellTerm, loc: SourceLocation) -> Sphere:
-        try:
-            return Sphere(src, tgt)
-        except ValueError as err:
-            raise SurfaceError(loc, str(err)) from err
+        raise SurfaceError(expr.location, "only positions, coherences and id(...) may appear in a sphere")
 
 
 def elaborate(source: SourceFile) -> ElabDocument:
-    return Elaborator().run(source)
+    with _located(source.text):
+        return Elaborator().run(source)
 
 
 def load_document(text: str) -> ElabDocument:

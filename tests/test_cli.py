@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import glob
 import json
 import time
@@ -333,12 +334,26 @@ class TestExitCodes:
             (b"\xff\xfe x", "1:1"),
             # lines end in CRLF and a lone CR, as a text-mode read sees them
             ("computad c {\r\n x : * ;\r}\n# é\nlet q = ".encode() + b"\xe9\n", "5:9"),
+            # after a byte-order mark, located as if it were not there
+            (codecs.BOM_UTF8 + "# é\nlet q = ".encode() + b"\xe9\n", "2:9"),
         ],
     )
     def test_file_that_is_not_utf8_is_check_error(self, capsys, tmp_path, data, where):
         source = tmp_path / "bytes.ctt"
         source.write_bytes(data)
         assert invoke(capsys, "check", str(source)) == (1, "", f"{source}:{where}: not UTF-8 text\n")
+
+    @pytest.mark.parametrize("sample", ["comp101.ctt", "bad.ctt"])
+    @pytest.mark.parametrize("argv", [("check",), ("op", "--dims", "1"), ("export", "--format", "json")])
+    def test_a_byte_order_mark_reads_as_nothing(self, capsys, tmp_path, sample, argv):
+        # a file that starts with U+FEFF was an unexpected character at 1:1, exit 1
+        data = (ROOT / "samples" / sample).read_bytes()
+        plain, marked = tmp_path / "plain" / sample, tmp_path / "marked" / sample
+        for path, prefix in ((plain, b""), (marked, codecs.BOM_UTF8)):
+            path.parent.mkdir()
+            path.write_bytes(prefix + data)
+        code, out, err = invoke(capsys, *argv, str(plain))
+        assert invoke(capsys, *argv, str(marked)) == (code, out, err.replace(str(plain), str(marked)))
 
     def test_hom_checks_endpoints(self, capsys):
         code, _, err = invoke(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,9 +19,11 @@ from omegatt.oplib import comp_cell, compose, eh_computad, identity_cell
 from omegatt.surface import (
     SourceLocation,
     SurfaceError,
+    _located,
     cell_text,
     computad_text,
     document_text,
+    lex,
     load_document,
     parse,
     tokenize,
@@ -27,6 +31,9 @@ from omegatt.surface import (
 from omegatt.trees import MAX_COMP_DIM, positions
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import gen  # noqa: E402  (perfbench's document generator)
 
 EH_SOURCE = """
 computad eh {
@@ -121,6 +128,74 @@ class TestLexerAgainstReference:
     def test_sample_files(self, path):
         text = path.read_text(encoding="utf-8")
         assert lexed(text) == lexed(text, char_lexer.tokenize)
+
+
+def damaged_chain(n: int, seed: int, defect, at: int, fragment: str) -> str:
+    """A generated chain-N document with ``fragment`` spliced in at ``at``
+    (taken modulo its length)."""
+    text = gen.chain_doc(n, random.Random(seed), defect).text
+    at %= len(text) + 1
+    return text[:at] + fragment + text[at:]
+
+
+SOURCES = st.one_of(
+    st.tuples(
+        st.lists(st.sampled_from(FRAGMENTS), max_size=14).map("".join),
+        st.sampled_from(["", " ", "\t\r", "\n", "# trailing comment", "  # c", "\n# c", "x  ", "x # c  ", "1."]),
+    ).map("".join),
+    st.builds(
+        damaged_chain,
+        st.integers(gen.CHAIN_MIN, 8),
+        st.integers(0, 2**16),
+        st.sampled_from([None, *gen.DEFECT_KINDS]),
+        st.integers(0, 10**4),
+        st.sampled_from(["", *FRAGMENTS]),
+    ),
+)
+
+
+class TestLazyLocations:
+    """The parser reads the token texts of ``lex`` and locates a token by
+    its index only when an error leaves the module."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(SOURCES)
+    def test_parser_tokens_are_the_located_tokens(self, text):
+        try:
+            located = [t.text for t in tokenize(text)]
+        except SurfaceError:
+            with pytest.raises(SurfaceError):
+                lex(text)
+        else:
+            assert lex(text) == located
+
+    @settings(max_examples=300, deadline=None)
+    @given(SOURCES)
+    def test_an_index_locates_as_the_reference_locates(self, text):
+        try:
+            reference = char_lexer.tokenize(text)
+        except SurfaceError:
+            return
+        step = max(1, len(reference) // 32)  # about 32 tokens of a long text, and the eof token
+        for index in {*range(0, len(reference), step), len(reference) - 1}:
+            with pytest.raises(SurfaceError) as err, _located(text):
+                raise SurfaceError(index, "m")
+            assert err.value.location == reference[index].location
+
+    @settings(max_examples=300, deadline=None)
+    @given(SOURCES)
+    def test_a_stray_character_is_reported_before_any_syntax_error(self, text):
+        try:
+            char_lexer.tokenize(text)
+        except SurfaceError as lexing:
+            with pytest.raises(SurfaceError) as err:
+                parse(text)
+            assert (err.value.location, err.value.message) == (lexing.location, lexing.message)
+
+    def test_a_stray_character_after_a_syntax_error(self):
+        with pytest.raises(SurfaceError) as err:
+            parse("let = x\nlet y = ?")
+        assert (err.value.location, err.value.message) == (SourceLocation(2, 9), "unexpected character '?'")
 
 
 class TestNumbers:
