@@ -24,12 +24,7 @@ from .computads import (
     support,
     typecheck_cell,
 )
-from .globular import (
-    BipointedGlobularSet,
-    FiniteGlobularSet,
-    dimset,
-    op_glob,
-)
+from .globular import dimset
 from .homcat import (
     HomGenerator,
     hom_factor,
@@ -67,11 +62,9 @@ from .trees import (
 __all__ = [
     "BataninTree",
     "BipointedComputad",
-    "BipointedGlobularSet",
     "BoundaryMismatch",
     "Coh",
     "Computad",
-    "FiniteGlobularSet",
     "HomGenerator",
     "NotASuspension",
     "Sphere",
@@ -105,7 +98,6 @@ __all__ = [
     "load_document",
     "op_cell",
     "op_computad",
-    "op_glob",
     "op_hom_transport",
     "op_positions_iso",
     "op_tree",

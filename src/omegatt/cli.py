@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the law harness on enumerated instances",
         description=f"Run the law harness: at most {MAX_SWEEP:,} trees times pairs of dimension sets.",
     )
-    p.add_argument("--max-nodes", type=_count(1, MAX_NODES), default=5, help="at most 11: 7 s, 162 MB at dims 1")
+    p.add_argument("--max-nodes", type=_count(1, MAX_NODES), default=5, help="at most 11: 7 s, 127 MB at dims 1")
     p.add_argument("--dims-upto", type=_count(0, MAX_DIMS), default=3, help="at most 7: 8 s, 30 MB at 1 node")
     p.add_argument(
         "--json", action="store_true", help="print each family's checks, failures and seconds as JSON"

@@ -49,15 +49,15 @@ The memo slots and tables, and what bounds each one:
 
 Two dicts keyed by position name live for the process, each bounded by the
 distinct names met: :data:`omegatt.trees.POSITIONS` (each name's record:
-dimension, ``lo``/``hi``, (name, boundary) pairs, sector names) and
+dimension, ``lo``/``hi``, sector names) and
 ``omegatt.computads._PASTED`` (each name's pasting-computad item, attach
 pair and template binding).  The ``lru_cache`` tables live for the process
 too.  Each is keyed by interned trees or by a composite's (n, k, m), so each
 grows with the trees and composites the process has met.  The tree tables
-make no strings or pairs: an entry holds containers of the shared ones.
+make no strings or records: an entry holds containers of the shared ones.
 
 * :func:`omegatt.trees.positions` (tree), which only the tree laws read:
-  per dimension a tuple of the names and tuples of (name, boundary) pairs;
+  per dimension a tuple of the position records;
 * :func:`omegatt.trees.src_inclusion` (dimension, tree): the identity dict
   on the boundary's names, one dict shared by every tree with that
   boundary; :func:`omegatt.trees.tgt_inclusion` (dimension, tree): a dict

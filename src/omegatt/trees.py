@@ -1,4 +1,4 @@
-"""Batanin trees and their globular sets of positions.
+"""Batanin trees and their positions.
 
 A tree ``br(B1, ..., Bn)`` is a pasting scheme: a point with n arrows out
 of it, each arrow filled by the scheme of its subtree one dimension up.
@@ -28,7 +28,7 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
-from .globular import BipointedGlobularSet, DimSet, FiniteGlobularSet, dimset_down
+from .globular import DimSet, dimset_down
 from .hashcons import HashConsed, gather, remember, walk
 
 
@@ -156,14 +156,11 @@ def position_levels(t: BataninTree) -> list[list[Position]]:
 
 
 @lru_cache(maxsize=None)
-def positions(t: BataninTree) -> BipointedGlobularSet:
-    """The globular set of positions of ``t`` (:func:`position_levels`),
-    bipointed by its outer root sectors: read by the tree laws only."""
-    levels = position_levels(t)
-    cells = tuple([tuple([pos.name for pos in level]) for level in levels])
-    srcs = ((),) + tuple([tuple([pos.src for pos in level]) for level in levels[1:]])
-    tgts = ((),) + tuple([tuple([pos.tgt for pos in level]) for level in levels[1:]])
-    return BipointedGlobularSet(FiniteGlobularSet(cells, srcs, tgts), (cells[0][0], cells[0][-1]))
+def positions(t: BataninTree) -> tuple[tuple[Position, ...], ...]:
+    """:func:`position_levels` frozen to tuples and cached.  Only the tree
+    laws read it: the kernel's builders call :func:`position_levels`, so a
+    tree that they meet keeps no second copy of its levels."""
+    return tuple(map(tuple, position_levels(t)))
 
 
 def pos_dim(p: str) -> int:
@@ -309,9 +306,9 @@ def sorted_positions(t: BataninTree) -> tuple[str, ...]:
 
 
 # A position's record, all fixed by its name "i1.….id.j" (sector j at branches i1, ..., id): its dimension d,
-# the (d-1)-positions lo = "i1.….i(d-1).(id-1)" and hi = "i1.….id" it runs between, its pairs (name, lo) and
-# (name, hi) (all four None at d = 0), and the names met so far of the sectors "name.0", ... of a node below it.
-Position = namedtuple("Position", "name dim lo hi src tgt sectors")
+# the (d-1)-positions lo = "i1.….i(d-1).(id-1)" and hi = "i1.….id" it runs between (both None at d = 0), and
+# the names met so far of the sectors "name.0", ... of a node below it.
+Position = namedtuple("Position", "name dim lo hi sectors")
 POSITIONS: dict[str, Position] = {}  # each position name met -> its one record
 _ROOT_SECTORS: list[str] = []  # the names met of the root sectors "0", "1", ...
 
@@ -321,6 +318,6 @@ def _sectors(lo: str | None, hi: str | None, d: int, n: int) -> list[str]:
     known = _ROOT_SECTORS if hi is None else POSITIONS[hi].sectors
     for j in range(len(known), n):
         x = f"{hi}.{j}" if d else str(j)
-        POSITIONS[x] = Position(x, d, lo, hi, (x, lo) if d else None, (x, hi) if d else None, [])
+        POSITIONS[x] = Position(x, d, lo, hi, [])
         known.append(x)
     return known

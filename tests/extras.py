@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from shape_reference import checked_pointed, make, ordered
+from shape_reference import BipointedGlobularSet, FiniteGlobularSet, checked_pointed, make, ordered
 
 from omegatt.computads import (
     Computad,
@@ -31,7 +31,6 @@ from omegatt.computads import (
     map_vars,
     typecheck_cell,
 )
-from omegatt.globular import BipointedGlobularSet, FiniteGlobularSet
 from omegatt.metaops import BASE_MINUS, BASE_PLUS, rename_cell
 
 

@@ -1,27 +1,88 @@
-"""The shape tables of a tree built by formatting names, and the checked
-constructor of globular sets: the reference that ``omegatt.trees`` is
-tested against.
+"""The shape tables of a tree built by formatting names, and the globular
+sets with their checked constructor: the reference that ``omegatt.trees``
+is tested against.
 
 Each builder here walks the tree and formats every position name it needs
 with an f-string, as the kernel once did.  The kernel formats the names of
 a tree once, in ``sorted_positions``, and builds every other table from
 that tuple by index; the two must give equal tables.
 
-The kernel's globular sets are plain records that it builds only from
-tables valid by construction.  :func:`checked` and :func:`checked_pointed`
-check a record (names unique, then no dangling boundary, then globularity;
-basepoints that are 0-cells), and :func:`make` builds a checked set from
-levels in any order and boundary maps.
+The kernel reads a scheme through its pasting computad and keeps no
+globular set.  Here a globular set is a plain record
+(:class:`FiniteGlobularSet`, :class:`BipointedGlobularSet`), with its
+opposites (:func:`op_glob`, :func:`op_glob_bipointed`).  :func:`checked`
+and :func:`checked_pointed` check a record (names unique, then no
+dangling boundary, then globularity; basepoints that are 0-cells),
+:func:`make` builds a checked set from levels in any order and boundary
+maps, and :func:`positions` is the globular set of positions of a tree,
+bipointed by its outer root sectors.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 from omegatt import globular
-from omegatt.globular import BipointedGlobularSet, FiniteGlobularSet
 from omegatt.trees import boundary_tree, op_tree, sorted_positions
+
+
+@dataclass(frozen=True, slots=True)
+class FiniteGlobularSet:
+    """Cells per dimension plus source/target maps, unchecked: ``cells[d]``
+    is the tuple of d-cell names in canonical order, ``srcs[d]`` and
+    ``tgts[d]`` (empty at d = 0) the (cell, boundary) pairs in that order.
+    Cell names are unique across all dimensions."""
+
+    cells: tuple[tuple[str, ...], ...]
+    srcs: tuple[tuple[tuple[str, str], ...], ...]
+    tgts: tuple[tuple[tuple[str, str], ...], ...]
+
+    @property
+    def ndim(self) -> int:
+        """Largest dimension carrying cells (-1 for the empty globular set)."""
+        return len(self.cells) - 1
+
+    def cells_at(self, d: int) -> tuple[str, ...]:
+        return self.cells[d] if 0 <= d <= self.ndim else ()
+
+    def all_cells(self) -> Iterable[tuple[int, str]]:
+        for d, level in enumerate(self.cells):
+            for x in level:
+                yield d, x
+
+
+@dataclass(frozen=True, slots=True)
+class BipointedGlobularSet:
+    """A finite globular set with two chosen 0-cells (x_minus, x_plus)."""
+
+    carrier: FiniteGlobularSet
+    base: tuple[str, str]
+
+    @property
+    def base_minus(self) -> str:
+        return self.base[0]
+
+    @property
+    def base_plus(self) -> str:
+        return self.base[1]
+
+
+def op_glob(w: frozenset[int], x: FiniteGlobularSet) -> FiniteGlobularSet:
+    """The w-opposite: swap src/tgt of the d-cells for every d in w, which
+    keeps the names, the boundaries and globularity."""
+    srcs, tgts = list(x.srcs), list(x.tgts)
+    for d in range(1, x.ndim + 1):
+        if d in w:
+            srcs[d], tgts[d] = tgts[d], srcs[d]
+    return FiniteGlobularSet(x.cells, tuple(srcs), tuple(tgts))
+
+
+def op_glob_bipointed(w: frozenset[int], x: BipointedGlobularSet) -> BipointedGlobularSet:
+    """w-opposite of a bipointed set; basepoints swap exactly when 1 in w."""
+    base = (x.base_plus, x.base_minus) if 1 in w else x.base
+    return BipointedGlobularSet(op_glob(w, x.carrier), base)
 
 
 def checked(x: FiniteGlobularSet) -> FiniteGlobularSet:
@@ -76,6 +137,7 @@ def make(cells_by_dim: Sequence[Iterable[str]], src: Mapping[str, str], tgt: Map
 
 
 def positions(t) -> BipointedGlobularSet:
+    """The globular set of positions of ``t``, bipointed by its outer root sectors."""
     levels: list[tuple[list, list, list]] = []
     todo = [(t, 0, "", "", "")]  # node, depth, name prefix, the sectors above it runs between
     while todo:

@@ -614,6 +614,26 @@ class TestLawsVerb:
         assert report["failed"] == 61
         assert f"  {suspension['failures'][0]}" in text.splitlines()
 
+    def test_a_family_that_raises_fails_and_the_sweep_goes_on(self, capsys, monkeypatch):
+        """A family that raises is one failed check naming the exception,
+        in the text and the JSON report; every other family still runs."""
+
+        def raises(*bounds):
+            raise ValueError("seeded")
+
+        monkeypatch.setattr(laws, "law_hom_transport", raises)
+        argv = ("laws", "--max-nodes", "2", "--dims-upto", "0")
+        code, text, err = invoke(capsys, *argv)
+        json_code, out, _ = invoke(capsys, *argv, "--json")
+        assert (code, json_code, err) == (1, 1, "")
+        lines = text.splitlines()
+        failed = lines.index("hom-transport: 1 of 1 checks FAILED")
+        assert lines[failed + 1] == "  raised ValueError: seeded"
+        assert len(lines) == len(laws.FAMILIES) + 2 and lines[-1].startswith("1 of ")
+        families = json.loads(out)["families"]
+        assert [f["name"] for f in families] == list(laws.FAMILIES)
+        assert [f["failures"] for f in families if f["failures"]] == [["raised ValueError: seeded"]]
+
     @pytest.mark.parametrize(
         "argv,flag",
         [

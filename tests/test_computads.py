@@ -44,7 +44,7 @@ from omegatt.globular import dimset, nat_key
 from omegatt.metaops import desuspend_computad, op_computad, suspend_computad
 from omegatt.oplib import comp_cell, compose, eh_computad, identity_cell
 from omegatt.surface import SurfaceError, _position_scope, load_document
-from omegatt.trees import all_trees, br, comp_tree, disk_tree, pos_dim, positions
+from omegatt.trees import all_trees, br, comp_tree, disk_tree, pos_dim
 
 TWO_ARROWS = comp_tree(1, 0, 1)
 
@@ -333,7 +333,7 @@ class TestPastingComputad:
 
     @given(trees(5))
     def test_free_on_positions(self, t):
-        assert pasting_computad(t) is free_computad(positions(t).carrier)
+        assert pasting_computad(t) is free_computad(shape_reference.positions(t).carrier)
 
     def test_tables_and_views_match_the_reference(self):
         for t in all_trees(7):

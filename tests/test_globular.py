@@ -1,5 +1,5 @@
-"""Globular sets: the checked constructor, disks, wedge, suspension, hom,
-opposites."""
+"""Globular sets (the test-side records of ``shape_reference``): the checked
+constructor, disks, wedge, suspension, hom, opposites."""
 
 from __future__ import annotations
 
@@ -9,17 +9,20 @@ from hypothesis import strategies as st
 
 from conftest import dimsets, trees
 from extras import disk, hom_glob, src_of, suspend_glob, tgt_of, wedge
-from shape_reference import checked, make
-from omegatt import globular
-from omegatt.globular import (
+from shape_reference import (
     BipointedGlobularSet,
     FiniteGlobularSet,
-    nat_key,
+    checked,
+    make,
     op_glob,
     op_glob_bipointed,
+    positions,
 )
+from omegatt import globular
+from omegatt.globular import nat_key
 from omegatt.laws import all_dimsets
-from omegatt.trees import all_trees, br, disk_tree, positions, sorted_positions
+from omegatt.trees import all_trees, br, disk_tree, sorted_positions
+from omegatt.trees import positions as cached_levels
 
 
 def point(name: str = "p") -> FiniteGlobularSet:
@@ -245,13 +248,14 @@ class TestOrderedConstructions:
         monkeypatch.setattr(globular, "nat_key", counted(globular.nat_key))
         # trees no other test builds, so their positions are built here
         fresh = [br(*(disk_tree(k % 4) for k in range(13))), br(disk_tree(5), br(br(), br(br())))]
-        before = positions.cache_info().misses
+        before = cached_levels.cache_info().misses
         for t in fresh:
             assert t._names is None
-            x = positions(t)
+            cached_levels(t)
             sorted_positions(t)
+            x = positions(t)
             hom_glob(suspend_glob(x.carrier))
             for w in all_dimsets(3):
                 op_glob_bipointed(w, x)
-        assert positions.cache_info().misses > before
+        assert cached_levels.cache_info().misses > before
         assert calls == []

@@ -110,6 +110,25 @@ class TestFailureMessages:
             "w=[]: evaluation does not commute with opposites at sub/1.1.0: a against b"
         ) in report.failures
 
+    def test_unreversed_sectors_fail_the_scheme_action(self, monkeypatch):
+        """A mutant position isomorphism that reverses the branches of a node
+        but not its sectors, as ``trees._op_index`` would without
+        ``sectors.reverse()``: it still composes by symmetric difference, and
+        only the scheme check, the isomorphisms as maps onto the opposite,
+        finds it."""
+        real = laws.op_positions_iso
+
+        def keep_sector(p, q):
+            """The sector of ``q``'s node with the index of ``p``'s."""
+            head, dot, _ = q.rpartition(".")
+            return head + dot + p.rpartition(".")[2]
+
+        monkeypatch.setattr(laws, "op_positions_iso", lambda w, t: {p: keep_sector(p, q) for p, q in real(w, t).items()})
+        report = laws.law_tree_action(5, 2)
+        assert (report.checks, len(report.failures)) == (1150, 248)
+        assert report.failures[0] == "br[br[]] w=[] v=[1]: scheme action is not symmetric difference"
+        assert all(m.endswith(": scheme action is not symmetric difference") for m in report.failures)
+
     def test_seeded_hom_transport_failure_names_the_differing_subterm(self, monkeypatch):
         """A mutant op_homcell that also reverses dimension 2: each failure
         gives the path to the first differing subterm and both sides there."""

@@ -4,13 +4,13 @@ The kernel formats the position names of a tree once, in
 ``sorted_positions``, and builds the other tables from that tuple by index.
 Exhaustively over every tree with at most 7 nodes, every dimension set
 within {1, 2, 3} and every boundary dimension, the tables must equal those
-that the reference builds by formatting names, the position carrier must
-pass the reference's check, and every name in a table
-must be one of the name objects of its tree.
+that the reference builds by formatting names, the position levels must
+hold the cells and boundaries of the reference's checked globular set, and
+every name in a table must be one of the name objects of its tree.
 
 A position's name fixes its shape, so each name met is stored once per
 process, with one record (``POSITIONS``): equal names in different trees
-are one object, and the tables of every tree hold the records' pairs and
+are one object, and the tables of every tree hold the records and their
 bindings.
 """
 
@@ -35,6 +35,7 @@ from omegatt.trees import (
     op_positions_iso,
     op_sub_order,
     op_tree,
+    position_levels,
     positions,
     sorted_positions,
     src_inclusion,
@@ -56,17 +57,22 @@ def owned(names, t) -> bool:
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_positions_match_the_reference(n):
+    """The levels of ``position_levels(t)``, and of the cached
+    ``positions(t)``, hold the reference's cells in its order, each
+    running between the reference's source and target."""
     for t in TREES:
         if t.nodes != n:
             continue
-        got, want = positions(t), shape_reference.positions(t)
-        assert got == want
-        assert sorted([p for level in want.carrier.cells for p in level], key=nat_key) == list(sorted_positions(t))
-        carrier = got.carrier
-        shape_reference.checked(carrier)
-        pairs = [pair for side in (carrier.srcs, carrier.tgts) for level in side for pair in level]
-        assert owned([p for level in carrier.cells for p in level], t)
-        assert owned([p for pair in pairs for p in pair], t) and owned(got.base, t)
+        levels, want = position_levels(t), shape_reference.positions(t)
+        assert positions(t) == tuple(map(tuple, levels))
+        carrier = want.carrier
+        assert tuple([tuple([pos.name for pos in level]) for level in levels]) == carrier.cells
+        assert sorted([p for level in carrier.cells for p in level], key=nat_key) == list(sorted_positions(t))
+        for d in range(1, carrier.ndim + 1):
+            assert [(pos.name, pos.lo) for pos in levels[d]] == list(carrier.srcs[d])
+            assert [(pos.name, pos.hi) for pos in levels[d]] == list(carrier.tgts[d])
+        assert owned([pos.name for level in levels for pos in level], t)
+        assert owned([x for level in levels[1:] for pos in level for x in (pos.lo, pos.hi)], t)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -110,18 +116,17 @@ def test_equal_names_in_different_trees_are_one_object():
 @pytest.mark.parametrize("n", range(1, 8))
 def test_tables_hold_the_shared_records(n):
     """Each record's dimension, lo and hi are those of the reference's
-    carrier, and the (name, boundary) pairs of ``positions(t)`` and the
-    bindings of ``template_sub(t)`` are the records' own."""
+    carrier, the levels of ``positions(t)`` are the records themselves, and
+    the bindings of ``template_sub(t)`` are the shared ones."""
     for t in TREES:
         if t.nodes != n:
             continue
-        got, want = positions(t).carrier, shape_reference.positions(t).carrier
+        want = shape_reference.positions(t).carrier
         assert all(POSITIONS[x][1:4] == (0, None, None) for x in want.cells[0])
         for d in range(1, want.ndim + 1):
-            for (x, lo), (_, hi), src, tgt in zip(want.srcs[d], want.tgts[d], got.srcs[d], got.tgts[d]):
-                pos = POSITIONS[x]
-                assert (pos.dim, pos.lo, pos.hi) == (d, lo, hi)
-                assert src is pos.src and tgt is pos.tgt
+            for (x, lo), (_, hi) in zip(want.srcs[d], want.tgts[d]):
+                assert POSITIONS[x][1:4] == (d, lo, hi)
+        assert all(pos is POSITIONS[pos.name] for level in positions(t) for pos in level)
         sub = template_sub(t)
         assert all(pair is computads._PASTED[p][2] for pair, p in zip(sub, sorted_positions(t), strict=True))
 

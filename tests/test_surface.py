@@ -297,7 +297,7 @@ class TestElaboration:
 
     def test_nested_id_reads_no_globular_set(self):
         # elaborating reads each scheme through its pasting computad; the
-        # globular set of positions is for the tree laws alone
+        # cached position levels are for the tree laws alone
         depth = 37  # a depth no other test uses
         before = positions.cache_info()
         doc = load_document(f"computad c {{ x : * ; y : * ; f : x -> y ; }}\nlet t = {'id(' * depth}f{')' * depth}")

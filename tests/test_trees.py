@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import dimsets, trees
 from extras import src_of, suspend_glob, tgt_of, wedge
-from omegatt.globular import BipointedGlobularSet, FiniteGlobularSet, dimset, op_glob_bipointed
+from shape_reference import BipointedGlobularSet, FiniteGlobularSet, op_glob_bipointed, positions
+from omegatt.globular import dimset
 from omegatt.trees import (
     MAX_COMP_DIM,
     BataninTree,
@@ -20,7 +21,6 @@ from omegatt.trees import (
     op_positions_iso,
     op_tree,
     pos_dim,
-    positions,
     src_inclusion,
     suspend_tree,
     tgt_inclusion,

@@ -12,6 +12,7 @@ memos that the kernel keeps on its computads.
 
 from __future__ import annotations
 
+import shape_reference
 from omegatt.computads import (
     Coh,
     Sphere,
@@ -24,7 +25,7 @@ from omegatt.computads import (
 )
 from omegatt.globular import nat_key
 from omegatt.metaops import BASE_MINUS, BASE_PLUS, NotASuspension
-from omegatt.trees import pos_dim, positions
+from omegatt.trees import pos_dim
 
 
 def typecheck(c, cell, path=(), passed=None) -> None:
@@ -51,7 +52,7 @@ def typecheck(c, cell, path=(), passed=None) -> None:
         raise TypecheckError("NotParallel", path + ("sphere",), "coherence sphere cells are not parallel")
     if not is_full(cell.tree, cell.sphere):
         raise TypecheckError("NotFull", path + ("sphere",), "coherence sphere is not full over its scheme")
-    pos = positions(cell.tree).carrier
+    pos = shape_reference.positions(cell.tree).carrier
     want = {p for _, p in pos.all_cells()}
     got = {k for k, _ in cell.sub}
     if want != got:
