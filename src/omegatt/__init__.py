@@ -25,13 +25,7 @@ from .computads import (
     typecheck_cell,
 )
 from .globular import dimset
-from .homcat import (
-    HomGenerator,
-    hom_factor,
-    hom_realize,
-    is_indecomposable,
-    op_hom_transport,
-)
+from .homcat import HomGenerator, hom_factor, hom_realize, is_indecomposable
 from .metaops import (
     BipointedComputad,
     NotASuspension,
@@ -98,7 +92,6 @@ __all__ = [
     "load_document",
     "op_cell",
     "op_computad",
-    "op_hom_transport",
     "op_positions_iso",
     "op_tree",
     "parse",

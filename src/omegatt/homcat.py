@@ -53,7 +53,6 @@ from .metaops import (
     BipointedComputad,
     NotASuspension,
     desuspend_sphere,
-    op_bipointed,
     op_cell,
     op_coh,
     suspend_coh,
@@ -194,19 +193,6 @@ def _op_hom_step(w: DimSet, h: HomCell):
     if type(h) is HomGenerator:
         return store(h, "_op", w, *HomGenerator.build(op_cell(w, h.underlying)))
     return op_coh(dimset_down(w), h, w, False)
-
-
-def op_hom_transport(w: DimSet, c: BipointedComputad, cell: CellTerm) -> tuple[bool, str]:
-    """Check that factoring commutes with opposites on one loop cell:
-    hom_factor of the w-opposite against the (w-1)-opposite of hom_factor.
-    Returns the verdict and a diff string when it fails."""
-    if not is_loop_cell(c, cell):
-        raise ValueError("transport check needs a loop cell")
-    lhs = hom_factor(op_bipointed(w, c), op_cell(w, cell))
-    rhs = op_homcell(w, hom_factor(c, cell))
-    if lhs is rhs:
-        return True, ""
-    return False, f"factor(op) and op(factor) differ {diff_text(lhs, rhs)}"
 
 
 def diff_text(lhs, rhs) -> str:

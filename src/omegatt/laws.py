@@ -1,12 +1,13 @@
 """Exhaustive checks of the algebraic laws on enumerated small instances.
 
-Each law family sweeps a finite corpus (trees up to a node bound, dimension
-sets up to a bound, a cell corpus over the Eckmann-Hilton computad) and
-records every violated instance.  ``run_laws`` runs all families
-(``timed_laws`` also times each); the ``laws`` CLI verb prints one line per
-family (:func:`format_reports`), or under ``--json`` one object with each
-family's checks, failures and seconds (:func:`reports_to_json`).  The corpus
-builders are also used directly by the test suite.
+Each law family is a table of ``(corpus, check)`` parts run by
+:func:`sweep`: a corpus of instance tuples (trees up to a node bound,
+dimension sets up to a bound, cells with their computads) and a generator
+check that yields a verdict per law on one instance.  ``run_laws`` runs all
+families (``timed_laws`` also times each); the ``laws`` CLI verb prints one
+line per family (:func:`format_reports`), or under ``--json`` one object
+with each family's checks, failures and seconds (:func:`reports_to_json`).
+The corpus builders are also used directly by the test suite.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .computads import (
     CellTerm,
@@ -33,12 +34,14 @@ from .computads import (
     typecheck_cell,
 )
 from .globular import DimSet, dimset
-from .homcat import diff_text, hom_factor, hom_realize, is_indecomposable, op_hom_transport
+from .homcat import diff_text, hom_factor, hom_realize, is_indecomposable, op_homcell
 from .metaops import (
     BASE_MINUS,
     BASE_PLUS,
+    BipointedComputad,
     desuspend_cell,
     desuspend_computad,
+    op_bipointed,
     op_cell,
     op_computad,
     suspend_cell,
@@ -71,10 +74,32 @@ class LawReport:
 
     def check(self, passed: bool, describe: str | Callable[[], str]) -> None:
         """Count one check.  ``describe`` is the failure message, or a
-        zero-argument callable that builds it, called only on failure."""
-        self.checks += 1
+        zero-argument callable that builds it, called only on failure (a
+        check whose message raises is not counted)."""
         if not passed:
             self.failures.append(describe() if callable(describe) else describe)
+        self.checks += 1
+
+
+def sweep(name: str, *parts: tuple[Iterable[tuple], Callable[..., Iterator]]) -> LawReport:
+    """The report of the family ``name``: for each part ``(corpus, check)``
+    and each instance of its corpus, in order, ``check(*instance)`` yields
+    ``(passed, describe)`` per law, as :meth:`LawReport.check` takes them.
+    A check that raises fails its instance once, with a message naming the
+    exception, and the sweep goes on."""
+    report = LawReport(name)
+    for corpus, check in parts:
+        for instance in corpus:
+            try:
+                for passed, describe in check(*instance):
+                    report.check(passed, describe)
+            except Exception as err:
+                report.check(False, _raised(err))
+    return report
+
+
+def _raised(err: Exception) -> str:
+    return f"raised {type(err).__name__}: {err}"
 
 
 def all_dimsets(dims_upto: int) -> list[DimSet]:
@@ -163,31 +188,27 @@ def law_tree_boundary(max_nodes: int, dims_upto: int) -> LawReport:
     """op commutes with tree boundaries, and the boundary inclusions are
     exchanged (swapped when the boundary dimension is reversed) through the
     canonical position isomorphisms."""
-    report = LawReport("tree-boundary")
-    for t in all_trees(max_nodes):
-        for w in all_dimsets(dims_upto):
-            opt = op_tree(w, t)
-            iso_t = op_positions_iso(w, t)
-            for k in range(t.dim):
-                bt = boundary_tree(k, t)
-                report.check(
-                    op_tree(w, bt) == boundary_tree(k, opt),
-                    lambda: f"{t} w={sorted(w)} k={k}: boundary of opposite differs",
-                )
-                iso_b = op_positions_iso(w, bt)
-                s_t, t_t = src_inclusion(k, t), tgt_inclusion(k, t)
-                s_o, t_o = src_inclusion(k, opt), tgt_inclusion(k, opt)
-                if k + 1 in w:
-                    first = all(t_t[iso_b[q]] == iso_t[s_o[q]] for q in iso_b)
-                    second = all(s_t[iso_b[q]] == iso_t[t_o[q]] for q in iso_b)
-                else:
-                    first = all(s_t[iso_b[q]] == iso_t[s_o[q]] for q in iso_b)
-                    second = all(t_t[iso_b[q]] == iso_t[t_o[q]] for q in iso_b)
-                report.check(
-                    first and second,
-                    lambda: f"{t} w={sorted(w)} k={k}: inclusion squares fail",
-                )
-    return report
+
+    def check(t, w):
+        opt = op_tree(w, t)
+        iso_t = op_positions_iso(w, t)
+        for k in range(t.dim):
+            bt = boundary_tree(k, t)
+            yield (
+                op_tree(w, bt) == boundary_tree(k, opt),
+                lambda: f"{t} w={sorted(w)} k={k}: boundary of opposite differs",
+            )
+            iso_b = op_positions_iso(w, bt)
+            s_t, t_t = src_inclusion(k, t), tgt_inclusion(k, t)
+            s_o, t_o = src_inclusion(k, opt), tgt_inclusion(k, opt)
+            if k + 1 in w:
+                s_t, t_t = t_t, s_t
+            yield (
+                all(s_t[iso_b[q]] == iso_t[s_o[q]] and t_t[iso_b[q]] == iso_t[t_o[q]] for q in iso_b),
+                lambda: f"{t} w={sorted(w)} k={k}: inclusion squares fail",
+            )
+
+    return sweep("tree-boundary", (itertools.product(all_trees(max_nodes), all_dimsets(dims_upto)), check))
 
 
 def law_tree_action(max_nodes: int, dims_upto: int) -> LawReport:
@@ -195,16 +216,16 @@ def law_tree_action(max_nodes: int, dims_upto: int) -> LawReport:
     set acts trivially and composition is symmetric difference, on trees
     and on positions (``iso_v ∘ iso_w`` is ``iso_{w⊕v}``, and a map onto
     the ``w⊕v``-opposite of the positions of ``t``)."""
-    report = LawReport("tree-action")
     triples = action_triples(dims_upto)
-    for t in all_trees(max_nodes):
-        report.check(op_tree(dimset([]), t) == t, lambda: f"{t}: empty opposite moved the tree")
-        report.check(
+
+    def check(t):
+        yield op_tree(dimset([]), t) == t, lambda: f"{t}: empty opposite moved the tree"
+        yield (
             all(p == q for p, q in op_positions_iso(dimset([]), t).items()),
             lambda: f"{t}: empty opposite moved positions",
         )
         for w, v, wv in triples:
-            report.check(
+            yield (
                 op_tree(w, op_tree(v, t)) == op_tree(wv, t),
                 lambda: f"{t} w={sorted(w)} v={sorted(v)}: tree action is not symmetric difference",
             )
@@ -212,15 +233,16 @@ def law_tree_action(max_nodes: int, dims_upto: int) -> LawReport:
             iso_v = op_positions_iso(v, t)
             iso_w = op_positions_iso(w, op_tree(v, t))
             composite = {q: iso_v[iso_w[q]] for q in iso_w}
-            report.check(
+            yield (
                 composite == dict(op_positions_iso(wv, t)),
                 lambda: f"{t} w={sorted(w)} v={sorted(v)}: position isomorphisms do not compose",
             )
-            report.check(
+            yield (
                 _onto_opposite(composite, wv, str(len(t.children))),
                 lambda: f"{t} w={sorted(w)} v={sorted(v)}: scheme action is not symmetric difference",
             )
-    return report
+
+    return sweep("tree-action", (((t,) for t in all_trees(max_nodes)), check))
 
 
 def _onto_opposite(f: dict[str, str], w: DimSet, last: str) -> bool:
@@ -239,214 +261,208 @@ def _onto_opposite(f: dict[str, str], w: DimSet, last: str) -> bool:
 
 def law_suspension(nm_max: int = 3) -> LawReport:
     """Suspension sends the (n,k,m) composition data to (n+1,k+1,m+1), is
-    inverted by hom factoring, and adds exactly the two basepoints to
+    inverted by desuspension, and adds exactly the two basepoints to
     supports."""
-    report = LawReport("suspension")
-    for n, k, m in comp_triples(nm_max):
-        report.check(
+
+    def shifted(n, k, m):
+        yield (
             suspend_tree(comp_tree(n, k, m)) == comp_tree(n + 1, k + 1, m + 1),
             lambda: f"comp_tree({n},{k},{m}): suspension is not the shifted tree",
         )
-        report.check(
+        yield (
             suspend_cell(comp_cell(n, k, m)) == comp_cell(n + 1, k + 1, m + 1),
             lambda: f"comp_cell({n},{k},{m}): suspension is not the shifted template",
         )
-    for ambient, cell in cell_corpus():
+
+    def inverted(ambient, cell):
         pointed = suspend_computad(ambient)
         up = suspend_cell(cell)
         down = desuspend_cell(up)
-        report.check(
+        yield (
             down == cell,
             lambda: f"{cell_key(cell)}: desuspension does not invert suspension {diff_text(down, cell)}",
         )
-        report.check(
+        yield (
             desuspend_computad(pointed.computad) == ambient,
             "desuspension does not invert suspension on the ambient computad",
         )
         lifted = {f"1.{g}" for g in support(ambient, cell)}
-        report.check(
+        yield (
             support(pointed.computad, up) == lifted | {BASE_MINUS, BASE_PLUS},
             lambda: f"{cell_key(cell)}: suspended support is not the lifted support plus basepoints",
         )
-    return report
+
+    return sweep("suspension", (comp_triples(nm_max), shifted), (cell_corpus(), inverted))
 
 
 def law_pushout_counts(nm_max: int = 4) -> LawReport:
     """Position counts of composition trees match gluing two disks along a
     shared k-disk: count the cells of both disks and remove the shared ones."""
-    report = LawReport("pushout-counts")
-    for n, k, m in comp_triples(nm_max):
+
+    def check(n, k, m):
         levels = positions(comp_tree(n, k, m))
         for d in range(max(n, m) + 1):
-            want = (
-                (d <= n) + (d <= m) + (d < n) + (d < m) - 2 * (d < k) - (d == k)
-            )
+            want = (d <= n) + (d <= m) + (d < n) + (d < m) - 2 * (d < k) - (d == k)
             got = len(levels[d])
-            report.check(
-                got == want,
-                lambda: f"comp({n},{k},{m}) dim {d}: {got} positions, want {want}",
-            )
-    return report
+            yield got == want, lambda: f"comp({n},{k},{m}) dim {d}: {got} positions, want {want}"
+
+    return sweep("pushout-counts", (comp_triples(nm_max), check))
 
 
 def law_typecheck(dims_upto: int = 3) -> LawReport:
     """Everything the kernel builds typechecks, including all opposites of
     the corpus, and the two seeded ill-formed coherences are rejected with
     the right error codes."""
-    report = LawReport("typecheck")
-    corpus = cell_corpus()
-    for ambient, cell in corpus:
-        report.check(
-            is_well_typed(ambient, cell),
-            lambda: f"{cell_key(cell)}: corpus cell does not typecheck",
-        )
-        for w in all_dimsets(dims_upto):
-            report.check(
+    dimsets = all_dimsets(dims_upto)
+    eh = eh_computad().computad
+    two = comp_tree(1, 0, 1)
+    seeded = [
+        ("non-full", Coh(two, Sphere(Var("0", 0), Var("0", 0)), template_sub(two)), "NotFull"),
+        ("non-parallel", Coh(two, Sphere(Var("1.0", 1), Var("2.0", 1)), template_sub(two)), "NotParallel"),
+    ]
+
+    def built(ambient, cell):
+        yield is_well_typed(ambient, cell), lambda: f"{cell_key(cell)}: corpus cell does not typecheck"
+        for w in dimsets:
+            yield (
                 is_well_typed(op_computad(w, ambient), op_cell(w, cell)),
                 lambda: f"{cell_key(cell)} w={sorted(w)}: opposite does not typecheck",
             )
-    eh = eh_computad().computad
-    for g in ("a", "b"):
+
+    def attached(g):
         sphere = eh.sphere_of(g)
-        report.check(
-            is_well_typed(eh.truncate(1), sphere.src)
-            and is_well_typed(eh.truncate(1), sphere.tgt),
+        yield (
+            is_well_typed(eh.truncate(1), sphere.src) and is_well_typed(eh.truncate(1), sphere.tgt),
             lambda: f"{g}: attaching sphere does not typecheck",
         )
-    two = comp_tree(1, 0, 1)
-    not_full = Coh(two, Sphere(Var("0", 0), Var("0", 0)), template_sub(two))
-    report.check(
-        _error_code(eh, not_full) == "NotFull",
-        "seeded non-full coherence was not rejected with NotFull",
-    )
-    not_parallel = Coh(two, Sphere(Var("1.0", 1), Var("2.0", 1)), template_sub(two))
-    report.check(
-        _error_code(eh, not_parallel) == "NotParallel",
-        "seeded non-parallel coherence was not rejected with NotParallel",
-    )
-    return report
 
+    def rejected(kind, cell, code):
+        message = f"seeded {kind} coherence was not rejected with {code}"
+        try:
+            typecheck_cell(eh, cell)
+        except TypecheckError as err:
+            yield err.code == code, message
+        else:
+            yield False, message
 
-def _error_code(c: Computad, cell: CellTerm) -> str | None:
-    try:
-        typecheck_cell(c, cell)
-    except TypecheckError as err:
-        return err.code
-    return None
+    return sweep("typecheck", (cell_corpus(), built), ([("a",), ("b",)], attached), (seeded, rejected))
 
 
 def law_cell_action(dims_upto: int = 3) -> LawReport:
     """The dimension sets act on cells and computads: empty set trivially,
     composition by symmetric difference."""
-    report = LawReport("cell-action")
     triples = action_triples(dims_upto)
-    corpus = cell_corpus()
-    computads = [eh_computad().computad] + [a for a, _ in template_corpus()]
-    for c in computads:
-        report.check(op_computad(dimset([]), c) == c, "empty opposite moved a computad")
+
+    def on_computad(c):
+        yield op_computad(dimset([]), c) == c, "empty opposite moved a computad"
         for w, v, wv in triples:
-            report.check(
+            yield (
                 op_computad(w, op_computad(v, c)) == op_computad(wv, c),
                 lambda: f"w={sorted(w)} v={sorted(v)}: computad action is not symmetric difference",
             )
-    for _, cell in corpus:
+
+    def on_cell(_, cell):
         moved = op_cell(dimset([]), cell)
-        report.check(
-            moved == cell,
-            lambda: f"{cell_key(cell)}: empty opposite moved the cell {diff_text(moved, cell)}",
-        )
+        yield moved == cell, lambda: f"{cell_key(cell)}: empty opposite moved the cell {diff_text(moved, cell)}"
         for w, v, wv in triples:
             lhs, rhs = op_cell(w, op_cell(v, cell)), op_cell(wv, cell)
-            report.check(
+            yield (
                 lhs == rhs,
                 lambda: (
                     f"{cell_key(cell)} w={sorted(w)} v={sorted(v)}: "
                     f"cell action is not symmetric difference {diff_text(lhs, rhs)}"
                 ),
             )
-    return report
+
+    computads = [(eh_computad().computad,)] + [(a,) for a, _ in template_corpus()]
+    return sweep("cell-action", (computads, on_computad), (cell_corpus(), on_cell))
+
+
+def pointed_loops() -> list[tuple[BipointedComputad, CellTerm]]:
+    """Each loop cell of :func:`loop_corpus` with its bipointed computad."""
+    pointed = eh_computad()
+    return [(pointed, cell) for cell in loop_corpus()]
 
 
 def law_hom_roundtrip() -> LawReport:
     """Factoring a loop cell through the hom computad and playing it back is
     the identity, and indecomposability picks out exactly the non-suspension
     shapes."""
-    report = LawReport("hom-roundtrip")
-    pointed = eh_computad()
-    for cell in loop_corpus():
+
+    def roundtrip(pointed, cell):
         h = hom_factor(pointed, cell)
         back = hom_realize(pointed, h)
-        report.check(
+        yield (
             back == cell,
             lambda: f"{cell_key(cell)}: realize after factor is not the identity {diff_text(back, cell)}",
         )
         again = hom_factor(pointed, back)
-        report.check(
+        yield (
             again == h,
             lambda: f"{cell_key(cell)}: factor after realize is not the identity {diff_text(again, h)}",
         )
-    c = pointed.computad
-    id_x = identity_cell(c, c.var("x"))
-    report.check(
-        is_indecomposable(pointed, id_x),
-        "the identity on the basepoint should be indecomposable",
-    )
-    for ambient, cell in template_corpus():
-        up = suspend_cell(cell)
-        report.check(
-            not is_indecomposable(suspend_computad(ambient), up),
+
+    def basepoint(pointed):
+        id_base = identity_cell(pointed.computad, pointed.base_minus)
+        yield is_indecomposable(pointed, id_base), "the identity on the basepoint should be indecomposable"
+
+    def suspended(ambient, cell):
+        yield (
+            not is_indecomposable(suspend_computad(ambient), suspend_cell(cell)),
             lambda: f"{cell_key(cell)}: suspension image should be decomposable",
         )
-    return report
+
+    loops = pointed_loops()
+    pointed = dict.fromkeys((p,) for p, _ in loops)
+    return sweep("hom-roundtrip", (loops, roundtrip), (pointed, basepoint), (template_corpus(), suspended))
 
 
 def law_hom_transport(dims_upto: int = 3) -> LawReport:
-    """Forming opposites commutes with factoring through the hom computad."""
-    report = LawReport("hom-transport")
-    pointed = eh_computad()
-    corpus = loop_corpus()
-    for w in all_dimsets(dims_upto):
-        for cell in corpus:
-            passed, diff = op_hom_transport(w, pointed, cell)
-            report.check(
-                passed,
-                lambda: f"{cell_key(cell)} w={sorted(w)}: {diff}",
-            )
-    return report
+    """Forming opposites commutes with factoring through the hom computad:
+    the factor of the w-opposite is the (w-1)-opposite of the factor."""
+
+    def check(w, pointed, cell):
+        lhs = hom_factor(op_bipointed(w, pointed), op_cell(w, cell))
+        rhs = op_homcell(w, hom_factor(pointed, cell))
+        yield (
+            lhs is rhs,
+            lambda: f"{cell_key(cell)} w={sorted(w)}: factor(op) and op(factor) differ {diff_text(lhs, rhs)}",
+        )
+
+    loops = pointed_loops()
+    return sweep("hom-transport", (((w, *loop) for w in all_dimsets(dims_upto) for loop in loops), check))
 
 
 def law_eh_identities(dims_upto: int = 3) -> LawReport:
-    """The scalar composites over the Eckmann-Hilton computad: reversing an
-    odd dimension at or below the composition swaps the factors, otherwise
-    the composite is fixed; the computad itself is self-dual."""
-    report = LawReport("eh-identities")
-    pointed = eh_computad()
-    c = pointed.computad
+    """The scalar composites over the Eckmann-Hilton computad: reversing
+    dimension k + 1 swaps the factors of a k-composite, and reversing any
+    other dimension fixes it; the computad itself is self-dual."""
+    c = eh_computad().computad
     a, b = c.var("a"), c.var("b")
     w1, w2 = dimset([1]), dimset([2])
     horizontal = {(u, v): compose(c, u, 0, v) for u, v in ((a, b), (b, a))}
     vertical = {(u, v): compose(c, u, 1, v) for u, v in ((a, b), (b, a))}
-    for w, composites, want, message in (
+    table = [
         (w1, horizontal, (b, a), "reversing dimension 1 should swap a horizontal composite"),
         (w2, horizontal, (a, b), "reversing dimension 2 should fix a horizontal composite"),
         (w1, vertical, (a, b), "reversing dimension 1 should fix a vertical composite"),
         (w2, vertical, (b, a), "reversing dimension 2 should swap a vertical composite"),
-    ):
+    ]
+
+    def composite(w, composites, want, message):
         lhs, rhs = op_cell(w, composites[a, b]), composites[want]
-        report.check(lhs == rhs, lambda: f"{message} {diff_text(lhs, rhs)}")
-    for w in all_dimsets(dims_upto):
-        report.check(
-            op_computad(w, c) == c,
-            lambda: f"w={sorted(w)}: the Eckmann-Hilton computad should be self-dual",
-        )
-    return report
+        yield lhs == rhs, lambda: f"{message} {diff_text(lhs, rhs)}"
+
+    def self_dual(w):
+        yield op_computad(w, c) == c, lambda: f"w={sorted(w)}: the Eckmann-Hilton computad should be self-dual"
+
+    return sweep("eh-identities", (table, composite), (((w,) for w in all_dimsets(dims_upto)), self_dual))
 
 
 def law_counit_squares(min_cells: int = 20) -> LawReport:
     """Evaluation of double cells commutes with suspension and with
     opposites (the two monad-component squares), on a generated family of
     double cells over the Eckmann-Hilton closure."""
-    report = LawReport("counit-squares")
     c = eh_computad().computad
     dbl, denote = double_computad(c, eh_closure(1))
     double_cells: list[CellTerm] = [dbl.var(g) for d in range(dbl.bound + 1) for g in dbl.generators_at(d)]
@@ -457,41 +473,45 @@ def law_counit_squares(min_cells: int = 20) -> LawReport:
             double_cells.append(compose(dbl, u, 1, v))
         except BoundaryMismatch:
             continue
-    report.check(
-        len(double_cells) >= min_cells,
-        lambda: f"only {len(double_cells)} double cells were generated",
-    )
+
+    def enough():
+        yield len(double_cells) >= min_cells, lambda: f"only {len(double_cells)} double cells were generated"
 
     up = suspend_computad(c).computad
     up_dbl = suspend_computad(dbl).computad
     up_denote = {f"1.{g}": suspend_cell(cell) for g, cell in denote.items()}
     up_denote[BASE_MINUS] = Var(BASE_MINUS, 0)
     up_denote[BASE_PLUS] = Var(BASE_PLUS, 0)
-    for u in double_cells:
+
+    def suspended(u):
         lhs = counit_eval(up, suspend_cell(u), up_denote)
         rhs = suspend_cell(counit_eval(c, u, denote))
-        report.check(
+        yield (
             lhs == rhs,
             lambda: f"{cell_key(u)}: evaluation does not commute with suspension {diff_text(lhs, rhs)}",
         )
-        report.check(
+        yield (
             is_well_typed(up_dbl, suspend_cell(u)) and is_well_typed(up, lhs),
             lambda: f"{cell_key(u)}: suspended double cell does not typecheck",
         )
-    for w in all_dimsets(3):
-        op_c = op_computad(w, c)
-        op_denote = {g: op_cell(w, cell) for g, cell in denote.items()}
-        for u in double_cells:
-            lhs = counit_eval(op_c, op_cell(w, u), op_denote)
-            rhs = op_cell(w, counit_eval(c, u, denote))
-            report.check(
-                lhs == rhs,
-                lambda: (
-                    f"{cell_key(u)} w={sorted(w)}: "
-                    f"evaluation does not commute with opposites {diff_text(lhs, rhs)}"
-                ),
-            )
-    return report
+
+    opposites = {w: (op_computad(w, c), {g: op_cell(w, cell) for g, cell in denote.items()}) for w in all_dimsets(3)}
+
+    def opposite_square(w, u):
+        op_c, op_denote = opposites[w]
+        lhs = counit_eval(op_c, op_cell(w, u), op_denote)
+        rhs = op_cell(w, counit_eval(c, u, denote))
+        yield (
+            lhs == rhs,
+            lambda: f"{cell_key(u)} w={sorted(w)}: evaluation does not commute with opposites {diff_text(lhs, rhs)}",
+        )
+
+    return sweep(
+        "counit-squares",
+        ([()], enough),
+        (((u,) for u in double_cells), suspended),
+        (itertools.product(opposites, double_cells), opposite_square),
+    )
 
 
 # The law families in sweep order, by report name.  Each entry takes the
@@ -515,15 +535,15 @@ FAMILIES: dict[str, Callable[[int, int], LawReport]] = {
 
 def timed_laws(max_nodes: int = 5, dims_upto: int = 3) -> list[tuple[LawReport, float]]:
     """Each family's report, in sweep order, with its wall time in seconds;
-    a family that raises fails one check, which names the exception."""
+    a family whose own set-up raises fails one check, which names the
+    exception."""
     out = []
     for name, family in FAMILIES.items():
         start = time.perf_counter()
         try:
             report = family(max_nodes, dims_upto)
         except Exception as err:
-            report = LawReport(name)
-            report.check(False, f"raised {type(err).__name__}: {err}")
+            report = LawReport(name, 1, [_raised(err)])
         out.append((report, time.perf_counter() - start))
     return out
 

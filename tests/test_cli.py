@@ -5,6 +5,7 @@ from __future__ import annotations
 import codecs
 import glob
 import json
+import random
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -633,6 +634,52 @@ class TestLawsVerb:
         families = json.loads(out)["families"]
         assert [f["name"] for f in families] == list(laws.FAMILIES)
         assert [f["failures"] for f in families if f["failures"]] == [["raised ValueError: seeded"]]
+
+    def test_a_raising_instance_fails_alone(self, capsys, monkeypatch):
+        """A seeded hom_factor that raises on a chosen set of loop cells:
+        each hom-transport instance that factors one of them fails once,
+        naming the exception, out of the family's full 1,060 checks.  The
+        seeded factor is in force only while hom-transport runs, since
+        hom-roundtrip factors the same cells; every other family line is
+        that of a clean sweep, and the JSON report agrees with the text."""
+        argv = ("laws", "--max-nodes", "2", "--dims-upto", "1")
+        clean = invoke(capsys, *argv)[1].splitlines()
+        loops = laws.loop_corpus()
+        chosen = set(random.Random(26).sample(loops, 40))
+        raising = sum(
+            cell in chosen or laws.op_cell(w, cell) in chosen for w in laws.all_dimsets(1) for cell in loops
+        )
+        assert 40 < raising < 1060
+        real_factor, real_family = laws.hom_factor, laws.law_hom_transport
+
+        def seeded_factor(pointed, cell):
+            if cell in chosen:
+                raise HomFactorError(("seeded",), "a chosen loop cell")
+            return real_factor(pointed, cell)
+
+        def seeded_family(*bounds):
+            with monkeypatch.context() as patch:
+                patch.setattr(laws, "hom_factor", seeded_factor)
+                return real_family(*bounds)
+
+        monkeypatch.setattr(laws, "law_hom_transport", seeded_family)
+        code, text, err = invoke(capsys, *argv)
+        json_code, out, _ = invoke(capsys, *argv, "--json")
+        assert (code, json_code, err) == (1, 1, "")
+        message = "raised HomFactorError: hom factorization failed at seeded: a chosen loop cell"
+        lines = text.splitlines()
+        failed = lines.index(f"hom-transport: {raising} of 1060 checks FAILED")
+        assert lines[failed + 1 : failed + 7] == [f"  {message}"] * 5 + [f"  ... {raising - 5} more"]
+        others = lines[:failed] + lines[failed + 7 : -1]
+        assert others == [line for line in clean[:-1] if not line.startswith("hom-transport: ")]
+        total = int(clean[-1].split()[1])
+        assert lines[-1] == f"{raising} of {total} checks failed"
+        report = json.loads(out)
+        assert (report["checks"], report["failed"]) == (total, raising)
+        by_name = {f["name"]: f for f in report["families"]}
+        assert by_name["hom-transport"]["checks"] == 1060
+        assert by_name["hom-transport"]["failures"] == [message] * raising
+        assert [f"{f['name']}: {f['checks']} checks ok" for f in report["families"] if not f["failures"]] == others
 
     @pytest.mark.parametrize(
         "argv,flag",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 
-from omegatt import homcat, laws
+from omegatt import laws
 from omegatt.metaops import op_cell, rename_cell
 
 
@@ -36,14 +36,28 @@ class TestFailureMessages:
     ``term_diff``'s path, and both sides there."""
 
     def test_message_is_built_only_on_failure(self):
-        calls = []
-        report = laws.LawReport("probe")
-        report.check(True, lambda: calls.append("built") or "unused")
-        report.check(False, lambda: "first")
-        report.check(False, "second")
-        assert calls == []
-        assert report.checks == 3
-        assert report.failures == ["first", "second"]
+        """``sweep`` builds a message only for a failed check, counts an
+        instance whose check raises once, goes on with the instances after
+        it, and keeps the failures in corpus order."""
+        built, ran = [], []
+
+        def parity(n):
+            ran.append(n)
+            if n == 2:
+                raise ValueError("seeded")
+            yield n % 2 == 0, lambda: built.append(n) or f"{n} is odd"
+            yield True, lambda: built.append("passed") or "unused"
+
+        def plain(n):
+            ran.append(n)
+            yield False, f"{n} failed"
+
+        report = laws.sweep("probe", ([(0,), (1,), (2,), (3,)], parity), ([(4,)], plain))
+        assert report.name == "probe"
+        assert ran == [0, 1, 2, 3, 4]
+        assert built == [1, 3]
+        assert report.checks == 2 + 2 + 1 + 2 + 1
+        assert report.failures == ["1 is odd", "raised ValueError: seeded", "3 is odd", "4 failed"]
 
     def test_seeded_suspension_failure(self, monkeypatch):
         monkeypatch.setattr(laws, "desuspend_cell", lambda cell: cell)
@@ -133,8 +147,8 @@ class TestFailureMessages:
         """A mutant op_homcell that also reverses dimension 2: each failure
         gives the path to the first differing subterm and both sides there."""
         flip = frozenset({2})
-        real = homcat.op_homcell
-        monkeypatch.setattr(homcat, "op_homcell", lambda w, h: real(w ^ flip, h))
+        real = laws.op_homcell
+        monkeypatch.setattr(laws, "op_homcell", lambda w, h: real(w ^ flip, h))
         report = laws.law_hom_transport(2)
         assert (report.checks, len(report.failures)) == (2120, 808)
         assert report.failures[0] == (

@@ -15,6 +15,10 @@ named only where they are built (``trees``) and checked as laws
 A computad draft's table grows, so a view read from it would go stale:
 only ``computads``, which defines it, and the elaborator in ``surface``
 name a draft's methods.  Generators are added through the draft alone.
+
+Every law family is a table run by one sweep: only ``sweep`` and
+``timed_laws`` in ``laws`` make or count a law report, and hom transport
+is one of the sweep's checks, not a library function.
 """
 
 from __future__ import annotations
@@ -101,3 +105,24 @@ def test_drafts_stay_with_the_computads_and_the_elaborator(module):
 @pytest.mark.parametrize("module", sorted(RANK))
 def test_one_checked_path_adds_generators(module):
     assert names(module) & {"extend", "_check_sphere"} == set()
+
+
+REPORTED_BY = {"sweep", "timed_laws"}
+
+
+def test_one_sweep_builds_the_law_reports():
+    """A new law family is a table of parts, not a loop of its own."""
+    reporting = set()
+    for top in tree_of("laws").body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id == "LawReport"
+                or isinstance(node.func, ast.Attribute) and node.func.attr == "check"
+            ):
+                reporting.add(getattr(top, "name", None))
+    assert reporting == REPORTED_BY
+
+
+@pytest.mark.parametrize("module", sorted(RANK) + ["__init__"])
+def test_transport_is_a_law_check(module):
+    assert "op_hom_transport" not in names(module)
