@@ -10,9 +10,10 @@ equality of cells is equality of terms, which is what lets the suspension /
 opposite / hom equations downstream be checked with ``==``.
 
 Substitutions and computad morphisms share one representation, a flat
-name-keyed tuple of (name, cell) pairs in canonical order; this relies on
-generator names being unique across dimensions, which ``Computad.make``
-enforces.
+name-keyed tuple of (name, cell) pairs in canonical order (for a coherence,
+that of :func:`omegatt.trees.sorted_positions`, which :func:`typecheck_cell`
+checks); this relies on generator names being unique across dimensions,
+which ``Computad.make`` enforces.
 
 Terms are hash-consed (:mod:`omegatt.hashcons`): ``Var``, ``Sphere`` and
 ``Coh``, like ``BataninTree``, are interned in weak tables, so structurally
@@ -31,9 +32,7 @@ whose result depends on a computad as well is memoised on the computad:
 :func:`typecheck_cell` records the cells that passed, and
 :mod:`omegatt.homcat` keeps its hom factorizations there.  The other walks
 (:func:`map_vars` and so :func:`apply_morphism` and :func:`counit_eval`,
-suspension and desuspension) keep a memo for one call.  Maps that keep the
-keys of a substitution keep its canonical order and do not re-sort it;
-:func:`substitution` sorts, for callers that rename keys.
+suspension and desuspension) keep a memo for one call.
 
 Every computad is valid.  A computad is its generator table, each name with
 its dimension and attaching sphere, as in Dean, Finster, Markakis, Reutter
@@ -572,8 +571,8 @@ def _typecheck(key: tuple[Computad, CellTerm]):
 
 def _typecheck_coh(c: Computad, cell: Coh, passed: set):
     """Check a coherence over the pasting computad of its scheme: sphere,
-    keys, each binding, then each sector in ``attach`` order (level by
-    level, canonical within a level, whatever order the table came in)."""
+    keys in order, each binding, then each sector in ``attach`` order (level
+    by level, canonical within a level, whatever order the table came in)."""
     if cell.tree.dim > cell.dim:
         raise TypecheckError(
             "DimensionMismatch",
@@ -590,14 +589,13 @@ def _typecheck_coh(c: Computad, cell: Coh, passed: set):
         raise TypecheckError("NotParallel", ("sphere",), "coherence sphere cells are not parallel")
     if not is_full(cell.tree, cell.sphere):
         raise TypecheckError("NotFull", ("sphere",), "coherence sphere is not full over its scheme")
-    want, got = pc.table.keys(), {k for k, _ in cell.sub}
-    if want != got:
-        missing, extra = sorted(want - got, key=nat_key), sorted(got - want, key=nat_key)
-        raise TypecheckError(
-            "BadSubstitution",
-            ("sub",),
-            f"positions mismatch: missing {missing}, extra {extra}",
-        )
+    keys = tuple([k for k, _ in cell.sub])
+    if keys != sorted_positions(cell.tree):
+        want, got, message = pc.table.keys(), set(keys), "positions out of canonical order"
+        if want != got:
+            missing, extra = sorted(want - got, key=nat_key), sorted(got - want, key=nat_key)
+            message = f"positions mismatch: missing {missing}, extra {extra}"
+        raise TypecheckError("BadSubstitution", ("sub",), message)
     for p, v in cell.sub:
         d = pc.table[p][0]
         if v.dim != d:
@@ -863,12 +861,12 @@ def cell_from_json(obj: Mapping, dim_of, leaf=var_from_json) -> CellTerm:
     def decoded(body: Mapping, context: str):
         tree = tree_from_list(body["tree"])
         sphere = Sphere((yield body["sphere"]["src"], SCHEME), (yield body["sphere"]["tgt"], SCHEME))
-        sub = []
-        for p, v in body["sub"].items():
-            sub.append((p, (yield v, context)))
+        values = []
+        for v in body["sub"].values():
+            values.append((yield v, context))
         if tuple(body["sub"]) != sorted_positions(tree):  # not as cell_to_json writes it
-            return Coh(tree, sphere, substitution(sub))
-        return Coh(tree, sphere, tuple(sub))
+            return Coh(tree, sphere, substitution(zip(body["sub"], values)))
+        return Coh(tree, sphere, tuple(zip(sorted_positions(tree), values)))
 
     def decode(obj: Mapping, context: str = AMBIENT):
         return walk(step, None, (obj, context))

@@ -3,9 +3,12 @@
 The JSON form round-trips (:func:`document_from_json`).  Each cell is
 written by :func:`omegatt.computads.cell_to_json`: as a tree, or above
 :data:`omegatt.computads.SHARE_ABOVE` nodes as node tables with
-back-references, the leaves of hom cells included; the DOT form is a
-one-way rendering with one ``digraph`` per computad and dimension: the
-``d``-th layer draws the ``d``-generators as edges between their printed
+back-references, the leaves of hom cells included.  A cell over a named
+block names it in ``over``; any other cell (the result of ``op{…}``,
+``susp`` or a template) has ``over`` null and carries the computad the
+elaborator put it over in ``ambient``.  The DOT form is a one-way
+rendering with one ``digraph`` per computad and dimension: the ``d``-th
+layer draws the ``d``-generators as edges between their printed
 ``(d-1)``-boundary cells.  Bound cells only appear in the JSON form.
 """
 
@@ -20,15 +23,12 @@ from .computads import (
     cell_to_json,
     computad_from_json,
     computad_to_json,
-    is_template,
-    pasting_computad,
     var_from_json,
     var_to_json,
 )
 from .hashcons import walk
 from .homcat import homgen_from_json, homgen_to_json
 from .surface import ElabCell, ElabDocument, cell_text
-from .trees import pos_dim
 
 # the JSON leaf codec of each kind of bound cell: (encode, decode)
 LEAVES = {"cell": (var_to_json, var_from_json), "homcell": (homgen_to_json, homgen_from_json)}
@@ -38,8 +38,11 @@ def document_to_json(doc: ElabDocument) -> dict:
     computads = [{"name": name, **computad_to_json(c)} for name, c in doc.computads]
     cells = []
     for name, elab in doc.cells:
-        term = cell_to_json(elab.term, LEAVES[elab.kind][0])
-        cells.append({"name": name, "over": elab.over, "kind": elab.kind, "term": term})
+        entry = {"name": name, "over": elab.over, "kind": elab.kind}
+        if elab.over is None:
+            entry["ambient"] = computad_to_json(elab.ambient)
+        entry["term"] = cell_to_json(elab.term, LEAVES[elab.kind][0])
+        cells.append(entry)
     return {"computads": computads, "cells": cells}
 
 
@@ -75,17 +78,9 @@ def document_from_json(obj: Mapping) -> ElabDocument:
         doc.computads.append((entry["name"], computad_from_json(entry)))
     for entry in obj.get("cells", []):
         over = entry.get("over")
-        ambient = doc.computad(over) if over is not None else Computad.make([], {})
-
-        def dim_of(name: str, c: Computad = ambient) -> int:
-            return c.dim_of(name) if c.has_generator(name) else pos_dim(name)
-
-        term = cell_from_json(entry["term"], dim_of, LEAVES[entry["kind"]][1])
-        if entry["kind"] == "cell" and over is None and is_template(term):
-            ambient = pasting_computad(term.tree)
-        doc.cells.append(
-            (entry["name"], ElabCell(entry["kind"], ambient, term, over))
-        )
+        ambient = doc.computad(over) if over is not None else computad_from_json(entry["ambient"])
+        term = cell_from_json(entry["term"], ambient.dim_of, LEAVES[entry["kind"]][1])
+        doc.cells.append((entry["name"], ElabCell(entry["kind"], ambient, term, over)))
     return doc
 
 

@@ -58,7 +58,7 @@ from .metaops import (
     suspend_coh,
     unsuspend_sub,
 )
-from .trees import tree_to_list
+from .trees import sorted_positions, tree_to_list
 
 
 class HomGenerator(HashConsed):
@@ -152,10 +152,10 @@ def _hom_factor_node(c: BipointedComputad, cell: CellTerm):
         raise HomFactorError(
             ("sphere",), "desuspended sphere is not full over the desuspended scheme"
         )
-    sub = []
-    for p, v in entries:
-        sub.append((p[2:], (yield v)))  # keeps the canonical order (see suspend_coh)
-    return Coh(tree, sphere, tuple(sub))
+    values = []
+    for _, v in entries:
+        values.append((yield v))
+    return Coh(tree, sphere, tuple(zip(sorted_positions(tree), values)))
 
 
 def hom_realize(c: BipointedComputad, h: HomCell) -> CellTerm:
@@ -187,9 +187,6 @@ def op_homcell(w: DimSet, h: HomCell) -> HomCell:
 
 
 def _op_hom_step(w: DimSet, h: HomCell):
-    out = recall(h, "_op", w)
-    if out is not None:
-        return out
     if type(h) is HomGenerator:
         return store(h, "_op", w, *HomGenerator.build(op_cell(w, h.underlying)))
     return op_coh(dimset_down(w), h, w, False)

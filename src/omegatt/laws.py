@@ -49,6 +49,7 @@ from .metaops import (
 )
 from .oplib import BoundaryMismatch, comp_cell, compose, eh_computad, identity_cell
 from .trees import (
+    BataninTree,
     POSITIONS,
     all_trees,
     boundary_tree,
@@ -86,7 +87,7 @@ def sweep(name: str, *parts: tuple[Iterable[tuple], Callable[..., Iterator]]) ->
     and each instance of its corpus, in order, ``check(*instance)`` yields
     ``(passed, describe)`` per law, as :meth:`LawReport.check` takes them.
     A check that raises fails its instance once, with a message naming the
-    exception, and the sweep goes on."""
+    instance and the exception, and the sweep goes on."""
     report = LawReport(name)
     for corpus, check in parts:
         for instance in corpus:
@@ -94,12 +95,18 @@ def sweep(name: str, *parts: tuple[Iterable[tuple], Callable[..., Iterator]]) ->
                 for passed, describe in check(*instance):
                     report.check(passed, describe)
             except Exception as err:
-                report.check(False, _raised(err))
+                report.check(False, _raised(err, instance))
     return report
 
 
-def _raised(err: Exception) -> str:
-    return f"raised {type(err).__name__}: {err}"
+def _raised(err: Exception, instance: tuple = ()) -> str:
+    """The message of a raise, after the instance named as the families name
+    theirs: cells by key, trees, numbers and strings as printed, then ``w=[…]``."""
+    names = [cell_key(x) if isinstance(x, (Var, Coh)) else str(x)
+             for x in instance if isinstance(x, (Var, Coh, BataninTree, int, str))]
+    names += [f"w={sorted(x)}" for x in instance if isinstance(x, frozenset)]
+    raised = f"raised {type(err).__name__}: {err}"
+    return f"{' '.join(names)}: {raised}" if names else raised
 
 
 def all_dimsets(dims_upto: int) -> list[DimSet]:

@@ -40,7 +40,7 @@ from .computads import (
 )
 from .globular import DimSet, canonical_dimset
 from .hashcons import recall, store, walk
-from .trees import BataninTree, op_positions_iso, op_sub_order, op_tree, suspend_tree
+from .trees import BataninTree, op_positions_iso, op_sub_order, op_tree, sorted_positions, suspend_tree
 
 BASE_MINUS = "0"
 BASE_PLUS = "1"
@@ -87,21 +87,21 @@ def _suspend(cell: CellTerm):
 
 def suspend_coh(cell: Coh, base: tuple[CellTerm, CellTerm], memo: dict | None):
     """The coherence case of suspension: the scheme and the sphere go one
-    dimension up, the two fresh root sectors go to ``base`` and every other
-    position ``p`` becomes ``1.p``.  Under ``nat_key`` the basepoints come
-    before every ``1.``-name and the prefix keeps the order of the rest, so
-    the substitution comes out in canonical order with no sort.  The sphere
-    cells are yielded too when ``memo`` is None, else suspended through
-    ``memo`` for a walk whose leaves are of another kind."""
-    sub = [(BASE_MINUS, base[0]), (BASE_PLUS, base[1])]
-    for p, v in cell.sub:
-        sub.append((f"1.{p}", (yield v)))
+    dimension up, the two fresh root sectors go to ``base`` and the
+    suspended values of the old positions, in their order, to the positions
+    above them.  The sphere cells are yielded too when ``memo`` is None,
+    else suspended through ``memo`` for a walk whose leaves are of another
+    kind."""
+    values = list(base)
+    for _, v in cell.sub:
+        values.append((yield v))
     if memo is None:
         src = yield cell.sphere.src
         tgt = yield cell.sphere.tgt
     else:
         src, tgt = walk(_suspend, memo, cell.sphere.src), walk(_suspend, memo, cell.sphere.tgt)
-    return Coh(suspend_tree(cell.tree), Sphere(src, tgt), tuple(sub))
+    tree = suspend_tree(cell.tree)
+    return Coh(tree, Sphere(src, tgt), tuple(zip(sorted_positions(tree), values)))
 
 
 def suspend_sphere(sphere: Sphere) -> Sphere:
@@ -157,31 +157,31 @@ def _desuspend(cell: CellTerm):
             return Var(cell.name[2:], cell.dim - 1)
         reason = "a basepoint 0-cell" if cell.dim == 0 else f"generator {cell.name!r} is not shifted"
         raise NotASuspension((), reason)
-    sub, at = [], ()  # at: the step to the child being desuspended
+    values, at = [], ()  # at: the step to the child being desuspended
     try:
         for p, v in unsuspend_sub(cell, _BASEPOINTS):
             at = ("sub", p)
-            sub.append((p[2:], (yield v)))  # keeps the canonical order (see suspend_coh)
+            values.append((yield v))
         at = ("sphere", "src")
         src = yield cell.sphere.src
         at = ("sphere", "tgt")
         sphere = Sphere(src, (yield cell.sphere.tgt))
     except NotASuspension as err:
         raise prefixed(err, at)
-    return Coh(cell.tree.children[0], sphere, tuple(sub))
+    tree = cell.tree.children[0]
+    return Coh(tree, sphere, tuple(zip(sorted_positions(tree), values)))
 
 
-def unsuspend_sub(cell: Coh, base: tuple[CellTerm, CellTerm]) -> list[tuple[str, CellTerm]]:
+def unsuspend_sub(cell: Coh, base: tuple[CellTerm, CellTerm]) -> tuple[tuple[str, CellTerm], ...]:
     """The shape test of desuspension on a coherence: its scheme has one
-    branch and its substitution sends the two root sectors to ``base``.
-    Returns the other bindings, still under their ``1.``-names; raises
-    NotASuspension at the first obstruction."""
+    branch and its substitution sends the two root sectors, bound first, to
+    ``base``.  Returns the other bindings, still under their ``1.``-names;
+    raises NotASuspension at the first obstruction."""
     if len(cell.tree.children) != 1:
         raise NotASuspension(("tree",), f"scheme has {len(cell.tree.children)} branches, want 1")
-    bound = dict(cell.sub)
-    if bound.get(BASE_MINUS) != base[0] or bound.get(BASE_PLUS) != base[1]:
+    if cell.sub[0][1] != base[0] or cell.sub[1][1] != base[1]:
         raise NotASuspension(("sub",), "root sectors are not sent to the basepoints")
-    return [(p, v) for p, v in cell.sub if p not in (BASE_MINUS, BASE_PLUS)]
+    return cell.sub[2:]
 
 
 def desuspend_sphere(sphere: Sphere, path: tuple[str, ...] = ()) -> Sphere:

@@ -16,7 +16,9 @@ letters x,y,z,u,v,w (dimension 0), f,g,h,k,l (dimension 1) and a,b,c,d,e
 (dimension 2) may be used as aliases for the positions of that dimension in
 canonical order, so the two-arrow composite can be written
 ``coh [[],[]] { x -> z } []``.  Printing always uses the canonical numeric
-position names; printing is deterministic and re-parses to the same terms.
+position names and is deterministic.  A ``let`` over a block or a template
+re-parses to the same term; an ``op{…}`` or ``susp`` ``let`` does not, as
+the text omits the computad it lives over (the JSON export keeps it).
 
 Shared form.  The cell of a ``let`` and each side of a generator's sphere
 may be followed by ``where { $1 = cell; @2 = cell; ... }``, which binds

@@ -441,6 +441,36 @@ ERROR_PATHS = [
         ["check"], "computad a { x : * ; }\nlet p = x\ncomputad b { y : * ; }\nlet q = id(p)\n",
         1, "{file}:4:12: 'p' lives over a different computad", id="other-computad",
     ),
+    pytest.param(
+        ["check"], LOOP_DOC + "let a = op{0}(f)\n",
+        1, "{file}:2:9: dimension sets contain positive integers only", id="op-dimension-zero",
+    ),
+    pytest.param(
+        ["check"], EH_DOC + "let h = homfactor(comp(2,1,2)[a, b])\nlet k = id(h)\n",
+        1, "{file}:7:12: 'h' is a hom cell", id="id-of-hom-cell",
+    ),
+    pytest.param(
+        ["check"], LOOP_DOC + "let t = coh [[],[]] { 0 -> 1.0 } []\n",
+        1, "{file}:2:9: sphere cells must share a dimension: 0 != 1", id="sphere-dims",
+    ),
+    pytest.param(
+        ["check"], "computad c { x : * ; y : * ; f : x -> y ; }\nlet a = comp(1,0,1)[f, f]\n",
+        1, "{file}:2:9: cannot compose along dimension 0: k-target of the first is not the k-source of the second",
+        id="comp-boundaries",
+    ),
+    pytest.param(
+        ["check"], LOOP_DOC + "let a = comp(1,0,1)[q => f, 0 => x]\n",
+        1, "{file}:2:21: 'q' is not a position of the scheme", id="comp-unknown-position",
+    ),
+    pytest.param(
+        ["desusp"], "computad c { 0 : * ; 1 : * ; f : 0 -> 1 ; }\n",
+        1, "omegatt: not a suspension at f: generator is not shifted", id="desusp-unshifted",
+    ),
+    pytest.param(
+        ["desusp"], "computad c { 0 : * ; 1 : * ; 1.x : 0 -> 1 ; 1.g : 1 -> 0 ; }\n",
+        1, "omegatt: not a suspension at 1.g: 1-generator not attached to the basepoints",
+        id="desusp-unattached",
+    ),
     pytest.param(["id", "zz"], LOOP_DOC, 1, "omegatt: unknown cell 'zz'", id="id-unknown"),
     pytest.param(
         ["id", "v"], EH_DOC + "let v = homfactor(comp(2,1,2)[a, b])\n",
@@ -638,17 +668,23 @@ class TestLawsVerb:
     def test_a_raising_instance_fails_alone(self, capsys, monkeypatch):
         """A seeded hom_factor that raises on a chosen set of loop cells:
         each hom-transport instance that factors one of them fails once,
-        naming the exception, out of the family's full 1,060 checks.  The
-        seeded factor is in force only while hom-transport runs, since
-        hom-roundtrip factors the same cells; every other family line is
-        that of a clean sweep, and the JSON report agrees with the text."""
+        naming its loop cell, its dimension set and the exception, out of
+        the family's full 1,060 checks.  The seeded factor is in force only
+        while hom-transport runs, since hom-roundtrip factors the same
+        cells; every other family line is that of a clean sweep, and the
+        JSON report agrees with the text."""
         argv = ("laws", "--max-nodes", "2", "--dims-upto", "1")
         clean = invoke(capsys, *argv)[1].splitlines()
         loops = laws.loop_corpus()
         chosen = set(random.Random(26).sample(loops, 40))
-        raising = sum(
-            cell in chosen or laws.op_cell(w, cell) in chosen for w in laws.all_dimsets(1) for cell in loops
-        )
+        raised = "raised HomFactorError: hom factorization failed at seeded: a chosen loop cell"
+        messages = [
+            f"{laws.cell_key(cell)} w={sorted(w)}: {raised}"
+            for w in laws.all_dimsets(1)
+            for cell in loops
+            if cell in chosen or laws.op_cell(w, cell) in chosen
+        ]
+        raising = len(messages)
         assert 40 < raising < 1060
         real_factor, real_family = laws.hom_factor, laws.law_hom_transport
 
@@ -666,10 +702,9 @@ class TestLawsVerb:
         code, text, err = invoke(capsys, *argv)
         json_code, out, _ = invoke(capsys, *argv, "--json")
         assert (code, json_code, err) == (1, 1, "")
-        message = "raised HomFactorError: hom factorization failed at seeded: a chosen loop cell"
         lines = text.splitlines()
         failed = lines.index(f"hom-transport: {raising} of 1060 checks FAILED")
-        assert lines[failed + 1 : failed + 7] == [f"  {message}"] * 5 + [f"  ... {raising - 5} more"]
+        assert lines[failed + 1 : failed + 7] == [f"  {m}" for m in messages[:5]] + [f"  ... {raising - 5} more"]
         others = lines[:failed] + lines[failed + 7 : -1]
         assert others == [line for line in clean[:-1] if not line.startswith("hom-transport: ")]
         total = int(clean[-1].split()[1])
@@ -678,7 +713,7 @@ class TestLawsVerb:
         assert (report["checks"], report["failed"]) == (total, raising)
         by_name = {f["name"]: f for f in report["families"]}
         assert by_name["hom-transport"]["checks"] == 1060
-        assert by_name["hom-transport"]["failures"] == [message] * raising
+        assert by_name["hom-transport"]["failures"] == messages
         assert [f"{f['name']}: {f['checks']} checks ok" for f in report["families"] if not f["failures"]] == others
 
     @pytest.mark.parametrize(

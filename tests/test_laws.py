@@ -5,7 +5,10 @@ from __future__ import annotations
 import hashlib
 
 from omegatt import laws
+from omegatt.globular import dimset
 from omegatt.metaops import op_cell, rename_cell
+from omegatt.oplib import eh_computad
+from omegatt.trees import comp_tree
 
 
 def _swap_ab(cell):
@@ -37,8 +40,8 @@ class TestFailureMessages:
 
     def test_message_is_built_only_on_failure(self):
         """``sweep`` builds a message only for a failed check, counts an
-        instance whose check raises once, goes on with the instances after
-        it, and keeps the failures in corpus order."""
+        instance whose check raises once, naming the instance, goes on with
+        the instances after it, and keeps the failures in corpus order."""
         built, ran = [], []
 
         def parity(n):
@@ -57,7 +60,23 @@ class TestFailureMessages:
         assert ran == [0, 1, 2, 3, 4]
         assert built == [1, 3]
         assert report.checks == 2 + 2 + 1 + 2 + 1
-        assert report.failures == ["1 is odd", "raised ValueError: seeded", "3 is odd", "4 failed"]
+        assert report.failures == ["1 is odd", "2: raised ValueError: seeded", "3 is odd", "4 failed"]
+
+    def test_a_raising_instance_is_named_as_the_families_name_theirs(self):
+        """Cells by their key, trees as they print, then the dimension set;
+        the computads of an instance are left out."""
+        pointed = eh_computad()
+        a = pointed.computad.var("a")
+
+        def boom(*instance):
+            raise ValueError("seeded")
+            yield
+
+        corpus = [(pointed, a, dimset([2, 1])), (comp_tree(1, 0, 1), pointed.computad, dimset([]))]
+        assert laws.sweep("probe", (corpus, boom)).failures == [
+            "a w=[1, 2]: raised ValueError: seeded",
+            f"{comp_tree(1, 0, 1)} w=[]: raised ValueError: seeded",
+        ]
 
     def test_seeded_suspension_failure(self, monkeypatch):
         monkeypatch.setattr(laws, "desuspend_cell", lambda cell: cell)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from omegatt.computads import (
@@ -150,3 +153,26 @@ class TestEhComputad:
             sphere = c.sphere_of(g)
             assert is_well_typed(c.truncate(1), sphere.src)
             assert is_well_typed(c.truncate(1), sphere.tgt)
+
+
+def test_eh_demo_runs_to_the_end(capsys):
+    """``scripts/eh_demo.py``, which the README points to, asserts the two
+    reversal identities and the hom round trip as it prints them."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "eh_demo.py"
+    spec = importlib.util.spec_from_file_location("eh_demo", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    demo.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "computad eh {"
+    for line in (
+        "op{1}(comp(2,0,2)[a, b]) == comp(2,0,2)[b, a]",
+        "op{2}(comp(2,1,2)[a, b]) == comp(2,1,2)[b, a]",
+        "realize(factor(vertical)) == vertical",
+    ):
+        assert line in lines
+    assert lines[-3:] == [
+        "is_indecomposable(id(x)): True",
+        "is_indecomposable(vertical): False",
+        "is_indecomposable(horizontal): True",
+    ]

@@ -140,6 +140,30 @@ class TestRoundTrips:
         assert back.cells[0][1].term is doc.cells[0][1].term
 
 
+def test_lets_off_a_block_come_back_over_their_own_computads():
+    """A let whose term does not live over a block (an opposite, a
+    suspension, a template, a hom cell of an opposite) is written with its
+    ambient computad, so each term and each ambient comes back as the same
+    object, where a guessed ambient would decode its generators as points."""
+    doc = load_document(
+        "computad c { x : * ; y : * ; f : x -> y ; g : y -> x ; }\n"
+        "let fg = comp(1,0,1)[f, g]\n"
+        "let a = op{1}(fg)\n"
+        "let s = susp(f)\n"
+        "let t = comp(1,0,1)[]\n"
+        "let h = homfactor(op{2}(id(f)))\n"
+    )
+    exported = document_to_json(doc)
+    assert [entry["over"] for entry in exported["cells"]] == ["c", None, None, None, None]
+    assert "ambient" not in exported["cells"][0]
+    back = document_from_json(json.loads(json.dumps(exported)))
+    assert [name for name, _ in back.cells] == ["fg", "a", "s", "t", "h"]
+    for (_, want), (_, got) in zip(doc.cells, back.cells, strict=True):
+        assert (got.kind, got.over) == (want.kind, want.over)
+        assert got.term is want.term
+        assert got.ambient is want.ambient
+
+
 class TestWhenToShare:
     def test_small_terms_print_as_trees(self):
         cell = comp_cell(6, 0, 6)

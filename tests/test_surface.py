@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import char_lexer
 from omegatt import computads
-from omegatt.computads import Coh, Var, identity_sub, pasting_computad
+from omegatt.computads import Coh, Var, identity_sub, is_well_typed, pasting_computad
 from omegatt.globular import dimset
 from omegatt.metaops import op_cell, suspend_cell
 from omegatt.oplib import comp_cell, compose, eh_computad, identity_cell
@@ -294,6 +294,14 @@ class TestElaboration:
         doc = load_document(EH_SOURCE + "let i = id(a)")
         c = doc.computad("eh")
         assert dict(doc.cells)["i"].term == identity_cell(c, c.var("a"))
+
+    def test_id_in_a_sphere(self):
+        doc = load_document("computad c { x : * ; }\nlet u = coh [] { id(0) -> id(0) } [0 => x]")
+        elab = dict(doc.cells)["u"]
+        point = Var("0", 0)
+        assert elab.term.dim == 2
+        assert elab.term.sphere.src is identity_cell(pasting_computad(elab.term.tree), point)
+        assert is_well_typed(elab.ambient, elab.term)
 
     def test_nested_id_reads_no_globular_set(self):
         # elaborating reads each scheme through its pasting computad; the

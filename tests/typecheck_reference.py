@@ -60,6 +60,8 @@ def typecheck(c, cell, path=(), passed=None) -> None:
         raise TypecheckError(
             "BadSubstitution", path + ("sub",), f"positions mismatch: missing {missing}, extra {extra}"
         )
+    if [k for k, _ in cell.sub] != sorted(want, key=nat_key):
+        raise TypecheckError("BadSubstitution", path + ("sub",), "positions out of canonical order")
     for p, v in cell.sub:
         if v.dim != pos_dim(p):
             raise TypecheckError(
