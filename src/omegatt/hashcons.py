@@ -17,20 +17,24 @@ the result strongly only when the call that made the entry also built the
 result, and weakly otherwise.  Strong entries then always point from an
 older node to a younger one, so the memos never close a reference cycle
 among cells, and reference counting alone frees a dropped term.
-:func:`walk` drives every deep traversal that finishes a node after its
-children (to use their values, or to write after them), with its memo for
-one call or in a slot, and takes no Python frame per level; a pass that
-only collects is a plain work-list instead.
+:func:`walk` drives the deep traversals of terms and documents that finish
+a node after its children (to use their values, or to write after them),
+with its memo for one call or in a slot, and takes no Python frame per
+level.  The tree walks that run for every tree of a law sweep
+(:func:`omegatt.trees.op_tree`, :func:`omegatt.trees.boundary_tree`) are
+work-list loops over the tree's own memo dict instead, with no generator
+per node, and a pass that only collects is a plain work-list.
 
 The memo slots and tables, and what bounds each one:
 
 * ``BataninTree._op`` (:func:`omegatt.trees.op_tree` per dimension set),
-  ``._boundary`` (:func:`omegatt.trees.boundary_tree` per dimension) and
-  ``._names`` (:func:`omegatt.trees.sorted_positions`, the one tuple of
-  the tree's position names, which every table below shares): a tree
-  lives as long as the tables below hold it.  The first two are dicts
-  made with the tree and read directly: they are on the hot path of the
-  tree laws.
+  ``._boundary`` (:func:`omegatt.trees.boundary_tree` per dimension below
+  the tree's own: at or above it the boundary is the tree, kept in no
+  entry) and ``._names`` (:func:`omegatt.trees.sorted_positions`, the one
+  tuple of the tree's position names, which every table below shares): a
+  tree lives as long as the tables below hold it.  The first two are
+  dicts made with the tree and read and written directly: they are on the
+  hot path of the tree laws.
 * ``Coh._op`` (:func:`omegatt.metaops.op_cell` per dimension set),
   ``._boundary`` (:func:`omegatt.computads.cell_boundary`), ``._key``
   (:func:`omegatt.computads.cell_key`), ``HomGenerator._op``

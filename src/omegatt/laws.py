@@ -8,6 +8,15 @@ families (``timed_laws`` also times each); the ``laws`` CLI verb prints one
 line per family (:func:`format_reports`), or under ``--json`` one object
 with each family's checks, failures and seconds (:func:`reports_to_json`).
 The corpus builders are also used directly by the test suite.
+
+A corpus that two families read is built once for both: the tree families
+share the tuple of :func:`tree_corpus` and the hom families that of
+:func:`pointed_loops`.  Each is a one-entry cache filled on first use.  The
+trees stay until a sweep asks for another bound (the tree tables hold them
+anyway).  The loops, with the Eckmann-Hilton computad that keeps the hom
+memos of hom-roundtrip alive for hom-transport, are dropped when
+hom-transport ends, so the families after it reuse their memory.  Within
+counit-squares, each double cell is evaluated once for its two squares.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator
 
 from .computads import (
@@ -187,6 +197,22 @@ def loop_corpus() -> list[CellTerm]:
     return eh_closure(2)
 
 
+@lru_cache(maxsize=1)
+def tree_corpus(max_nodes: int) -> tuple[BataninTree, ...]:
+    """The trees of :func:`all_trees`, enumerated once for the two tree
+    families of a sweep."""
+    return tuple(all_trees(max_nodes))
+
+
+@lru_cache(maxsize=1)
+def pointed_loops() -> tuple[tuple[BipointedComputad, CellTerm], ...]:
+    """Each loop cell of :func:`loop_corpus` with its bipointed computad,
+    built once for the two hom families of a sweep; the second empties the
+    cache."""
+    pointed = eh_computad()
+    return tuple((pointed, cell) for cell in loop_corpus())
+
+
 # ---------------------------------------------------------------------------
 # law families
 
@@ -215,7 +241,7 @@ def law_tree_boundary(max_nodes: int, dims_upto: int) -> LawReport:
                 lambda: f"{t} w={sorted(w)} k={k}: inclusion squares fail",
             )
 
-    return sweep("tree-boundary", (itertools.product(all_trees(max_nodes), all_dimsets(dims_upto)), check))
+    return sweep("tree-boundary", (itertools.product(tree_corpus(max_nodes), all_dimsets(dims_upto)), check))
 
 
 def law_tree_action(max_nodes: int, dims_upto: int) -> LawReport:
@@ -241,7 +267,7 @@ def law_tree_action(max_nodes: int, dims_upto: int) -> LawReport:
             iso_w = op_positions_iso(w, op_tree(v, t))
             composite = {q: iso_v[iso_w[q]] for q in iso_w}
             yield (
-                composite == dict(op_positions_iso(wv, t)),
+                composite == op_positions_iso(wv, t),
                 lambda: f"{t} w={sorted(w)} v={sorted(v)}: position isomorphisms do not compose",
             )
             yield (
@@ -249,7 +275,7 @@ def law_tree_action(max_nodes: int, dims_upto: int) -> LawReport:
                 lambda: f"{t} w={sorted(w)} v={sorted(v)}: scheme action is not symmetric difference",
             )
 
-    return sweep("tree-action", (((t,) for t in all_trees(max_nodes)), check))
+    return sweep("tree-action", (((t,) for t in tree_corpus(max_nodes)), check))
 
 
 def _onto_opposite(f: dict[str, str], w: DimSet, last: str) -> bool:
@@ -260,9 +286,11 @@ def _onto_opposite(f: dict[str, str], w: DimSet, last: str) -> bool:
     if (f["0"], f[last]) != ((last, "0") if 1 in w else ("0", last)):
         return False
     for p, q in f.items():
-        pos, image = POSITIONS[p], POSITIONS[q]
-        if pos.dim and (f[pos.lo], f[pos.hi]) != ((image.hi, image.lo) if pos.dim in w else (image.lo, image.hi)):
-            return False
+        _, d, lo, hi, _ = POSITIONS[p]
+        if d:
+            _, _, image_lo, image_hi, _ = POSITIONS[q]
+            if (f[lo], f[hi]) != ((image_hi, image_lo) if d in w else (image_lo, image_hi)):
+                return False
     return True
 
 
@@ -385,12 +413,6 @@ def law_cell_action(dims_upto: int = 3) -> LawReport:
     return sweep("cell-action", (computads, on_computad), (cell_corpus(), on_cell))
 
 
-def pointed_loops() -> list[tuple[BipointedComputad, CellTerm]]:
-    """Each loop cell of :func:`loop_corpus` with its bipointed computad."""
-    pointed = eh_computad()
-    return [(pointed, cell) for cell in loop_corpus()]
-
-
 def law_hom_roundtrip() -> LawReport:
     """Factoring a loop cell through the hom computad and playing it back is
     the identity, and indecomposability picks out exactly the non-suspension
@@ -437,7 +459,9 @@ def law_hom_transport(dims_upto: int = 3) -> LawReport:
         )
 
     loops = pointed_loops()
-    return sweep("hom-transport", (((w, *loop) for w in all_dimsets(dims_upto) for loop in loops), check))
+    report = sweep("hom-transport", (((w, *loop) for w in all_dimsets(dims_upto) for loop in loops), check))
+    pointed_loops.cache_clear()  # the last family to read the loops: the families after it reuse their memory
+    return report
 
 
 def law_eh_identities(dims_upto: int = 3) -> LawReport:
@@ -489,10 +513,17 @@ def law_counit_squares(min_cells: int = 20) -> LawReport:
     up_denote = {f"1.{g}": suspend_cell(cell) for g, cell in denote.items()}
     up_denote[BASE_MINUS] = Var(BASE_MINUS, 0)
     up_denote[BASE_PLUS] = Var(BASE_PLUS, 0)
+    evaluated: dict[CellTerm, CellTerm] = {}  # each double cell's evaluation, made once for both squares
+
+    def evaluate(u):
+        out = evaluated.get(u)
+        if out is None:
+            out = evaluated[u] = counit_eval(c, u, denote)
+        return out
 
     def suspended(u):
         lhs = counit_eval(up, suspend_cell(u), up_denote)
-        rhs = suspend_cell(counit_eval(c, u, denote))
+        rhs = suspend_cell(evaluate(u))
         yield (
             lhs == rhs,
             lambda: f"{cell_key(u)}: evaluation does not commute with suspension {diff_text(lhs, rhs)}",
@@ -507,7 +538,7 @@ def law_counit_squares(min_cells: int = 20) -> LawReport:
     def opposite_square(w, u):
         op_c, op_denote = opposites[w]
         lhs = counit_eval(op_c, op_cell(w, u), op_denote)
-        rhs = op_cell(w, counit_eval(c, u, denote))
+        rhs = op_cell(w, evaluate(u))
         yield (
             lhs == rhs,
             lambda: f"{cell_key(u)} w={sorted(w)}: evaluation does not commute with opposites {diff_text(lhs, rhs)}",

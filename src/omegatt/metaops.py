@@ -179,7 +179,7 @@ def unsuspend_sub(cell: Coh, base: tuple[CellTerm, CellTerm]) -> tuple[tuple[str
     raises NotASuspension at the first obstruction."""
     if len(cell.tree.children) != 1:
         raise NotASuspension(("tree",), f"scheme has {len(cell.tree.children)} branches, want 1")
-    if cell.sub[0][1] != base[0] or cell.sub[1][1] != base[1]:
+    if len(cell.sub) < 2 or cell.sub[0][1] != base[0] or cell.sub[1][1] != base[1]:
         raise NotASuspension(("sub",), "root sectors are not sent to the basepoints")
     return cell.sub[2:]
 

@@ -44,8 +44,9 @@ class BataninTree(HashConsed):
     with the tree, so the hot lookups in them take no helper call, and
     their entries are strong: a tree stays in the position caches for the
     life of the process anyway, so a memo cycle between a tree and its
-    opposite or its boundary (the tree itself at or above its dimension)
-    costs nothing.
+    opposite (the tree itself, for a dimension set that reverses nothing
+    in it) costs nothing.  ``_boundary`` has no entry at or above the
+    tree's dimension, where the boundary is the tree itself.
     """
 
     __slots__ = ("children", "dim", "nodes", "_op", "_boundary", "_names")
@@ -101,18 +102,29 @@ def disk_tree(n: int) -> BataninTree:
 
 
 def boundary_tree(k: int, t: BataninTree) -> BataninTree:
-    """Truncate to height <= k (the k-boundary of the scheme).  Memoised
-    on ``t`` per ``k``."""
+    """Truncate to height <= k (the k-boundary of the scheme): ``t`` itself
+    when ``k >= t.dim``, otherwise memoised on ``t`` per ``k``, as is the
+    boundary of each subtree it needs."""
     if k < 0:
         raise ValueError(f"boundary_tree: negative dimension {k}")
-    return t._boundary.get(k) or walk(_boundary_step, {}, (k, t))
-
-
-def _boundary_step(key: tuple[int, BataninTree]):
-    k, t = key
-    return t._boundary.get(k) or gather(
-        [(k - 1, c) for c in t.children] if k else [], lambda kids: t._boundary.setdefault(k, BataninTree(kids))
-    )
+    if k >= t.dim:
+        return t
+    out = t._boundary.get(k)
+    if out is None:
+        todo = [(k, t)]  # (k, node) with k < node.dim, each above the children it waits for
+        while todo:
+            k, node = todo[-1]
+            if k in node._boundary:
+                todo.pop()
+                continue
+            wait = [(k - 1, c) for c in node.children if k - 1 < c.dim and k - 1 not in c._boundary] if k else ()
+            if wait:
+                todo += wait
+                continue
+            todo.pop()
+            node._boundary[k] = BataninTree(tuple([c._boundary.get(k - 1, c) for c in node.children]) if k else ())
+        out = t._boundary[k]
+    return out
 
 
 def suspend_tree(t: BataninTree) -> BataninTree:
@@ -190,25 +202,39 @@ def tgt_inclusion(k: int, t: BataninTree) -> Mapping[str, str]:
     """
     if k < 0:
         raise ValueError(f"tgt_inclusion: negative dimension {k}")
-    last = {pos.hi: pos.name for pos in position_levels(t)[k]} if k <= t.dim else {}  # rightmost sector per k-node
-    return {p: last[POSITIONS[p].hi] if POSITIONS[p].dim == k else p for p in sorted_positions(boundary_tree(k, t))}
+    last = {}  # the rightmost sector of each k-node, under the node's hi: a (k-1)-position, or None at the root
+    for pos in map(POSITIONS.__getitem__, sorted_positions(t)):
+        if pos.dim == k:
+            last[pos.hi] = pos.name
+    # below dimension k a position's hi is no key of last (of lower dimension, or None with k > 0): it stays
+    return {p: last.get(POSITIONS[p].hi, p) for p in sorted_positions(boundary_tree(k, t))}
 
 
 def op_tree(w: DimSet, t: BataninTree) -> BataninTree:
     """Reverse the scheme in the dimensions listed in ``w``.
 
     Reversing dimension 1 flips the order of the root's children; the
-    set shifts down by one for each child.  Memoised on ``t`` per ``w``.
+    set shifts down by one for each child.  Memoised on ``t`` per ``w``,
+    as is the opposite of each subtree it needs.
     """
-    return t._op.get(w) or walk(_op_step, {}, (w, t))
-
-
-def _op_step(key: tuple[DimSet, BataninTree]):
-    w, t = key
-    return t._op.get(w) or gather(
-        [(dimset_down(w), c) for c in t.children],
-        lambda kids: t._op.setdefault(w, BataninTree(kids[::-1] if 1 in w else kids)),
-    )
+    out = t._op.get(w)
+    if out is None:
+        todo = [(w, t)]  # nodes whose opposite is wanted, each above the children it waits for
+        while todo:
+            w, node = todo[-1]
+            if w in node._op:
+                todo.pop()
+                continue
+            down = dimset_down(w)
+            wait = [(down, c) for c in node.children if down not in c._op]
+            if wait:
+                todo += wait
+                continue
+            todo.pop()
+            kids = [c._op[down] for c in node.children]
+            node._op[w] = BataninTree(tuple(kids[::-1] if 1 in w else kids))
+        out = t._op[w]
+    return out
 
 
 def _op_index(w: DimSet, t: BataninTree) -> list[int]:

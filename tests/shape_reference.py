@@ -5,7 +5,10 @@ is tested against.
 Each builder here walks the tree and formats every position name it needs
 with an f-string, as the kernel once did.  The kernel formats the names of
 a tree once, in ``sorted_positions``, and builds every other table from
-that tuple by index; the two must give equal tables.
+that tuple by index; the two must give equal tables.  The boundaries and
+opposites of trees that the tables are over are plain recursions from
+their definitions (:func:`boundary_tree`, :func:`op_tree`), one Python
+frame per level; the kernel builds them in a loop over its memos.
 
 The kernel reads a scheme through its pasting computad and keeps no
 globular set.  Here a globular set is a plain record
@@ -25,7 +28,7 @@ from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 from omegatt import globular
-from omegatt.trees import boundary_tree, op_tree, sorted_positions
+from omegatt.trees import BataninTree, sorted_positions
 
 
 @dataclass(frozen=True, slots=True)
@@ -153,6 +156,19 @@ def positions(t) -> BipointedGlobularSet:
         todo += [(c, d + 1, f"{prefix}{i}.", names[i - 1], names[i]) for i, c in enumerate(node.children, 1)][::-1]
     cells, srcs, tgts = (tuple(map(tuple, side)) for side in zip(*levels))
     return checked_pointed(FiniteGlobularSet(cells, srcs, tgts), (cells[0][0], cells[0][-1]))
+
+
+def boundary_tree(k: int, t: BataninTree) -> BataninTree:
+    """The tree cut at height ``k``: no children at height 0, and each
+    child cut at height ``k - 1`` above it."""
+    return BataninTree(tuple([boundary_tree(k - 1, c) for c in t.children]) if k else ())
+
+
+def op_tree(w: frozenset[int], t: BataninTree) -> BataninTree:
+    """The root's children reversed when 1 is in ``w``, each acted on by
+    ``w - 1`` (every dimension of ``w`` above 1, one lower)."""
+    kids = [op_tree(frozenset(d - 1 for d in w if d > 1), c) for c in t.children]
+    return BataninTree(tuple(kids[::-1] if 1 in w else kids))
 
 
 def src_inclusion(k: int, t) -> dict[str, str]:

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 
-from omegatt import laws
+from omegatt import laws, trees
 from omegatt.globular import dimset
 from omegatt.metaops import op_cell, rename_cell
 from omegatt.oplib import eh_computad
@@ -31,6 +32,42 @@ class TestRegistry:
 
     def test_run_laws_follows_the_registry(self):
         assert [r.name for r in laws.run_laws(2, 1)] == list(laws.FAMILIES)
+
+
+def test_a_sweep_builds_each_corpus_once(monkeypatch):
+    """In one sweep at the default bounds, started with the shared corpora
+    dropped: the two tree families enumerate the trees once, the two hom
+    families build the loop corpus once (and the second drops it), and
+    counit-squares evaluates each of its 104 double cells over the
+    Eckmann-Hilton computad once, for both of its squares.  The sweep
+    still makes its 17,432 checks."""
+    calls: Counter = Counter()
+    eh = eh_computad().computad
+    denotes = []
+    real_closure, real_trees, real_eval, real_double = (
+        laws.eh_closure, trees.trees_with_nodes, laws.counit_eval, laws.double_computad
+    )
+
+    def double(*args):
+        built = real_double(*args)
+        denotes.append(built[1])
+        return built
+
+    def evaluate(c, cell, denote):
+        calls["eval"] += c is eh and denote is denotes[-1]
+        return real_eval(c, cell, denote)
+
+    monkeypatch.setattr(laws, "eh_closure", lambda rounds: calls.update([("closure", rounds)]) or real_closure(rounds))
+    monkeypatch.setattr(trees, "trees_with_nodes", lambda n: calls.update([("trees", n)]) or real_trees(n))
+    monkeypatch.setattr(laws, "double_computad", double)
+    monkeypatch.setattr(laws, "counit_eval", evaluate)
+    laws.tree_corpus.cache_clear()
+    laws.pointed_loops.cache_clear()
+    reports = laws.run_laws(5, 3)
+    assert calls[("closure", 2)] == 1 and laws.pointed_loops.cache_info().currsize == 0
+    assert [calls[("trees", n)] for n in range(1, 6)] == [1] * 5
+    assert calls["eval"] == 104
+    assert sum(r.checks for r in reports) == 17432 and all(r.ok for r in reports)
 
 
 class TestFailureMessages:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 
 import op_reference
+import typecheck_reference
 from conftest import coh_nodes, dimsets
 from extras import swap_basepoints
 from omegatt.computads import (
@@ -129,6 +130,18 @@ class TestDesuspend:
         moved = rename_cell({BASE_MINUS: BASE_PLUS}, cell)
         with pytest.raises(NotASuspension):
             desuspend_cell(moved)
+
+    def test_rejects_a_substitution_without_both_basepoints(self):
+        """A suspended coherence cut down to fewer bindings than the two root
+        sectors fails where the reference recursion fails, not on an index."""
+        up = suspend_cell(comp_cell(1, 0, 1))
+        for sub in (up.sub[:1], ()):
+            cut = Coh(up.tree, up.sphere, sub)
+            for desuspend in (desuspend_cell, typecheck_reference.desuspend):
+                with pytest.raises(NotASuspension) as err:
+                    desuspend(cut)
+                assert err.value.path == ("sub",)
+                assert err.value.message == "root sectors are not sent to the basepoints"
 
 
 class TestOpCell:

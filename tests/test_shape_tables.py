@@ -3,10 +3,13 @@
 The kernel formats the position names of a tree once, in
 ``sorted_positions``, and builds the other tables from that tuple by index.
 Exhaustively over every tree with at most 7 nodes, every dimension set
-within {1, 2, 3} and every boundary dimension, the tables must equal those
-that the reference builds by formatting names, the position levels must
-hold the cells and boundaries of the reference's checked globular set, and
-every name in a table must be one of the name objects of its tree.
+within {1, 2, 3} and every boundary dimension, the boundaries and
+opposites of trees must be the reference's recursions, the tables must
+equal those that the reference builds by formatting names, the position
+levels must hold the cells and boundaries of the reference's checked
+globular set, and every name in a table must be one of the name objects of
+its tree.  The kernel's boundaries and opposites take no Python frame per
+level: a tree 3,000 deep goes through both under a recursion limit of 150.
 
 A position's name fixes its shape, so each name met is stored once per
 process, with one record (``POSITIONS``): equal names in different trees
@@ -73,6 +76,56 @@ def test_positions_match_the_reference(n):
             assert [(pos.name, pos.hi) for pos in levels[d]] == list(carrier.tgts[d])
         assert owned([pos.name for level in levels for pos in level], t)
         assert owned([x for level in levels[1:] for pos in level for x in (pos.lo, pos.hi)], t)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_boundaries_and_opposites_match_the_reference(n):
+    """Each is the reference's tree, and a tree keeps no boundary memo at
+    or above its dimension, where its boundary is itself."""
+    for t in TREES:
+        if t.nodes != n:
+            continue
+        for k in range(t.dim + 2):
+            assert boundary_tree(k, t) is shape_reference.boundary_tree(k, t)
+        assert all(k < t.dim for k in t._boundary)
+        for w in DIMSETS:
+            assert op_tree(w, t) is shape_reference.op_tree(w, t)
+
+
+DEEP = """
+import sys
+from omegatt.globular import dimset
+from omegatt.trees import boundary_tree, br, op_tree
+
+sys.setrecursionlimit(150)
+
+
+def comb(n, mirrored=False):
+    # n levels, each a leaf beside the level above it: left of it, or right when mirrored
+    t = br()
+    for _ in range(n):
+        t = br(t, br()) if mirrored else br(br(), t)
+    return t
+
+
+t = comb(3000)
+assert op_tree(dimset(range(1, 3001)), t) is comb(3000, mirrored=True)
+assert op_tree(dimset([1]), t) is br(comb(2999), br())
+assert op_tree(dimset([3001]), t) is t
+for k in (0, 1, 1500, 2999):
+    assert boundary_tree(k, t) is comb(k)
+assert boundary_tree(3000, t) is t and 3000 not in t._boundary
+print("ok")
+"""
+
+
+def test_deep_boundaries_and_opposites_need_no_recursion_limit():
+    """In a fresh process under a recursion limit of 150, so no memo from
+    this process helps: the opposites and boundaries of a tree 3,000 deep."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", DEEP], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "ok\n"), run.stderr
 
 
 @pytest.mark.parametrize("n", range(1, 8))
