@@ -203,10 +203,10 @@ class Computad(HashConsed):
     rebuild through :meth:`make`.  Memo slots: ``_op``
     (:func:`omegatt.metaops.op_computad` per dimension set), ``_susp``
     (:func:`omegatt.metaops.suspend_computad`), ``_desusp``
-    (:func:`omegatt.metaops.desuspend_computad`), ``_hom``
-    (:func:`omegatt.homcat.hom_factor` and
-    :func:`omegatt.homcat.hom_realize` per basepoint pair) and
-    ``_passed`` (the cells that passed :func:`typecheck_cell` over it).
+    (:func:`omegatt.metaops.desuspend_computad`), ``_hom`` (per basepoint
+    pair, the hom factor and realize memos and the hom cells that passed,
+    see :mod:`omegatt.homcat`) and ``_passed`` (the cells that passed
+    :func:`typecheck_cell` over it).
     """
 
     __slots__ = ("table", "key", "_views", "_op", "_susp", "_desusp", "_hom", "_passed")
@@ -336,6 +336,10 @@ class Computad(HashConsed):
     def sphere_of(self, name: str) -> Sphere | None:
         return self.table[name][1]
 
+    def entry(self, leaf) -> tuple[int, Sphere | None] | None:
+        """The ``(dim, sphere)`` of a leaf's generator here; only a Var has one."""
+        return self.table.get(leaf.name) if type(leaf) is Var else None
+
     def var(self, name: str) -> Var:
         return Var(name, self.table[name][0])
 
@@ -433,12 +437,12 @@ def apply_morphism(sigma: Substitution, cell: CellTerm) -> CellTerm:
 
 
 def cell_boundary(c: Computad, cell: CellTerm) -> Sphere:
-    """The sphere one dimension down: attachment for a Var, the coherence
-    sphere pushed along the substitution for a Coh (memoised on the Coh)."""
+    """The sphere one dimension down: attachment for a leaf (``c.entry``), the
+    coherence sphere pushed along the substitution for a Coh (memoised)."""
     if cell.dim == 0:
         raise ValueError("0-cells have no boundary")
-    if isinstance(cell, Var):
-        return c.sphere_of(cell.name)
+    if type(cell) is not Coh:
+        return c.entry(cell)[1]
     sphere = cell._boundary
     if sphere is None:
         leaf, memo = _morphism(cell.sub), {}
@@ -529,6 +533,7 @@ class TypecheckError(Exception):
 def typecheck_cell(c: Computad, cell: CellTerm, path: tuple[str, ...] = ()) -> None:
     """Validate a cell against a computad; raises TypecheckError on failure.
 
+    A Var is read from ``c.table``, any other leaf through ``c.entry``.
     Each coherence node that passes over a computad is recorded in the
     computad's ``_passed`` set, so it is checked once for as long as the
     computad lives, wherever it recurs in the DAG and in later calls.  A
@@ -548,7 +553,7 @@ def prefixed(err, path: tuple[str, ...]):
 
 def _typecheck(key: tuple[Computad, CellTerm]):
     c, cell = key
-    if isinstance(cell, Var):
+    if type(cell) is Var:
         entry = c.table.get(cell.name)
         if entry is None:
             raise TypecheckError("UnknownGenerator", (), f"no generator named {cell.name!r}")
@@ -559,6 +564,10 @@ def _typecheck(key: tuple[Computad, CellTerm]):
                 (),
                 f"generator {cell.name!r} has dimension {d}, used at {cell.dim}",
             )
+        return True
+    if type(cell) is not Coh:
+        if c.entry(cell) is None:
+            raise TypecheckError("UnknownGenerator", (), "this leaf is no generator of the ambient")
         return True
     passed = c._passed
     if passed is None:

@@ -44,12 +44,12 @@ The memo slots and tables, and what bounds each one:
   set (and scheme) asked for.
 * ``Computad._views`` (its generators in canonical order), ``._op``,
   ``._susp`` and ``._desusp`` (its opposites, suspension and
-  desuspension), ``._hom``
-  (the memos of :func:`omegatt.homcat.hom_factor` and
-  :func:`omegatt.homcat.hom_realize` per basepoint pair) and ``._passed``
-  (the cells that passed :func:`omegatt.computads.typecheck_cell` over
-  it): they die with their computad.  ``_hom`` and ``_passed`` hold cells
-  strongly; cells never refer to computads, so they close no cycle.
+  desuspension), ``._hom`` (per basepoint pair, the memos of
+  :func:`omegatt.homcat.hom_factor` and ``hom_realize`` and the hom cells
+  that passed over the hom computad) and ``._passed`` (the cells that
+  passed :func:`omegatt.computads.typecheck_cell` over it): they die with
+  their computad.  They hold cells, which never refer to computads, and
+  never a hom computad view, so they close no cycle.
 
 Two dicts keyed by position name live for the process, each bounded by the
 distinct names met: :data:`omegatt.trees.POSITIONS` (each name's record:

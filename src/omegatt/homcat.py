@@ -3,11 +3,13 @@
 Loop cells of a bipointed computad (cells whose 0-source and 0-target are
 the basepoints) form an ω-category one dimension down which is again free,
 on the computad of *indecomposable* loop cells.  That computad is usually
-infinite, so it is never materialized: ``hom_factor`` rewrites a loop cell
-as a cell over it lazily — a ``HomGenerator`` wrapping an indecomposable,
-or a coherence whose scheme and sphere drop out of the suspension shape of
-the input — and ``hom_realize`` plays the factorization backwards.  The two
-are mutually inverse on the nose.
+infinite, so it is never materialized: :class:`HomComputad` answers the
+typechecker leaf by leaf, so one typechecker decides cells and hom cells.
+``hom_factor`` rewrites a well-typed loop cell as a cell over it — a
+``HomGenerator`` wrapping an indecomposable, or a coherence whose scheme
+and sphere drop out of the suspension shape of the input — and
+``hom_realize`` plays the factorization backwards.  The two are mutually
+inverse on the nose.
 
 A hom cell is a cell whose leaves are ``HomGenerator`` nodes instead of
 ``Var`` nodes.  So the coherence-level code is shared with plain cells and
@@ -17,35 +19,31 @@ only the leaf action differs: ``hom_realize`` is suspension
 at the shifted-down dimension set, ``hom_factor`` desuspends through
 :func:`omegatt.metaops.unsuspend_sub`, and the JSON codec is
 :func:`omegatt.computads.cell_to_json` with the leaf :func:`homgen_to_json`.
-What is specific to homs stays here: loop cells, indecomposability and
-fullness.
+What is specific to homs stays here: loop cells and indecomposability,
+decided syntactically: a loop coherence decomposes exactly when its scheme
+has a single branch, its substitution pins the two root sectors to the
+basepoints, and its sphere is a suspension.
 
-Indecomposability is decided syntactically: a loop coherence decomposes
-exactly when its scheme has a single branch, its substitution pins the two
-root sectors to the basepoints, and its sphere is a suspension.
-
-The three traversals keep their memos on what they are about, as
-:func:`omegatt.metaops.op_cell` does: ``hom_factor`` and ``hom_realize``
-on the ambient computad per basepoint pair, and ``op_homcell`` on each
-hom-cell node per dimension set.  Each node is factored, played back or reversed
-once for as long as its computad or node lives.  A failure is never
-memoised.
+The traversals keep their memos on what they are about, as
+:func:`omegatt.metaops.op_cell` does: ``hom_factor``, ``hom_realize`` and
+the hom cells that passed over the hom computad on the ambient computad per
+basepoint pair, and ``op_homcell`` on each hom-cell node per dimension set.
+Each node is factored, played back, checked or reversed once for as long
+as its computad or node lives.  A failure is never memoised.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Union
 
 from .computads import (
     CellTerm,
     Coh,
+    Sphere,
     boundary_at,
-    cell_key,
-    is_full,
-    subterm,
-    term_diff,
+    cell_boundary,
+    typecheck_cell,
 )
 from .globular import DimSet, canonical_dimset, dimset_down
 from .hashcons import HashConsed, recall, store, walk
@@ -58,7 +56,7 @@ from .metaops import (
     suspend_coh,
     unsuspend_sub,
 )
-from .trees import sorted_positions, tree_to_list
+from .trees import sorted_positions
 
 
 class HomGenerator(HashConsed):
@@ -87,20 +85,6 @@ class HomGenerator(HashConsed):
 HomCell = Union[HomGenerator, Coh]
 
 
-@dataclass(unsafe_hash=True)
-class HomFactorError(Exception):
-    """Factorization failed on a structurally valid input (e.g. a sphere
-    that desuspends cellwise but loses fullness, which the construction
-    relies on never happening)."""
-
-    path: tuple[str, ...]
-    message: str
-
-    def __str__(self) -> str:
-        where = "/".join(self.path) or "<root>"
-        return f"hom factorization failed at {where}: {self.message}"
-
-
 def is_loop_cell(c: BipointedComputad, cell: CellTerm) -> bool:
     """True iff the cell runs from the first basepoint to the second."""
     if cell.dim < 1:
@@ -127,15 +111,42 @@ def is_indecomposable(c: BipointedComputad, cell: CellTerm) -> bool:
     return _unsuspended(c, cell) is None
 
 
-def _memos(c: BipointedComputad) -> tuple[dict, dict]:
-    """The memos of the factor and realize walks of ``c``, per basepoint pair."""
-    return recall(c.computad, "_hom", c.base) or store(c.computad, "_hom", c.base, ({}, {}), True)
+def _memos(c: BipointedComputad) -> tuple[dict, dict, set]:
+    """The memos of the factor and realize walks of ``c`` and the hom cells
+    that passed over its hom computad, per basepoint pair."""
+    return recall(c.computad, "_hom", c.base) or store(c.computad, "_hom", c.base, ({}, {}, set()), True)
+
+
+class HomComputad:
+    """The hom computad of ``pointed``, as the typechecker reads it: no
+    ``Var`` in ``table``, and :meth:`entry` for a ``HomGenerator``.  Made
+    per use: kept on the computad, it would close a reference cycle."""
+
+    __slots__ = ("pointed", "_passed")
+    table: dict = {}
+
+    def __init__(self, pointed: BipointedComputad) -> None:
+        self.pointed, self._passed = pointed, _memos(pointed)[2]
+
+    def entry(self, leaf) -> tuple[int, Sphere | None] | None:
+        """``HomGenerator(u)`` for a well-typed indecomposable loop cell
+        ``u``, attached along the factor of the boundary of ``u``."""
+        if type(leaf) is not HomGenerator:
+            return None
+        c, u = self.pointed, leaf.underlying
+        typecheck_cell(c.computad, u)
+        if not is_loop_cell(c, u) or _unsuspended(c, u):
+            return None
+        if leaf.dim == 0:
+            return 0, None
+        sphere = cell_boundary(c.computad, u)
+        return leaf.dim, Sphere(hom_factor(c, sphere.src), hom_factor(c, sphere.tgt))
 
 
 def hom_factor(c: BipointedComputad, cell: CellTerm) -> HomCell:
-    """Rewrite a loop cell as a cell over the hom computad (the inverse of
-    the structure bijection).  Each node of the DAG is factored once per
-    computad and basepoint pair (see :func:`_memos`)."""
+    """Rewrite a well-typed loop cell as a cell over the hom computad (the
+    inverse of the structure bijection).  Each node of the DAG is factored
+    once per computad and basepoint pair (see :func:`_memos`)."""
     memo = _memos(c)[0]
     return memo.get(cell) or walk(partial(_hom_factor_node, c), memo, cell)
 
@@ -148,10 +159,6 @@ def _hom_factor_node(c: BipointedComputad, cell: CellTerm):
         return HomGenerator(cell)
     entries, sphere = shape
     tree = cell.tree.children[0]
-    if not is_full(tree, sphere):
-        raise HomFactorError(
-            ("sphere",), "desuspended sphere is not full over the desuspended scheme"
-        )
     values = []
     for _, v in entries:
         values.append((yield v))
@@ -190,29 +197,6 @@ def _op_hom_step(w: DimSet, h: HomCell):
     if type(h) is HomGenerator:
         return store(h, "_op", w, *HomGenerator.build(op_cell(w, h.underlying)))
     return op_coh(dimset_down(w), h, w, False)
-
-
-def diff_text(lhs, rhs) -> str:
-    """``at PATH: X against Y`` for two different cells or hom cells: the
-    path to the first subterm where they differ (:func:`term_diff`) and the
-    two subterms there, for the message of a failed law."""
-    path = term_diff(lhs, rhs)
-    where = "/".join(path) or "<root>"
-    return f"at {where}: {_text(subterm(lhs, path))} against {_text(subterm(rhs, path))}"
-
-
-def _text(h) -> str:
-    """Short text for one side of a diff: :func:`cell_key` for a cell, the
-    wrapped cell's key for a generator, and the scheme alone for a
-    coherence of hom level, where a diff stops only on its scheme."""
-    if isinstance(h, HomGenerator):
-        return f"HomGenerator({cell_key(h.underlying)})"
-    leaf = h
-    while isinstance(leaf, Coh):
-        leaf = leaf.sub[0][1]
-    if isinstance(leaf, HomGenerator):
-        return f"coh{tree_to_list(h.tree)}(...)"
-    return cell_key(h)
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,15 @@ line per family (:func:`format_reports`), or under ``--json`` one object
 with each family's checks, failures and seconds (:func:`reports_to_json`).
 The corpus builders are also used directly by the test suite.
 
-A corpus that two families read is built once for both: the tree families
-share the tuple of :func:`tree_corpus` and the hom families that of
-:func:`pointed_loops`.  Each is a one-entry cache filled on first use.  The
-trees stay until a sweep asks for another bound (the tree tables hold them
-anyway).  The loops, with the Eckmann-Hilton computad that keeps the hom
-memos of hom-roundtrip alive for hom-transport, are dropped when
-hom-transport ends, so the families after it reuse their memory.  Within
+A corpus that several families read is built once for them: the tree
+families share the tuple of :func:`tree_corpus`, the suspension, typecheck
+and cell-action families that of :func:`shared_cells`, and the hom families
+that of :func:`pointed_loops`.  Each is a one-entry cache filled on first
+use.  The trees stay until a sweep asks for another bound (the tree tables
+hold them anyway).  The cells are dropped when cell-action ends, and the
+loops, with the Eckmann-Hilton computad that keeps the hom memos of
+hom-roundtrip alive for hom-transport, when hom-transport ends, so the
+families after each reuse their memory.  Within
 counit-squares, each double cell is evaluated once for its two squares.
 """
 
@@ -39,12 +41,14 @@ from .computads import (
     double_computad,
     is_well_typed,
     pasting_computad,
+    subterm,
     support,
     template_sub,
+    term_diff,
     typecheck_cell,
 )
 from .globular import DimSet, dimset
-from .homcat import diff_text, hom_factor, hom_realize, is_indecomposable, op_homcell
+from .homcat import HomGenerator, hom_factor, hom_realize, is_indecomposable, op_homcell
 from .metaops import (
     BASE_MINUS,
     BASE_PLUS,
@@ -70,6 +74,7 @@ from .trees import (
     src_inclusion,
     suspend_tree,
     tgt_inclusion,
+    tree_to_list,
 )
 
 
@@ -117,6 +122,29 @@ def _raised(err: Exception, instance: tuple = ()) -> str:
     names += [f"w={sorted(x)}" for x in instance if isinstance(x, frozenset)]
     raised = f"raised {type(err).__name__}: {err}"
     return f"{' '.join(names)}: {raised}" if names else raised
+
+
+def diff_text(lhs, rhs) -> str:
+    """``at PATH: X against Y`` for two different cells or hom cells: the
+    path to the first subterm where they differ (:func:`term_diff`) and the
+    two subterms there, for the message of a failed law."""
+    path = term_diff(lhs, rhs)
+    where = "/".join(path) or "<root>"
+    return f"at {where}: {_text(subterm(lhs, path))} against {_text(subterm(rhs, path))}"
+
+
+def _text(h) -> str:
+    """Short text for one side of a diff: :func:`cell_key` for a cell, the
+    wrapped cell's key for a generator, and the scheme alone for a
+    coherence of hom level, where a diff stops only on its scheme."""
+    if isinstance(h, HomGenerator):
+        return f"HomGenerator({cell_key(h.underlying)})"
+    leaf = h
+    while isinstance(leaf, Coh):
+        leaf = leaf.sub[0][1]
+    if isinstance(leaf, HomGenerator):
+        return f"coh{tree_to_list(h.tree)}(...)"
+    return cell_key(h)
 
 
 def all_dimsets(dims_upto: int) -> list[DimSet]:
@@ -180,15 +208,11 @@ def cell_corpus() -> list[tuple[Computad, CellTerm]]:
     """At least fifty cells with their ambient computads: all composition
     templates with n,m <= 3, their suspensions, their identity cells, and
     one round of the Eckmann-Hilton closure."""
-    out = list(template_corpus())
-    for ambient, cell in template_corpus():
-        pointed = suspend_computad(ambient)
-        out.append((pointed.computad, suspend_cell(cell)))
-    for ambient, cell in template_corpus():
-        out.append((ambient, identity_cell(ambient, cell)))
+    templates = template_corpus()
+    out = templates + [(suspend_computad(ambient).computad, suspend_cell(cell)) for ambient, cell in templates]
+    out += [(ambient, identity_cell(ambient, cell)) for ambient, cell in templates]
     c = eh_computad().computad
-    out += [(c, cell) for cell in eh_closure(1)]
-    return out
+    return out + [(c, cell) for cell in eh_closure(1)]
 
 
 def loop_corpus() -> list[CellTerm]:
@@ -202,6 +226,13 @@ def tree_corpus(max_nodes: int) -> tuple[BataninTree, ...]:
     """The trees of :func:`all_trees`, enumerated once for the two tree
     families of a sweep."""
     return tuple(all_trees(max_nodes))
+
+
+@lru_cache(maxsize=1)
+def shared_cells() -> tuple[tuple[Computad, CellTerm], ...]:
+    """The cells of :func:`cell_corpus`, built once for the three families
+    of a sweep that read them; the third empties the cache."""
+    return tuple(cell_corpus())
 
 
 @lru_cache(maxsize=1)
@@ -327,7 +358,7 @@ def law_suspension(nm_max: int = 3) -> LawReport:
             lambda: f"{cell_key(cell)}: suspended support is not the lifted support plus basepoints",
         )
 
-    return sweep("suspension", (comp_triples(nm_max), shifted), (cell_corpus(), inverted))
+    return sweep("suspension", (comp_triples(nm_max), shifted), (shared_cells(), inverted))
 
 
 def law_pushout_counts(nm_max: int = 4) -> LawReport:
@@ -380,7 +411,7 @@ def law_typecheck(dims_upto: int = 3) -> LawReport:
         else:
             yield False, message
 
-    return sweep("typecheck", (cell_corpus(), built), ([("a",), ("b",)], attached), (seeded, rejected))
+    return sweep("typecheck", (shared_cells(), built), ([("a",), ("b",)], attached), (seeded, rejected))
 
 
 def law_cell_action(dims_upto: int = 3) -> LawReport:
@@ -410,7 +441,9 @@ def law_cell_action(dims_upto: int = 3) -> LawReport:
             )
 
     computads = [(eh_computad().computad,)] + [(a,) for a, _ in template_corpus()]
-    return sweep("cell-action", (computads, on_computad), (cell_corpus(), on_cell))
+    report = sweep("cell-action", (computads, on_computad), (shared_cells(), on_cell))
+    shared_cells.cache_clear()  # the last family to read the cells: the families after it reuse their memory
+    return report
 
 
 def law_hom_roundtrip() -> LawReport:

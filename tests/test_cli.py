@@ -16,7 +16,6 @@ from omegatt import cli, computads, laws
 from omegatt.cli import run_cli
 from omegatt.computads import TypecheckError
 from omegatt.export import document_to_json
-from omegatt.homcat import HomFactorError
 from omegatt.metaops import NotASuspension
 from omegatt.oplib import BoundaryMismatch, comp_cell
 from omegatt.surface import SourceLocation, SurfaceError, load_document, parse, tree_text
@@ -526,7 +525,6 @@ def test_error_path(capsys, tmp_path, argv, text, code, err):
     [
         TypecheckError("NotFull", ("sphere",), "m"),
         NotASuspension(("sub",), "m"),
-        HomFactorError(("sub",), "m"),
         BoundaryMismatch(0, "m"),
         SurfaceError(SourceLocation(1, 1), "m"),
     ],
@@ -677,7 +675,7 @@ class TestLawsVerb:
         clean = invoke(capsys, *argv)[1].splitlines()
         loops = laws.loop_corpus()
         chosen = set(random.Random(26).sample(loops, 40))
-        raised = "raised HomFactorError: hom factorization failed at seeded: a chosen loop cell"
+        raised = "raised ValueError: a chosen loop cell"
         messages = [
             f"{laws.cell_key(cell)} w={sorted(w)}: {raised}"
             for w in laws.all_dimsets(1)
@@ -690,7 +688,7 @@ class TestLawsVerb:
 
         def seeded_factor(pointed, cell):
             if cell in chosen:
-                raise HomFactorError(("seeded",), "a chosen loop cell")
+                raise ValueError("a chosen loop cell")
             return real_factor(pointed, cell)
 
         def seeded_family(*bounds):

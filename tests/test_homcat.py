@@ -6,10 +6,21 @@ import pytest
 from hypothesis import given
 
 from conftest import coh_nodes, dimsets
-from omegatt.computads import Coh, Sphere, Var, cell_from_json, cell_to_json, substitution
+from omegatt import homcat
+from omegatt.computads import (
+    Coh,
+    Computad,
+    Sphere,
+    TypecheckError,
+    Var,
+    cell_from_json,
+    cell_to_json,
+    substitution,
+    typecheck_cell,
+)
 from omegatt.globular import dimset
 from omegatt.homcat import (
-    HomFactorError,
+    HomComputad,
     HomGenerator,
     hom_factor,
     hom_realize,
@@ -19,8 +30,8 @@ from omegatt.homcat import (
     is_loop_cell,
     op_homcell,
 )
-from omegatt.laws import loop_corpus
-from omegatt.metaops import op_bipointed, op_cell, suspend_cell, suspend_computad
+from omegatt.laws import all_dimsets, loop_corpus, pointed_loops
+from omegatt.metaops import BipointedComputad, op_bipointed, op_cell, suspend_cell, suspend_computad
 from omegatt.oplib import comp_cell, compose, eh_computad, identity_cell
 from omegatt.trees import comp_tree, pos_dim, sorted_positions, suspend_tree
 
@@ -139,22 +150,107 @@ def _not_full_loop(c, a):
 
 class TestFactorFailures:
     def test_failure_repeats_after_a_sibling_was_memoised(self):
+        """A loop cell whose desuspended sphere is not full is rejected over
+        the ambient, and its factor over the hom computad, by the one
+        typechecker, on every call.  The failure is not recorded as
+        passed, and the factor of the sibling before it stays memoised."""
         pointed, c, a, b = eh_cells()
         bad = _not_full_loop(c, a)
         ab = compose(c, a, 1, b)
         parent = Coh(ab.tree, ab.sphere, tuple((p, bad if v is b else v) for p, v in ab.sub))
-        errors = []
+        factor = hom_factor(pointed, parent)
+        cases = [(c, parent, "sub/1.2.0/sphere"), (HomComputad(pointed), factor, "sub/2.0/sphere")]
         for _ in range(2):
-            with pytest.raises(HomFactorError) as err:
-                hom_factor(pointed, parent)
-            errors.append((err.value.path, str(err.value)))
-            memo = c._hom[pointed.base][0]  # the factor walk's memo
-            assert memo[a] is HomGenerator(a)  # the sibling before it
-            assert bad not in memo and parent not in memo
-        assert errors[0] == errors[1] == (
-            ("sphere",),
-            "hom factorization failed at sphere: desuspended sphere is not full over the desuspended scheme",
-        )
+            for ambient, cell, where in cases:
+                with pytest.raises(TypecheckError) as err:
+                    typecheck_cell(ambient, cell)
+                assert str(err.value) == f"NotFull at {where}: coherence sphere is not full over its scheme"
+            memo, _, passed = c._hom[pointed.base]  # the factor walk's memo, the hom cells that passed
+            assert memo[a] is HomGenerator(a)
+            assert bad not in c._passed and parent not in c._passed
+            assert dict(factor.sub)["2.0"] not in passed and factor not in passed
+
+    def test_leaves_that_are_not_generators_of_the_hom(self):
+        """Only a well-typed indecomposable loop cell is a generator of the
+        hom computad; a Var is none, and a decomposable, a non-loop or an
+        ill-typed cell under ``HomGenerator`` is rejected at its leaf."""
+        pointed, c, a, b = eh_cells()
+        hom = HomComputad(pointed)
+        unknown = "UnknownGenerator at <root>: "
+        cases = [
+            (c.var("x"), unknown + "no generator named 'x'"),
+            (HomGenerator(compose(c, a, 1, b)), unknown + "this leaf is no generator of the ambient"),
+            (HomGenerator(c.var("x")), unknown + "this leaf is no generator of the ambient"),
+            (HomGenerator(Var("y", 2)), unknown + "no generator named 'y'"),
+            (HomGenerator(_not_full_loop(c, a)), "NotFull at sphere: coherence sphere is not full over its scheme"),
+        ]
+        for leaf, message in cases:
+            with pytest.raises(TypecheckError) as err:
+                typecheck_cell(hom, leaf)
+            assert str(err.value) == message
+        with pytest.raises(TypecheckError, match="this leaf is no generator of the ambient"):
+            typecheck_cell(c, HomGenerator(a))
+
+
+class TestTypedHoms:
+    """Hom cells typecheck over the hom computad with the typechecker of
+    plain cells, fullness included."""
+
+    def test_every_factor_typechecks_over_its_hom_computad(self):
+        for pointed, cell in pointed_loops():
+            typecheck_cell(HomComputad(pointed), hom_factor(pointed, cell))
+
+    def test_opposite_factors_typecheck_over_the_opposite_hom_computad(self):
+        loops = pointed_loops()
+        for w in all_dimsets(3):
+            for pointed, cell in loops:
+                typecheck_cell(HomComputad(op_bipointed(w, pointed)), op_homcell(w, hom_factor(pointed, cell)))
+
+    def test_a_generator_is_attached_along_the_factor_of_its_boundary(self):
+        """Over x, y with f, g, h: x -> y and al: f -> g, be: g -> h, the
+        hom generator of ``al`` runs from that of ``f`` to that of ``g``,
+        and the vertical composite of ``al`` and ``be`` factors to their
+        composite over the hom computad, which checks those ends."""
+        x, y = Var("x", 0), Var("y", 0)
+        f, g, h = Var("f", 1), Var("g", 1), Var("h", 1)
+        arrow = Sphere(x, y)
+        c = Computad.make([["x", "y"], ["f", "g", "h"], ["al", "be"]],
+                          {"f": arrow, "g": arrow, "h": arrow, "al": Sphere(f, g), "be": Sphere(g, h)})
+        pointed = BipointedComputad(c, (x, y))
+        hom = HomComputad(pointed)
+        assert hom.entry(HomGenerator(c.var("al"))) == (1, Sphere(HomGenerator(f), HomGenerator(g)))
+        assert hom.entry(HomGenerator(f)) == (0, None)
+        composite = hom_factor(pointed, compose(c, c.var("al"), 1, c.var("be")))
+        assert [v for _, v in composite.sub] == [HomGenerator(v) for v in (f, g, c.var("al"), h, c.var("be"))]
+        typecheck_cell(hom, composite)
+        twice = Coh(composite.tree, composite.sphere, tuple((p, composite.sub[-1][1] if p == "1.0" else v)
+                                                         for p, v in composite.sub))
+        with pytest.raises(TypecheckError, match="BadSubstitution at sub/1.0: assignment at 1.0 does not match"):
+            typecheck_cell(hom, twice)
+
+    def test_a_factor_with_swapped_ends_is_rejected(self, monkeypatch):
+        """A seeded ``hom_factor`` that swaps the ends of each factored
+        sphere: every factor it changes fails the typechecker over the hom
+        computad.  Its memos are fresh per call, so no mutant factor is
+        kept on a computad."""
+        loops = pointed_loops()
+        clean = [hom_factor(pointed, cell) for pointed, cell in loops]
+        real = homcat._hom_factor_node
+
+        def swapped(c, cell):
+            h = yield from real(c, cell)
+            return Coh(h.tree, Sphere(h.sphere.tgt, h.sphere.src), h.sub) if type(h) is Coh else h
+
+        monkeypatch.setattr(homcat, "_hom_factor_node", swapped)
+        monkeypatch.setattr(homcat, "_memos", lambda c: ({}, {}, set()))
+        changed = 0
+        for (pointed, cell), h in zip(loops, clean):
+            mutant = hom_factor(pointed, cell)
+            if mutant is not h:
+                changed += 1
+                with pytest.raises(TypecheckError):
+                    typecheck_cell(HomComputad(pointed), mutant)
+        assert changed == 151
 
 
 class TestIndecomposable:

@@ -36,16 +36,18 @@ class TestRegistry:
 
 def test_a_sweep_builds_each_corpus_once(monkeypatch):
     """In one sweep at the default bounds, started with the shared corpora
-    dropped: the two tree families enumerate the trees once, the two hom
-    families build the loop corpus once (and the second drops it), and
-    counit-squares evaluates each of its 104 double cells over the
-    Eckmann-Hilton computad once, for both of its squares.  The sweep
-    still makes its 17,432 checks."""
+    dropped: the two tree families enumerate the trees once, the three
+    families that read the cell corpus build it once (one closure round and
+    one template list; cell-action and hom-roundtrip list the templates
+    again) and the third drops it, the two hom families build the loop
+    corpus once and the second drops it, and counit-squares evaluates each
+    of its 104 double cells over the Eckmann-Hilton computad once, for both
+    of its squares.  The sweep still makes its 17,432 checks."""
     calls: Counter = Counter()
     eh = eh_computad().computad
     denotes = []
-    real_closure, real_trees, real_eval, real_double = (
-        laws.eh_closure, trees.trees_with_nodes, laws.counit_eval, laws.double_computad
+    real_closure, real_trees, real_eval, real_double, real_templates = (
+        laws.eh_closure, trees.trees_with_nodes, laws.counit_eval, laws.double_computad, laws.template_corpus
     )
 
     def double(*args):
@@ -61,10 +63,14 @@ def test_a_sweep_builds_each_corpus_once(monkeypatch):
     monkeypatch.setattr(trees, "trees_with_nodes", lambda n: calls.update([("trees", n)]) or real_trees(n))
     monkeypatch.setattr(laws, "double_computad", double)
     monkeypatch.setattr(laws, "counit_eval", evaluate)
+    monkeypatch.setattr(laws, "template_corpus", lambda: calls.update(["templates"]) or real_templates())
     laws.tree_corpus.cache_clear()
+    laws.shared_cells.cache_clear()
     laws.pointed_loops.cache_clear()
     reports = laws.run_laws(5, 3)
     assert calls[("closure", 2)] == 1 and laws.pointed_loops.cache_info().currsize == 0
+    assert calls[("closure", 1)] == 2 and calls["templates"] == 3  # the cell corpus and counit-squares
+    assert laws.shared_cells.cache_info().currsize == 0
     assert [calls[("trees", n)] for n in range(1, 6)] == [1] * 5
     assert calls["eval"] == 104
     assert sum(r.checks for r in reports) == 17432 and all(r.ok for r in reports)

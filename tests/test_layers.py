@@ -16,6 +16,11 @@ A computad draft's table grows, so a view read from it would go stale:
 only ``computads``, which defines it, and the elaborator in ``surface``
 name a draft's methods.  Generators are added through the draft alone.
 
+The typechecker reads every leaf through its ambient (a ``Var`` through
+the generator table, any other leaf through the ambient's ``entry``), so
+``computads`` names no hom type: a hom generator reaches it only through
+the hom computad of ``homcat``.
+
 Every law family is a table run by one sweep: only ``sweep`` and
 ``timed_laws`` in ``laws`` make or count a law report, and hom transport
 is one of the sweep's checks, not a library function.
@@ -105,6 +110,14 @@ def test_drafts_stay_with_the_computads_and_the_elaborator(module):
 @pytest.mark.parametrize("module", sorted(RANK))
 def test_one_checked_path_adds_generators(module):
     assert names(module) & {"extend", "_check_sphere"} == set()
+
+
+HOM_NAMES = {"homcat", "HomGenerator", "HomComputad", "HomCell"}
+
+
+def test_the_typechecker_reads_hom_leaves_through_the_ambient():
+    assert names("computads") & HOM_NAMES == set()
+    assert "entry" in names("computads")
 
 
 REPORTED_BY = {"sweep", "timed_laws"}
