@@ -128,18 +128,17 @@ def _transform_document(
 
 def _print_transformed(args: argparse.Namespace, *actions) -> int:
     """Print the file's document with every computad and cell transformed."""
-    print(document_text(_transform_document(_load(args.file), *actions)), end="")
+    doc = _load(args.file)
+    try:
+        out = _transform_document(doc, *actions)
+    except ValueError as err:  # a suspension nested past the bound: exit 1
+        return _fail(str(err))
+    print(document_text(out), end="")
     return 0
 
 
 def cmd_susp(args: argparse.Namespace) -> int:
-    doc = _load(args.file)
-    try:
-        out = _transform_document(doc, "suspend", lambda c: suspend_computad(c).computad, suspend_cell)
-    except ValueError as err:  # a scheme nested past the bound
-        return _fail(str(err))
-    print(document_text(out), end="")
-    return 0
+    return _print_transformed(args, "suspend", lambda c: suspend_computad(c).computad, suspend_cell)
 
 
 def cmd_desusp(args: argparse.Namespace) -> int:

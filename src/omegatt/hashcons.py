@@ -69,7 +69,8 @@ make no strings or records: an entry holds containers of the shared ones.
 * :func:`omegatt.trees.op_positions_iso` (dimension set, tree): a dict from
   the opposite's names to the tree's, and
   :func:`omegatt.trees.op_sub_order` (dimension set, tree): a tuple of
-  (opposite's name, index) pairs, both from one permutation;
+  (opposite's name, index) pairs, both read off one ordered walk; the dict
+  of ``op_tree(w, t)`` is the inverse of that of ``t``;
 * :func:`omegatt.computads.pasting_computad` (tree), the shape of a scheme
   that the kernel reads, whose ``_passed`` keeps the sphere cells checked
   over the scheme, and :func:`omegatt.computads.template_sub` (tree);

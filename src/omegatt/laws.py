@@ -162,6 +162,11 @@ def action_triples(dims_upto: int) -> list[tuple[DimSet, DimSet, DimSet]]:
     return [(w, v, dimset(w ^ v)) for w, v in itertools.product(subsets, subsets)]
 
 
+# The largest n and m of the composites (n, k, m) of the templates (and the suspension law) and of the
+# pushout counts, and the fewest double cells that counit-squares accepts.
+TEMPLATE_NM, PUSHOUT_NM, MIN_DOUBLE_CELLS = 3, 4, 20
+
+
 def comp_triples(nm_max: int) -> list[tuple[int, int, int]]:
     return [
         (n, k, m)
@@ -196,9 +201,9 @@ def eh_closure(rounds: int) -> list[CellTerm]:
     return list(corpus)
 
 
-def template_corpus(nm_max: int = 3) -> list[tuple[Computad, CellTerm]]:
+def template_corpus() -> list[tuple[Computad, CellTerm]]:
     out = []
-    for n, k, m in comp_triples(nm_max):
+    for n, k, m in comp_triples(TEMPLATE_NM):
         cell = comp_cell(n, k, m)
         out.append((pasting_computad(cell.tree), cell))
     return out
@@ -325,7 +330,7 @@ def _onto_opposite(f: dict[str, str], w: DimSet, last: str) -> bool:
     return True
 
 
-def law_suspension(nm_max: int = 3) -> LawReport:
+def law_suspension() -> LawReport:
     """Suspension sends the (n,k,m) composition data to (n+1,k+1,m+1), is
     inverted by desuspension, and adds exactly the two basepoints to
     supports."""
@@ -358,10 +363,10 @@ def law_suspension(nm_max: int = 3) -> LawReport:
             lambda: f"{cell_key(cell)}: suspended support is not the lifted support plus basepoints",
         )
 
-    return sweep("suspension", (comp_triples(nm_max), shifted), (shared_cells(), inverted))
+    return sweep("suspension", (comp_triples(TEMPLATE_NM), shifted), (shared_cells(), inverted))
 
 
-def law_pushout_counts(nm_max: int = 4) -> LawReport:
+def law_pushout_counts() -> LawReport:
     """Position counts of composition trees match gluing two disks along a
     shared k-disk: count the cells of both disks and remove the shared ones."""
 
@@ -372,7 +377,7 @@ def law_pushout_counts(nm_max: int = 4) -> LawReport:
             got = len(levels[d])
             yield got == want, lambda: f"comp({n},{k},{m}) dim {d}: {got} positions, want {want}"
 
-    return sweep("pushout-counts", (comp_triples(nm_max), check))
+    return sweep("pushout-counts", (comp_triples(PUSHOUT_NM), check))
 
 
 def law_typecheck(dims_upto: int = 3) -> LawReport:
@@ -523,7 +528,7 @@ def law_eh_identities(dims_upto: int = 3) -> LawReport:
     return sweep("eh-identities", (table, composite), (((w,) for w in all_dimsets(dims_upto)), self_dual))
 
 
-def law_counit_squares(min_cells: int = 20) -> LawReport:
+def law_counit_squares() -> LawReport:
     """Evaluation of double cells commutes with suspension and with
     opposites (the two monad-component squares), on a generated family of
     double cells over the Eckmann-Hilton closure."""
@@ -539,7 +544,7 @@ def law_counit_squares(min_cells: int = 20) -> LawReport:
             continue
 
     def enough():
-        yield len(double_cells) >= min_cells, lambda: f"only {len(double_cells)} double cells were generated"
+        yield len(double_cells) >= MIN_DOUBLE_CELLS, lambda: f"only {len(double_cells)} double cells were generated"
 
     up = suspend_computad(c).computad
     up_dbl = suspend_computad(dbl).computad

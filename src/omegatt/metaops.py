@@ -276,11 +276,11 @@ def op_coh(w: DimSet, cell: Coh, key, walk_sphere: bool):
 
 def _op_sphere(w: DimSet, tree: BataninTree, sphere: Sphere, src, tgt) -> tuple[Sphere, bool]:
     """:func:`op_sphere`, given the opposites of the sphere's cells, renamed
-    through the inverse of the canonical position bijection so that it
-    lives over ``op_tree(w, tree)``."""
+    through the inverse of the canonical position bijection, which is the
+    opposite scheme's own, so that it lives over ``op_tree(w, tree)``."""
     if sphere.dim + 1 in w:
         src, tgt = tgt, src
-    leaf, renamed = _renaming({q: p for p, q in op_positions_iso(w, tree).items()}), {}
+    leaf, renamed = _renaming(op_positions_iso(w, op_tree(w, tree))), {}
     return Sphere.build(map_vars(leaf, src, renamed), map_vars(leaf, tgt, renamed))
 
 

@@ -6,8 +6,9 @@ m-cell, a coherence over ``comp_tree(n, k, m)`` with the identity
 substitution; ``compose`` instantiates it on actual cells.  Templates are
 built along the chain of (n, k, m) down to the codimension-one square case,
 which reads its sphere off the boundary-disk inclusions; every other case
-lifts the template one dimension down through the source/target inclusions
-of the scheme.
+lifts the template one dimension down through the target inclusion of the
+scheme.  The source inclusion keeps every name, so a source is the lower
+template or disk cell itself.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .trees import (
     comp_tree,
     disk_tree,
     sorted_positions,
-    src_inclusion,
     tgt_inclusion,
 )
 
@@ -49,18 +49,16 @@ def comp_template(n: int, k: int, m: int) -> Coh:
         comp_template(*key)
     if len(chain) == 1:
         # square case: the scheme's k-boundary is the k-disk, and the sphere
-        # is the pair of images of its top cell under the two inclusions.
+        # is the pair of images of its top cell under the two inclusions
+        # (under the source inclusion, the top cell itself).
         assert boundary_tree(k, b) == disk_tree(k)
         top = sorted_positions(disk_tree(k))[-1]  # the k-disk's one k-position, last in canonical order
-        sphere = Sphere(Var(src_inclusion(k, b)[top], k), Var(tgt_inclusion(k, b)[top], k))
+        sphere = Sphere(Var(top, k), Var(tgt_inclusion(k, b)[top], k))
     else:
         prev = comp_cell(*chain[1])
         d = max(n, m) - 1
         assert boundary_tree(d, b) == prev.tree
-        sphere = Sphere(
-            rename_cell(src_inclusion(d, b), prev),
-            rename_cell(tgt_inclusion(d, b), prev),
-        )
+        sphere = Sphere(prev, rename_cell(tgt_inclusion(d, b), prev))
     return Coh(b, sphere, template_sub(b))
 
 

@@ -11,15 +11,16 @@ Positions are named canonically so that every construction downstream
 
 So the dimension of a position is the number of dots in its name, and
 lexicographic-with-numeric-segments order is the source-to-target sweep.
-Positions are emitted in that canonical order by construction (root
-sectors, then branch by branch), so no position set is ever sorted.
+One walk emits a tree's positions in that canonical order by construction,
+or in that of an opposite of the tree, whose positions are the tree's own
+read from the last at each reversed depth, so no position set is ever sorted.
 
 A position's name fixes its dimension and the two positions it runs
 between, so each name met is formatted once per process, with one record
 (:data:`POSITIONS`), whatever trees it is in.  :func:`sorted_positions`
-keeps a tree's tuple of those names on the tree, and every other table
-(the positions and their sectors, the boundary inclusions, the opposite's
-renaming) is built from that tuple and the records.
+keeps a tree's tuple of those names on the tree, the opposite's renaming
+reads the walk, and every other table (the positions and their sectors,
+the boundary inclusions) is built from that tuple and the records.
 """
 
 from __future__ import annotations
@@ -237,46 +238,15 @@ def op_tree(w: DimSet, t: BataninTree) -> BataninTree:
     return out
 
 
-def _op_index(w: DimSet, t: BataninTree) -> list[int]:
-    """For each position of ``op_tree(w, t)``, in canonical order, the
-    index in ``sorted_positions(t)`` of the position it renames to.
-
-    At depth d, where ``w`` reverses dimension d + 1, sector j of a node
-    with n branches is sector n - j of the original and branch i is branch
-    n + 1 - i; otherwise indices stay.  In canonical order a node's sector
-    i is followed by its branch i, which holds 2 * nodes - 1 positions.
-    """
-    index, todo = [], [(t, 0, 0)]  # an index, or a node of t with its depth and the index of its sector 0
-    while todo:
-        item = todo.pop()
-        if type(item) is int:
-            index.append(item)
-            continue
-        node, d, o = item
-        sectors, branches = [o], []
-        for c in node.children:
-            o += 1
-            sectors.append(o)
-            branches.append((c, d + 1, o + 1))
-            o += 2 * c.nodes - 1
-        if d + 1 in w:
-            sectors.reverse()
-            branches.reverse()
-        index.append(sectors[0])
-        for i in range(len(branches), 0, -1):
-            todo += [branches[i - 1], sectors[i]]
-    return index
-
-
 @lru_cache(maxsize=None)
 def op_positions_iso(w: DimSet, t: BataninTree) -> Mapping[str, str]:
-    """Position rename ``positions(op_tree(w, t)) -> positions(t)``.  When
-    ``w`` reverses no dimension of ``t`` it is the identity, the one
-    identity dict of ``t``."""
+    """Position rename ``positions(op_tree(w, t)) -> positions(t)``: the
+    opposite's positions in canonical order, each sent to the one that
+    :func:`_ordered` lists in its place.  When ``w`` reverses no dimension
+    of ``t`` it is the identity, the one identity dict of ``t``."""
     if min(w, default=t.dim + 1) > t.dim:
         return src_inclusion(t.dim, t)
-    names = sorted_positions(t)
-    return dict(zip(sorted_positions(op_tree(w, t)), [names[i] for i in _op_index(w, t)]))
+    return dict(zip(sorted_positions(op_tree(w, t)), _ordered(t, w)))
 
 
 @lru_cache(maxsize=None)
@@ -288,7 +258,8 @@ def op_sub_order(w: DimSet, t: BataninTree) -> tuple[tuple[str, int], ...]:
     ``op_positions_iso(w, t)`` sends it to.  A substitution over ``t`` is
     stored in that order, so its opposite is a gather by these indices.
     """
-    return tuple(zip(sorted_positions(op_tree(w, t)), _op_index(w, t)))
+    index = {p: i for i, p in enumerate(sorted_positions(t))}
+    return tuple(zip(sorted_positions(op_tree(w, t)), map(index.__getitem__, _ordered(t, w))))
 
 
 def trees_with_nodes(n: int) -> Iterator[BataninTree]:
@@ -311,24 +282,33 @@ def all_trees(max_nodes: int) -> Iterator[BataninTree]:
 
 
 def sorted_positions(t: BataninTree) -> tuple[str, ...]:
-    """All position names of ``t`` in canonical (natural-key) order: the
-    key order of every substitution over ``t``: a node's sector ``i``
-    comes right before its branch ``i``.  Memoised on ``t``; each name is
-    the shared one of :data:`POSITIONS`."""
+    """All position names of ``t`` in canonical (natural-key) order, the
+    key order of every substitution over ``t``: :func:`_ordered` with no
+    dimension reversed, memoised on ``t``."""
     if t._names is None:
-        names, todo = [], [(t, None, None, 0)]  # a name, or a node with the two sectors above it and its depth
-        while todo:
-            item = todo.pop()
-            if type(item) is str:
-                names.append(item)
-                continue
-            node, lo, hi, d = item
-            sectors = _sectors(lo, hi, d, len(node.children) + 1)
-            names.append(sectors[0])
-            for i in range(len(node.children), 0, -1):
-                todo += [(node.children[i - 1], sectors[i - 1], sectors[i], d + 1), sectors[i]]
-        remember(t, "_names", tuple(names))
+        remember(t, "_names", tuple(_ordered(t, DimSet())))
     return t._names
+
+
+def _ordered(t: BataninTree, w: DimSet) -> list[str]:
+    """The names of the positions of ``t`` in the canonical order of
+    ``op_tree(w, t)``, each the shared one of :data:`POSITIONS`: a node at
+    depth d with d + 1 in ``w`` is read from the last, its sector n - j for
+    the opposite's sector j and its branch n + 1 - i for branch i."""
+    names, todo = [], [(t, None, None, 0)]  # a name, or a node with the two sectors above it and its depth
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            names.append(item)
+            continue
+        node, lo, hi, d = item
+        n, flip = len(node.children), d + 1 in w
+        known = _ROOT_SECTORS if hi is None else POSITIONS[hi].sectors  # no call while every sector is named
+        sectors = known if len(known) > n else _sectors(lo, hi, d, n + 1)
+        names.append(sectors[n if flip else 0])
+        for i in range(1, n + 1) if flip else range(n, 0, -1):  # popped in the opposite's order: sector i, branch i
+            todo += [(node.children[i - 1], sectors[i - 1], sectors[i], d + 1), sectors[i - 1 if flip else i]]
+    return names
 
 
 # A position's record, all fixed by its name "i1.….id.j" (sector j at branches i1, ..., id): its dimension d,

@@ -71,7 +71,7 @@ def test_criterion_03_suspension_laws():
 
 
 def test_criterion_04_pushout_counts():
-    _from_reports(4, "pushout position counts", [law_pushout_counts(nm_max=4)])
+    _from_reports(4, "pushout position counts", [law_pushout_counts()])
 
 
 def test_criterion_05_typechecker():
@@ -91,7 +91,7 @@ def test_criterion_08_scalar_swap_identities():
 
 
 def test_criterion_09_counit_squares():
-    report = law_counit_squares(min_cells=20)
+    report = law_counit_squares()
     _from_reports(9, "counit naturality squares", [report])
 
 

@@ -5,7 +5,10 @@ from __future__ import annotations
 import codecs
 import glob
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -572,6 +575,17 @@ class TestLawsVerb:
         code, out, _ = invoke(capsys, "laws", "--max-nodes", "3", "--dims-upto", "1")
         assert code == 0
         assert out.splitlines()[-1].endswith("checks passed")
+
+    @pytest.mark.parametrize("max_nodes,dims_upto", [(5, 3), (9, 1)])
+    def test_report_is_byte_identical(self, max_nodes, dims_upto):
+        """The sweep at its defaults and at the raised node bound, where the
+        tree tables are hot, in a fresh process: the sweep of 9-node trees
+        would leave schemes in this one that other tests expect to be new."""
+        argv = ["laws", "--max-nodes", str(max_nodes), "--dims-upto", str(dims_upto)]
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        run = subprocess.run([sys.executable, "-m", "omegatt.cli", *argv], env=env, capture_output=True, text=True)
+        assert (run.returncode, run.stderr) == (0, "")
+        assert run.stdout == (GOLDEN / f"laws_{max_nodes}_{dims_upto}.txt").read_text()
 
     @pytest.fixture
     def no_sweep(self, monkeypatch):

@@ -188,10 +188,10 @@ class TestFailureMessages:
 
     def test_unreversed_sectors_fail_the_scheme_action(self, monkeypatch):
         """A mutant position isomorphism that reverses the branches of a node
-        but not its sectors, as ``trees._op_index`` would without
-        ``sectors.reverse()``: it still composes by symmetric difference, and
-        only the scheme check, the isomorphisms as maps onto the opposite,
-        finds it."""
+        but not its sectors, as ``trees._ordered`` would if it read a
+        reversed node's sectors from the first: it still composes by
+        symmetric difference, and only the scheme check, the isomorphisms as
+        maps onto the opposite, finds it."""
         real = laws.op_positions_iso
 
         def keep_sector(p, q):

@@ -1,15 +1,18 @@
 """The shape tables of ``omegatt.trees`` against ``shape_reference``.
 
-The kernel formats the position names of a tree once, in
-``sorted_positions``, and builds the other tables from that tuple by index.
-Exhaustively over every tree with at most 7 nodes, every dimension set
-within {1, 2, 3} and every boundary dimension, the boundaries and
-opposites of trees must be the reference's recursions, the tables must
-equal those that the reference builds by formatting names, the position
-levels must hold the cells and boundaries of the reference's checked
-globular set, and every name in a table must be one of the name objects of
-its tree.  The kernel's boundaries and opposites take no Python frame per
-level: a tree 3,000 deep goes through both under a recursion limit of 150.
+The kernel lists the position names of a tree with one walk, in the
+canonical order of the tree (``sorted_positions``) or of one of its
+opposites, and builds the other tables from those lists.  Exhaustively over
+every tree with at most 7 nodes, every dimension set within {1, 2, 3} and
+every boundary dimension, the boundaries and opposites of trees must be the
+reference's recursions, the tables must equal those that the reference
+builds by formatting names, the opposite's position bijection must be the
+inverse of the tree's (the kernel renames opposite spheres by it), the
+position levels must hold the cells and boundaries of the reference's
+checked globular set, and every name in a table must be one of the name
+objects of its tree.  The kernel's boundaries and opposites take no Python
+frame per level: a tree 3,000 deep goes through both under a recursion
+limit of 150.
 
 A position's name fixes its shape, so each name met is stored once per
 process, with one record (``POSITIONS``): equal names in different trees
@@ -153,6 +156,7 @@ def test_opposites_match_the_reference(w):
         assert order == shape_reference.op_sub_order(w, t)
         assert owned(iso, opt) and owned(iso.values(), t)
         assert owned([p for p, _ in order], opt)
+        assert op_positions_iso(w, opt) == {q: p for p, q in iso.items()}  # the opposite's table is the inverse
         names = sorted_positions(t)
         assert all(names[i] is iso[p] for p, i in order)
         if [i for _, i in order] == list(range(len(names))):  # an identity is the tree's one identity dict
