@@ -149,10 +149,11 @@ class Coh(HashConsed):
     """A coherence cell: scheme, full sphere over the scheme, substitution.
 
     Interned like every term node, with its ``size``, the node count
-    unfolded as a tree, computed when it is built.  Memo slots: ``_op`` (:func:`op_cell` per dimension
-    set, or :func:`omegatt.homcat.op_homcell` for a hom cell),
-    ``_boundary`` (:func:`cell_boundary`, which for a coherence does not
-    depend on the ambient computad) and ``_key`` (:func:`cell_key`).
+    unfolded as a tree, computed when it is built.  Memo slots: ``_op``
+    (:func:`omegatt.metaops.op_cell` per dimension set, or
+    :func:`omegatt.homcat.op_homcell` for a hom cell), ``_boundary``
+    (:func:`cell_boundary`, which for a coherence does not depend on the
+    ambient computad) and ``_key`` (:func:`cell_key`).
     """
 
     __slots__ = ("tree", "sphere", "sub", "dim", "size", "_op", "_boundary", "_key")
@@ -530,7 +531,7 @@ class TypecheckError(Exception):
         return f"{self.code} at {where}: {self.message}"
 
 
-def typecheck_cell(c: Computad, cell: CellTerm, path: tuple[str, ...] = ()) -> None:
+def typecheck_cell(c: Computad, cell: CellTerm) -> None:
     """Validate a cell against a computad; raises TypecheckError on failure.
 
     A Var is read from ``c.table``, any other leaf through ``c.entry``.
@@ -539,10 +540,7 @@ def typecheck_cell(c: Computad, cell: CellTerm, path: tuple[str, ...] = ()) -> N
     computad lives, wherever it recurs in the DAG and in later calls.  A
     failure is not recorded: a bad cell raises the same error, at the same
     path, on every call."""
-    try:
-        walk(_typecheck, {}, (c, cell))
-    except TypecheckError as err:
-        raise prefixed(err, path)
+    walk(_typecheck, {}, (c, cell))
 
 
 def prefixed(err, path: tuple[str, ...]):
@@ -726,15 +724,11 @@ def double_computad(c: Computad, cells: Iterable[CellTerm]) -> tuple[Computad, d
     return Computad.build(table)[0], denote
 
 
-def counit_eval(
-    c: Computad, cell: CellTerm, denote: Mapping[str, CellTerm] | None = None
-) -> CellTerm:
+def counit_eval(c: Computad, cell: CellTerm, denote: Mapping[str, CellTerm]) -> CellTerm:
     """Evaluate a cell over a free computad whose generators denote cells of
-    ``c``: each Var becomes the cell it names, coherences evaluate their
-    substitutions.  ``denote`` defaults to the generators of ``c`` itself,
-    which makes this the counit on the generators of ``c`` itself."""
-    leaf = (lambda v: c.var(v.name)) if denote is None else (lambda v: denote[v.name])
-    return map_vars(leaf, cell)
+    ``c``: each Var becomes the cell ``denote`` gives its name, coherences
+    evaluate their substitutions."""
+    return map_vars(lambda v: denote[v.name], cell)
 
 
 # ---------------------------------------------------------------------------

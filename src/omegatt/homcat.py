@@ -15,14 +15,16 @@ A hom cell is a cell whose leaves are ``HomGenerator`` nodes instead of
 ``Var`` nodes.  So the coherence-level code is shared with plain cells and
 only the leaf action differs: ``hom_realize`` is suspension
 (:func:`omegatt.metaops.suspend_coh`) with the counit at the leaves,
-``op_homcell`` is the coherence opposite (:func:`omegatt.metaops.op_coh`)
-at the shifted-down dimension set, ``hom_factor`` desuspends through
-:func:`omegatt.metaops.unsuspend_sub`, and the JSON codec is
-:func:`omegatt.computads.cell_to_json` with the leaf :func:`homgen_to_json`.
-What is specific to homs stays here: loop cells and indecomposability,
-decided syntactically: a loop coherence decomposes exactly when its scheme
-has a single branch, its substitution pins the two root sectors to the
-basepoints, and its sphere is a suspension.
+``hom_factor`` is desuspension (:func:`omegatt.metaops.desuspend_coh`, the
+step of :func:`omegatt.metaops.desuspend_cell` too) with each
+indecomposable loop cell as a leaf, ``op_homcell`` is the coherence
+opposite (:func:`omegatt.metaops.op_coh`) at the shifted-down dimension
+set, and the JSON codec is :func:`omegatt.computads.cell_to_json` with the
+leaf :func:`homgen_to_json`.  What is specific to homs stays here: loop
+cells and indecomposability, decided by that one shape test: a loop
+coherence decomposes exactly when ``desuspend_coh`` takes it, that is when
+its scheme has a single branch, its substitution pins the two root sectors
+to the basepoints, and its sphere is a suspension.
 
 The traversals keep their memos on what they are about, as
 :func:`omegatt.metaops.op_cell` does: ``hom_factor``, ``hom_realize`` and
@@ -47,16 +49,7 @@ from .computads import (
 )
 from .globular import DimSet, canonical_dimset, dimset_down
 from .hashcons import HashConsed, recall, store, walk
-from .metaops import (
-    BipointedComputad,
-    NotASuspension,
-    desuspend_sphere,
-    op_cell,
-    op_coh,
-    suspend_coh,
-    unsuspend_sub,
-)
-from .trees import sorted_positions
+from .metaops import BipointedComputad, NotASuspension, desuspend_coh, op_cell, op_coh, suspend_coh
 
 
 class HomGenerator(HashConsed):
@@ -93,22 +86,14 @@ def is_loop_cell(c: BipointedComputad, cell: CellTerm) -> bool:
     return sphere.src == c.base_minus and sphere.tgt == c.base_plus
 
 
-def _unsuspended(c: BipointedComputad, cell: CellTerm):
-    """A loop coherence in the suspension shape (single branch, root sectors
-    at the basepoints, suspended sphere) as its bindings above the root
-    sectors and its desuspended sphere; None for an indecomposable cell."""
-    if not isinstance(cell, Coh):
-        return None
-    try:
-        return unsuspend_sub(cell, c.base), desuspend_sphere(cell.sphere)
-    except NotASuspension:
-        return None
-
-
 def is_indecomposable(c: BipointedComputad, cell: CellTerm) -> bool:
+    """Whether a loop cell is a generator of the hom computad, that is,
+    whether :func:`hom_factor` leaves it whole.  Like :func:`hom_factor`,
+    it assumes a well-typed loop cell; a cell that is no loop cell raises
+    ValueError."""
     if not is_loop_cell(c, cell):
         raise ValueError("indecomposability is about loop cells")
-    return _unsuspended(c, cell) is None
+    return type(hom_factor(c, cell)) is HomGenerator
 
 
 def _memos(c: BipointedComputad) -> tuple[dict, dict, set]:
@@ -135,7 +120,7 @@ class HomComputad:
             return None
         c, u = self.pointed, leaf.underlying
         typecheck_cell(c.computad, u)
-        if not is_loop_cell(c, u) or _unsuspended(c, u):
+        if not is_loop_cell(c, u) or type(hom_factor(c, u)) is not HomGenerator:
             return None
         if leaf.dim == 0:
             return 0, None
@@ -154,15 +139,15 @@ def hom_factor(c: BipointedComputad, cell: CellTerm) -> HomCell:
 def _hom_factor_node(c: BipointedComputad, cell: CellTerm):
     if not is_loop_cell(c, cell):
         raise ValueError("only loop cells factor through the hom computad")
-    shape = _unsuspended(c, cell)
-    if shape is None:
+    if type(cell) is not Coh:
         return HomGenerator(cell)
-    entries, sphere = shape
-    tree = cell.tree.children[0]
-    values = []
-    for _, v in entries:
-        values.append((yield v))
-    return Coh(tree, sphere, tuple(zip(sorted_positions(tree), values)))
+    try:
+        # the sphere has a memo of its own: a sphere cell, over the pasting
+        # computad of a suspended scheme, can be the very node of an ambient
+        # loop cell, whose factor is not its desuspension
+        return (yield from desuspend_coh(cell, c.base, {}))
+    except NotASuspension:
+        return HomGenerator(cell)
 
 
 def hom_realize(c: BipointedComputad, h: HomCell) -> CellTerm:
@@ -204,12 +189,14 @@ def _op_hom_step(w: DimSet, h: HomCell):
 
 
 def homgen_to_json(h: HomGenerator, inner: dict) -> dict:
-    """The JSON leaf of a hom cell (see :func:`cell_to_json`), given the
-    encoding ``inner`` of the wrapped cell."""
+    """The JSON leaf of a hom cell (see
+    :func:`omegatt.computads.cell_to_json`), given the encoding ``inner``
+    of the wrapped cell."""
     return {"homgen": inner}
 
 
 def homgen_from_json(obj: Mapping, dim_of, decode) -> HomGenerator:
-    """Decode the JSON leaf of a hom cell (see :func:`cell_from_json`),
-    with ``decode`` for the wrapped cell."""
+    """Decode the JSON leaf of a hom cell (see
+    :func:`omegatt.computads.cell_from_json`), with ``decode`` for the
+    wrapped cell."""
     return HomGenerator(decode(obj["homgen"]))

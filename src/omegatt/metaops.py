@@ -16,10 +16,11 @@ Desuspension inverts suspension on its image and reports the first
 obstruction path when a term is not a suspension.
 
 The coherence case of each operation is written once (:func:`op_coh`,
-:func:`suspend_coh`, :func:`unsuspend_sub`), as a step of a walk that
-yields the cells of the substitution: cells here have ``Var`` leaves, and
-the hom cells of :mod:`omegatt.homcat`, whose leaves are ``HomGenerator``
-nodes, go through the same code.
+:func:`suspend_coh`, :func:`desuspend_coh`), as a step of a walk that
+yields the cells of the substitution and leaves the leaves to the walk.
+Here the leaves are ``Var`` nodes; :mod:`omegatt.homcat` runs the same
+steps with ``HomGenerator`` leaves, so its ``hom_realize`` is suspension
+and its ``hom_factor`` desuspension, the two sides of Σ ⊣ Hom.
 """
 
 from __future__ import annotations
@@ -157,31 +158,34 @@ def _desuspend(cell: CellTerm):
             return Var(cell.name[2:], cell.dim - 1)
         reason = "a basepoint 0-cell" if cell.dim == 0 else f"generator {cell.name!r} is not shifted"
         raise NotASuspension((), reason)
-    values, at = [], ()  # at: the step to the child being desuspended
-    try:
-        for p, v in unsuspend_sub(cell, _BASEPOINTS):
-            at = ("sub", p)
-            values.append((yield v))
-        at = ("sphere", "src")
-        src = yield cell.sphere.src
-        at = ("sphere", "tgt")
-        sphere = Sphere(src, (yield cell.sphere.tgt))
-    except NotASuspension as err:
-        raise prefixed(err, at)
-    tree = cell.tree.children[0]
-    return Coh(tree, sphere, tuple(zip(sorted_positions(tree), values)))
+    return desuspend_coh(cell, _BASEPOINTS, None)
 
 
-def unsuspend_sub(cell: Coh, base: tuple[CellTerm, CellTerm]) -> tuple[tuple[str, CellTerm], ...]:
-    """The shape test of desuspension on a coherence: its scheme has one
-    branch and its substitution sends the two root sectors, bound first, to
-    ``base``.  Returns the other bindings, still under their ``1.``-names;
-    raises NotASuspension at the first obstruction."""
+def desuspend_coh(cell: Coh, base: tuple[CellTerm, CellTerm], memo: dict | None):
+    """The coherence case of desuspension, the inverse of
+    :func:`suspend_coh`.  The scheme must have one branch and the
+    substitution must send the two root sectors, bound first, to ``base``;
+    the step yields the values of the positions above them, in their order.
+    The sphere cells are yielded too when ``memo`` is None, else desuspended
+    through ``memo``, which must not be the memo of a walk whose values are
+    of another kind.  Raises NotASuspension at the first obstruction."""
     if len(cell.tree.children) != 1:
         raise NotASuspension(("tree",), f"scheme has {len(cell.tree.children)} branches, want 1")
     if len(cell.sub) < 2 or cell.sub[0][1] != base[0] or cell.sub[1][1] != base[1]:
         raise NotASuspension(("sub",), "root sectors are not sent to the basepoints")
-    return cell.sub[2:]
+    values, at = [], ()  # at: the step to the child being desuspended
+    try:
+        for p, v in cell.sub[2:]:
+            at = ("sub", p)
+            values.append((yield v))
+        at = ("sphere", "src")
+        src = (yield cell.sphere.src) if memo is None else walk(_desuspend, memo, cell.sphere.src)
+        at = ("sphere", "tgt")
+        tgt = (yield cell.sphere.tgt) if memo is None else walk(_desuspend, memo, cell.sphere.tgt)
+    except NotASuspension as err:
+        raise prefixed(err, at)
+    tree = cell.tree.children[0]
+    return Coh(tree, Sphere(src, tgt), tuple(zip(sorted_positions(tree), values)))
 
 
 def desuspend_sphere(sphere: Sphere, path: tuple[str, ...] = ()) -> Sphere:

@@ -29,6 +29,7 @@ from omegatt.computads import (
     apply_morphism,
     cell_boundary,
     map_vars,
+    prefixed,
     typecheck_cell,
 )
 from omegatt.metaops import BASE_MINUS, BASE_PLUS, rename_cell
@@ -53,7 +54,10 @@ def typecheck_morphism(dom, cod, sigma) -> None:
                 raise TypecheckError(
                     "DimensionMismatch", (v,), f"{v!r} has dimension {d}, image has {cell.dim}"
                 )
-            typecheck_cell(cod, cell, (v,))
+            try:
+                typecheck_cell(cod, cell)
+            except TypecheckError as err:
+                raise prefixed(err, (v,))
             if d >= 1:
                 want = dom.sphere_of(v)
                 got = cell_boundary(cod, cell)

@@ -579,8 +579,8 @@ class TestLawsVerb:
     @pytest.mark.parametrize("max_nodes,dims_upto", [(5, 3), (9, 1)])
     def test_report_is_byte_identical(self, max_nodes, dims_upto):
         """The sweep at its defaults and at the raised node bound, where the
-        tree tables are hot, in a fresh process: the sweep of 9-node trees
-        would leave schemes in this one that other tests expect to be new."""
+        tree tables are hot, in a fresh process, so that the tables and memos
+        the sweep fills are not left to the tests that count what they build."""
         argv = ["laws", "--max-nodes", str(max_nodes), "--dims-upto", str(dims_upto)]
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         run = subprocess.run([sys.executable, "-m", "omegatt.cli", *argv], env=env, capture_output=True, text=True)

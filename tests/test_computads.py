@@ -44,7 +44,7 @@ from omegatt.globular import dimset, nat_key
 from omegatt.metaops import desuspend_computad, op_computad, suspend_computad
 from omegatt.oplib import comp_cell, compose, eh_computad, identity_cell
 from omegatt.surface import SurfaceError, _position_scope, load_document
-from omegatt.trees import all_trees, br, comp_tree, disk_tree, pos_dim
+from omegatt.trees import all_trees, br, comp_tree, disk_tree, pos_dim, sorted_positions
 
 TWO_ARROWS = comp_tree(1, 0, 1)
 
@@ -494,7 +494,9 @@ class TestTypecheck:
         # then depth first, so the pasting computad of that scheme is p, with
         # p's table order; 1.1.0 and 2.0 are bound wrongly, as in the test above
         t = br(br(br()), *[br()] * 5)
-        assert t._names is None  # no other test builds this scheme
+        # no test builds this scheme's pasting computad, nor does a law sweep
+        key = frozenset(computads._pasted(x)[0] for x in sorted_positions(t))
+        assert Computad._live(key) is None
         arrows = range(2, 7)
         p = "6 : * ; 0 : * ; 1 : * ; 1.0 : 0 -> 1 ; 1.1 : 0 -> 1 ; 1.1.0 : 1.0 -> 1.1 ;"
         p += "".join(f" {i} : * ;" * (i < 6) + f" {i}.0 : {i - 1} -> {i} ;" for i in arrows)
@@ -641,10 +643,10 @@ class TestDoubleComputad:
         for name in denote:
             assert counit_eval(c, dbl.var(name), denote) == denote[name]
 
-    def test_counit_default_is_identity(self):
+    def test_counit_on_the_generators_is_identity(self):
         c = walking_composite()
         fg = comp_fg(c)
-        assert counit_eval(c, fg) == fg
+        assert counit_eval(c, fg, {v: c.var(v) for v in c.table}) == fg
 
 
 class TestJson:

@@ -15,6 +15,7 @@ from omegatt.computads import (
     Var,
     cell_from_json,
     cell_to_json,
+    map_vars,
     substitution,
     typecheck_cell,
 )
@@ -30,7 +31,7 @@ from omegatt.homcat import (
     is_loop_cell,
     op_homcell,
 )
-from omegatt.laws import all_dimsets, loop_corpus, pointed_loops
+from omegatt.laws import all_dimsets, cell_corpus, loop_corpus, pointed_loops
 from omegatt.metaops import BipointedComputad, op_bipointed, op_cell, suspend_cell, suspend_computad
 from omegatt.oplib import comp_cell, compose, eh_computad, identity_cell
 from omegatt.trees import comp_tree, pos_dim, sorted_positions, suspend_tree
@@ -107,6 +108,14 @@ class TestFactor:
             h = hom_factor(pointed, cell)
             assert isinstance(h, Coh)
             assert h.tree == comp_tree(n, k, m)
+
+    def test_suspensions_factor_through_the_unit(self):
+        """The unit of suspension ⊣ hom: a suspended cell factors over the
+        suspended computad as the cell itself, each generator ``v`` become
+        the hom generator of ``1.v``."""
+        for c, u in cell_corpus():
+            unit = map_vars(lambda v: HomGenerator(Var(f"1.{v.name}", v.dim + 1)), u)
+            assert hom_factor(suspend_computad(c), suspend_cell(u)) == unit
 
     def test_rejects_non_loops(self):
         pointed, c, *_ = eh_cells()

@@ -359,9 +359,9 @@ def test_block_typechecks_each_sphere_cell_once(monkeypatch):
     checked = []
     typecheck = computads.typecheck_cell
 
-    def counted(c, cell, path=()):
+    def counted(c, cell):
         checked.append(cell.name)
-        return typecheck(c, cell, path)
+        return typecheck(c, cell)
 
     monkeypatch.setattr(computads, "typecheck_cell", counted)
     n = 40
