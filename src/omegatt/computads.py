@@ -724,9 +724,9 @@ def double_computad(c: Computad, cells: Iterable[CellTerm]) -> tuple[Computad, d
     return Computad.build(table)[0], denote
 
 
-def counit_eval(c: Computad, cell: CellTerm, denote: Mapping[str, CellTerm]) -> CellTerm:
+def counit_eval(cell: CellTerm, denote: Mapping[str, CellTerm]) -> CellTerm:
     """Evaluate a cell over a free computad whose generators denote cells of
-    ``c``: each Var becomes the cell ``denote`` gives its name, coherences
+    another: each Var becomes the cell ``denote`` gives its name, coherences
     evaluate their substitutions."""
     return map_vars(lambda v: denote[v.name], cell)
 

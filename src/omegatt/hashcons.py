@@ -11,12 +11,14 @@ freed, and its entry leaves the table with it.
 
 Memos of pure traversals are stored in slots of the node they start from,
 so each lives exactly as long as its node.  :func:`recall` and
-:func:`store` keep a memo dict in a slot, made on first use.  Where it maps
-a cell to another cell of the same dimension (its opposite, say), it holds
-the result strongly only when the call that made the entry also built the
-result, and weakly otherwise.  Strong entries then always point from an
-older node to a younger one, so the memos never close a reference cycle
-among cells, and reference counting alone frees a dropped term.
+:func:`store` keep a memo dict in a slot, made on first use, and
+:func:`slot_memo` makes a function that keeps its values so, counted as an
+``lru_cache`` counts them.  Where :func:`store` maps a node to another
+of its class (a cell or a tree to its opposite, say), it holds the result
+strongly only when the call that made the entry also built the result, and
+weakly otherwise.  Strong entries then always point from an older node to
+a younger one, so the memos never close a reference cycle, and reference
+counting alone frees a dropped term or tree.
 :func:`walk` drives the deep traversals of terms and documents that finish
 a node after its children (to use their values, or to write after them),
 with its memo for one call or in a slot, and takes no Python frame per
@@ -27,14 +29,36 @@ per node, and a pass that only collects is a plain work-list.
 
 The memo slots and tables, and what bounds each one:
 
-* ``BataninTree._op`` (:func:`omegatt.trees.op_tree` per dimension set),
-  ``._boundary`` (:func:`omegatt.trees.boundary_tree` per dimension below
-  the tree's own: at or above it the boundary is the tree, kept in no
-  entry) and ``._names`` (:func:`omegatt.trees.sorted_positions`, the one
-  tuple of the tree's position names, which every table below shares): a
-  tree lives as long as the tables below hold it.  The first two are
-  dicts made with the tree and read and written directly: they are on the
+* ``BataninTree._op`` (:func:`omegatt.trees.op_tree` per dimension set,
+  through :func:`recall` and :func:`store`, so a tree and its opposite
+  close no cycle), ``._boundary`` (:func:`omegatt.trees.boundary_tree`
+  per dimension below the tree's own: at or above it the boundary is the
+  tree, kept in no entry; a boundary is a smaller tree, so its entries
+  are strong) and ``._names`` (:func:`omegatt.trees.sorted_positions`,
+  the one tuple of the tree's position names, which every table below
+  shares).  The first two are dicts made with the tree: they are on the
   hot path of the tree laws.
+* The shape tables of a tree, each kept by :func:`slot_memo` on the
+  smallest tree that determines it.  They make no strings or records: an
+  entry holds containers of the shared ones of
+  :data:`omegatt.trees.POSITIONS`.
+
+  - ``._levels``: :func:`omegatt.trees.positions`, per dimension a tuple
+    of the position records, which only the laws read;
+  - ``._src``: :func:`omegatt.trees.src_inclusion`, the identity dict on
+    the tree's names, kept on the boundary ``boundary_tree(k, t)`` and so
+    one dict for every tree with that boundary;
+  - ``._tgt``: :func:`omegatt.trees.tgt_inclusion` per dimension k, a dict
+    from the boundary's names to the tree's, kept on
+    ``boundary_tree(k + 1, t)``, all of ``t`` that it reads;
+  - ``._iso`` and ``._order``: :func:`omegatt.trees.op_positions_iso` per
+    dimension set, a dict from the opposite's names to the tree's, and
+    :func:`omegatt.trees.op_sub_order` per dimension set, a tuple of
+    (opposite's name, index) pairs, both read off one ordered walk; the
+    dict of ``op_tree(w, t)`` is the inverse of that of ``t``.
+
+  A tree's tables die with it: no table outlives the trees a law sweep
+  enumerates.
 * ``Coh._op`` (:func:`omegatt.metaops.op_cell` per dimension set),
   ``._boundary`` (:func:`omegatt.computads.cell_boundary`), ``._key``
   (:func:`omegatt.computads.cell_key`), ``HomGenerator._op``
@@ -56,21 +80,8 @@ distinct names met: :data:`omegatt.trees.POSITIONS` (each name's record:
 dimension, ``lo``/``hi``, sector names) and
 ``omegatt.computads._PASTED`` (each name's pasting-computad item, attach
 pair and template binding).  The ``lru_cache`` tables live for the process
-too.  Each is keyed by interned trees or by a composite's (n, k, m), so each
-grows with the trees and composites the process has met.  The tree tables
-make no strings or records: an entry holds containers of the shared ones.
+too, and hold every tree or composite they were asked for:
 
-* :func:`omegatt.trees.positions` (tree), which only the tree laws read:
-  per dimension a tuple of the position records;
-* :func:`omegatt.trees.src_inclusion` (dimension, tree): the identity dict
-  on the boundary's names, one dict shared by every tree with that
-  boundary; :func:`omegatt.trees.tgt_inclusion` (dimension, tree): a dict
-  from the boundary's names to the tree's;
-* :func:`omegatt.trees.op_positions_iso` (dimension set, tree): a dict from
-  the opposite's names to the tree's, and
-  :func:`omegatt.trees.op_sub_order` (dimension set, tree): a tuple of
-  (opposite's name, index) pairs, both read off one ordered walk; the dict
-  of ``op_tree(w, t)`` is the inverse of that of ``t``;
 * :func:`omegatt.computads.pasting_computad` (tree), the shape of a scheme
   that the kernel reads, whose ``_passed`` keeps the sphere cells checked
   over the scheme, and :func:`omegatt.computads.template_sub` (tree);
@@ -87,10 +98,13 @@ thread at a time.
 
 from __future__ import annotations
 
+import functools
 import weakref
+from collections import namedtuple
 from types import GeneratorType
 
 remember = object.__setattr__  # write a memo slot of a node
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")  # the fields of an lru_cache's, in its order
 
 
 class HashConsed:
@@ -165,6 +179,76 @@ def store(node, slot: str, key, value, created: bool):
         remember(node, slot, memo)
     memo[key] = value if created else weakref.ref(value)
     return value
+
+
+def slot_memo(cls, slot: str, home=None, keyed: bool = True):
+    """Memoise a function of a node of ``cls`` in the memo slot ``slot`` of
+    the node that determines its value, so each value dies with that node.
+
+    The function takes ``(key, t)``, or ``t`` alone when neither ``keyed``
+    nor ``home`` is given.  The node that keeps the value is ``home(key,
+    t)``, or ``t`` when ``home`` is None, and on a miss the function is
+    called with ``t`` replaced by that node.  When ``keyed`` the slot holds
+    a dict keyed by ``key``, otherwise the one value (None: nothing yet).
+    The memoised function counts its hits and misses as an ``lru_cache``
+    does: ``cache_info()`` gives them with ``currsize``, the entries held
+    by the live nodes, and ``cache_clear()`` empties the slot of every
+    live node."""
+
+    def decorate(build):
+        hits = misses = 0
+
+        if keyed or home is not None:
+            def memoised(key, t):
+                nonlocal hits, misses
+                node = t if home is None else home(key, t)
+                memo = getattr(node, slot)
+                out = memo.get(key) if keyed and memo is not None else memo
+                if out is not None:
+                    hits += 1
+                    return out
+                misses += 1
+                out = build(key, node)
+                if keyed:
+                    memo = getattr(node, slot)  # build may have made it
+                    if memo is None:
+                        memo = {}
+                        remember(node, slot, memo)
+                    memo[key] = out
+                else:
+                    remember(node, slot, out)
+                return out
+        else:
+            def memoised(t):
+                nonlocal hits, misses
+                out = getattr(t, slot)
+                if out is not None:
+                    hits += 1
+                    return out
+                misses += 1
+                out = build(t)
+                remember(t, slot, out)
+                return out
+
+        def live():
+            nodes = [ref() for ref in list(cls._table.values())]
+            return [node for node in nodes if node is not None and getattr(node, slot) is not None]
+
+        def cache_info() -> CacheInfo:
+            held = live()
+            return CacheInfo(hits, misses, None, sum([len(getattr(n, slot)) for n in held]) if keyed else len(held))
+
+        def cache_clear() -> None:
+            nonlocal hits, misses
+            hits = misses = 0
+            for node in live():
+                remember(node, slot, None)
+
+        functools.update_wrapper(memoised, build)
+        memoised.cache_info, memoised.cache_clear = cache_info, cache_clear
+        return memoised
+
+    return decorate
 
 
 def walk(step, memo, root):

@@ -13,11 +13,11 @@ A corpus that several families read is built once for them: the tree
 families share the tuple of :func:`tree_corpus`, the suspension, typecheck
 and cell-action families that of :func:`shared_cells`, and the hom families
 that of :func:`pointed_loops`.  Each is a one-entry cache filled on first
-use.  The trees stay until a sweep asks for another bound (the tree tables
-hold them anyway).  The cells are dropped when cell-action ends, and the
-loops, with the Eckmann-Hilton computad that keeps the hom memos of
-hom-roundtrip alive for hom-transport, when hom-transport ends, so the
-families after each reuse their memory.  Within
+use.  The trees, with the shape tables kept on them, are dropped when
+tree-action ends, the cells when cell-action ends, and the loops, with the
+Eckmann-Hilton computad that keeps the hom memos of hom-roundtrip alive
+for hom-transport, when hom-transport ends, so the families after each
+reuse their memory.  Within
 counit-squares, each double cell is evaluated once for its two squares.
 """
 
@@ -229,7 +229,7 @@ def loop_corpus() -> list[CellTerm]:
 @lru_cache(maxsize=1)
 def tree_corpus(max_nodes: int) -> tuple[BataninTree, ...]:
     """The trees of :func:`all_trees`, enumerated once for the two tree
-    families of a sweep."""
+    families of a sweep; the second empties the cache."""
     return tuple(all_trees(max_nodes))
 
 
@@ -311,7 +311,9 @@ def law_tree_action(max_nodes: int, dims_upto: int) -> LawReport:
                 lambda: f"{t} w={sorted(w)} v={sorted(v)}: scheme action is not symmetric difference",
             )
 
-    return sweep("tree-action", (((t,) for t in tree_corpus(max_nodes)), check))
+    report = sweep("tree-action", (((t,) for t in tree_corpus(max_nodes)), check))
+    tree_corpus.cache_clear()  # the last family to read the trees: they and their tables are freed
+    return report
 
 
 def _onto_opposite(f: dict[str, str], w: DimSet, last: str) -> bool:
@@ -556,11 +558,11 @@ def law_counit_squares() -> LawReport:
     def evaluate(u):
         out = evaluated.get(u)
         if out is None:
-            out = evaluated[u] = counit_eval(c, u, denote)
+            out = evaluated[u] = counit_eval(u, denote)
         return out
 
     def suspended(u):
-        lhs = counit_eval(up, suspend_cell(u), up_denote)
+        lhs = counit_eval(suspend_cell(u), up_denote)
         rhs = suspend_cell(evaluate(u))
         yield (
             lhs == rhs,
@@ -571,11 +573,10 @@ def law_counit_squares() -> LawReport:
             lambda: f"{cell_key(u)}: suspended double cell does not typecheck",
         )
 
-    opposites = {w: (op_computad(w, c), {g: op_cell(w, cell) for g, cell in denote.items()}) for w in all_dimsets(3)}
+    op_denote = {w: {g: op_cell(w, cell) for g, cell in denote.items()} for w in all_dimsets(3)}
 
     def opposite_square(w, u):
-        op_c, op_denote = opposites[w]
-        lhs = counit_eval(op_c, op_cell(w, u), op_denote)
+        lhs = counit_eval(op_cell(w, u), op_denote[w])
         rhs = op_cell(w, evaluate(u))
         yield (
             lhs == rhs,
@@ -586,7 +587,7 @@ def law_counit_squares() -> LawReport:
         "counit-squares",
         ([()], enough),
         (((u,) for u in double_cells), suspended),
-        (itertools.product(opposites, double_cells), opposite_square),
+        (itertools.product(op_denote, double_cells), opposite_square),
     )
 
 

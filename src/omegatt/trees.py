@@ -20,17 +20,19 @@ between, so each name met is formatted once per process, with one record
 (:data:`POSITIONS`), whatever trees it is in.  :func:`sorted_positions`
 keeps a tree's tuple of those names on the tree, the opposite's renaming
 reads the walk, and every other table (the positions and their sectors,
-the boundary inclusions) is built from that tuple and the records.
+the boundary inclusions) is built from that tuple and the records.  Each
+table is kept on the smallest tree that determines it (an inclusion on a
+boundary of the tree), so it dies with that tree.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
+from weakref import ref
 
 from .globular import DimSet, dimset_down
-from .hashcons import HashConsed, gather, remember, walk
+from .hashcons import HashConsed, gather, recall, remember, slot_memo, store, walk
 
 
 class BataninTree(HashConsed):
@@ -41,16 +43,19 @@ class BataninTree(HashConsed):
     the tree is first built.
     ``_op`` memoises :func:`op_tree` per dimension set, ``_boundary``
     :func:`boundary_tree` per dimension and ``_names``
-    :func:`sorted_positions`.  The ``_op`` and ``_boundary`` dicts come
-    with the tree, so the hot lookups in them take no helper call, and
-    their entries are strong: a tree stays in the position caches for the
-    life of the process anyway, so a memo cycle between a tree and its
+    :func:`sorted_positions`; the other slots keep the shape tables that
+    the tree determines (:func:`positions`, the inclusions, the opposite's
+    renamings).  The ``_op`` and ``_boundary`` dicts come with the tree.
+    An ``_op`` entry is strong only when the call built the opposite, and
+    weak otherwise (:func:`omegatt.hashcons.store`), so a tree and its
     opposite (the tree itself, for a dimension set that reverses nothing
-    in it) costs nothing.  ``_boundary`` has no entry at or above the
-    tree's dimension, where the boundary is the tree itself.
+    in it) close no reference cycle, and a dropped tree is freed with its
+    tables.  ``_boundary`` entries are smaller trees, held strongly, and
+    there is none at or above the tree's dimension, where the boundary is
+    the tree itself.
     """
 
-    __slots__ = ("children", "dim", "nodes", "_op", "_boundary", "_names")
+    __slots__ = ("children", "dim", "nodes", "_op", "_boundary", "_names", "_levels", "_src", "_tgt", "_iso", "_order")
     __match_args__ = ("children",)
     children: tuple["BataninTree", ...]
     dim: int
@@ -62,7 +67,7 @@ class BataninTree(HashConsed):
         if tree is None:
             dim = 1 + max([c.dim for c in children]) if children else 0
             nodes = 1 + sum([c.nodes for c in children])
-            tree = cls._cons(children, (children, dim, nodes, {}, {}, None))[0]
+            tree = cls._cons(children, (children, dim, nodes, {}, {}, None, None, None, None, None, None))[0]
         return tree
 
     def __repr__(self) -> str:
@@ -168,11 +173,12 @@ def position_levels(t: BataninTree) -> list[list[Position]]:
     return levels
 
 
-@lru_cache(maxsize=None)
+@slot_memo(BataninTree, "_levels", keyed=False)
 def positions(t: BataninTree) -> tuple[tuple[Position, ...], ...]:
-    """:func:`position_levels` frozen to tuples and cached.  Only the tree
-    laws read it: the kernel's builders call :func:`position_levels`, so a
-    tree that they meet keeps no second copy of its levels."""
+    """:func:`position_levels` frozen to tuples and memoised on ``t``.
+    Only the laws read it: the kernel's builders call
+    :func:`position_levels`, so a tree that they meet keeps no second copy
+    of its levels."""
     return tuple(map(tuple, position_levels(t)))
 
 
@@ -181,28 +187,41 @@ def pos_dim(p: str) -> int:
     return p.count(".")
 
 
-@lru_cache(maxsize=None)
+def _src_home(k: int, t: BataninTree) -> BataninTree:
+    """The tree that keeps ``src_inclusion(k, t)``: ``boundary_tree(k, t)``."""
+    if k < 0:
+        raise ValueError(f"src_inclusion: negative dimension {k}")
+    return t if k >= t.dim else t._boundary.get(k) or boundary_tree(k, t)
+
+
+def _tgt_home(k: int, t: BataninTree) -> BataninTree:
+    """The tree that keeps ``tgt_inclusion(k, t)`` under ``k``:
+    ``boundary_tree(k + 1, t)``, the whole of ``t`` that the table reads."""
+    if k < 0:
+        raise ValueError(f"tgt_inclusion: negative dimension {k}")
+    return t if k >= t.dim - 1 else t._boundary.get(k + 1) or boundary_tree(k + 1, t)
+
+
+@slot_memo(BataninTree, "_src", home=_src_home, keyed=False)
 def src_inclusion(k: int, t: BataninTree) -> Mapping[str, str]:
     """Positions of ``boundary_tree(k, t)`` -> positions of ``t``, source side.
 
     Picks the leftmost root sector at the pruned depth, which has the same
     name in both: the identity on the boundary's positions, as a name map,
-    one dict for every tree with that boundary.
+    one dict for every tree with that boundary, memoised on the boundary.
     """
-    if k < 0:
-        raise ValueError(f"src_inclusion: negative dimension {k}")
-    return {p: p for p in sorted_positions(t)} if k >= t.dim else src_inclusion(k, boundary_tree(k, t))
+    return {p: p for p in sorted_positions(t)}
 
 
-@lru_cache(maxsize=None)
+@slot_memo(BataninTree, "_tgt", home=_tgt_home)
 def tgt_inclusion(k: int, t: BataninTree) -> Mapping[str, str]:
     """Positions of ``boundary_tree(k, t)`` -> positions of ``t``, target side.
 
     The sector ``p.0`` of each node ``p`` at the pruned depth goes to the
     rightmost sector of that node in ``t``; the identity everywhere below.
+    It reads ``t`` to depth k + 1, so it is the table of
+    ``boundary_tree(k + 1, t)``, memoised there per ``k``.
     """
-    if k < 0:
-        raise ValueError(f"tgt_inclusion: negative dimension {k}")
     last = {}  # the rightmost sector of each k-node, under the node's hi: a (k-1)-position, or None at the root
     for pos in map(POSITIONS.__getitem__, sorted_positions(t)):
         if pos.dim == k:
@@ -218,27 +237,31 @@ def op_tree(w: DimSet, t: BataninTree) -> BataninTree:
     set shifts down by one for each child.  Memoised on ``t`` per ``w``,
     as is the opposite of each subtree it needs.
     """
-    out = t._op.get(w)
+    out = t._op.get(w)  # recall(t, "_op", w), inline on the hot path
+    if type(out) is ref:
+        out = out()
     if out is None:
         todo = [(w, t)]  # nodes whose opposite is wanted, each above the children it waits for
         while todo:
             w, node = todo[-1]
-            if w in node._op:
+            if recall(node, "_op", w) is not None:
                 todo.pop()
                 continue
             down = dimset_down(w)
-            wait = [(down, c) for c in node.children if down not in c._op]
-            if wait:
-                todo += wait
+            kids = [c._op.get(down) for c in node.children]
+            kids = [kid() if type(kid) is ref else kid for kid in kids]  # recall(c, "_op", down), inline
+            if None in kids:
+                todo += [(down, c) for c, kid in zip(node.children, kids) if kid is None]
                 continue
             todo.pop()
-            kids = [c._op[down] for c in node.children]
-            node._op[w] = BataninTree(tuple(kids[::-1] if 1 in w else kids))
-        out = t._op[w]
+            kids = tuple(kids[::-1] if 1 in w else kids)
+            old = BataninTree._live(kids)
+            store(node, "_op", w, old or BataninTree(kids), old is None)
+        out = recall(t, "_op", w)
     return out
 
 
-@lru_cache(maxsize=None)
+@slot_memo(BataninTree, "_iso")
 def op_positions_iso(w: DimSet, t: BataninTree) -> Mapping[str, str]:
     """Position rename ``positions(op_tree(w, t)) -> positions(t)``: the
     opposite's positions in canonical order, each sent to the one that
@@ -249,7 +272,7 @@ def op_positions_iso(w: DimSet, t: BataninTree) -> Mapping[str, str]:
     return dict(zip(sorted_positions(op_tree(w, t)), _ordered(t, w)))
 
 
-@lru_cache(maxsize=None)
+@slot_memo(BataninTree, "_order")
 def op_sub_order(w: DimSet, t: BataninTree) -> tuple[tuple[str, int], ...]:
     """How a substitution over ``t`` reindexes to one over ``op_tree(w, t)``.
 

@@ -641,12 +641,12 @@ class TestDoubleComputad:
         fg = comp_fg(c)
         dbl, denote = double_computad(c, [fg, c.var("f")])
         for name in denote:
-            assert counit_eval(c, dbl.var(name), denote) == denote[name]
+            assert counit_eval(dbl.var(name), denote) == denote[name]
 
     def test_counit_on_the_generators_is_identity(self):
         c = walking_composite()
         fg = comp_fg(c)
-        assert counit_eval(c, fg, {v: c.var(v) for v in c.table}) == fg
+        assert counit_eval(fg, {v: c.var(v) for v in c.table}) == fg
 
 
 class TestJson:

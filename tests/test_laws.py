@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 from omegatt import laws, trees
 from omegatt.globular import dimset
@@ -36,15 +40,15 @@ class TestRegistry:
 
 def test_a_sweep_builds_each_corpus_once(monkeypatch):
     """In one sweep at the default bounds, started with the shared corpora
-    dropped: the two tree families enumerate the trees once, the three
-    families that read the cell corpus build it once (one closure round and
-    one template list; cell-action and hom-roundtrip list the templates
-    again) and the third drops it, the two hom families build the loop
-    corpus once and the second drops it, and counit-squares evaluates each
-    of its 104 double cells over the Eckmann-Hilton computad once, for both
-    of its squares.  The sweep still makes its 17,432 checks."""
+    dropped: the two tree families enumerate the trees once and the second
+    drops them, the three families that read the cell corpus build it once
+    (one closure round and one template list; cell-action and hom-roundtrip
+    list the templates again) and the third drops it, the two hom families
+    build the loop corpus once and the second drops it, and counit-squares
+    evaluates each of its 104 double cells through the denotation of its
+    double computad once, for both of its squares.  The sweep still makes
+    its 17,432 checks."""
     calls: Counter = Counter()
-    eh = eh_computad().computad
     denotes = []
     real_closure, real_trees, real_eval, real_double, real_templates = (
         laws.eh_closure, trees.trees_with_nodes, laws.counit_eval, laws.double_computad, laws.template_corpus
@@ -55,9 +59,9 @@ def test_a_sweep_builds_each_corpus_once(monkeypatch):
         denotes.append(built[1])
         return built
 
-    def evaluate(c, cell, denote):
-        calls["eval"] += c is eh and denote is denotes[-1]
-        return real_eval(c, cell, denote)
+    def evaluate(cell, denote):
+        calls["eval"] += denote is denotes[-1]
+        return real_eval(cell, denote)
 
     monkeypatch.setattr(laws, "eh_closure", lambda rounds: calls.update([("closure", rounds)]) or real_closure(rounds))
     monkeypatch.setattr(trees, "trees_with_nodes", lambda n: calls.update([("trees", n)]) or real_trees(n))
@@ -71,9 +75,37 @@ def test_a_sweep_builds_each_corpus_once(monkeypatch):
     assert calls[("closure", 2)] == 1 and laws.pointed_loops.cache_info().currsize == 0
     assert calls[("closure", 1)] == 2 and calls["templates"] == 3  # the cell corpus and counit-squares
     assert laws.shared_cells.cache_info().currsize == 0
-    assert [calls[("trees", n)] for n in range(1, 6)] == [1] * 5
+    assert [calls[("trees", n)] for n in range(1, 6)] == [1] * 5 and laws.tree_corpus.cache_info().currsize == 0
     assert calls["eval"] == 104
     assert sum(r.checks for r in reports) == 17432 and all(r.ok for r in reports)
+
+
+FREED = """
+import gc
+from omegatt import computads, laws, oplib
+from omegatt.trees import BataninTree
+
+gc.disable()
+assert all(report.ok for report in laws.run_laws(8, 1))
+# the kernel's caches of composites and pasting computads live for the process: a scheme of a
+# template is in them, not in the tree laws' tables
+for kept in (oplib.comp_template, computads.pasting_computad, computads.template_sub):
+    kept.cache_clear()
+left = [ref() for ref in list(BataninTree._table.values())]
+assert [t for t in left if t is not None and t.nodes == 8] == []
+"""
+
+
+def test_a_sweep_frees_its_trees():
+    """In a fresh process with the cycle collector off: once a sweep to 8
+    nodes ends, none of the 429 trees with 8 nodes that the tree families
+    enumerated is left, so their tables went with them by reference
+    counting alone.  A fresh process, because the trees that the tests of
+    this process keep would stay."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", FREED], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
 
 
 class TestFailureMessages:
@@ -171,7 +203,7 @@ class TestFailureMessages:
         """Mutants that swap a and b after evaluating, and after reversing:
         each square names where its two sides differ."""
         real = laws.counit_eval
-        monkeypatch.setattr(laws, "counit_eval", lambda c, cell, denote: _swap_ab(real(c, cell, denote)))
+        monkeypatch.setattr(laws, "counit_eval", lambda cell, denote: _swap_ab(real(cell, denote)))
         report = laws.law_counit_squares()
         assert (
             "coh[[[], []]]{1.0->1.2}(0:=x;1:=x;1.0:=coh[]{0->0}(0:=x);1.1:=coh[]{0->0}(0:=x);1.1.0:=a;"

@@ -38,6 +38,7 @@ from omegatt.trees import (
     POSITIONS,
     all_trees,
     boundary_tree,
+    br,
     op_positions_iso,
     op_sub_order,
     op_tree,
@@ -145,6 +146,19 @@ def test_inclusions_match_the_reference(n):
             assert owned(src, b) and owned(src.values(), b)
             assert owned(tgt, b) and owned(tgt.values(), t)
             assert src is src_inclusion(k, b)
+            assert tgt is tgt_inclusion(k, boundary_tree(k + 1, t))
+
+
+def test_a_cleared_table_is_built_again():
+    """``cache_clear`` empties the tables on the trees, not only the
+    counters: the next call misses and builds the table again."""
+    t = br(br(br(), br(br())), br())
+    table = tgt_inclusion(1, t)
+    tgt_inclusion.cache_clear()
+    assert tgt_inclusion.cache_info() == (0, 0, None, 0)
+    again = tgt_inclusion(1, t)
+    assert again == table and again is not table
+    assert tgt_inclusion.cache_info() == (0, 1, None, 1)
 
 
 @pytest.mark.parametrize("w", DIMSETS, ids=lambda w: "".join(map(str, sorted(w))) or "none")
