@@ -57,8 +57,10 @@ The memo slots and tables, and what bounds each one:
     (opposite's name, index) pairs, both read off one ordered walk; the
     dict of ``op_tree(w, t)`` is the inverse of that of ``t``.
 
-  A tree's tables die with it: no table outlives the trees a law sweep
-  enumerates.
+  A tree's tables die with it.  A law sweep holds the trees below its
+  node bound until it ends, and those at the bound one orbit under the
+  dimension sets at a time (:func:`omegatt.laws.tree_orbits`), so it
+  holds the tables of one orbit of its largest trees at a time.
 * ``Coh._op`` (:func:`omegatt.metaops.op_cell` per dimension set),
   ``._boundary`` (:func:`omegatt.computads.cell_boundary`), ``._key``
   (:func:`omegatt.computads.cell_key`), ``HomGenerator._op``

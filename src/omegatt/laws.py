@@ -9,16 +9,18 @@ line per family (:func:`format_reports`), or under ``--json`` one object
 with each family's checks, failures and seconds (:func:`reports_to_json`).
 The corpus builders are also used directly by the test suite.
 
-A corpus that several families read is built once for them: the tree
-families share the tuple of :func:`tree_corpus`, the suspension, typecheck
-and cell-action families that of :func:`shared_cells`, and the hom families
-that of :func:`pointed_loops`.  Each is a one-entry cache filled on first
-use.  The trees, with the shape tables kept on them, are dropped when
-tree-action ends, the cells when cell-action ends, and the loops, with the
-Eckmann-Hilton computad that keeps the hom memos of hom-roundtrip alive
-for hom-transport, when hom-transport ends, so the families after each
-reuse their memory.  Within
-counit-squares, each double cell is evaluated once for its two squares.
+A sweep owns the corpora that several families read: :data:`READS` names
+the one each family reads and :data:`CORPORA` builds it.  ``timed_laws``
+builds a corpus on its first reader's turn and drops it after its last
+reader's, and runs the families that read no tree first, so the kernel's
+schemes and their opposites, which the pasting-computad cache keeps, are
+built once for all.  The tree families then read one stream
+(:func:`tree_orbits`) together: the trees below the node bound, held to
+the end, then each orbit of the trees at the bound under the dimension
+sets, which both families check before the next is built, so a sweep
+holds the tables of one orbit of its largest trees at a time.  Called on
+its own, a family builds what it reads.  Within counit-squares, each
+double cell is evaluated once for its two squares.
 """
 
 from __future__ import annotations
@@ -26,8 +28,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .computads import (
     CellTerm,
@@ -47,7 +48,7 @@ from .computads import (
     term_diff,
     typecheck_cell,
 )
-from .globular import DimSet, dimset
+from .globular import DimSet, dimset, dimset_down
 from .homcat import HomGenerator, hom_factor, hom_realize, is_indecomposable, op_homcell
 from .metaops import (
     BASE_MINUS,
@@ -97,13 +98,16 @@ class LawReport:
         self.checks += 1
 
 
-def sweep(name: str, *parts: tuple[Iterable[tuple], Callable[..., Iterator]]) -> LawReport:
+def sweep(
+    name: str, *parts: tuple[Iterable[tuple], Callable[..., Iterator]], into: LawReport | None = None
+) -> LawReport:
     """The report of the family ``name``: for each part ``(corpus, check)``
     and each instance of its corpus, in order, ``check(*instance)`` yields
     ``(passed, describe)`` per law, as :meth:`LawReport.check` takes them.
     A check that raises fails its instance once, with a message naming the
-    instance and the exception, and the sweep goes on."""
-    report = LawReport(name)
+    instance and the exception, and the sweep goes on.  With ``into``, the
+    checks are added to that report, the family's so far."""
+    report = LawReport(name) if into is None else into
     for corpus, check in parts:
         for instance in corpus:
             try:
@@ -226,37 +230,84 @@ def loop_corpus() -> list[CellTerm]:
     return eh_closure(2)
 
 
-@lru_cache(maxsize=1)
-def tree_corpus(max_nodes: int) -> tuple[BataninTree, ...]:
-    """The trees of :func:`all_trees`, enumerated once for the two tree
-    families of a sweep; the second empties the cache."""
-    return tuple(all_trees(max_nodes))
-
-
-@lru_cache(maxsize=1)
-def shared_cells() -> tuple[tuple[Computad, CellTerm], ...]:
-    """The cells of :func:`cell_corpus`, built once for the three families
-    of a sweep that read them; the third empties the cache."""
-    return tuple(cell_corpus())
-
-
-@lru_cache(maxsize=1)
 def pointed_loops() -> tuple[tuple[BipointedComputad, CellTerm], ...]:
     """Each loop cell of :func:`loop_corpus` with its bipointed computad,
-    built once for the two hom families of a sweep; the second empties the
-    cache."""
+    the instances of the two hom families."""
     pointed = eh_computad()
     return tuple((pointed, cell) for cell in loop_corpus())
+
+
+def tree_orbits(max_nodes: int, dims_upto: int) -> Iterator[tuple[BataninTree, ...]]:
+    """The trees of :func:`all_trees`, each once, in the groups that the
+    tree families check together: first every tree with fewer than
+    ``max_nodes`` nodes, each a boundary of some larger tree, held until the
+    stream ends; then each orbit ``{op_tree(w, t) : w in all_dimsets(dims_upto)}``
+    of the trees with ``max_nodes`` nodes, ``t`` first, when the
+    enumeration meets ``t``, its earliest member.  The larger trees are
+    enumerated lazily and dropped with their orbit."""
+    dimsets = all_dimsets(dims_upto)
+    trees = all_trees(max_nodes)
+    place: dict[BataninTree, int] = {}  # each smaller tree's place in the enumeration
+    for t in trees:
+        if t.nodes == max_nodes:
+            break
+        place[t] = len(place)
+    else:
+        return
+    if place:
+        yield tuple(place)
+    # the enumeration lists the trees of one size by their children's places, so t comes first in its
+    # orbit if no opposite's children come earlier: op_tree(w, t) has the children op_tree(w - 1, c),
+    # reversed when 1 is in w, whose places are read off the smaller trees without building the opposite
+    moved = {w: {c: place[op_tree(w, c)] for c in place} if w else place for w in map(dimset_down, dimsets)}
+    moves = [(w, moved[dimset_down(w)], 1 in w) for w in dimsets[1:]]  # dimsets[0] is the empty set
+    for t in itertools.chain([t], trees):
+        first = [place[c] for c in t.children]
+        for _, places, flip in moves:
+            other = [places[c] for c in t.children]
+            if (other[::-1] if flip else other) < first:
+                break
+        else:
+            yield tuple(dict.fromkeys([t] + [op_tree(w, t) for w, _, _ in moves]))
 
 
 # ---------------------------------------------------------------------------
 # law families
 
 
+# The instances of the cell families and of the hom families, as the sweep passes them on.
+Cells = Sequence[tuple[Computad, CellTerm]]
+Loops = Sequence[tuple[BipointedComputad, CellTerm]]
+
+
+# A tree family for one group of trees at a time: the instances of a group, and the check of one instance.
+TreeParts = tuple[Callable[[tuple[BataninTree, ...]], Iterable[tuple]], Callable[..., Iterator]]
+
+
 def law_tree_boundary(max_nodes: int, dims_upto: int) -> LawReport:
     """op commutes with tree boundaries, and the boundary inclusions are
     exchanged (swapped when the boundary dimension is reversed) through the
     canonical position isomorphisms."""
+    return sweep("tree-boundary", _over_trees(tree_boundary_parts(dims_upto), tree_orbits(max_nodes, dims_upto)))
+
+
+def law_tree_action(max_nodes: int, dims_upto: int) -> LawReport:
+    """The dimension sets act on trees and their pasting schemes: the empty
+    set acts trivially and composition is symmetric difference, on trees
+    and on positions (``iso_v ∘ iso_w`` is ``iso_{w⊕v}``, and a map onto
+    the ``w⊕v``-opposite of the positions of ``t``)."""
+    return sweep("tree-action", _over_trees(tree_action_parts(dims_upto), tree_orbits(max_nodes, dims_upto)))
+
+
+def _over_trees(parts: TreeParts, groups: Iterable[tuple[BataninTree, ...]]) -> tuple[Iterable[tuple], Callable]:
+    """A tree family's part over every group of trees that ``groups`` yields."""
+    instances, check = parts
+    return itertools.chain.from_iterable(map(instances, groups)), check
+
+
+def tree_boundary_parts(dims_upto: int) -> TreeParts:
+    """The parts of :func:`law_tree_boundary`: each tree with each dimension set."""
+    dimsets = all_dimsets(dims_upto)
 
     def check(t, w):
         opt = op_tree(w, t)
@@ -277,14 +328,12 @@ def law_tree_boundary(max_nodes: int, dims_upto: int) -> LawReport:
                 lambda: f"{t} w={sorted(w)} k={k}: inclusion squares fail",
             )
 
-    return sweep("tree-boundary", (itertools.product(tree_corpus(max_nodes), all_dimsets(dims_upto)), check))
+    return (lambda trees: itertools.product(trees, dimsets)), check
 
 
-def law_tree_action(max_nodes: int, dims_upto: int) -> LawReport:
-    """The dimension sets act on trees and their pasting schemes: the empty
-    set acts trivially and composition is symmetric difference, on trees
-    and on positions (``iso_v ∘ iso_w`` is ``iso_{w⊕v}``, and a map onto
-    the ``w⊕v``-opposite of the positions of ``t``)."""
+def tree_action_parts(dims_upto: int) -> TreeParts:
+    """The parts of :func:`law_tree_action`: each tree, acted on by each
+    pair of dimension sets."""
     triples = action_triples(dims_upto)
 
     def check(t):
@@ -311,9 +360,7 @@ def law_tree_action(max_nodes: int, dims_upto: int) -> LawReport:
                 lambda: f"{t} w={sorted(w)} v={sorted(v)}: scheme action is not symmetric difference",
             )
 
-    report = sweep("tree-action", (((t,) for t in tree_corpus(max_nodes)), check))
-    tree_corpus.cache_clear()  # the last family to read the trees: they and their tables are freed
-    return report
+    return (lambda trees: zip(trees)), check
 
 
 def _onto_opposite(f: dict[str, str], w: DimSet, last: str) -> bool:
@@ -332,7 +379,7 @@ def _onto_opposite(f: dict[str, str], w: DimSet, last: str) -> bool:
     return True
 
 
-def law_suspension() -> LawReport:
+def law_suspension(cells: Cells | None = None) -> LawReport:
     """Suspension sends the (n,k,m) composition data to (n+1,k+1,m+1), is
     inverted by desuspension, and adds exactly the two basepoints to
     supports."""
@@ -365,7 +412,8 @@ def law_suspension() -> LawReport:
             lambda: f"{cell_key(cell)}: suspended support is not the lifted support plus basepoints",
         )
 
-    return sweep("suspension", (comp_triples(TEMPLATE_NM), shifted), (shared_cells(), inverted))
+    cells = cell_corpus() if cells is None else cells
+    return sweep("suspension", (comp_triples(TEMPLATE_NM), shifted), (cells, inverted))
 
 
 def law_pushout_counts() -> LawReport:
@@ -382,7 +430,7 @@ def law_pushout_counts() -> LawReport:
     return sweep("pushout-counts", (comp_triples(PUSHOUT_NM), check))
 
 
-def law_typecheck(dims_upto: int = 3) -> LawReport:
+def law_typecheck(dims_upto: int = 3, cells: Cells | None = None) -> LawReport:
     """Everything the kernel builds typechecks, including all opposites of
     the corpus, and the two seeded ill-formed coherences are rejected with
     the right error codes."""
@@ -418,10 +466,11 @@ def law_typecheck(dims_upto: int = 3) -> LawReport:
         else:
             yield False, message
 
-    return sweep("typecheck", (shared_cells(), built), ([("a",), ("b",)], attached), (seeded, rejected))
+    cells = cell_corpus() if cells is None else cells
+    return sweep("typecheck", (cells, built), ([("a",), ("b",)], attached), (seeded, rejected))
 
 
-def law_cell_action(dims_upto: int = 3) -> LawReport:
+def law_cell_action(dims_upto: int = 3, cells: Cells | None = None) -> LawReport:
     """The dimension sets act on cells and computads: empty set trivially,
     composition by symmetric difference."""
     triples = action_triples(dims_upto)
@@ -448,12 +497,11 @@ def law_cell_action(dims_upto: int = 3) -> LawReport:
             )
 
     computads = [(eh_computad().computad,)] + [(a,) for a, _ in template_corpus()]
-    report = sweep("cell-action", (computads, on_computad), (shared_cells(), on_cell))
-    shared_cells.cache_clear()  # the last family to read the cells: the families after it reuse their memory
-    return report
+    cells = cell_corpus() if cells is None else cells
+    return sweep("cell-action", (computads, on_computad), (cells, on_cell))
 
 
-def law_hom_roundtrip() -> LawReport:
+def law_hom_roundtrip(loops: Loops | None = None) -> LawReport:
     """Factoring a loop cell through the hom computad and playing it back is
     the identity, and indecomposability picks out exactly the non-suspension
     shapes."""
@@ -481,12 +529,12 @@ def law_hom_roundtrip() -> LawReport:
             lambda: f"{cell_key(cell)}: suspension image should be decomposable",
         )
 
-    loops = pointed_loops()
+    loops = pointed_loops() if loops is None else loops
     pointed = dict.fromkeys((p,) for p, _ in loops)
     return sweep("hom-roundtrip", (loops, roundtrip), (pointed, basepoint), (template_corpus(), suspended))
 
 
-def law_hom_transport(dims_upto: int = 3) -> LawReport:
+def law_hom_transport(dims_upto: int = 3, loops: Loops | None = None) -> LawReport:
     """Forming opposites commutes with factoring through the hom computad:
     the factor of the w-opposite is the (w-1)-opposite of the factor."""
 
@@ -498,10 +546,8 @@ def law_hom_transport(dims_upto: int = 3) -> LawReport:
             lambda: f"{cell_key(cell)} w={sorted(w)}: factor(op) and op(factor) differ {diff_text(lhs, rhs)}",
         )
 
-    loops = pointed_loops()
-    report = sweep("hom-transport", (((w, *loop) for w in all_dimsets(dims_upto) for loop in loops), check))
-    pointed_loops.cache_clear()  # the last family to read the loops: the families after it reuse their memory
-    return report
+    loops = pointed_loops() if loops is None else loops
+    return sweep("hom-transport", (((w, *loop) for w in all_dimsets(dims_upto) for loop in loops), check))
 
 
 def law_eh_identities(dims_upto: int = 3) -> LawReport:
@@ -591,38 +637,107 @@ def law_counit_squares() -> LawReport:
     )
 
 
-# The law families in sweep order, by report name.  Each entry takes the
-# sweep's bounds (max_nodes, dims_upto) and passes on the ones its family
-# uses.  The entries call the families through their module-level names,
-# so rebinding a ``law_*`` name (as the benchmark's tracer does) reaches
-# the sweep.
-FAMILIES: dict[str, Callable[[int, int], LawReport]] = {
+# The law families in report order, by report name.  Each entry takes the
+# sweep's bounds (max_nodes, dims_upto), then the corpus of READS if the
+# family reads one, and passes on what its family uses.  The entries call
+# the families through their module-level names, so rebinding a ``law_*``
+# name (as the benchmark's tracer does) reaches the sweep, except for the
+# tree families: ``timed_laws`` checks those through TREE_PARTS.
+FAMILIES: dict[str, Callable[..., LawReport]] = {
     "tree-boundary": lambda max_nodes, dims_upto: law_tree_boundary(max_nodes, dims_upto),
     "tree-action": lambda max_nodes, dims_upto: law_tree_action(max_nodes, dims_upto),
-    "suspension": lambda max_nodes, dims_upto: law_suspension(),
+    "suspension": lambda max_nodes, dims_upto, cells=None: law_suspension(cells),
     "pushout-counts": lambda max_nodes, dims_upto: law_pushout_counts(),
-    "typecheck": lambda max_nodes, dims_upto: law_typecheck(dims_upto),
-    "cell-action": lambda max_nodes, dims_upto: law_cell_action(dims_upto),
-    "hom-roundtrip": lambda max_nodes, dims_upto: law_hom_roundtrip(),
-    "hom-transport": lambda max_nodes, dims_upto: law_hom_transport(dims_upto),
+    "typecheck": lambda max_nodes, dims_upto, cells=None: law_typecheck(dims_upto, cells),
+    "cell-action": lambda max_nodes, dims_upto, cells=None: law_cell_action(dims_upto, cells),
+    "hom-roundtrip": lambda max_nodes, dims_upto, loops=None: law_hom_roundtrip(loops),
+    "hom-transport": lambda max_nodes, dims_upto, loops=None: law_hom_transport(dims_upto, loops),
     "eh-identities": lambda max_nodes, dims_upto: law_eh_identities(dims_upto),
     "counit-squares": lambda max_nodes, dims_upto: law_counit_squares(),
 }
 
+# The corpus that each family reads from the sweep, by family: a family
+# not named here builds what it reads itself.
+READS: dict[str, str] = {
+    "tree-boundary": "trees",
+    "tree-action": "trees",
+    "suspension": "cells",
+    "typecheck": "cells",
+    "cell-action": "cells",
+    "hom-roundtrip": "loops",
+    "hom-transport": "loops",
+}
+
+# Each corpus of READS, built from the sweep's bounds through the builders'
+# module-level names (which the benchmark's tracer rebinds).
+CORPORA: dict[str, Callable[[int, int], Iterable]] = {
+    "trees": lambda max_nodes, dims_upto: tree_orbits(max_nodes, dims_upto),
+    "cells": lambda max_nodes, dims_upto: cell_corpus(),
+    "loops": lambda max_nodes, dims_upto: pointed_loops(),
+}
+
+# How each family that reads the tree stream checks one group of it: its
+# parts, made from dims_upto.
+TREE_PARTS: dict[str, Callable[[int], TreeParts]] = {
+    "tree-boundary": lambda dims_upto: tree_boundary_parts(dims_upto),
+    "tree-action": lambda dims_upto: tree_action_parts(dims_upto),
+}
+
 
 def timed_laws(max_nodes: int = 5, dims_upto: int = 3) -> list[tuple[LawReport, float]]:
-    """Each family's report, in sweep order, with its wall time in seconds;
-    a family whose own set-up raises fails one check, which names the
-    exception."""
-    out = []
+    """Each family's report, in FAMILIES order, with its wall time in
+    seconds.  The families that read no tree run first, in that order, each
+    corpus built in its first reader's time and dropped after its last
+    reader.  Then the tree families read the tree stream together: each
+    group is checked by every one of them before the next is built, and the
+    stream's own time is the first one's.  A family whose own set-up raises
+    fails one check, which names the exception; a tree stream that raises
+    fails one check of each tree family."""
+    timed: dict[str, tuple[LawReport, float]] = {}
+    live: dict[str, Iterable] = {}  # the corpora that a family still to run reads
+    last = {READS[name]: name for name in FAMILIES if name in READS}
     for name, family in FAMILIES.items():
+        corpus = READS.get(name)
+        if corpus == "trees":
+            continue
         start = time.perf_counter()
         try:
-            report = family(max_nodes, dims_upto)
+            if corpus is None:
+                report = family(max_nodes, dims_upto)
+            else:
+                if corpus not in live:
+                    live[corpus] = CORPORA[corpus](max_nodes, dims_upto)
+                report = family(max_nodes, dims_upto, live[corpus])
         except Exception as err:
             report = LawReport(name, 1, [_raised(err)])
-        out.append((report, time.perf_counter() - start))
-    return out
+        if last.get(corpus) == name:
+            live.pop(corpus, None)
+        timed[name] = report, time.perf_counter() - start
+
+    readers = [name for name in FAMILIES if READS.get(name) == "trees"]
+    reports = {name: LawReport(name) for name in readers}
+    seconds, parts = {}, {}
+    for name in readers:
+        start = time.perf_counter()
+        try:
+            parts[name] = TREE_PARTS[name](dims_upto)
+        except Exception as err:
+            reports[name].check(False, _raised(err))
+        seconds[name] = time.perf_counter() - start
+    tick = time.perf_counter()
+    try:
+        for group in CORPORA["trees"](max_nodes, dims_upto):
+            for name, (instances, check) in parts.items():
+                sweep(name, (instances(group), check), into=reports[name])
+                tock = time.perf_counter()
+                seconds[name] += tock - tick  # since the last reader ended: the first's holds the stream's time
+                tick = tock
+    except Exception as err:
+        for name in parts:
+            reports[name].check(False, _raised(err))
+    seconds[readers[0]] += time.perf_counter() - tick
+    timed.update((name, (reports[name], seconds[name])) for name in readers)
+    return [timed[name] for name in FAMILIES]
 
 
 def run_laws(max_nodes: int = 5, dims_upto: int = 3) -> list[LawReport]:

@@ -287,15 +287,26 @@ def op_sub_order(w: DimSet, t: BataninTree) -> tuple[tuple[str, int], ...]:
 
 def trees_with_nodes(n: int) -> Iterator[BataninTree]:
     """All planar rooted trees with exactly n nodes, in a stable order: a
-    root over each ordered forest of the other n - 1 nodes."""
+    root over each ordered forest of the other n - 1 nodes.  The forests of
+    fewer nodes are listed first; those of n - 1 nodes, and the trees over
+    them, are made one at a time."""
     forests: list[list[tuple]] = [[()]]  # the ordered forests of 0, 1, ... nodes
-    for k in range(1, n):
-        forests.append([
-            (BataninTree(head),) + tail
-            for first in range(1, k + 1) for head in forests[first - 1] for tail in forests[k - first]
-        ])
+    for k in range(1, n - 1):
+        forests.append(list(_forests(k, forests)))
     if n > 0:
-        yield from map(BataninTree, forests[n - 1])
+        yield from map(BataninTree, _forests(n - 1, forests))
+
+
+def _forests(k: int, forests: list[list[tuple]]) -> Iterator[tuple]:
+    """The ordered forests of k nodes, from the lists of those of fewer: a
+    first tree over each forest, then each forest of the nodes left."""
+    if not k:
+        yield ()
+    for first in range(1, k + 1):
+        for head in forests[first - 1]:
+            tree = BataninTree(head)
+            for tail in forests[k - first]:
+                yield (tree,) + tail
 
 
 def all_trees(max_nodes: int) -> Iterator[BataninTree]:

@@ -626,12 +626,48 @@ class TestLawsVerb:
 
     def test_the_largest_sweeps_in_bounds_start(self, capsys, monkeypatch):
         """The limits are the largest values that run, each at the least of
-        the other, and 11 nodes at --dims-upto 1 is within the instance bound."""
+        the other, and 12 nodes at --dims-upto 1 is within the instance bound."""
         started = []
         monkeypatch.setattr(cli, "timed_laws", lambda **bounds: started.append(bounds) or [])
-        for argv in (("11", "1"), ("11", "0"), ("1", "7"), ("4", "7")):
-            assert invoke(capsys, "laws", "--max-nodes", argv[0], "--dims-upto", argv[1])[0] == 0
-        assert [(b["max_nodes"], b["dims_upto"]) for b in started] == [(11, 1), (11, 0), (1, 7), (4, 7)]
+        sweeps = [(12, 1), (12, 0), (11, 1), (11, 0), (1, 7), (4, 7)]
+        for max_nodes, dims_upto in sweeps:
+            assert invoke(capsys, "laws", "--max-nodes", str(max_nodes), "--dims-upto", str(dims_upto))[0] == 0
+        assert [(b["max_nodes"], b["dims_upto"]) for b in started] == sweeps
+
+    def test_a_tree_is_checked_once_in_its_orbit(self, capsys, monkeypatch):
+        """A seeded tree-action check that fails one law on one tree, the
+        second of its orbit under the dimension sets: the text and the JSON
+        report name that tree in one failure, and tree-boundary, which reads
+        the same groups of trees, stays ok."""
+        u = next(orbit for orbit in laws.tree_orbits(4, 1) if len(orbit) == 2 and orbit[0].nodes == 4)[1]
+        real = laws.TREE_PARTS["tree-action"]
+
+        def seeded(dims_upto):
+            instances, check = real(dims_upto)
+
+            def failing(t):
+                verdicts = check(t)
+                if t is u:
+                    yield False, next(verdicts)[1]
+                yield from verdicts
+
+            return instances, failing
+
+        argv = ("laws", "--max-nodes", "4", "--dims-upto", "1")
+        clean = invoke(capsys, *argv)[1].splitlines()
+        monkeypatch.setitem(laws.TREE_PARTS, "tree-action", seeded)
+        code, text, _ = invoke(capsys, *argv)
+        json_code, out, _ = invoke(capsys, *argv, "--json")
+        assert (code, json_code) == (1, 1)
+        message = f"{u}: empty opposite moved the tree"
+        checks = clean[1].split()[1]
+        assert text.splitlines()[:3] == [clean[0], f"tree-action: 1 of {checks} checks FAILED", f"  {message}"]
+        report = json.loads(out)
+        assert report["failed"] == 1
+        assert [(f["name"], f["failures"]) for f in report["families"][:2]] == [
+            ("tree-boundary", []),
+            ("tree-action", [message]),
+        ]
 
     def test_json_report_matches_the_text_report(self, capsys):
         argv = ("laws", "--max-nodes", "3", "--dims-upto", "1")

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import os
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -39,20 +41,23 @@ class TestRegistry:
 
 
 def test_a_sweep_builds_each_corpus_once(monkeypatch):
-    """In one sweep at the default bounds, started with the shared corpora
-    dropped: the two tree families enumerate the trees once and the second
-    drops them, the three families that read the cell corpus build it once
-    (one closure round and one template list; cell-action and hom-roundtrip
-    list the templates again) and the third drops it, the two hom families
-    build the loop corpus once and the second drops it, and counit-squares
+    """In one sweep at the default bounds: each corpus of ``laws.CORPORA``
+    is built once, for every family that ``laws.READS`` says reads it.  The
+    tree stream enumerates the trees of each size once, the cell corpus
+    takes one closure round and one template list (cell-action and
+    hom-roundtrip list the templates again), and the loop corpus one closure
+    of two rounds.  No corpus is left once the sweep returns.  Counit-squares
     evaluates each of its 104 double cells through the denotation of its
     double computad once, for both of its squares.  The sweep still makes
     its 17,432 checks."""
     calls: Counter = Counter()
-    denotes = []
+    denotes, held = [], []
     real_closure, real_trees, real_eval, real_double, real_templates = (
         laws.eh_closure, trees.trees_with_nodes, laws.counit_eval, laws.double_computad, laws.template_corpus
     )
+
+    class Held(list):
+        """A corpus list that a weak reference can watch."""
 
     def double(*args):
         built = real_double(*args)
@@ -63,21 +68,77 @@ def test_a_sweep_builds_each_corpus_once(monkeypatch):
         calls["eval"] += denote is denotes[-1]
         return real_eval(cell, denote)
 
+    def watched(name, build):
+        def corpus(*bounds):
+            calls[("corpus", name)] += 1
+            made = build(*bounds)
+            made = made if name == "trees" else Held(made)  # the trees are a stream, which a list would hold
+            held.append(weakref.ref(made))
+            return made
+
+        return corpus
+
     monkeypatch.setattr(laws, "eh_closure", lambda rounds: calls.update([("closure", rounds)]) or real_closure(rounds))
     monkeypatch.setattr(trees, "trees_with_nodes", lambda n: calls.update([("trees", n)]) or real_trees(n))
     monkeypatch.setattr(laws, "double_computad", double)
     monkeypatch.setattr(laws, "counit_eval", evaluate)
     monkeypatch.setattr(laws, "template_corpus", lambda: calls.update(["templates"]) or real_templates())
-    laws.tree_corpus.cache_clear()
-    laws.shared_cells.cache_clear()
-    laws.pointed_loops.cache_clear()
+    for name, build in list(laws.CORPORA.items()):
+        monkeypatch.setitem(laws.CORPORA, name, watched(name, build))
     reports = laws.run_laws(5, 3)
-    assert calls[("closure", 2)] == 1 and laws.pointed_loops.cache_info().currsize == 0
+    assert sorted(set(laws.READS.values())) == sorted(laws.CORPORA)
+    assert [calls[("corpus", name)] for name in laws.CORPORA] == [1] * len(laws.CORPORA)
+    assert [ref() for ref in held] == [None] * len(laws.CORPORA)
+    assert calls[("closure", 2)] == 1
     assert calls[("closure", 1)] == 2 and calls["templates"] == 3  # the cell corpus and counit-squares
-    assert laws.shared_cells.cache_info().currsize == 0
-    assert [calls[("trees", n)] for n in range(1, 6)] == [1] * 5 and laws.tree_corpus.cache_info().currsize == 0
+    assert [calls[("trees", n)] for n in range(1, 6)] == [1] * 5
     assert calls["eval"] == 104
     assert sum(r.checks for r in reports) == 17432 and all(r.ok for r in reports)
+
+
+# The most trees with the sweep's largest node count that are alive while the tree families run: an
+# orbit under the dimension sets and the next (at most two trees each at --dims-upto 1), and the few
+# schemes of that size that the kernel's caches keep for the cell families.
+LIVE_AT_THE_BOUND = 8
+
+LIVE = """
+from omegatt import laws
+from omegatt.trees import BataninTree
+
+most = {}
+real = laws.TREE_PARTS["tree-action"]
+
+
+def counting(dims_upto):
+    instances, check = real(dims_upto)
+
+    def counted(t):
+        live = [ref() for ref in list(BataninTree._table.values())]
+        most[bound] = max(most.get(bound, 0), sum(1 for u in live if u is not None and u.nodes == bound))
+        return check(t)
+
+    return instances, counted
+
+
+laws.TREE_PARTS["tree-action"] = counting
+for bound in (7, 8):
+    assert all(report.ok for report in laws.run_laws(bound, 1))
+print(most)
+"""
+
+
+def test_a_sweep_holds_an_orbit_of_its_largest_trees_at_a_time():
+    """While the tree families check a sweep to 7 and to 8 nodes, few trees
+    of that size are alive at any check, where a sweep over one tuple of all
+    its trees holds the 429 with 8 nodes.  A fresh process, because the
+    trees that the tests of this process keep would count."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", LIVE], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    most = ast.literal_eval(run.stdout)
+    assert sorted(most) == [7, 8]
+    assert max(most.values()) <= LIVE_AT_THE_BOUND, most
 
 
 FREED = """
